@@ -1,0 +1,7 @@
+"""Make the benchmark's modules importable as ``run``, ``workloads``, ``harness``."""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(BENCH_DIR))
