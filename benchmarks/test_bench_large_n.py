@@ -65,9 +65,8 @@ MAX_APPROX_SCORE_ERROR = 1e-2
 # ----------------------------------------------------------------------
 
 #: The budgeted pipeline: N = 10⁶ at paper scale, a CI-sized 2·10⁵
-#: otherwise (large enough that auto-streaming and the auto matrix-free
-#: hierarchy both engage — see ``STREAM_AUTO_CANDIDATES`` and
-#: ``MATRIX_FREE_MIN_VERTICES``).
+#: otherwise (large enough that auto-streaming engages — see
+#: ``STREAM_AUTO_CANDIDATES``).
 N_BUDGET = 1_000_000 if SCALE == "paper" else 200_000
 
 #: Reduced λ grid for the budgeted sweep (memory is λ-count-independent;
@@ -81,19 +80,18 @@ BUDGET_GRID = tuple(float(lam) for lam in np.logspace(-2, 1, 4))
 #: dedup/lexsort reduction.
 BUDGET_FRACTION = 0.40
 
-#: The matrix-free hierarchy must *retain* at most this fraction of what
-#: the assembled float64 hierarchy would store (O(N) maps vs O(Σ nnz)).
-HIERARCHY_RETAINED_FRACTION = 0.40
-
-#: Float32 smoothing changes the preconditioner, not the answer: the
-#: outer CG still converges in float64 to ``pcg_tol``, so converged
-#: scores agree with the float64 policy to well below this RMS tier
-#: (observed ~1e-15 at N=2·10⁵; documented in docs/SCALING.md).
-FLOAT32_MAX_RMS = 1e-9
-
 
 def _naive_candidate_bytes(n: int) -> int:
     return DEFAULT_N_TREES * n * K * 24 * 2
+
+
+def _hierarchy_bytes(hierarchy) -> int:
+    """Bytes the assembled hierarchy retains: every level's CSR arrays."""
+    return sum(
+        m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+        for level in hierarchy.levels
+        for m in (level.prolongation, level.weights, level.laplacian)
+    )
 
 
 def test_bench_memory_budget(bench, results_dir):
@@ -107,19 +105,13 @@ def test_bench_memory_budget(bench, results_dir):
     # built from the phase durations (repeats=1, informational only).
     with gate.phase("graph", budget_bytes=budget_bytes):
         graph = approx_knn_graph(x, k=K, bandwidth=0.5)
-    workspace = SolveWorkspace(
-        graph.weights,
-        backend="multigrid",
-        hierarchy_mode="matrix_free",
-        dtype_policy="float32",
-    )
+    workspace = SolveWorkspace(graph.weights, backend="multigrid")
     with gate.phase("hierarchy", budget_bytes=budget_bytes):
         hierarchy = workspace.hierarchy()
     with gate.phase("sweep", budget_bytes=budget_bytes):
         fits = workspace.sweep_soft(y, BUDGET_GRID)
 
-    retained = hierarchy.retained_bytes()
-    assembled_est = hierarchy.assembled_bytes_estimate()
+    retained = _hierarchy_bytes(hierarchy)
     stats = workspace.stats()
 
     from repro.obs.bench import BenchRecord
@@ -132,7 +124,6 @@ def test_bench_memory_budget(bench, results_dir):
             "budget": gate.to_dict(),
             "naive_candidate_bytes": _naive_candidate_bytes(n),
             "hierarchy_retained_bytes": retained,
-            "hierarchy_assembled_estimate_bytes": assembled_est,
             "peak_bytes": max(u.peak_traced_bytes for u in gate.phases),
         },
         scale=SCALE,
@@ -142,17 +133,14 @@ def test_bench_memory_budget(bench, results_dir):
 
     lines = [
         f"memory-budget pipeline at N={n}, d={D}, k={K} "
-        f"({len(BUDGET_GRID)}-point lambda grid, "
-        f"hierarchy_mode={stats.hierarchy_mode}, "
-        f"dtype_policy={stats.dtype_policy})",
+        f"({len(BUDGET_GRID)}-point lambda grid, assembled hierarchy, "
+        f"{stats.pcg_iterations} PCG iterations)",
         f"per-phase budget: {budget_bytes / 2**20:.0f} MiB "
         f"(= {BUDGET_FRACTION:.0%} of the naive one-shot candidate peak "
         f"{_naive_candidate_bytes(n) / 2**20:.0f} MiB)",
         gate.report(),
-        f"hierarchy retains {retained / 2**20:.1f} MiB vs "
-        f"{assembled_est / 2**20:.1f} MiB assembled "
-        f"({retained / assembled_est:.1%}; acceptance <= "
-        f"{HIERARCHY_RETAINED_FRACTION:.0%})",
+        f"hierarchy retains {retained / 2**20:.1f} MiB "
+        f"({len(hierarchy.levels)} coarse levels, sizes {hierarchy.sizes})",
     ]
     publish(results_dir, f"memory_budget_pipeline_n{n}", "\n".join(lines))
 
@@ -160,26 +148,11 @@ def test_bench_memory_budget(bench, results_dir):
     # Acceptance guards
     # ------------------------------------------------------------------
     assert gate.ok, gate.report()
-    assert stats.hierarchy_mode == "matrix_free"  # auto threshold engaged
-    assert retained <= HIERARCHY_RETAINED_FRACTION * assembled_est, (
-        retained,
-        assembled_est,
+    # Every grid point converged through the V-cycle: none fell back to
+    # an exact factorization, which at this N is what the budget forbids.
+    assert [fit.solve_info.method for fit in fits] == (
+        ["multigrid_pcg"] * len(BUDGET_GRID)
     )
-
-    # Parity: the budgeted path must reproduce the assembled float64
-    # sweep.  Affordable at CI scale only — at N=10⁶ the assembled
-    # reference is exactly the memory burner this bench retires (the
-    # parity suite pins the same guarantee at test scale).
-    if SCALE != "paper":
-        reference = SolveWorkspace(
-            graph.weights, backend="multigrid", hierarchy_mode="assembled"
-        ).sweep_soft(y, BUDGET_GRID)
-        for fit, ref in zip(fits, reference):
-            rms = float(np.sqrt(np.mean((fit.scores - ref.scores) ** 2)))
-            assert rms < FLOAT32_MAX_RMS, (fit.lam, rms)
-            np.testing.assert_allclose(
-                fit.scores, ref.scores, atol=1e-6, rtol=0
-            )
 
 
 def _make_problem(n: int):

@@ -60,6 +60,7 @@ import os
 import sys
 
 from repro.experiments.report import ascii_table, format_sweep_result, write_csv
+from repro.linalg.workspace import SWEEP_BACKEND_CHOICES
 
 __all__ = ["main", "build_parser"]
 
@@ -177,7 +178,6 @@ def _cmd_prop21(args) -> int:
 
     result = run_prop21_experiment(
         seed=args.seed or 0, sweep_backend=args.sweep_backend,
-        dtype_policy=args.dtype_policy,
     )
     _print_rows(
         "Proposition II.1 (lambda -> 0)",
@@ -193,7 +193,6 @@ def _cmd_prop22(args) -> int:
 
     result = run_prop22_experiment(
         seed=args.seed or 0, sweep_backend=args.sweep_backend,
-        dtype_policy=args.dtype_policy,
     )
     _print_rows(
         "Proposition II.2 (lambda -> inf)",
@@ -269,7 +268,7 @@ def _cmd_lambda_curve(args) -> int:
 
     curve = run_lambda_curve(
         n_replicates=args.replicates, seed=args.seed, n_jobs=args.jobs,
-        sweep_backend=args.sweep_backend, dtype_policy=args.dtype_policy,
+        sweep_backend=args.sweep_backend,
     )
     rows = [[f"{lam:g}", value] for lam, value in zip(curve.lambdas, curve.rmse)]
     _print_rows("lambda-degradation curve", curve.headers(), rows, args.csv)
@@ -727,7 +726,7 @@ def _cmd_tuned_lambda(args) -> int:
 
     result = run_tuned_lambda_study(
         n_replicates=args.replicates, seed=args.seed, n_jobs=args.jobs,
-        sweep_backend=args.sweep_backend, dtype_policy=args.dtype_policy,
+        sweep_backend=args.sweep_backend,
     )
     _print_rows(
         "untuned hard vs CV-tuned soft",
@@ -815,24 +814,16 @@ def build_parser() -> argparse.ArgumentParser:
     def sweep_backend_flag(p):
         p.add_argument(
             "--sweep-backend",
-            choices=("direct", "exact", "factored", "spectral", "multigrid"),
+            choices=SWEEP_BACKEND_CHOICES,
             default="direct",
             help="how lambda sweeps are solved: 'direct' refactorizes "
             "per grid point (bit-identical historical path); 'exact' "
             "caches factorizations; 'factored' reuses one anchored "
-            "factorization with warm-started PCG; 'spectral' sweeps "
-            "through the Laplacian eigenbasis; 'multigrid' uses "
-            "coarsening-preconditioned CG, the N>=1e5 choice (see "
+            "factorization (Woodbury update or warm-started PCG), the "
+            "fastest in d=2 or at small N; 'multigrid' uses "
+            "coarsening-preconditioned CG on one assembled hierarchy, "
+            "the choice for N>=1e4 in d>=3 and up to N=1e6 (see "
             "docs/SCALING.md)",
-        )
-        p.add_argument(
-            "--dtype-policy",
-            choices=("float64", "float32"),
-            default="float64",
-            help="multigrid smoothing precision: 'float64' (bit-stable "
-            "historical path) or 'float32' (halves smoothing-matrix "
-            "memory; the outer PCG stays float64, so converged scores "
-            "agree to ~1e-9 RMS — see docs/SCALING.md)",
         )
         p.add_argument(
             "--memory-budget-mb",

@@ -302,7 +302,6 @@ def _tuned_lambda_replicate(
     n_folds: int,
     model: str,
     sweep_backend: str = "direct",
-    dtype_policy: str = "float64",
 ) -> dict[str, float]:
     """One tuned-lambda replicate (module-level so it pickles for n_jobs).
 
@@ -315,7 +314,7 @@ def _tuned_lambda_replicate(
     graph = full_kernel_graph(data.x_all, bandwidth=bandwidth)
     search = select_lambda(
         graph.weights, data.y_labeled, grid=grid, n_folds=n_folds, seed=rng,
-        sweep_backend=sweep_backend, dtype_policy=dtype_policy,
+        sweep_backend=sweep_backend,
     )
     tuned = solve_soft_criterion(
         graph.weights, data.y_labeled, search.best_value,
@@ -343,7 +342,6 @@ def run_tuned_lambda_study(
     n_jobs: int = 1,
     progress=None,
     sweep_backend: str = "direct",
-    dtype_policy: str = "float64",
 ) -> TunedLambdaResult:
     """Compare the untuned hard criterion with a CV-tuned soft criterion.
 
@@ -362,7 +360,6 @@ def run_tuned_lambda_study(
             n_folds=n_folds,
             model=model,
             sweep_backend=sweep_backend,
-            dtype_policy=dtype_policy,
         ),
         n_replicates=n_replicates,
         seed=seed,

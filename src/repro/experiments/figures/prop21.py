@@ -63,14 +63,12 @@ def run_prop21_experiment(
     lambdas: tuple[float, ...] = (1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10),
     seed: int = 0,
     sweep_backend: str = "direct",
-    dtype_policy: str = "float64",
 ) -> Prop21Result:
     """Measure ``||f_soft(lambda) - f_hard||_max`` along a vanishing grid.
 
     A fixed-graph lambda sweep: with a workspace ``sweep_backend`` the
     grid shares one :class:`~repro.linalg.workspace.SolveWorkspace`
-    instead of refactorizing per point; ``dtype_policy`` forwards the
-    multigrid smoothing precision.
+    instead of refactorizing per point.
     """
     if any(lam <= 0 for lam in lambdas):
         raise ConfigurationError("lambdas must be strictly positive (0 IS the hard criterion)")
@@ -79,9 +77,7 @@ def run_prop21_experiment(
     data = make_synthetic_dataset(n_labeled, n_unlabeled, seed=seed)
     bandwidth = paper_bandwidth_rule(n_labeled, data.x_labeled.shape[1])
     graph = full_kernel_graph(data.x_all, bandwidth=bandwidth)
-    workspace = make_workspace(
-        graph.weights, sweep_backend, dtype_policy=dtype_policy
-    )
+    workspace = make_workspace(graph.weights, sweep_backend)
     hard = solve_hard_criterion(graph.weights, data.y_labeled, check_reachability=False)
     deviations = []
     for lam in lambdas:

@@ -78,14 +78,12 @@ def run_prop22_experiment(
     lambdas: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0, 1e4, 1e6, 1e8),
     seed: int = 0,
     sweep_backend: str = "direct",
-    dtype_policy: str = "float64",
 ) -> Prop22Result:
     """Measure the soft criterion's collapse to the labeled mean.
 
     A fixed-graph lambda sweep: with a workspace ``sweep_backend`` the
     grid shares one :class:`~repro.linalg.workspace.SolveWorkspace`
-    instead of refactorizing per point; ``dtype_policy`` forwards the
-    multigrid smoothing precision.
+    instead of refactorizing per point.
     """
     if any(lam <= 0 for lam in lambdas):
         raise ConfigurationError("lambdas must be strictly positive")
@@ -94,9 +92,7 @@ def run_prop22_experiment(
     data = make_synthetic_dataset(n_labeled, n_unlabeled, seed=seed)
     bandwidth = paper_bandwidth_rule(n_labeled, data.x_labeled.shape[1])
     graph = full_kernel_graph(data.x_all, bandwidth=bandwidth)
-    workspace = make_workspace(
-        graph.weights, sweep_backend, dtype_policy=dtype_policy
-    )
+    workspace = make_workspace(graph.weights, sweep_backend)
 
     hard = solve_hard_criterion(graph.weights, data.y_labeled, check_reachability=False)
     hard_rmse = root_mean_squared_error(data.q_unlabeled, hard.unlabeled_scores)

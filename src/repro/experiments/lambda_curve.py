@@ -80,7 +80,6 @@ def _lambda_curve_replicate(
     lambdas: tuple[float, ...],
     model: str,
     sweep_backend: str = "direct",
-    dtype_policy: str = "float64",
 ) -> dict[str, float]:
     """One replicate: RMSE at each grid lambda plus the two anchors.
 
@@ -93,9 +92,7 @@ def _lambda_curve_replicate(
     data = make_synthetic_dataset(n_labeled, n_unlabeled, model=model, seed=rng)
     bandwidth = paper_bandwidth_rule(n_labeled, data.x_labeled.shape[1])
     graph = full_kernel_graph(data.x_all, bandwidth=bandwidth)
-    workspace = make_workspace(
-        graph.weights, sweep_backend, dtype_policy=dtype_policy
-    )
+    workspace = make_workspace(graph.weights, sweep_backend)
     out = {}
     for lam in lambdas:
         if workspace is None:
@@ -135,14 +132,13 @@ def run_lambda_curve(
     seed=None,
     n_jobs: int = 1,
     sweep_backend: str = "direct",
-    dtype_policy: str = "float64",
     progress=None,
 ) -> LambdaCurve:
     """Trace mean RMSE along a dense lambda grid.
 
     ``sweep_backend`` selects how each replicate's grid is solved:
     ``"direct"`` (per-point, bit-identical to previous releases) or a
-    workspace backend (``"exact"``/``"factored"``/``"spectral"``) that
+    workspace backend (``"exact"``/``"factored"``/``"multigrid"``) that
     amortizes factorizations across the grid.
     """
     if lambdas[0] != 0.0 or list(lambdas[1:]) != sorted(set(lambdas[1:])):
@@ -158,7 +154,6 @@ def run_lambda_curve(
         lambdas=tuple(lambdas),
         model=model,
         sweep_backend=sweep_backend,
-        dtype_policy=dtype_policy,
     )
     summary = run_replicates(
         replicate, n_replicates=n_replicates, seed=seed, n_jobs=n_jobs,

@@ -62,24 +62,11 @@ __all__ = [
     "CoarseLevel",
     "CoarseningHierarchy",
     "build_hierarchy",
-    "MatrixFreeHierarchy",
-    "build_matrix_free_hierarchy",
     "MultigridPreconditioner",
-    "MatrixFreeMultigridPreconditioner",
     "solve_multigrid",
     "DEFAULT_MIN_COARSE_SIZE",
     "DEFAULT_OMEGA",
-    "DTYPE_POLICIES",
 ]
-
-#: Smoothing precision policies.  ``"float64"`` is the historical exact
-#: path; ``"float32"`` runs the damped-Jacobi sweeps (and residual
-#: transfers between levels) in single precision while the coarsest
-#: solve and the outer CG stay float64 — halving smoothing bandwidth at
-#: the cost of a slightly weaker preconditioner.  Final solutions are
-#: still converged by the float64 outer CG to its tolerance; the parity
-#: suite pins the documented RMS tier (see docs/SCALING.md).
-DTYPE_POLICIES = ("float64", "float32")
 
 #: Coarsening stops once a level has at most this many vertices; the
 #: coarsest level is then solved exactly (one small factorization).
@@ -313,234 +300,6 @@ def build_hierarchy(
     return CoarseningHierarchy(n_vertices=n, levels=tuple(levels))
 
 
-def _csr_bytes(matrix) -> int:
-    """Retained bytes of a CSR matrix (data + indices + indptr)."""
-    return int(
-        matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-    )
-
-
-def _check_dtype_policy(dtype_policy: str) -> np.dtype:
-    if dtype_policy not in DTYPE_POLICIES:
-        raise ConfigurationError(
-            f"dtype_policy must be one of {DTYPE_POLICIES}, "
-            f"got {dtype_policy!r}"
-        )
-    return np.dtype(np.float32 if dtype_policy == "float32" else np.float64)
-
-
-def _smoothing_cast(matrix, dtype: np.dtype):
-    """A smoothing copy of a level system at the work dtype.
-
-    For float64 this is the matrix itself (no copy); for float32 a CSR
-    sharing the index structure with single-precision data, so the extra
-    footprint is ``4 * nnz`` bytes, not a full second matrix.
-    """
-    if dtype == np.float64:
-        return matrix
-    csr = matrix.tocsr() if sparse.issparse(matrix) else sparse.csr_matrix(matrix)
-    return sparse.csr_matrix(
-        (csr.data.astype(np.float32), csr.indices, csr.indptr),
-        shape=csr.shape,
-    )
-
-
-@dataclass(frozen=True)
-class MatrixFreeHierarchy:
-    """Aggregate maps of a coarsening hierarchy, without level matrices.
-
-    :class:`CoarseningHierarchy` retains every level's prolongation,
-    coarse graph and coarse Laplacian — ``O(Σ nnz_level)`` memory, which
-    at N = 10⁶ rivals the fine graph itself several times over.  This
-    variant keeps only what the V-cycle *applies*:
-
-    * ``labels[l]`` — the matching at level ``l`` (length ``n_l``),
-      driving restriction/prolongation between consecutive levels as a
-      ``bincount`` / fancy-index instead of a CSR product;
-    * ``composed[l]`` — the fine-to-level-``l+1`` aggregate map (length
-      ``N``), so a smoothing-level operator applies as
-      ``A_{l+1} v = diag(mask) v + λ · Pᵀ(L₀ (P v))`` against the *fine*
-      Laplacian on the fly (the Galerkin identity
-      ``PᵀL(W)P = L(PᵀWP)`` makes this exact);
-    * ``lap_diagonals[l]`` — ``diag(L_{l+1})``, all the damped-Jacobi
-      smoother needs of a level matrix;
-    * the **coarsest** level's assembled graph/Laplacian, which stays
-      exact (one small factorization per λ).
-
-    Retained memory is ``O(N)`` per level map versus ``O(nnz_level)``
-    per assembled level; the trade is that each smoothing sweep on a
-    coarse level costs one fine-level SpMV (``O(nnz₀)``) instead of a
-    coarse one.  ``level_nnz`` records what each assembled coarse graph
-    *would* have stored, so memory-budget gates can compute the naive
-    baseline without ever building it.
-
-    The aggregates come from the same :func:`heavy_edge_matching` passes
-    as :func:`build_hierarchy` on the same transiently-assembled coarse
-    graphs, so the two hierarchies are *identical* as coarsenings — only
-    the stored representation differs (pinned by the parity suite).
-    """
-
-    n_vertices: int
-    fine_laplacian: sparse.csr_matrix
-    labels: tuple[np.ndarray, ...] = field(default_factory=tuple)
-    composed: tuple[np.ndarray, ...] = field(default_factory=tuple)
-    lap_diagonals: tuple[np.ndarray, ...] = field(default_factory=tuple)
-    level_nnz: tuple[int, ...] = field(default_factory=tuple)
-    coarsest_weights: sparse.csr_matrix | None = None
-    coarsest_laplacian: sparse.csr_matrix | None = None
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        """Vertex counts per level, finest first."""
-        return (self.n_vertices,) + tuple(
-            int(d.shape[0]) for d in self.lap_diagonals
-        )
-
-    @property
-    def n_levels(self) -> int:
-        """Total level count including the fine level."""
-        return 1 + len(self.labels)
-
-    def coarsen_diagonal(self, values: np.ndarray) -> list[np.ndarray]:
-        """Aggregate a fine-level diagonal through every level.
-
-        Same contract as
-        :meth:`CoarseningHierarchy.coarsen_diagonal`: one vector per
-        coarse level, finest coarse first — here a ``bincount`` over the
-        composed maps instead of CSR products.
-        """
-        values = np.asarray(values, dtype=np.float64).ravel()
-        if values.shape[0] != self.n_vertices:
-            raise DataValidationError(
-                f"diagonal has length {values.shape[0]} but the hierarchy "
-                f"was built over {self.n_vertices} vertices"
-            )
-        sizes = self.sizes
-        return [
-            np.bincount(comp, weights=values, minlength=sizes[l + 1])
-            for l, comp in enumerate(self.composed)
-        ]
-
-    def retained_bytes(self) -> int:
-        """Bytes actually held by this hierarchy (maps + coarsest CSRs)."""
-        total = sum(arr.nbytes for arr in self.labels)
-        total += sum(arr.nbytes for arr in self.composed)
-        total += sum(arr.nbytes for arr in self.lap_diagonals)
-        if self.coarsest_weights is not None:
-            total += _csr_bytes(self.coarsest_weights)
-        if self.coarsest_laplacian is not None:
-            total += _csr_bytes(self.coarsest_laplacian)
-        return int(total)
-
-    def assembled_bytes_estimate(self) -> int:
-        """What the assembled float64 hierarchy would retain, in bytes.
-
-        The naive baseline the memory-budget gate compares against: per
-        coarse level, the weights CSR plus the Laplacian CSR (same
-        sparsity, 12 bytes per stored element at float64 data + int32
-        indices) plus the one-entry-per-row prolongation — exactly the
-        :class:`CoarseLevel` contents :func:`build_hierarchy` keeps.
-        This deliberately *excludes* the per-λ assembled level systems,
-        so the estimate understates the true assembled peak and the 40%
-        budget derived from it is conservative.
-        """
-        sizes = self.sizes
-        total = 0
-        for level, nnz in enumerate(self.level_nnz):
-            n_fine, n_coarse = sizes[level], sizes[level + 1]
-            total += 2 * (12 * nnz + 4 * (n_coarse + 1))
-            total += 12 * n_fine + 4 * (n_fine + 1)
-        return int(total)
-
-
-def build_matrix_free_hierarchy(
-    weights,
-    *,
-    min_coarse_size: int = DEFAULT_MIN_COARSE_SIZE,
-    max_levels: int = DEFAULT_MAX_LEVELS,
-    fine_laplacian=None,
-) -> MatrixFreeHierarchy:
-    """Coarsen like :func:`build_hierarchy`, retaining only aggregate maps.
-
-    Runs the identical heavy-edge-matching loop over the identical
-    transiently-assembled Galerkin coarse graphs — so the aggregates (and
-    therefore the preconditioner's algebra) match
-    :func:`build_hierarchy` exactly — but each level's assembled matrix
-    is dropped as soon as the next matching pass has consumed it.  Only
-    the coarsest graph and its Laplacian are kept for the exact bottom
-    solve.  Peak *transient* memory is two adjacent levels; *retained*
-    memory is ``O(N)`` maps (see :class:`MatrixFreeHierarchy`).
-
-    Callers that already hold ``L(weights)`` (e.g. a
-    :class:`~repro.linalg.workspace.SolveWorkspace`, which assembles it
-    for the fine systems anyway) should pass it as ``fine_laplacian`` so
-    the hierarchy shares it instead of retaining a second 12-bytes-per-nnz
-    copy of the largest matrix in the pipeline.
-    """
-    if min_coarse_size < 1:
-        raise ConfigurationError(
-            f"min_coarse_size must be >= 1, got {min_coarse_size}"
-        )
-    if max_levels < 0:
-        raise ConfigurationError(f"max_levels must be >= 0, got {max_levels}")
-    fine = _as_csr(weights)
-    n = int(fine.shape[0])
-    if fine_laplacian is None:
-        fine_laplacian = _graph_laplacian(fine)
-    else:
-        fine_laplacian = _as_csr(fine_laplacian)
-        if fine_laplacian.shape != fine.shape:
-            raise DataValidationError(
-                f"fine_laplacian has shape {fine_laplacian.shape} but the "
-                f"graph is {fine.shape}"
-            )
-    labels_per_level: list[np.ndarray] = []
-    composed_maps: list[np.ndarray] = []
-    lap_diagonals: list[np.ndarray] = []
-    level_nnz: list[int] = []
-    current = fine
-    composed: np.ndarray | None = None
-    with obs.span(
-        "repro.coarsen.hierarchy",
-        n_vertices=n,
-        min_coarse_size=int(min_coarse_size),
-        hierarchy_mode="matrix_free",
-    ) as span:
-        while current.shape[0] > min_coarse_size and len(labels_per_level) < max_levels:
-            labels = heavy_edge_matching(current)
-            n_coarse = int(labels.max()) + 1
-            if n_coarse >= STALL_RATIO * current.shape[0]:
-                break
-            prolongation = aggregation_operator(labels)
-            coarse = coarsen_weights(current, prolongation)
-            labels_per_level.append(labels)
-            composed = labels if composed is None else labels[composed]
-            composed_maps.append(composed)
-            degrees = np.asarray(coarse.sum(axis=1)).ravel()
-            lap_diagonals.append(degrees - coarse.diagonal())
-            level_nnz.append(int(coarse.nnz))
-            current = coarse  # the previous level's matrix is now garbage
-        if span.recording:
-            span.set_attribute("n_levels", len(labels_per_level))
-            span.set_attribute(
-                "n_coarsest",
-                int(current.shape[0]) if labels_per_level else n,
-            )
-        obs.get_registry().counter("coarsen.hierarchies").inc()
-    return MatrixFreeHierarchy(
-        n_vertices=n,
-        fine_laplacian=fine_laplacian,
-        labels=tuple(labels_per_level),
-        composed=tuple(composed_maps),
-        lap_diagonals=tuple(lap_diagonals),
-        level_nnz=tuple(level_nnz),
-        coarsest_weights=current,
-        coarsest_laplacian=(
-            _graph_laplacian(current) if labels_per_level else fine_laplacian
-        ),
-    )
-
-
 def _matvec(matrix, vector: np.ndarray) -> np.ndarray:
     product = matrix @ vector
     if sparse.issparse(product):  # pragma: no cover - defensive
@@ -566,12 +325,6 @@ class MultigridPreconditioner:
     n_smooth:
         Pre- and post-smoothing sweeps per level (symmetric, so the
         V-cycle stays a valid CG preconditioner).
-    dtype_policy:
-        ``"float64"`` (default, the historical exact path) or
-        ``"float32"``: smoothing sweeps and level transfers run in
-        single precision against float32-data copies of the level
-        systems, while the coarsest solve stays float64.  See
-        :data:`DTYPE_POLICIES`.
 
     Calling the instance applies one V-cycle to a residual: damped-Jacobi
     pre-smoothing, restriction of the remaining residual, recursion,
@@ -588,7 +341,6 @@ class MultigridPreconditioner:
         *,
         omega: float = DEFAULT_OMEGA,
         n_smooth: int = 1,
-        dtype_policy: str = "float64",
     ):
         systems = list(systems)
         prolongations = list(prolongations)
@@ -605,8 +357,6 @@ class MultigridPreconditioner:
             raise ConfigurationError(f"n_smooth must be >= 1, got {n_smooth}")
         self.omega = float(omega)
         self.n_smooth = int(n_smooth)
-        self.dtype_policy = str(dtype_policy)
-        self._work_dtype = _check_dtype_policy(self.dtype_policy)
         self._systems = systems
         self._prolongations = prolongations
         self._inv_diagonals: list[np.ndarray] = []
@@ -622,12 +372,7 @@ class MultigridPreconditioner:
                     f"level-{level} system has a non-positive diagonal; "
                     "the damped-Jacobi smoother requires SPD level systems"
                 )
-            self._inv_diagonals.append(
-                (1.0 / diagonal).astype(self._work_dtype, copy=False)
-            )
-        self._smooth_systems = [
-            _smoothing_cast(system, self._work_dtype) for system in systems[:-1]
-        ]
+            self._inv_diagonals.append(1.0 / diagonal)
         self._coarse_factor: SPDFactorization = factorize_spd(systems[-1])
 
     @classmethod
@@ -640,7 +385,6 @@ class MultigridPreconditioner:
         n_smooth: int = 1,
         min_coarse_size: int = DEFAULT_MIN_COARSE_SIZE,
         max_levels: int = DEFAULT_MAX_LEVELS,
-        dtype_policy: str = "float64",
     ) -> "MultigridPreconditioner":
         """Build the level systems for one SPD matrix by pure Galerkin.
 
@@ -667,23 +411,18 @@ class MultigridPreconditioner:
                 current = current.tocsr()
             systems.append(current)
             prolongations.append(p)
-        return cls(
-            systems, prolongations, omega=omega, n_smooth=n_smooth,
-            dtype_policy=dtype_policy,
-        )
+        return cls(systems, prolongations, omega=omega, n_smooth=n_smooth)
 
     @property
     def n_levels(self) -> int:
         return len(self._systems)
 
     def __call__(self, residual: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(residual, dtype=np.float64)
-        x = self._cycle(0, np.asarray(rhs, dtype=self._work_dtype))
-        return np.asarray(x, dtype=np.float64)
+        return self._cycle(0, np.asarray(residual, dtype=np.float64))
 
     def _smooth(self, level: int, rhs: np.ndarray, x: np.ndarray | None):
         """Damped-Jacobi sweeps ``x += ω D⁻¹ (rhs - A x)``."""
-        system = self._smooth_systems[level]
+        system = self._systems[level]
         inv_diag = self._inv_diagonals[level]
         sweeps = self.n_smooth
         if x is None:
@@ -695,180 +434,15 @@ class MultigridPreconditioner:
 
     def _cycle(self, level: int, rhs: np.ndarray) -> np.ndarray:
         if level == len(self._systems) - 1:
-            coarse = self._coarse_factor.solve(np.asarray(rhs, dtype=np.float64))
-            return np.asarray(coarse, dtype=self._work_dtype).ravel()
+            return np.asarray(self._coarse_factor.solve(rhs)).ravel()
         x = self._smooth(level, rhs, None)
         prolongation = self._prolongations[level]
         coarse_residual = np.asarray(
-            prolongation.T @ (rhs - _matvec(self._smooth_systems[level], x)),
-            dtype=self._work_dtype,
+            prolongation.T @ (rhs - _matvec(self._systems[level], x))
         ).ravel()
         x = x + np.asarray(
-            prolongation @ self._cycle(level + 1, coarse_residual),
-            dtype=self._work_dtype,
+            prolongation @ self._cycle(level + 1, coarse_residual)
         ).ravel()
-        return self._smooth(level, rhs, x)
-
-
-class MatrixFreeMultigridPreconditioner:
-    """Symmetric V-cycle applying coarse operators through aggregate maps.
-
-    Functionally a :class:`MultigridPreconditioner` for the level-system
-    family ``A_l = diag(mask_l) + λ L_l``, but no coarse matrix is ever
-    stored: a smoothing level applies its operator on the fly as
-
-    .. math:: A_l v \\;=\\; \\mathrm{diag}(mask_l)\\,v
-              \\; + \\; λ\\, P_l^T\\,(L_0\\,(P_l v))
-
-    where ``P_l`` is the composed fine-to-level aggregation (a
-    fancy-index up, a ``bincount`` down) and ``L_0`` the fine Laplacian
-    the workspace already holds — exact by the Galerkin identity
-    ``PᵀL(W)P = L(PᵀWP)``.  Level transfers use the per-level matchings
-    the same way.  Only the coarsest level is assembled and factorized
-    (float64, per λ), so retained memory is the hierarchy's ``O(N)``
-    maps instead of ``O(Σ nnz_level)`` CSR stacks; the trade is that
-    each coarse smoothing sweep costs a fine-level SpMV.
-
-    Parameters
-    ----------
-    fine_system:
-        Assembled fine system ``V + λL`` — required by the outer CG
-        anyway, so it is shared rather than duplicated.
-    hierarchy:
-        A :class:`MatrixFreeHierarchy` over the same graph.
-    lam:
-        The λ of this preconditioner's system family.
-    mask_diagonals:
-        Per-coarse-level aggregated labeled-mask diagonals, finest
-        coarse first (``hierarchy.coarsen_diagonal(indicator)``).
-    omega / n_smooth / dtype_policy:
-        As :class:`MultigridPreconditioner`; under ``"float32"`` the
-        smoothing SpMVs run against float32-data copies of the fine
-        system and fine Laplacian (``4 nnz₀`` extra bytes total) while
-        the coarsest solve and the outer CG stay float64.
-    """
-
-    def __init__(
-        self,
-        fine_system,
-        hierarchy: MatrixFreeHierarchy,
-        lam: float,
-        mask_diagonals,
-        *,
-        omega: float = DEFAULT_OMEGA,
-        n_smooth: int = 1,
-        dtype_policy: str = "float64",
-    ):
-        if not 0.0 < omega <= 1.0:
-            raise ConfigurationError(f"omega must be in (0, 1], got {omega}")
-        if n_smooth < 1:
-            raise ConfigurationError(f"n_smooth must be >= 1, got {n_smooth}")
-        mask_diagonals = [
-            np.asarray(mask, dtype=np.float64).ravel() for mask in mask_diagonals
-        ]
-        if len(mask_diagonals) != len(hierarchy.labels):
-            raise ConfigurationError(
-                f"hierarchy has {len(hierarchy.labels)} coarse levels but "
-                f"{len(mask_diagonals)} mask diagonals were given"
-            )
-        self.omega = float(omega)
-        self.n_smooth = int(n_smooth)
-        self.dtype_policy = str(dtype_policy)
-        self._work_dtype = _check_dtype_policy(self.dtype_policy)
-        self._hierarchy = hierarchy
-        self._lam = float(lam)
-        self._sizes = hierarchy.sizes
-
-        # Inverse diagonals for the damped-Jacobi sweeps on every
-        # smoothing level (0 .. n_levels - 2); the coarse ones come from
-        # the O(n_l) cached pieces, never from an assembled matrix.
-        diagonals = [
-            np.asarray(
-                fine_system.diagonal()
-                if sparse.issparse(fine_system)
-                else np.diagonal(np.asarray(fine_system)).copy(),
-                dtype=np.float64,
-            )
-        ]
-        for mask, lap_diag in zip(
-            mask_diagonals[:-1], hierarchy.lap_diagonals[:-1]
-        ):
-            diagonals.append(mask + self._lam * lap_diag)
-        self._inv_diagonals: list[np.ndarray] = []
-        for level, diagonal in enumerate(diagonals):
-            if diagonal.size and diagonal.min() <= 0:
-                raise DataValidationError(
-                    f"level-{level} system has a non-positive diagonal; "
-                    "the damped-Jacobi smoother requires SPD level systems"
-                )
-            self._inv_diagonals.append(
-                (1.0 / diagonal).astype(self._work_dtype, copy=False)
-            )
-        self._masks = [
-            mask.astype(self._work_dtype, copy=False) for mask in mask_diagonals
-        ]
-        self._fine_smooth = _smoothing_cast(fine_system, self._work_dtype)
-        self._lap_smooth = _smoothing_cast(
-            hierarchy.fine_laplacian, self._work_dtype
-        )
-        if hierarchy.labels:
-            coarsest_system = (
-                self._lam * hierarchy.coarsest_laplacian
-                + sparse.diags(mask_diagonals[-1], format="csr")
-            ).tocsr()
-        else:
-            coarsest_system = fine_system
-        self._coarse_factor: SPDFactorization = factorize_spd(coarsest_system)
-
-    @property
-    def n_levels(self) -> int:
-        return self._hierarchy.n_levels
-
-    def __call__(self, residual: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(residual, dtype=np.float64)
-        x = self._cycle(0, np.asarray(rhs, dtype=self._work_dtype))
-        return np.asarray(x, dtype=np.float64)
-
-    def _apply(self, level: int, v: np.ndarray) -> np.ndarray:
-        """``A_level @ v`` without an assembled level matrix."""
-        if level == 0:
-            return _matvec(self._fine_smooth, v)
-        composed = self._hierarchy.composed[level - 1]
-        # P v (fancy-index up), L0 ·, Pᵀ (bincount down): the Galerkin
-        # coarse Laplacian applied through the fine one.
-        lap_product = self._lap_smooth @ v[composed]
-        restricted = np.bincount(
-            composed, weights=lap_product, minlength=v.shape[0]
-        )
-        return self._masks[level - 1] * v + self._lam * np.asarray(
-            restricted, dtype=self._work_dtype
-        )
-
-    def _smooth(self, level: int, rhs: np.ndarray, x: np.ndarray | None):
-        """Damped-Jacobi sweeps ``x += ω D⁻¹ (rhs - A x)``."""
-        inv_diag = self._inv_diagonals[level]
-        sweeps = self.n_smooth
-        if x is None:
-            x = self.omega * (inv_diag * rhs)
-            sweeps -= 1
-        for _ in range(sweeps):
-            x = x + self.omega * (inv_diag * (rhs - self._apply(level, x)))
-        return x
-
-    def _cycle(self, level: int, rhs: np.ndarray) -> np.ndarray:
-        if level == self.n_levels - 1:
-            coarse = self._coarse_factor.solve(np.asarray(rhs, dtype=np.float64))
-            return np.asarray(coarse, dtype=self._work_dtype).ravel()
-        x = self._smooth(level, rhs, None)
-        labels = self._hierarchy.labels[level]
-        residual = rhs - self._apply(level, x)
-        coarse_residual = np.asarray(
-            np.bincount(
-                labels, weights=residual, minlength=self._sizes[level + 1]
-            ),
-            dtype=self._work_dtype,
-        )
-        x = x + self._cycle(level + 1, coarse_residual)[labels]
         return self._smooth(level, rhs, x)
 
 

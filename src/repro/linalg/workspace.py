@@ -5,7 +5,8 @@ same family of systems ``(V + λL) f = (y; 0)`` over one *fixed*
 similarity graph, yet the historical hot path reassembled and
 refactorized from scratch at every grid point.  :class:`SolveWorkspace`
 owns a graph's Laplacian blocks once and amortizes everything that is
-shared across the sweep:
+shared across the sweep.  Three sweep backends (:data:`SWEEP_BACKENDS`)
+remain, each the fastest on some measured grid (docs/SCALING.md):
 
 * **exact** — an LRU cache of true SPD factorizations keyed by
   ``(kind, λ, n_labeled)``; a cache hit returns bit-identical solutions
@@ -16,23 +17,14 @@ shared across the sweep:
   rank-``n_labeled`` update of the anchor, so Sherman–Morrison–Woodbury
   turns every further grid point into one back-substitution plus an
   ``n_labeled``-sized capacitance solve — no iterations, refined
-  against the assembled operator to the CG tolerance.  Otherwise each
-  new λ is solved by preconditioned CG with the anchor as
-  preconditioner, warm-started from the previous grid point's solution
-  (continuation).  The generalized Rayleigh quotient of ``(V + λL)``
+  against the assembled operator until the relative residual is at
+  most ``pcg_tol``.  Otherwise each new λ is solved by preconditioned
+  CG with the anchor as preconditioner, warm-started from the previous
+  grid point's solution (continuation).  The generalized Rayleigh quotient of ``(V + λL)``
   against ``(V + λ₀L)`` lies in ``[min(1, λ/λ₀), max(1, λ/λ₀)]``, so
   nearby grid points converge in a handful of back-substitutions; when
   the iteration budget is exceeded the workspace refactorizes at the
-  current λ and re-anchors.  Either way solutions match direct solves
-  to the CG tolerance (default ``1e-10`` relative, validated at
-  ``atol=1e-8`` in the parity suite).
-* **spectral** — a (truncated or full) eigendecomposition of ``L`` turns
-  each additional λ into a ``k×k`` Galerkin solve plus one ``O(N·k)``
-  basis multiply: with ``U_k`` the smoothest eigenvectors, ``B = U_k[:n]``
-  and ``G = BᵀB``, the coefficients solve ``(G + λ Λ_k) a = Bᵀy`` and
-  ``f = U_k a``.  With the *full* basis this is exact up to roundoff
-  (cf. Hoffmann et al.'s probit/one-hot computations in the Laplacian
-  eigenbasis); truncation trades accuracy for speed.
+  current λ and re-anchors.
 * **multigrid** — no large factorization at any point: a λ-independent
   graph-coarsening hierarchy (:mod:`repro.linalg.coarsen`, heavy-edge
   matching) is built once per workspace, and each λ is solved by
@@ -41,9 +33,16 @@ shared across the sweep:
   point (the Galerkin coarse operator of a graph Laplacian is the
   Laplacian of the coarsened graph, and aggregation keeps ``V``
   diagonal).  This is the backend that scales past the splu fill-in
-  wall (N ≈ 10⁴ in d ≥ 3) to N = 10⁵⁺; solutions match direct solves
-  to the CG tolerance, with an exact-factorization fallback if the
-  V-cycle ever stalls.
+  wall (N ≈ 10⁴ in d ≥ 3) to N = 10⁶, with an exact-factorization
+  fallback if the V-cycle ever stalls.
+
+Accuracy contract of the two approximate backends: every solve stops at
+relative residual ``‖b - A f‖ / ‖b‖ ≤ pcg_tol`` (default ``1e-10``).
+That bounds the residual, not the score error, which the conditioning
+of ``V + λL`` can amplify: multigrid scores were measured within 3e-8 of
+``exact`` at N=2·10⁴ (d=3) and 8.6e-9 at N=4·10³ (d=2); the parity suite
+checks every backend against per-point direct solves at ``atol=1e-8``
+on its small graphs.
 
 Iterative backends (``"cg"``, ``"jacobi"``, ``"gauss_seidel"``) are also
 supported and warm-started from the previous solution in the sweep, with
@@ -79,13 +78,9 @@ from repro.exceptions import (
 )
 from repro.linalg.advanced import preconditioned_conjugate_gradient
 from repro.linalg.coarsen import (
-    DTYPE_POLICIES,
     CoarseningHierarchy,
-    MatrixFreeHierarchy,
-    MatrixFreeMultigridPreconditioner,
     MultigridPreconditioner,
     build_hierarchy,
-    build_matrix_free_hierarchy,
 )
 from repro.linalg.solvers import SolveInfo, SPDFactorization, factorize_spd, solve_spd
 from repro.utils.validation import (
@@ -98,14 +93,18 @@ __all__ = [
     "SolveWorkspace",
     "WorkspaceStats",
     "SWEEP_BACKENDS",
-    "HIERARCHY_MODES",
-    "MATRIX_FREE_MIN_VERTICES",
-    "STATS_STR_FIELDS",
+    "SWEEP_BACKEND_CHOICES",
+    "check_sweep_backend",
 ]
 
-#: Sweep backends a workspace can solve through (``"direct"`` means "no
-#: workspace" and is handled by the callers that expose ``--sweep-backend``).
-SWEEP_BACKENDS = ("exact", "factored", "spectral", "multigrid")
+#: Sweep backends a workspace can solve through.
+SWEEP_BACKENDS = ("exact", "factored", "multigrid")
+
+#: What every ``sweep_backend=`` parameter and ``--sweep-backend`` flag
+#: accepts: ``"direct"`` means "no workspace" (per-point solves through
+#: :mod:`repro.core`, the bit-identical reference path) and is handled by
+#: the callers; the rest select a workspace backend.
+SWEEP_BACKEND_CHOICES = ("direct",) + SWEEP_BACKENDS
 
 _ITERATIVE_BACKENDS = ("cg", "jacobi", "gauss_seidel")
 
@@ -115,8 +114,8 @@ _ITERATIVE_BACKENDS = ("cg", "jacobi", "gauss_seidel")
 #: probabilistic — documented in docs/SCALING.md).
 FULL_FINGERPRINT_MAX_ELEMENTS = 1_000_000
 
-#: Default eigenbasis size for sparse graphs in spectral mode (dense
-#: graphs default to the full basis, which is exact up to roundoff).
+#: Default :meth:`SolveWorkspace.eigenbasis` size for sparse graphs
+#: (dense graphs default to the full basis).
 DEFAULT_SPARSE_COMPONENTS = 256
 
 #: The factored backend switches from anchored PCG to the rank-n_labeled
@@ -136,21 +135,15 @@ MULTIGRID_MAX_ITER = 300
 #: resolves the graph's cluster structure.
 MULTIGRID_COARSE_DIVISOR = 64
 
-#: Multigrid hierarchy representations: ``"assembled"`` keeps per-level
-#: Galerkin CSR matrices (fastest sweeps, O(Σ nnz_level) memory);
-#: ``"matrix_free"`` keeps aggregate maps only and applies coarse
-#: operators through the fine Laplacian on the fly (O(N) memory, each
-#: coarse smoothing sweep costs a fine SpMV); ``"auto"`` picks
-#: matrix-free for sparse graphs at or above
-#: :data:`MATRIX_FREE_MIN_VERTICES` vertices and assembled below.
-HIERARCHY_MODES = ("auto", "assembled", "matrix_free")
 
-#: ``hierarchy_mode="auto"`` switches to the matrix-free hierarchy at
-#: this many vertices: below it the assembled hierarchy fits comfortably
-#: and its cheaper coarse sweeps win; above it hierarchy storage rivals
-#: the graph itself and the O(N) representation is the only way to reach
-#: N = 10⁶ within a sane memory budget (see docs/SCALING.md).
-MATRIX_FREE_MIN_VERTICES = 200_000
+def check_sweep_backend(sweep_backend: str) -> str:
+    """Validate a ``sweep_backend`` name against :data:`SWEEP_BACKEND_CHOICES`."""
+    if sweep_backend not in SWEEP_BACKEND_CHOICES:
+        raise ConfigurationError(
+            f"sweep_backend must be one of {SWEEP_BACKEND_CHOICES}, "
+            f"got {sweep_backend!r}"
+        )
+    return sweep_backend
 
 
 class WorkspaceStats(NamedTuple):
@@ -163,7 +156,8 @@ class WorkspaceStats(NamedTuple):
         factorization, misses factorize, evictions drop the least
         recently used entry when the cache is full.
     spectral_builds:
-        Eigendecompositions computed (at most one per basis size).
+        :meth:`SolveWorkspace.eigenbasis` decompositions computed (at
+        most one per basis size).
     pcg_solves / pcg_iterations:
         Anchored-PCG solves on the factored path and their total
         iteration count.
@@ -184,14 +178,11 @@ class WorkspaceStats(NamedTuple):
     multigrid_solves:
         V-cycle-preconditioned PCG solves on the multigrid path (their
         iteration counts accumulate into ``pcg_iterations``).
-    dtype_policy:
-        The workspace's smoothing precision policy (``"float64"`` or
-        ``"float32"``) — recorded so traces and dashboards show which
-        path a run took.
     hierarchy_mode:
-        The *resolved* multigrid hierarchy representation
-        (``"assembled"`` or ``"matrix_free"``; an ``"auto"`` request
-        reports what it resolved to).
+        The multigrid hierarchy representation.  Always ``"assembled"``:
+        per-level Galerkin CSR matrices are the only representation.
+        The field stays because existing readers of :meth:`stats`
+        report it.
     """
 
     factor_hits: int = 0
@@ -206,12 +197,7 @@ class WorkspaceStats(NamedTuple):
     woodbury_solves: int = 0
     coarsen_builds: int = 0
     multigrid_solves: int = 0
-    dtype_policy: str = "float64"
     hierarchy_mode: str = "assembled"
-
-
-#: The non-counter (string-valued) fields of :class:`WorkspaceStats`.
-STATS_STR_FIELDS = ("dtype_policy", "hierarchy_mode")
 
 
 def _fingerprint(weights):
@@ -292,12 +278,11 @@ class SolveWorkspace:
         labeled vertices first.  Validated once, here, instead of per
         grid point.
     backend:
-        Default solve backend: ``"factored"`` (anchored PCG
-        continuation), ``"exact"`` (cached true factorizations,
-        bit-compatible with direct solves), ``"spectral"``
-        (eigenbasis Galerkin), or ``"multigrid"`` (coarsening V-cycle
-        preconditioned PCG — no large factorization, the large-N
-        backend).
+        Default solve backend, one of :data:`SWEEP_BACKENDS`:
+        ``"factored"`` (anchored PCG continuation), ``"exact"`` (cached
+        true factorizations, bit-compatible with direct solves), or
+        ``"multigrid"`` (coarsening V-cycle preconditioned PCG — no
+        large factorization, the large-N backend).
     exact:
         Strict mode: force the ``"exact"`` backend for every solve
         regardless of the requested backend, so sweeps stay
@@ -306,28 +291,18 @@ class SolveWorkspace:
     max_factorizations:
         LRU capacity of the factorization cache.
     pcg_tol / reanchor_budget:
-        Factored path: relative CG tolerance, and the iteration budget
-        after which the workspace refactorizes at the current λ and
+        Factored and multigrid paths: the relative-residual tolerance
+        every solve stops at, and (factored) the iteration budget after
+        which the workspace refactorizes at the current λ and
         re-anchors.
     n_components:
-        Spectral basis size; ``None`` means the full basis for dense
-        graphs (exact up to roundoff) and
-        :data:`DEFAULT_SPARSE_COMPONENTS` for sparse graphs.
+        Default :meth:`eigenbasis` size; ``None`` means the full basis
+        for dense graphs and :data:`DEFAULT_SPARSE_COMPONENTS` for
+        sparse graphs.
     on_mutation:
         ``"raise"`` (default): serving from a workspace whose weights
         changed raises :class:`WorkspaceInvalidatedError`.
         ``"recompute"``: drop all caches and re-fingerprint instead.
-    dtype_policy:
-        Multigrid smoothing precision: ``"float64"`` (default, exact
-        historical path) or ``"float32"`` (single-precision
-        damped-Jacobi sweeps inside the V-cycle; the outer CG and the
-        coarsest solve stay float64, so solutions still converge to
-        ``pcg_tol`` — the parity suite pins the documented RMS tier).
-    hierarchy_mode:
-        Multigrid hierarchy representation: ``"assembled"``,
-        ``"matrix_free"``, or ``"auto"`` (default — matrix-free for
-        sparse graphs at ≥ :data:`MATRIX_FREE_MIN_VERTICES` vertices).
-        See :data:`HIERARCHY_MODES`.
     """
 
     def __init__(
@@ -341,8 +316,6 @@ class SolveWorkspace:
         reanchor_budget: int = 15,
         n_components: int | None = None,
         on_mutation: str = "raise",
-        dtype_policy: str = "float64",
-        hierarchy_mode: str = "auto",
     ):
         from repro.graph.similarity import SimilarityGraph
 
@@ -364,16 +337,6 @@ class SolveWorkspace:
             raise ConfigurationError(
                 f"reanchor_budget must be >= 1, got {reanchor_budget}"
             )
-        if dtype_policy not in DTYPE_POLICIES:
-            raise ConfigurationError(
-                f"dtype_policy must be one of {DTYPE_POLICIES}, "
-                f"got {dtype_policy!r}"
-            )
-        if hierarchy_mode not in HIERARCHY_MODES:
-            raise ConfigurationError(
-                f"hierarchy_mode must be one of {HIERARCHY_MODES}, "
-                f"got {hierarchy_mode!r}"
-            )
         self.weights = check_weight_matrix(weights)
         self.n_total = int(self.weights.shape[0])
         self.backend = backend
@@ -383,8 +346,6 @@ class SolveWorkspace:
         self.reanchor_budget = int(reanchor_budget)
         self.n_components = n_components
         self.on_mutation = on_mutation
-        self.dtype_policy = dtype_policy
-        self.hierarchy_mode = hierarchy_mode
 
         self._is_sparse = sparse.issparse(self.weights)
         self._fingerprint = _fingerprint(self.weights)
@@ -392,27 +353,13 @@ class SolveWorkspace:
         self._laplacian = None
         self._factors: OrderedDict[tuple, SPDFactorization] = OrderedDict()
         self._eigencache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._galerkin: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._continuations: dict[tuple, _Continuation] = {}
         self._woodbury: dict[int, _WoodburyState] = {}
-        self._hierarchy: CoarseningHierarchy | MatrixFreeHierarchy | None = None
+        self._hierarchy: CoarseningHierarchy | None = None
         self._coarse_masks: dict[int, list[np.ndarray]] = {}
         self._counters = {
-            field: 0
-            for field in WorkspaceStats._fields
-            if field not in STATS_STR_FIELDS
+            field: 0 for field in WorkspaceStats._fields if field != "hierarchy_mode"
         }
-        # "auto" resolves once, here: the decision depends only on the
-        # (immutable) graph size and sparsity, and stats()/telemetry
-        # report the resolved representation.
-        if hierarchy_mode == "auto":
-            self._hierarchy_mode = (
-                "matrix_free"
-                if self._is_sparse and self.n_total >= MATRIX_FREE_MIN_VERTICES
-                else "assembled"
-            )
-        else:
-            self._hierarchy_mode = hierarchy_mode
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -444,7 +391,6 @@ class SolveWorkspace:
         self._laplacian = None
         self._factors.clear()
         self._eigencache.clear()
-        self._galerkin.clear()
         self._continuations.clear()
         self._woodbury.clear()
         self._hierarchy = None
@@ -537,7 +483,7 @@ class SolveWorkspace:
         return factor
 
     # ------------------------------------------------------------------
-    # Spectral basis
+    # Laplacian eigenbasis (serving's Nyström extension reads it)
     # ------------------------------------------------------------------
 
     def _resolve_components(self, n_components: int | None) -> int:
@@ -590,58 +536,6 @@ class SolveWorkspace:
         obs.get_registry().counter("workspace.spectral.builds").inc()
         self._eigencache[k] = (values, vectors)
         return values, vectors
-
-    def _galerkin_blocks(self, k: int, n: int):
-        """``(B, G)`` with ``B = U_k[:n]`` and ``G = BᵀB``, cached per mask."""
-        key = (k, n)
-        cached = self._galerkin.get(key)
-        if cached is not None:
-            return cached
-        _, vectors = self.eigenbasis(k)
-        design = vectors[:n]
-        gram = design.T @ design
-        self._galerkin[key] = (design, gram)
-        return design, gram
-
-    def _solve_spectral(self, y: np.ndarray, lam: float, n: int):
-        k = self._resolve_components(None)
-        values, vectors = self.eigenbasis(k)
-        design, gram = self._galerkin_blocks(k, n)
-        projected = design.T @ y
-        reduced = gram + lam * np.diag(values)
-        try:
-            coefficients = np.linalg.solve(reduced, projected)
-        except np.linalg.LinAlgError:
-            coefficients, *_ = np.linalg.lstsq(reduced, projected, rcond=None)
-        scores = vectors @ coefficients
-        # Refine against the ORIGINAL operator.  Forming G = BᵀB rounds
-        # at O(eps), and for tiny lambda the reduced system amplifies
-        # that by ~1/(lam·mu) along null(G) (rank(G) = n_labeled < k).
-        # The Galerkin identity Uᵀ(V + λL)U = G + λΛ lets the already
-        # assembled reduced matrix drive corrections whose residuals are
-        # measured with the true system, restoring the lost digits.
-        system = self.soft_system(lam, n)
-        rhs = self._rhs_soft(y)
-        best = scores
-        best_norm = float(np.linalg.norm(rhs - system @ scores))
-        for _ in range(2):
-            full_residual = rhs - system @ best
-            try:
-                delta = np.linalg.solve(reduced, vectors.T @ full_residual)
-            except np.linalg.LinAlgError:
-                break
-            candidate = best + vectors @ delta
-            candidate_norm = float(np.linalg.norm(rhs - system @ candidate))
-            if candidate_norm >= best_norm:
-                break
-            best, best_norm = candidate, candidate_norm
-        scores = best
-        info = SolveInfo(
-            method=f"spectral(k={k})",
-            size=self.n_total,
-            final_residual=best_norm,
-        )
-        return scores, info, {"n_components": k}
 
     # ------------------------------------------------------------------
     # Factored (anchored PCG continuation)
@@ -780,44 +674,21 @@ class SolveWorkspace:
     # Multigrid (coarsening V-cycle preconditioned PCG)
     # ------------------------------------------------------------------
 
-    def hierarchy(self) -> CoarseningHierarchy | MatrixFreeHierarchy:
+    def hierarchy(self) -> CoarseningHierarchy:
         """The graph's coarsening hierarchy, built once per workspace.
 
         λ- and mask-independent: the Galerkin coarse operator of a graph
         Laplacian is the Laplacian of the coarsened graph, so the
-        hierarchy caches what one λ-sweep shares across its grid.  The
-        representation follows the resolved ``hierarchy_mode``:
-        ``"assembled"`` keeps per-level CSR matrices, ``"matrix_free"``
-        keeps O(N) aggregate maps and applies coarse operators through
-        the fine Laplacian (identical aggregates either way — the same
-        matching passes run over the same coarse graphs).
+        hierarchy caches what one λ-sweep shares across its grid.
         """
         self.check_current()
         if self._hierarchy is None:
             min_coarse = max(512, self.n_total // MULTIGRID_COARSE_DIVISOR)
-            if self._hierarchy_mode == "matrix_free":
-                # Share the workspace's Laplacian: the hierarchy smooths
-                # through L₀, and retaining a second copy of the largest
-                # matrix in the pipeline would defeat the O(N) budget.
-                self._hierarchy = build_matrix_free_hierarchy(
-                    self.weights,
-                    min_coarse_size=min_coarse,
-                    fine_laplacian=self.laplacian if self._is_sparse else None,
-                )
-            else:
-                self._hierarchy = build_hierarchy(
-                    self.weights, min_coarse_size=min_coarse
-                )
+            self._hierarchy = build_hierarchy(
+                self.weights, min_coarse_size=min_coarse
+            )
             self._counters["coarsen_builds"] += 1
-            registry = obs.get_registry()
-            registry.counter("workspace.coarsen.builds").inc()
-            # Which preconditioning path this run committed to — the
-            # metric name carries the resolved mode + smoothing dtype so
-            # `repro obs top` and the OpenMetrics export show it without
-            # needing label support.
-            registry.counter(
-                f"workspace.path.{self._hierarchy_mode}.{self.dtype_policy}"
-            ).inc()
+            obs.get_registry().counter("workspace.coarsen.builds").inc()
         return self._hierarchy
 
     def _coarse_mask_diagonals(self, n: int) -> list[np.ndarray]:
@@ -832,23 +703,13 @@ class SolveWorkspace:
 
     def _multigrid_preconditioner(self, lam: float, n: int):
         hierarchy = self.hierarchy()
-        if self._hierarchy_mode == "matrix_free":
-            return MatrixFreeMultigridPreconditioner(
-                self.soft_system(lam, n),
-                hierarchy,
-                lam,
-                self._coarse_mask_diagonals(n),
-                dtype_policy=self.dtype_policy,
-            )
         systems = [self.soft_system(lam, n)]
         for level, mask in zip(hierarchy.levels, self._coarse_mask_diagonals(n)):
             systems.append(
                 (lam * level.laplacian + sparse.diags(mask, format="csr")).tocsr()
             )
         prolongations = [level.prolongation for level in hierarchy.levels]
-        return MultigridPreconditioner(
-            systems, prolongations, dtype_policy=self.dtype_policy
-        )
+        return MultigridPreconditioner(systems, prolongations)
 
     def _solve_multigrid(self, y: np.ndarray, lam: float, n: int):
         state = self._continuation("soft", n)
@@ -974,8 +835,6 @@ class SolveWorkspace:
                 factor = self.factorization("soft", lam, n)
                 scores = factor.solve(self._rhs_soft(y))
                 info, details = factor.info(), {}
-            elif resolved == "spectral":
-                scores, info, details = self._solve_spectral(y, lam, n)
             elif resolved == "factored":
                 scores, info, details = self._solve_factored(y, lam, n)
             elif resolved == "multigrid":
@@ -1008,7 +867,7 @@ class SolveWorkspace:
 
         The grounded system is λ-independent, so the first solve
         factorizes and every later one is a back-substitution.  The
-        spectral/factored backends route here too: the factorization is
+        factored/multigrid backends route here too: the factorization is
         already amortized across the sweep.
         """
         y = self._check_labels(y_labeled)
@@ -1071,11 +930,7 @@ class SolveWorkspace:
 
     def stats(self) -> WorkspaceStats:
         """A snapshot of the workspace's cache/solver counters."""
-        return WorkspaceStats(
-            **self._counters,
-            dtype_policy=self.dtype_policy,
-            hierarchy_mode=self._hierarchy_mode,
-        )
+        return WorkspaceStats(**self._counters)
 
     def __repr__(self) -> str:
         kind = "sparse" if self._is_sparse else "dense"

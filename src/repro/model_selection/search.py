@@ -33,6 +33,7 @@ from scipy import sparse
 from repro.core.soft import solve_soft_criterion
 from repro.datasets.splits import kfold_indices
 from repro.exceptions import ConfigurationError, DataValidationError, ReproError
+from repro.linalg.workspace import SolveWorkspace, check_sweep_backend
 from repro.metrics.regression import mean_squared_error
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_labels, check_weight_matrix
@@ -43,21 +44,6 @@ __all__ = [
     "select_lambda",
     "select_bandwidth",
 ]
-
-#: Backends accepted by the grid searches: ``"direct"`` is the historical
-#: per-point solve (bit-identical to previous releases); the rest route
-#: through a per-fold :class:`~repro.linalg.workspace.SolveWorkspace`.
-CV_SWEEP_BACKENDS = ("direct", "exact", "factored", "spectral", "multigrid")
-
-
-def _check_sweep_backend(sweep_backend: str) -> str:
-    if sweep_backend not in CV_SWEEP_BACKENDS:
-        raise ConfigurationError(
-            f"sweep_backend must be one of {CV_SWEEP_BACKENDS}, "
-            f"got {sweep_backend!r}"
-        )
-    return sweep_backend
-
 
 def _score_or_inf(evaluate) -> float:
     """Run one CV evaluation; degenerate candidates score ``inf``.
@@ -105,7 +91,6 @@ def cross_validate_lambda(
     n_folds: int = 5,
     seed=None,
     sweep_backend: str = "direct",
-    dtype_policy: str = "float64",
 ):
     """Mean held-out MSE of the soft criterion at one lambda or a grid.
 
@@ -128,18 +113,15 @@ def cross_validate_lambda(
     sweep_backend:
         ``"direct"`` (per-point solves, the historical bit-identical
         path) or a :class:`~repro.linalg.workspace.SolveWorkspace`
-        backend (``"exact"``, ``"factored"``, ``"spectral"``) built per
+        backend (``"exact"``, ``"factored"``, ``"multigrid"``) built per
         fold to amortize the solves along a lambda grid.
-    dtype_policy:
-        Smoothing precision forwarded to each fold's workspace (only the
-        multigrid backend reads it; see docs/SCALING.md).
 
     Returns
     -------
     float, or a tuple of floats when ``lam`` is a sequence (one mean
     loss per candidate, in grid order).
     """
-    _check_sweep_backend(sweep_backend)
+    check_sweep_backend(sweep_backend)
     scalar = np.ndim(lam) == 0
     grid = (lam,) if scalar else tuple(lam)
     if not grid:
@@ -173,11 +155,7 @@ def cross_validate_lambda(
         if sweep_backend == "direct":
             workspace = None
         else:
-            from repro.linalg.workspace import SolveWorkspace
-
-            workspace = SolveWorkspace(
-                w_perm, backend=sweep_backend, dtype_policy=dtype_policy
-            )
+            workspace = SolveWorkspace(w_perm, backend=sweep_backend)
         for j, lam_j in enumerate(grid):
             if failed[j]:
                 continue
@@ -212,7 +190,6 @@ def select_lambda(
     n_folds: int = 5,
     seed=None,
     sweep_backend: str = "direct",
-    dtype_policy: str = "float64",
 ) -> GridSearchResult:
     """Pick lambda by transductive cross-validation over ``grid``.
 
@@ -227,7 +204,7 @@ def select_lambda(
         raise ConfigurationError("grid must contain at least one lambda")
     if any(lam < 0 for lam in grid):
         raise ConfigurationError("lambda grid values must be >= 0")
-    _check_sweep_backend(sweep_backend)
+    check_sweep_backend(sweep_backend)
     try:
         scores = cross_validate_lambda(
             weights,
@@ -236,7 +213,6 @@ def select_lambda(
             n_folds=n_folds,
             seed=seed,
             sweep_backend=sweep_backend,
-            dtype_policy=dtype_policy,
         )
     except ReproError:
         # Validation failures (degenerate graph, too few labels) score
@@ -343,8 +319,8 @@ def select_bandwidth(
     ``construction`` (``"neighbors"`` exact, default, or ``"approx"``),
     and for the approximate route ``n_trees``/``leaf_size``/``seed``.
     Pair it with a workspace ``sweep_backend`` (``"exact"``,
-    ``"factored"``, ``"spectral"``, ``"multigrid"``), which keep sparse
-    graphs sparse; the historical ``"direct"`` backend densifies them.
+    ``"factored"``, ``"multigrid"``), which keep sparse graphs sparse;
+    the historical ``"direct"`` backend densifies them.
 
     Each candidate is scored with :func:`cross_validate_lambda` at a
     fixed ``lam``.
@@ -357,7 +333,7 @@ def select_bandwidth(
         raise ConfigurationError("grid must contain at least one bandwidth")
     if any(h <= 0 for h in grid):
         raise ConfigurationError("bandwidth grid values must be > 0")
-    _check_sweep_backend(sweep_backend)
+    check_sweep_backend(sweep_backend)
     if graph not in ("full", "knn"):
         raise ConfigurationError(
             f"graph must be 'full' or 'knn', got {graph!r}"

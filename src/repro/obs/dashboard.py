@@ -8,10 +8,7 @@ on an interval (no sockets, no threads, no dependencies) and renders
 
 * one progress bar per task: completion, replicate rate, elapsed, ETA;
 * a workspace panel when the dump carries ``workspace.*`` counters:
-  solve counts, factor-cache hit rate, and the committed solve path
-  (``workspace.path.<hierarchy_mode>.<dtype_policy>`` counters tell
-  whether a run took the assembled or matrix-free hierarchy and which
-  smoothing precision);
+  solve counts (and how many were multigrid) and factor-cache hit rate;
 * a serving panel when the metrics dump carries ``serving.*`` series:
   request throughput, latency quantiles from the log-bucket histogram,
   queue wait, outcome counts, and the drift watchdog's flag fraction.
@@ -201,24 +198,11 @@ def _render_serving(metrics: dict, lines: list[str]) -> None:
 
 
 def _render_workspace(metrics: dict, lines: list[str]) -> None:
-    prefix = "workspace.path."
-    paths = sorted(
-        name[len(prefix):]
-        for name in metrics
-        if name.startswith(prefix) and (_metric(metrics, name) or 0) > 0
-    )
     solves = _metric(metrics, "workspace.solves")
     multigrid = _metric(metrics, "workspace.multigrid_solves")
-    if not paths and solves is None and multigrid is None:
+    if solves is None and multigrid is None:
         return
     lines.append("workspace")
-    if paths:
-        # counter names carry "<hierarchy_mode>.<dtype_policy>"
-        rendered = ", ".join(
-            "{} / {}".format(*path.split(".", 1)) if "." in path else path
-            for path in paths
-        )
-        lines.append(f"  solve path      {rendered}")
     if solves is not None:
         line = f"  solves          {int(solves)}"
         if multigrid is not None:

@@ -165,8 +165,7 @@ def record_workspace_stats(span, stats) -> None:
     Every counter lands under a ``workspace.*`` key, plus a derived
     ``workspace.factor_hit_rate`` when any factorization traffic
     occurred, so traces show how much amortization a sweep achieved.
-    String-valued fields (``dtype_policy``, ``hierarchy_mode``) are
-    attached verbatim, so traces also show *which path* a run took.
+    String-valued fields (``hierarchy_mode``) are attached verbatim.
     """
     if not span.recording or stats is None:
         return

@@ -67,8 +67,8 @@ SERVING_METHODS = ("nw", "nystrom", "exact")
 
 #: Default eigenbasis size requested for ``method="nystrom"`` when the
 #: model doesn't pin ``n_components`` (the workspace's own defaults —
-#: full basis on dense graphs, 256 on sparse — are tuned for spectral
-#: *solving*; serving only ever extends the smooth end stably).
+#: full basis on dense graphs, 256 on sparse — keep far more of the
+#: spectrum; serving only ever extends the smooth end stably).
 DEFAULT_SERVING_COMPONENTS = 64
 
 #: Nystrom serves only eigenpairs with ``mu_k <= fraction * d_low``

@@ -477,32 +477,28 @@ class TestProgressFlags:
 
 
 class TestMemoryLeanFlags:
-    def test_dtype_policy_and_budget_parsed(self):
+    def test_sweep_backend_and_budget_parsed(self):
         args = build_parser().parse_args(
-            ["prop21", "--sweep-backend", "multigrid",
-             "--dtype-policy", "float32", "--memory-budget-mb", "512"]
+            ["prop21", "--sweep-backend", "multigrid", "--memory-budget-mb", "512"]
         )
-        assert args.dtype_policy == "float32"
+        assert args.sweep_backend == "multigrid"
         assert args.memory_budget_mb == 512
         defaults = build_parser().parse_args(["lambda-curve"])
-        assert defaults.dtype_policy == "float64"
+        assert defaults.sweep_backend == "direct"
         assert defaults.memory_budget_mb is None
 
-    def test_bad_dtype_policy_rejected_at_parser(self, capsys):
+    def test_spectral_sweep_backend_rejected_at_parser(self, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["prop21", "--dtype-policy", "float16"])
-        assert "float16" in capsys.readouterr().err
+            build_parser().parse_args(["prop21", "--sweep-backend", "spectral"])
+        assert "spectral" in capsys.readouterr().err
 
     def test_bad_budget_rejected_at_parser(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["prop21", "--memory-budget-mb", "0"])
         assert ">= 1" in capsys.readouterr().err
 
-    def test_prop21_multigrid_float32(self, capsys):
-        code = main([
-            "prop21", "--seed", "0",
-            "--sweep-backend", "multigrid", "--dtype-policy", "float32",
-        ])
+    def test_prop21_multigrid(self, capsys):
+        code = main(["prop21", "--seed", "0", "--sweep-backend", "multigrid"])
         assert code == 0
         assert "Proposition II.1" in capsys.readouterr().out
 

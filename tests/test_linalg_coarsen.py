@@ -12,7 +12,7 @@ budget — is what justifies shipping the backend at all.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -25,14 +25,13 @@ from repro.exceptions import (
 from repro.graph.laplacian import laplacian
 from repro.graph.similarity import knn_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
+from repro.kernels.base import pairwise_sq_distances
 from repro.linalg.advanced import preconditioned_conjugate_gradient
 from repro.linalg.coarsen import (
     CoarseningHierarchy,
-    MatrixFreeMultigridPreconditioner,
     MultigridPreconditioner,
     aggregation_operator,
     build_hierarchy,
-    build_matrix_free_hierarchy,
     coarsen_weights,
     graph_from_system,
     heavy_edge_matching,
@@ -43,10 +42,21 @@ from repro.linalg.workspace import SolveWorkspace
 
 
 def _random_graph(n, seed, k=6):
+    """A kNN graph that is well posed at every ``n >= 2``.
+
+    The bandwidth is the largest k-th-neighbour distance, so every kept
+    edge has kernel weight at least ``exp(-1)``.  A size-only rule such
+    as ``paper_bandwidth_rule`` can be far below the neighbour distances
+    of a tiny sample: at ``n=2, seed=9909`` the only edge gets weight
+    ``exp(-42)``, which vanishes next to the unit self-loop, and
+    ``knn_graph`` rightly rejects the zero-degree rows.
+    """
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 2))
-    bandwidth = paper_bandwidth_rule(n, 5)
-    return knn_graph(x, k=min(k, n - 1), bandwidth=bandwidth).weights
+    k = min(k, n - 1)
+    kth = np.sort(pairwise_sq_distances(x), axis=1)[:, k]
+    bandwidth = float(np.sqrt(kth.max()))
+    return knn_graph(x, k=k, bandwidth=bandwidth).weights
 
 
 def _soft_system(weights, lam, n_labeled):
@@ -62,6 +72,7 @@ class TestHeavyEdgeMatching:
         n=st.integers(min_value=2, max_value=80),
         seed=st.integers(min_value=0, max_value=2**16),
     )
+    @example(n=2, seed=9909)
     def test_matching_is_a_valid_aggregation(self, n, seed):
         weights = _random_graph(n, seed)
         labels = heavy_edge_matching(weights)
@@ -336,265 +347,3 @@ class TestWorkspaceMultigridBackend:
         np.testing.assert_allclose(
             precond(rhs), solve_spd(system, rhs, method="direct"), atol=1e-8
         )
-
-
-def _mask_diagonals(hierarchy, n_labeled):
-    indicator = np.zeros(hierarchy.sizes[0] if hasattr(hierarchy, "sizes") else 0)
-    indicator[:n_labeled] = 1.0
-    return hierarchy.coarsen_diagonal(indicator)
-
-
-class TestMatrixFreeHierarchy:
-    """The matrix-free hierarchy must be the *same coarsening* as the
-    assembled one — identical aggregates, sizes and level nnz — while
-    retaining O(N) maps instead of O(Σ nnz_level) matrices."""
-
-    def test_same_coarsening_as_assembled(self):
-        weights = _random_graph(400, 3)
-        assembled = build_hierarchy(weights, min_coarse_size=32)
-        mf = build_matrix_free_hierarchy(weights, min_coarse_size=32)
-        assert mf.sizes == assembled.sizes
-        assert mf.n_levels == len(assembled.levels) + 1
-        for labels, level in zip(mf.labels, assembled.levels):
-            # the matching defines the prolongation: P[i, labels[i]] = 1
-            np.testing.assert_array_equal(labels, level.prolongation.indices)
-        assert mf.level_nnz == tuple(
-            level.weights.nnz for level in assembled.levels
-        )
-        for lap_diag, level in zip(mf.lap_diagonals, assembled.levels):
-            np.testing.assert_allclose(
-                lap_diag, level.laplacian.diagonal(), atol=1e-12
-            )
-        np.testing.assert_allclose(
-            (mf.coarsest_weights - assembled.levels[-1].weights).toarray(),
-            0.0,
-            atol=1e-12,
-        )
-
-    def test_coarsen_diagonal_matches_assembled(self):
-        weights = _random_graph(300, 5)
-        assembled = build_hierarchy(weights, min_coarse_size=32)
-        mf = build_matrix_free_hierarchy(weights, min_coarse_size=32)
-        indicator = np.zeros(300)
-        indicator[:80] = 1.0
-        for a, b in zip(
-            mf.coarsen_diagonal(indicator),
-            assembled.coarsen_diagonal(indicator),
-        ):
-            np.testing.assert_allclose(a, b, atol=1e-12)
-        with pytest.raises(DataValidationError, match="length"):
-            mf.coarsen_diagonal(np.ones(7))
-
-    def test_retained_below_assembled_estimate(self):
-        weights = _random_graph(600, 8)
-        mf = build_matrix_free_hierarchy(weights, min_coarse_size=32)
-        assert 0 < mf.retained_bytes()
-        assert mf.retained_bytes() < mf.assembled_bytes_estimate()
-
-    def test_shared_fine_laplacian_is_not_recomputed(self):
-        weights = _random_graph(200, 9)
-        lap = laplacian(weights).tocsr()
-        mf = build_matrix_free_hierarchy(
-            weights, min_coarse_size=32, fine_laplacian=lap
-        )
-        assert mf.fine_laplacian is lap
-        with pytest.raises(DataValidationError, match="fine_laplacian"):
-            build_matrix_free_hierarchy(
-                weights, fine_laplacian=sparse.eye(5, format="csr")
-            )
-
-    def test_small_graph_keeps_fine_level_only(self):
-        weights = _random_graph(30, 2)
-        mf = build_matrix_free_hierarchy(weights, min_coarse_size=64)
-        assert mf.labels == ()
-        assert mf.n_levels == 1
-        assert mf.coarsest_laplacian is mf.fine_laplacian
-
-
-class TestMatrixFreeMultigridPreconditioner:
-    def _setup(self, n=350, seed=17, lam=1.5, n_labeled=90, min_coarse=32):
-        weights = _random_graph(n, seed)
-        system = _soft_system(weights, lam, n_labeled)
-        mf = build_matrix_free_hierarchy(weights, min_coarse_size=min_coarse)
-        indicator = np.zeros(n)
-        indicator[:n_labeled] = 1.0
-        masks = mf.coarsen_diagonal(indicator)
-        return weights, system, mf, masks, lam, n_labeled
-
-    def test_matches_assembled_preconditioner(self):
-        weights, system, mf, masks, lam, n_labeled = self._setup()
-        assembled = build_hierarchy(weights, min_coarse_size=32)
-        systems = [system]
-        for level, mask in zip(
-            assembled.levels, _mask_diagonals(assembled, n_labeled)
-        ):
-            systems.append(
-                (lam * level.laplacian + sparse.diags(mask, format="csr")).tocsr()
-            )
-        reference = MultigridPreconditioner(
-            systems, [level.prolongation for level in assembled.levels]
-        )
-        precond = MatrixFreeMultigridPreconditioner(system, mf, lam, masks)
-        assert precond.n_levels == reference.n_levels
-        rng = np.random.default_rng(4)
-        for residual in rng.normal(size=(3, weights.shape[0])):
-            np.testing.assert_allclose(
-                precond(residual), reference(residual), rtol=1e-10, atol=1e-12
-            )
-
-    def test_preconditioner_is_symmetric(self):
-        _, system, mf, masks, lam, _ = self._setup(seed=23)
-        precond = MatrixFreeMultigridPreconditioner(system, mf, lam, masks)
-        rng = np.random.default_rng(0)
-        u, v = rng.normal(size=(2, 350))
-        assert np.dot(precond(u), v) == pytest.approx(
-            np.dot(u, precond(v)), rel=1e-8
-        )
-
-    def test_float32_policy_stays_close_and_casts_back(self):
-        _, system, mf, masks, lam, _ = self._setup(seed=29)
-        exact = MatrixFreeMultigridPreconditioner(system, mf, lam, masks)
-        mixed = MatrixFreeMultigridPreconditioner(
-            system, mf, lam, masks, dtype_policy="float32"
-        )
-        rng = np.random.default_rng(5)
-        residual = rng.normal(size=350)
-        out = mixed(residual)
-        assert out.dtype == np.float64
-        reference = exact(residual)
-        scale = float(np.linalg.norm(reference))
-        assert np.linalg.norm(out - reference) < 1e-5 * scale
-
-    def test_validation(self):
-        _, system, mf, masks, lam, _ = self._setup(seed=31)
-        with pytest.raises(ConfigurationError, match="omega"):
-            MatrixFreeMultigridPreconditioner(system, mf, lam, masks, omega=2.0)
-        with pytest.raises(ConfigurationError, match="n_smooth"):
-            MatrixFreeMultigridPreconditioner(
-                system, mf, lam, masks, n_smooth=0
-            )
-        with pytest.raises(ConfigurationError, match="mask diagonals"):
-            MatrixFreeMultigridPreconditioner(system, mf, lam, masks[:-1])
-        with pytest.raises(ConfigurationError, match="dtype_policy"):
-            MatrixFreeMultigridPreconditioner(
-                system, mf, lam, masks, dtype_policy="float16"
-            )
-
-    def test_degenerate_hierarchy_is_exact_solve(self):
-        weights = _random_graph(30, 33)
-        system = _soft_system(weights, 1.0, 10)
-        mf = build_matrix_free_hierarchy(weights, min_coarse_size=64)
-        precond = MatrixFreeMultigridPreconditioner(system, mf, 1.0, [])
-        assert precond.n_levels == 1
-        rng = np.random.default_rng(2)
-        rhs = rng.normal(size=30)
-        np.testing.assert_allclose(
-            precond(rhs), solve_spd(system, rhs, method="direct"), atol=1e-8
-        )
-
-
-class TestWorkspaceMatrixFree:
-    """hierarchy_mode / dtype_policy plumbing through SolveWorkspace."""
-
-    @pytest.fixture(scope="class")
-    def problem(self):
-        data = make_synthetic_dataset(60, 240, seed=13)
-        bandwidth = paper_bandwidth_rule(60, 5)
-        graph = knn_graph(data.x_all, k=8, bandwidth=bandwidth)
-        return data, graph
-
-    def _matrix_free_workspace(self, graph, **kwargs):
-        ws = SolveWorkspace(
-            graph.weights,
-            backend="multigrid",
-            hierarchy_mode="matrix_free",
-            **kwargs,
-        )
-        # the workspace floor (512) would leave this 300-vertex fixture
-        # with an empty hierarchy; inject a deep one so the sweep
-        # exercises real V-cycles
-        ws._hierarchy = build_matrix_free_hierarchy(
-            graph.weights, min_coarse_size=32
-        )
-        ws._counters["coarsen_builds"] += 1
-        return ws
-
-    @pytest.mark.parametrize("dtype_policy", ["float64", "float32"])
-    def test_parity_with_exact_across_lambda_sweep(self, problem, dtype_policy):
-        data, graph = problem
-        ws = self._matrix_free_workspace(graph, dtype_policy=dtype_policy)
-        exact = SolveWorkspace(graph.weights, backend="exact")
-        for lam in (0.01, 0.1, 1.0, 10.0):
-            a = ws.solve_soft(data.y_labeled, lam)
-            b = exact.solve_soft(data.y_labeled, lam)
-            np.testing.assert_allclose(a.scores, b.scores, atol=1e-6)
-            assert a.solve_info.method == "multigrid_pcg"
-        stats = ws.stats()
-        assert stats.hierarchy_mode == "matrix_free"
-        assert stats.dtype_policy == dtype_policy
-        assert stats.multigrid_solves == 4
-
-    def test_float32_matches_float64_to_documented_tier(self, problem):
-        data, graph = problem
-        f64 = self._matrix_free_workspace(graph, dtype_policy="float64")
-        f32 = self._matrix_free_workspace(graph, dtype_policy="float32")
-        for lam in (0.05, 5.0):
-            a = f64.solve_soft(data.y_labeled, lam).scores
-            b = f32.solve_soft(data.y_labeled, lam).scores
-            rms = float(np.sqrt(np.mean((a - b) ** 2)))
-            assert rms < 1e-9  # the tier documented in docs/SCALING.md
-
-    def test_auto_mode_resolves_by_size(self, problem, monkeypatch):
-        import repro.linalg.workspace as workspace_module
-
-        _, graph = problem
-        small = SolveWorkspace(graph.weights, backend="multigrid")
-        assert small.stats().hierarchy_mode == "assembled"
-        monkeypatch.setattr(workspace_module, "MATRIX_FREE_MIN_VERTICES", 100)
-        large = SolveWorkspace(graph.weights, backend="multigrid")
-        assert large.stats().hierarchy_mode == "matrix_free"
-        # dense graphs never auto-select the matrix-free representation
-        dense = SolveWorkspace(
-            np.asarray(graph.weights.todense()), backend="multigrid"
-        )
-        assert dense.stats().hierarchy_mode == "assembled"
-
-    def test_requested_mode_wins_over_auto(self, problem):
-        _, graph = problem
-        ws = SolveWorkspace(
-            graph.weights, backend="multigrid", hierarchy_mode="matrix_free"
-        )
-        assert ws.stats().hierarchy_mode == "matrix_free"
-        hierarchy = ws.hierarchy()
-        assert hierarchy.labels == ()  # 300 vertices < workspace floor
-
-    def test_validation(self, problem):
-        _, graph = problem
-        with pytest.raises(ConfigurationError, match="hierarchy_mode"):
-            SolveWorkspace(graph.weights, hierarchy_mode="bogus")
-        with pytest.raises(ConfigurationError, match="dtype_policy"):
-            SolveWorkspace(graph.weights, dtype_policy="float16")
-
-    def test_assembled_dtype_policy_sweep_parity(self, problem):
-        data, graph = problem
-        ws = SolveWorkspace(
-            graph.weights, backend="multigrid", dtype_policy="float32",
-            hierarchy_mode="assembled",
-        )
-        ws._hierarchy = build_hierarchy(graph.weights, min_coarse_size=32)
-        ws._counters["coarsen_builds"] += 1
-        exact = SolveWorkspace(graph.weights, backend="exact")
-        for lam in (0.1, 1.0):
-            a = ws.solve_soft(data.y_labeled, lam)
-            b = exact.solve_soft(data.y_labeled, lam)
-            np.testing.assert_allclose(a.scores, b.scores, atol=1e-6)
-
-    def test_invalidate_rebuilds_matrix_free_hierarchy(self, problem):
-        data, graph = problem
-        ws = SolveWorkspace(
-            graph.weights, backend="multigrid", hierarchy_mode="matrix_free"
-        )
-        ws.solve_soft(data.y_labeled, 0.5)
-        ws.invalidate()
-        ws.solve_soft(data.y_labeled, 0.5)
-        assert ws.stats().coarsen_builds == 2

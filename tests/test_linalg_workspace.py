@@ -21,7 +21,7 @@ from repro.exceptions import ConfigurationError, WorkspaceInvalidatedError
 from repro.graph.similarity import full_kernel_graph, knn_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
 from repro.linalg.solvers import SolveInfo, solve_spd
-from repro.linalg.workspace import SolveWorkspace
+from repro.linalg.workspace import SolveWorkspace, check_sweep_backend
 
 
 @pytest.fixture(scope="module")
@@ -86,12 +86,16 @@ class TestFactorizationCache:
         with pytest.raises(ConfigurationError):
             SolveWorkspace(graph.weights, backend="nope")
         with pytest.raises(ConfigurationError):
+            SolveWorkspace(graph.weights, backend="spectral")
+        with pytest.raises(ConfigurationError):
             SolveWorkspace(graph.weights, on_mutation="panic")
         with pytest.raises(ConfigurationError):
             SolveWorkspace(graph.weights, max_factorizations=0)
         ws = SolveWorkspace(graph.weights)
         with pytest.raises(ConfigurationError):
             ws.solve_soft(np.ones(10), 0.1, backend="nope")
+        with pytest.raises(ConfigurationError):
+            check_sweep_backend("spectral")
 
 
 class TestContinuation:
@@ -139,10 +143,10 @@ class TestContinuation:
 
     def test_exact_mode_overrides_backend(self, problem):
         data, graph = problem
-        ws = SolveWorkspace(graph.weights, backend="spectral", exact=True)
+        ws = SolveWorkspace(graph.weights, backend="multigrid", exact=True)
         fit = ws.solve_soft(data.y_labeled, 0.1)
         assert fit.method == "workspace[exact]"
-        assert ws.stats().spectral_builds == 0
+        assert ws.stats().coarsen_builds == 0
 
 
 class TestInvalidation:

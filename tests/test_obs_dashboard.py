@@ -183,7 +183,6 @@ class TestCliVerb:
 
 def workspace_metrics() -> dict:
     reg = MetricsRegistry()
-    reg.counter("workspace.path.matrix_free.float32").inc()
     reg.counter("workspace.solves").inc(20)
     reg.counter("workspace.multigrid_solves").inc(20)
     reg.counter("workspace.factor.hits").inc(3)
@@ -192,10 +191,10 @@ def workspace_metrics() -> dict:
 
 
 class TestWorkspacePanel:
-    def test_panel_shows_solve_path_and_counts(self):
+    def test_panel_shows_solve_counts(self):
         frame = render_top(progress_events(), workspace_metrics())
         assert "workspace" in frame
-        assert "matrix_free / float32" in frame
+        assert "solve path" not in frame
         assert "solves          20 (20 multigrid)" in frame
         assert "3 hit / 1 miss (75%)" in frame
 
@@ -218,14 +217,9 @@ class TestWorkspacePanel:
         np.fill_diagonal(weights, 0.0)
         registry = MetricsRegistry()
         with use_registry(registry):
-            ws = SolveWorkspace(
-                sparse.csr_matrix(weights),
-                backend="multigrid",
-                hierarchy_mode="matrix_free",
-                dtype_policy="float32",
-            )
+            ws = SolveWorkspace(sparse.csr_matrix(weights), backend="multigrid")
             ws.sweep_soft(np.sign(x[:40, 0]), [0.1, 1.0])
         dump = dump_metrics_json(registry, tmp_path / "m.json")
         metrics = read_metrics_dump(dump)
         frame = render_top(progress_events(), metrics)
-        assert "matrix_free / float32" in frame
+        assert "solves          2 (2 multigrid)" in frame

@@ -4,10 +4,9 @@ The amortization layer is only admissible if it does not move results.
 This suite pins the contract from three directions:
 
 * every workspace backend matches per-point direct solves at
-  ``atol=1e-8`` across a lambda grid (the spectral claim is made on
-  dense graphs, where the Galerkin basis is the full eigenbasis and the
-  projection is exact — on sparse graphs the basis is truncated and
-  only the exact/factored backends carry the 1e-8 guarantee);
+  ``atol=1e-8`` across a lambda grid (on dense graphs, where ``direct``
+  takes the Schur route, for exact/factored/multigrid; on sparse
+  graphs for exact/factored);
 * the sparse exact backend is *bitwise* identical to the direct sparse
   path (same operations in the same order);
 * the rewired model-selection and experiment drivers (grid CV,
@@ -51,7 +50,7 @@ def sparse_problem():
 
 
 class TestBackendParity:
-    @pytest.mark.parametrize("backend", ["exact", "factored", "spectral"])
+    @pytest.mark.parametrize("backend", ["exact", "factored", "multigrid"])
     def test_dense_backend_matches_direct(self, dense_problem, backend):
         data, graph = dense_problem
         ws = SolveWorkspace(graph.weights, backend=backend)
@@ -121,7 +120,7 @@ class TestBackendParity:
 
     def test_lambda_zero_matches_hard_everywhere(self, dense_problem):
         data, graph = dense_problem
-        for backend in ("exact", "factored", "spectral"):
+        for backend in ("exact", "factored", "multigrid"):
             ws = SolveWorkspace(graph.weights, backend=backend)
             via_soft = ws.solve_soft(data.y_labeled, 0.0)
             via_hard = ws.solve_hard(data.y_labeled)
@@ -215,14 +214,14 @@ class TestExperimentParity:
         )
         assert curve.interpolates_anchors
 
-    @pytest.mark.parametrize("backend", ["exact", "factored", "spectral"])
+    @pytest.mark.parametrize("backend", ["exact", "factored", "multigrid"])
     def test_prop21_still_converges(self, backend):
         result = run_prop21_experiment(
             n_labeled=40, n_unlabeled=12, seed=1, sweep_backend=backend
         )
         assert result.converges
 
-    @pytest.mark.parametrize("backend", ["exact", "factored", "spectral"])
+    @pytest.mark.parametrize("backend", ["exact", "factored", "multigrid"])
     def test_prop22_still_collapses(self, backend):
         result = run_prop22_experiment(
             n_labeled=40, n_unlabeled=12, seed=1, sweep_backend=backend
