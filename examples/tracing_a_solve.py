@@ -17,7 +17,8 @@ from repro.core.soft import solve_soft_criterion
 from repro.datasets.synthetic import make_synthetic_dataset
 from repro.graph.similarity import full_kernel_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
-from repro.obs.export import render_trace_report, render_tree, write_jsonl
+from repro.obs.export import render_trace_report, write_jsonl
+from repro.obs.ledger import render_span_tree
 
 
 def main() -> None:
@@ -44,7 +45,7 @@ def main() -> None:
             solve_soft_criterion(graph.weights, data.y_labeled, 0.1, method="schur")
 
     print()
-    print(render_tree(tracer))
+    print(render_span_tree(tracer))
     print()
     print(render_trace_report(tracer))
 

@@ -346,7 +346,8 @@ def _cmd_diagnose(args) -> int:
 def _cmd_trace_report(args) -> int:
     import json
 
-    from repro.obs.export import load_jsonl, render_trace_report, render_tree
+    from repro.obs.export import load_jsonl, render_trace_report
+    from repro.obs.ledger import render_span_tree
 
     try:
         records = load_jsonl(args.path)
@@ -365,7 +366,7 @@ def _cmd_trace_report(args) -> int:
     print(render_trace_report(records))
     if args.tree:
         print()
-        print(render_tree(records, max_spans=args.max_spans))
+        print(render_span_tree(records, max_spans=args.max_spans))
     return 0
 
 
@@ -979,7 +980,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="trace file written by --trace PATH.jsonl")
     p.add_argument(
         "--tree", action="store_true",
-        help="also print the span tree (one indented line per span)",
+        help="also print the span tree (one indented row per span, with "
+        "peak/net memory columns)",
     )
     p.add_argument(
         "--max-spans", type=int, default=200,

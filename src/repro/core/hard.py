@@ -139,7 +139,7 @@ def solve_hard_criterion(
         probes.record_solve_info(span, info)
         registry = obs.get_registry()
         registry.counter("solves.hard").inc()
-        registry.histogram("solves.hard.system_size").observe(m)
+        registry.log_histogram("solves.hard.system_size").observe(m)
         scores = np.concatenate([y_labeled, f_unlabeled])
         return FitResult(
             scores=scores,

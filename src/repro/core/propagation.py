@@ -110,7 +110,7 @@ def propagate_labels(
                     span.set_attribute("final_delta", delta)
                 registry = obs.get_registry()
                 registry.counter("propagation.hard.runs").inc()
-                registry.histogram("propagation.hard.iterations").observe(iteration)
+                registry.log_histogram("propagation.hard.iterations").observe(iteration)
                 fit = FitResult(
                     scores=np.concatenate([y_labeled, f_unlabeled]),
                     n_labeled=n, lam=0.0, method="propagation",
@@ -205,7 +205,7 @@ def propagate_soft(
                     span.set_attribute("final_delta", delta)
                 registry = obs.get_registry()
                 registry.counter("propagation.soft.runs").inc()
-                registry.histogram("propagation.soft.iterations").observe(iteration)
+                registry.log_histogram("propagation.soft.iterations").observe(iteration)
                 fit = FitResult(
                     scores=scores, n_labeled=n, lam=lam,
                     method="propagation", criterion="soft",

@@ -153,7 +153,7 @@ def _solve_full(weights: np.ndarray, y: np.ndarray, lam: float, n: int, m: int, 
         probes.record_solve_info(span, info)
         registry = obs.get_registry()
         registry.counter("solves.soft").inc()
-        registry.histogram("solves.soft.system_size").observe(total)
+        registry.log_histogram("solves.soft.system_size").observe(total)
         return FitResult(
             scores=scores,
             n_labeled=n,
@@ -195,7 +195,7 @@ def _solve_full_sparse(
         probes.record_solve_info(span, info)
         registry = obs.get_registry()
         registry.counter("solves.soft").inc()
-        registry.histogram("solves.soft.system_size").observe(total)
+        registry.log_histogram("solves.soft.system_size").observe(total)
         method = "full" if requested == "full" else "schur->sparse_full"
         return FitResult(
             scores=scores,
@@ -251,7 +251,7 @@ def _solve_schur(weights: np.ndarray, y: np.ndarray, lam: float, n: int, m: int)
         probes.record_solve_info(span, info)
         registry = obs.get_registry()
         registry.counter("solves.soft").inc()
-        registry.histogram("solves.soft.system_size").observe(m)
+        registry.log_histogram("solves.soft.system_size").observe(m)
 
         # Recover the labeled block from the first stationarity row:
         # (I + lam D11 - lam W11) f_l = y + lam W12 f_u.

@@ -97,7 +97,7 @@ def _observe_iterative(solver: str, span, result: IterativeResult) -> IterativeR
         span.set_attribute("converged", result.converged)
     registry = obs_metrics.get_registry()
     registry.counter(f"linalg.{solver}.solves").inc()
-    registry.histogram(f"linalg.{solver}.iterations").observe(result.iterations)
+    registry.log_histogram(f"linalg.{solver}.iterations").observe(result.iterations)
     return result
 
 

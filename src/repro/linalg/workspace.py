@@ -283,11 +283,6 @@ class SolveWorkspace:
         true factorizations, bit-compatible with direct solves), or
         ``"multigrid"`` (coarsening V-cycle preconditioned PCG — no
         large factorization, the large-N backend).
-    exact:
-        Strict mode: force the ``"exact"`` backend for every solve
-        regardless of the requested backend, so sweeps stay
-        bit-compatible with per-point direct solves while still reusing
-        cached factorizations.
     max_factorizations:
         LRU capacity of the factorization cache.
     pcg_tol / reanchor_budget:
@@ -310,7 +305,6 @@ class SolveWorkspace:
         weights,
         *,
         backend: str = "factored",
-        exact: bool = False,
         max_factorizations: int = 8,
         pcg_tol: float = 1e-10,
         reanchor_budget: int = 15,
@@ -340,7 +334,6 @@ class SolveWorkspace:
         self.weights = check_weight_matrix(weights)
         self.n_total = int(self.weights.shape[0])
         self.backend = backend
-        self.exact = bool(exact)
         self.max_factorizations = int(max_factorizations)
         self.pcg_tol = float(check_positive_scalar(pcg_tol, "pcg_tol"))
         self.reanchor_budget = int(reanchor_budget)
@@ -659,7 +652,7 @@ class SolveWorkspace:
         if warm:
             self._counters["warm_starts"] += 1
             registry.counter("workspace.warm_starts").inc()
-        registry.histogram("workspace.pcg.iterations").observe(result.iterations)
+        registry.log_histogram("workspace.pcg.iterations").observe(result.iterations)
         info = SolveInfo(
             method="pcg",
             size=self.n_total,
@@ -741,7 +734,7 @@ class SolveWorkspace:
         if warm:
             self._counters["warm_starts"] += 1
             registry.counter("workspace.warm_starts").inc()
-        registry.histogram("workspace.pcg.iterations").observe(result.iterations)
+        registry.log_histogram("workspace.pcg.iterations").observe(result.iterations)
         info = SolveInfo(
             method="multigrid_pcg",
             size=self.n_total,
@@ -789,8 +782,6 @@ class SolveWorkspace:
         return y
 
     def _resolve_backend(self, backend: str | None) -> str:
-        if self.exact:
-            return "exact"
         resolved = backend or self.backend
         if resolved not in SWEEP_BACKENDS + _ITERATIVE_BACKENDS:
             raise ConfigurationError(
@@ -862,7 +853,7 @@ class SolveWorkspace:
                 solve_info=info,
             )
 
-    def solve_hard(self, y_labeled, *, backend: str | None = None):
+    def solve_hard(self, y_labeled):
         """Solve the hard criterion through the cached grounded factorization.
 
         The grounded system is λ-independent, so the first solve
@@ -936,6 +927,6 @@ class SolveWorkspace:
         kind = "sparse" if self._is_sparse else "dense"
         return (
             f"SolveWorkspace(n_total={self.n_total}, {kind}, "
-            f"backend={self.backend!r}, exact={self.exact}, "
+            f"backend={self.backend!r}, "
             f"cached_factors={len(self._factors)})"
         )

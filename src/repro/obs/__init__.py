@@ -5,8 +5,8 @@ Layered so each piece is independently usable:
 * :mod:`repro.obs.trace` — nestable context-manager spans collected into
   an in-memory trace tree; a no-op tracer is the default, so leaving
   instrumentation in hot paths is near-free.
-* :mod:`repro.obs.metrics` — counters / gauges / histograms with a global
-  default registry plus injectable instances for tests.
+* :mod:`repro.obs.metrics` — counters / gauges / log-bucket histograms
+  with a global default registry plus injectable instances for tests.
 * :mod:`repro.obs.probes` — cheap numeric health probes (condition
   estimates, graph degree/component statistics, CG iteration counts,
   Schur block sizes) that attach to recording spans.
@@ -75,7 +75,6 @@ from repro.obs.progress import (
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     LogBucketHistogram,
     MetricsRegistry,
     get_registry,
@@ -128,7 +127,6 @@ __all__ = [
     "tracing_enabled",
     "Counter",
     "Gauge",
-    "Histogram",
     "LogBucketHistogram",
     "MetricsRegistry",
     "get_registry",

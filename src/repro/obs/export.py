@@ -16,6 +16,8 @@ and :func:`load_header` retrieves the provenance when present.
 :func:`render_trace_report` aggregates records by span name into an
 aligned table (count / total / mean / max durations) plus per-name
 numeric-attribute summaries — this backs ``python -m repro trace-report``.
+The per-span tree (``trace-report --tree``) is
+:func:`repro.obs.ledger.render_span_tree`.
 
 Durability: whole-file dumps (:func:`write_jsonl`,
 :func:`dump_metrics_json`) go through :func:`atomic_write_text` —
@@ -45,9 +47,7 @@ __all__ = [
     "load_jsonl",
     "load_header",
     "dump_metrics_json",
-    "dump_metrics_openmetrics",
     "InMemoryExporter",
-    "render_tree",
     "render_trace_report",
 ]
 
@@ -241,19 +241,6 @@ def dump_metrics_json(registry, path, *, command: str | None = None) -> Path:
     )
 
 
-def dump_metrics_openmetrics(registry, path) -> Path:
-    """Write a registry snapshot as OpenMetrics text exposition.
-
-    The Prometheus-scrapeable sibling of :func:`dump_metrics_json`
-    (``repro obs export-metrics`` converts between the two).  The output
-    always passes our own :func:`~repro.obs.openmetrics.parse_openmetrics`
-    validator; rendering details live in :mod:`repro.obs.openmetrics`.
-    """
-    from repro.obs.openmetrics import render_openmetrics
-
-    return atomic_write_text(path, render_openmetrics(registry.snapshot()))
-
-
 class InMemoryExporter:
     """Collects span records in a list — for assertions in tests."""
 
@@ -273,35 +260,6 @@ class InMemoryExporter:
 
     def clear(self) -> None:
         self.records.clear()
-
-
-def _fmt_seconds(value) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "-"
-    return f"{value:.6f}"
-
-
-def render_tree(trace, *, max_spans: int = 200) -> str:
-    """Indented per-span listing (one line per span, pre-order)."""
-    records = [r for r in to_records(trace) if "name" in r]
-    lines = []
-    for record in records[:max_spans]:
-        indent = "  " * record.get("depth", 0)
-        attrs = record.get("attributes") or {}
-        attr_text = ", ".join(f"{k}={_compact(v)}" for k, v in attrs.items())
-        suffix = f"  [{attr_text}]" if attr_text else ""
-        lines.append(
-            f"{indent}{record['name']}  {_fmt_seconds(record.get('duration_s'))}s{suffix}"
-        )
-    if len(records) > max_spans:
-        lines.append(f"... {len(records) - max_spans} more spans")
-    return "\n".join(lines)
-
-
-def _compact(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.4g}"
-    return str(value)
 
 
 def render_trace_report(trace) -> str:

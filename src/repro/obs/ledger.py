@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.obs.environment import fingerprint_digest
+from repro.obs.export import to_records
 
 __all__ = ["LEDGER_SCHEMA_VERSION", "IngestResult", "RunLedger", "render_span_tree"]
 
@@ -568,18 +569,23 @@ class RunLedger:
         ]
 
 
-def render_span_tree(records, *, max_spans: int = 200, max_attr_width: int = 100) -> str:
-    """Indented span tree with explicit memory attribution columns.
+def render_span_tree(trace, *, max_spans: int = 200, max_attr_width: int = 100) -> str:
+    """Indented span tree (one row per span, pre-order) with memory columns.
 
-    Like :func:`repro.obs.export.render_tree` but surfaces per-span
-    ``memory.peak_bytes`` / ``memory.net_bytes`` as aligned MB columns
-    (the ledger stores them first-class), keeping other attributes
-    inline (elided at ``max_attr_width`` so the table stays readable —
-    the full values live in the ledger's ``spans`` table).
+    ``trace`` is a tracer, spans or span records (anything
+    :func:`repro.obs.export.to_records` accepts).  Per-span
+    ``memory.peak_bytes`` / ``memory.net_bytes`` render as aligned MB
+    columns; other attributes stay inline, elided at ``max_attr_width``
+    so the table stays readable (the ledger's ``spans`` table keeps the
+    full values).  Backs ``trace-report --tree`` and ``obs span-tree``.
     """
+    records = to_records(trace)
     rows = []
     shown = [r for r in records if "name" in r][:max_spans]
-    for record in shown:
+    labels = ["  " * int(r.get("depth") or 0) + str(r["name"]) for r in shown]
+    # The table right-aligns cells; equal-width labels keep the indents.
+    width = max(map(len, labels), default=0)
+    for record, label in zip(shown, labels):
         attrs = dict(record.get("attributes") or {})
         peak = attrs.pop("memory.peak_bytes", None)
         net = attrs.pop("memory.net_bytes", None)
@@ -589,7 +595,7 @@ def render_span_tree(records, *, max_spans: int = 200, max_attr_width: int = 100
         duration = record.get("duration_s")
         rows.append(
             [
-                "  " * int(record.get("depth") or 0) + str(record.get("name")),
+                label.ljust(width),
                 "-" if duration is None else f"{duration:.6f}",
                 "-" if peak is None else f"{peak / 1e6:.2f}",
                 "-" if net is None else f"{net / 1e6:+.2f}",

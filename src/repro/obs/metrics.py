@@ -1,4 +1,4 @@
-"""Counters, gauges, and histograms with an injectable registry.
+"""Counters, gauges, and log-bucket histograms with an injectable registry.
 
 The default registry is process-global (:func:`get_registry`) so library
 code can record without plumbing a registry argument through every call;
@@ -6,24 +6,25 @@ tests inject a fresh :class:`MetricsRegistry` via :func:`use_registry` to
 stay isolated from each other.  Recording is cheap — a dict lookup plus a
 float update — so instrumented paths record unconditionally.
 
+There is one histogram type, :class:`LogBucketHistogram`: its memory is
+bounded by the range of the observed values, its quantiles carry a
+relative-error bound, and worker states merge into it exactly.
+
     from repro import obs
 
     registry = obs.get_registry()
     registry.counter("solves.hard").inc()
-    registry.histogram("solver.cg.iterations").observe(42)
+    registry.log_histogram("solver.cg.iterations").observe(42)
 """
 
 from __future__ import annotations
 
 import math
-import random
-import zlib
 from contextlib import contextmanager
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "LogBucketHistogram",
     "MetricsRegistry",
     "get_registry",
@@ -84,131 +85,16 @@ class Gauge:
             self.value = value
 
 
-class Histogram:
-    """Streaming distribution summary plus retained samples.
-
-    Tracks count/sum/min/max in O(1) per observation and retains up to
-    ``max_samples`` raw values (older samples are overwritten ring-buffer
-    style beyond that, keeping memory bounded in long-running processes)
-    so :meth:`quantile` can answer p50/p90-style questions.
-    """
-
-    __slots__ = ("name", "count", "total", "min", "max", "samples", "max_samples")
-
-    kind = "histogram"
-
-    def __init__(self, name: str, *, max_samples: int = 8192):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.max_samples = max_samples
-        self.samples: list[float] = []
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        if len(self.samples) < self.max_samples:
-            self.samples.append(value)
-        else:
-            self.samples[self.count % self.max_samples] = value
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else math.nan
-
-    def quantile(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self.samples:
-            return math.nan
-        ordered = sorted(self.samples)
-        index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[index]
-
-    def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min if self.count else math.nan,
-            "max": self.max if self.count else math.nan,
-            "mean": self.mean,
-            "p50": self.quantile(0.5),
-            "p90": self.quantile(0.9),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-        }
-
-    def to_state(self) -> dict:
-        return {
-            "kind": self.kind,
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "samples": list(self.samples),
-        }
-
-    def merge_state(self, state: dict) -> None:
-        """Fold another histogram's full state into this one.
-
-        count/sum/min/max merge exactly.  Retained samples are pooled
-        and, when the pool exceeds ``max_samples``, subsampled *weighted
-        by the observation count each retained sample stands for* —
-        a state whose buffer summarizes 10x the observations keeps 10x
-        the representation, so merged quantiles stay unbiased even when
-        the two sides are badly imbalanced.  The subsample is drawn with
-        a deterministic RNG seeded by the metric name, so merging the
-        same worker states always produces the same buffer.
-        """
-        count = int(state.get("count", 0))
-        if count == 0:
-            return
-        incoming = [float(value) for value in state.get("samples", ())]
-        own = len(self.samples)
-        # Per-sample observation weights, computed before the counters
-        # merge: each retained sample stands for count/len(samples)
-        # observations of its side.
-        own_weight = (self.count / own) if own else 0.0
-        incoming_weight = (count / len(incoming)) if incoming else 0.0
-        self.count += count
-        self.total += float(state.get("total", 0.0))
-        self.min = min(self.min, float(state.get("min", math.inf)))
-        self.max = max(self.max, float(state.get("max", -math.inf)))
-        pool = self.samples + incoming
-        if len(pool) <= self.max_samples:
-            self.samples = pool
-            return
-        # Weighted subsample without replacement (Efraimidis-Spirakis
-        # exponential keys), deterministic per metric name.
-        weights = [own_weight] * own + [incoming_weight] * len(incoming)
-        rng = random.Random(zlib.crc32(self.name.encode("utf-8")))
-        keyed = []
-        for position, weight in enumerate(weights):
-            u = rng.random()
-            key = u ** (1.0 / weight) if weight > 0 else -1.0
-            keyed.append((key, position))
-        keyed.sort(reverse=True)
-        keep = sorted(position for _, position in keyed[: self.max_samples])
-        self.samples = [pool[position] for position in keep]
-
-
 class LogBucketHistogram:
     """Log-bucketed distribution with relative-error-bounded quantiles.
 
-    The reservoir :class:`Histogram` keeps raw samples, which is right
-    for *value* metrics (RMSE, iteration counts) but wrong for
-    per-request latency: a long-lived server observes millions of
-    latencies, and subsampled quantiles drift.  This histogram instead
-    counts observations into geometric buckets — bucket ``i`` covers
-    ``(gamma^(i-1), gamma^i]`` with ``gamma = (1 + a) / (1 - a)`` for
-    the configured relative accuracy ``a`` — so:
+    Used for every distribution the package records, from per-request
+    latencies to solver iteration counts and system sizes.  Raw samples
+    are not kept (a long-lived server observes millions of latencies);
+    observations are counted into geometric buckets instead.  Bucket
+    ``i`` covers ``(gamma^(i-1), gamma^i]`` with
+    ``gamma = (1 + a) / (1 - a)`` for the configured relative accuracy
+    ``a``, so:
 
     * memory is bounded by the *dynamic range* of the values, never the
       observation count (~490 buckets span 1 ns to 10^12 s at the
@@ -219,7 +105,7 @@ class LogBucketHistogram:
       exactly ``a``;
     * :meth:`merge_state` is *exact* — bucket counts add — so grafting
       worker registries (:meth:`MetricsRegistry.merge_state`) loses
-      nothing, unlike reservoir merging.
+      nothing.
 
     Non-positive observations (a clock that went backwards, a zero-cost
     path) land in a dedicated zero bucket reported as ``0.0``.
@@ -236,6 +122,7 @@ class LogBucketHistogram:
         "_buckets",
         "_log_gamma",
         "_pending",
+        "_scalars",
         "_n_pending",
     )
 
@@ -249,10 +136,10 @@ class LogBucketHistogram:
     MIN_INDEX = -1000
     MAX_INDEX = 1000
 
-    #: Deferred-bucketing buffer cap (values, not bytes): batches queue
-    #: here and fold into buckets in one vectorized pass once the pool
-    #: reaches this size (or on any read), so memory stays bounded while
-    #: the serving hot path pays only the exact scalar aggregates.
+    #: Deferred-bucketing buffer cap (values, not bytes): observations
+    #: queue here and fold into buckets in one vectorized pass once the
+    #: pool reaches this size (or on any read), so memory stays bounded
+    #: while recording pays only the exact scalar aggregates.
     PENDING_LIMIT = 8192
 
     def __init__(self, name: str, *, relative_error: float | None = None):
@@ -272,6 +159,7 @@ class LogBucketHistogram:
         self._buckets: dict[int, int] = {}
         self._log_gamma = math.log(self.gamma)
         self._pending: list = []
+        self._scalars: list[float] = []
         self._n_pending = 0
 
     @property
@@ -280,19 +168,16 @@ class LogBucketHistogram:
 
     @property
     def buckets(self) -> dict[int, int]:
-        """The bucket table, with any deferred batches folded in."""
+        """The bucket table, with any deferred observations folded in."""
         self._drain()
         return self._buckets
-
-    def _index(self, value: float) -> int:
-        index = math.ceil(math.log(value) / self._log_gamma)
-        return min(self.MAX_INDEX, max(self.MIN_INDEX, index))
 
     def _representative(self, index: int) -> float:
         gamma = self.gamma
         return 2.0 * gamma**index / (gamma + 1.0)
 
     def observe(self, value: float) -> None:
+        """Record one value; bucketing is deferred like :meth:`observe_many`."""
         value = float(value)
         self.count += 1
         self.total += value
@@ -300,11 +185,13 @@ class LogBucketHistogram:
             self.min = value
         if value > self.max:
             self.max = value
-        if value <= 0.0 or not math.isfinite(value):
+        if 0.0 < value < math.inf:
+            self._scalars.append(value)
+            self._n_pending += 1
+            if self._n_pending >= self.PENDING_LIMIT:
+                self._drain()
+        else:
             self.zero_count += 1
-            return
-        index = self._index(value)
-        self._buckets[index] = self._buckets.get(index, 0) + 1
 
     def observe_many(self, values) -> None:
         """Vectorized :meth:`observe` for a whole batch of values.
@@ -350,16 +237,17 @@ class LogBucketHistogram:
             self._drain()
 
     def _drain(self) -> None:
-        """Fold every queued batch into the bucket table (vectorized)."""
-        if not self._pending:
+        """Fold every queued value into the bucket table (vectorized)."""
+        if not self._n_pending:
             return
         import numpy as np
 
-        if len(self._pending) == 1:
-            positive = self._pending[0]
-        else:
-            positive = np.concatenate(self._pending)
-        self._pending.clear()
+        chunks = self._pending
+        if self._scalars:
+            chunks.append(np.array(self._scalars))
+            self._scalars.clear()
+        positive = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        chunks.clear()
         self._n_pending = 0
         indexes = np.ceil(np.log(positive) / self._log_gamma).astype(np.int64)
         np.clip(indexes, self.MIN_INDEX, self.MAX_INDEX, out=indexes)
@@ -393,21 +281,6 @@ class LogBucketHistogram:
             if cumulative >= rank:
                 return self._representative(index)
         return self.max  # only reachable through float edge cases
-
-    def bucket_bounds(self) -> list[tuple[float, int]]:
-        """``(upper_bound, count)`` per occupied bucket, ascending.
-
-        The zero bucket (when occupied) is reported first with an upper
-        bound of ``0.0`` — this feeds the OpenMetrics exposition's
-        cumulative ``le`` series.
-        """
-        bounds = []
-        if self.zero_count:
-            bounds.append((0.0, self.zero_count))
-        gamma = self.gamma
-        for index in sorted(self.buckets):
-            bounds.append((gamma**index, self.buckets[index]))
-        return bounds
 
     def snapshot(self) -> dict:
         return {
@@ -475,7 +348,7 @@ class MetricsRegistry:
     """
 
     def __init__(self):
-        self._metrics: dict[str, Counter | Gauge | Histogram | LogBucketHistogram] = {}
+        self._metrics: dict[str, Counter | Gauge | LogBucketHistogram] = {}
 
     def _get_or_create(self, name: str, cls):
         metric = self._metrics.get(name)
@@ -494,9 +367,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get_or_create(name, Histogram)
 
     def log_histogram(self, name: str) -> LogBucketHistogram:
         return self._get_or_create(name, LogBucketHistogram)
@@ -523,7 +393,7 @@ class MetricsRegistry:
         Unlike :meth:`snapshot` (a human-facing summary), the state dump
         round-trips through :meth:`merge_state`: counters keep their
         totals, gauges their last value, histograms their exact
-        count/sum/min/max plus retained samples.  This is how worker
+        count/sum/min/max plus bucket table.  This is how worker
         processes ship their metric deltas back to the parent registry.
         """
         return {name: metric.to_state() for name, metric in self._metrics.items()}
@@ -532,14 +402,13 @@ class MetricsRegistry:
         """Fold a :meth:`to_state` dump (e.g. from a worker) into this registry.
 
         Counters add, gauges take the incoming value (last write wins,
-        matching their single-process semantics), histograms merge their
-        summaries exactly and their retained samples up to the cap.
-        Merging a name that exists here under a different kind raises
-        ``TypeError``, same as mixed-kind access does.
+        matching their single-process semantics), histogram bucket
+        counts add, so the merge is exact.  Any other kind raises
+        ``ValueError``; merging a name that exists here under a
+        different kind raises ``TypeError``, same as mixed-kind access
+        does.
         """
-        kinds = {
-            cls.kind: cls for cls in (Counter, Gauge, Histogram, LogBucketHistogram)
-        }
+        kinds = {cls.kind: cls for cls in (Counter, Gauge, LogBucketHistogram)}
         for name, metric_state in state.items():
             cls = kinds.get(metric_state.get("kind"))
             if cls is None:
@@ -547,21 +416,6 @@ class MetricsRegistry:
                     f"metric {name!r} has unknown kind {metric_state.get('kind')!r}"
                 )
             self._get_or_create(name, cls).merge_state(metric_state)
-
-    def as_rows(self) -> list[list]:
-        """``[name, kind, summary]`` rows for table rendering."""
-        rows = []
-        for name, data in self.snapshot().items():
-            kind = data.pop("kind")
-            summary = ", ".join(f"{k}={_fmt(v)}" for k, v in data.items())
-            rows.append([name, kind, summary])
-        return rows
-
-
-def _fmt(value: float) -> str:
-    if isinstance(value, float) and not value.is_integer():
-        return f"{value:.4g}"
-    return str(int(value)) if isinstance(value, float) and math.isfinite(value) else str(value)
 
 
 _DEFAULT = MetricsRegistry()

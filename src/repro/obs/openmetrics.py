@@ -6,20 +6,20 @@ turns a registry snapshot (or the ``metrics`` object of a
 
 * counters expose one ``<name>_total`` sample,
 * gauges expose their value directly,
-* reservoir :class:`~repro.obs.metrics.Histogram` metrics expose a
-  ``summary`` family (``quantile``-labelled samples + ``_sum``/``_count``
-  — their quantiles are reservoir estimates, which is exactly what a
-  summary is for),
-* :class:`~repro.obs.metrics.LogBucketHistogram` metrics expose a real
+* :class:`~repro.obs.metrics.LogBucketHistogram` metrics expose a
   ``histogram`` family with cumulative ``le`` buckets at the log-bucket
   upper bounds, because their buckets are exact.
+
+Any other kind raises ``ValueError``, including the ``histogram`` kind
+that dumps from older versions carry.
 
 :func:`parse_openmetrics` is the validating inverse — strict enough to
 serve as a ``promtool``-free format lint in CI (``repro obs
 lint-metrics``): it checks name syntax, TYPE-before-samples ordering,
-counter monotonic-from-zero values, ``le`` cumulativity, the mandatory
-``# EOF`` terminator, and label escaping, and returns the parsed
-families for round-trip tests.
+counter monotonic-from-zero values, ``le`` cumulativity, ``summary``
+quantile ranges (for expositions written by other programs), the
+mandatory ``# EOF`` terminator, and label escaping, and returns the
+parsed families for round-trip tests.
 
 Registry metric names use dots (``serving.request.latency_s``); the
 exposition sanitizes them to the OpenMetrics charset
@@ -158,18 +158,6 @@ def _render_gauge(name: str, data: dict, lines: list[str]) -> None:
     lines.append(_sample_line(name, {}, data.get("value", math.nan)))
 
 
-def _render_summary(name: str, data: dict, lines: list[str]) -> None:
-    lines.append(f"# TYPE {name} summary")
-    count = int(data.get("count", 0))
-    if count:
-        for q_label, key in (("0.5", "p50"), ("0.9", "p90"), ("0.95", "p95"), ("0.99", "p99")):
-            value = data.get(key)
-            if value is not None and not math.isnan(float(value)):
-                lines.append(_sample_line(name, {"quantile": q_label}, float(value)))
-    lines.append(_sample_line(f"{name}_sum", {}, float(data.get("sum", 0.0))))
-    lines.append(_sample_line(f"{name}_count", {}, count))
-
-
 def _render_histogram(name: str, data: dict, lines: list[str]) -> None:
     lines.append(f"# TYPE {name} histogram")
     count = int(data.get("count", 0))
@@ -191,7 +179,6 @@ def _render_histogram(name: str, data: dict, lines: list[str]) -> None:
 _RENDERERS = {
     "counter": _render_counter,
     "gauge": _render_gauge,
-    "histogram": _render_summary,  # reservoir histogram -> summary family
     "log_histogram": _render_histogram,
 }
 

@@ -25,16 +25,17 @@ optional, but an objective whose metric is *absent* from the snapshot
 counts as breached: an SLO you cannot observe is not being met.
 
 Each section accepts a ``metric`` key to point the objective at a
-non-default metric name, so specs can gate bespoke histograms too.  The
-TOML reader uses :mod:`tomllib` where available and falls back to a
-strict subset parser (sections, ``key = number/bool/string``, comments)
-so specs parse identically on every supported Python.
+non-default metric name, so specs can gate bespoke histograms too.  Specs
+parse with :mod:`tomllib` (or :mod:`json` for ``.json`` files), and
+:func:`load_slo_spec` type-checks every value: thresholds must be finite
+real numbers and metric names non-empty strings.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,7 +45,6 @@ __all__ = [
     "SLOCheck",
     "SLOReport",
     "load_slo_spec",
-    "parse_toml_subset",
     "evaluate_slo",
     "DEFAULT_METRICS",
 ]
@@ -64,6 +64,9 @@ _SECTION_KEYS = {
     "throughput": {"metric", "min_qps"},
     "drift": {"metric", "max_flag_fraction"},
 }
+
+#: Keys naming a metric; every other key is a numeric threshold.
+_METRIC_KEYS = {"metric", "ok_metric", "error_metric"}
 
 
 @dataclass(frozen=True)
@@ -119,76 +122,12 @@ class SLOReport:
 # ----------------------------------------------------------------- parsing
 
 
-def parse_toml_subset(text: str, *, source: str = "<spec>") -> dict:
-    """Parse the TOML subset SLO specs use: ``[section]`` + scalar keys.
-
-    Values may be numbers, booleans, or double-quoted strings; ``#``
-    starts a comment.  This exists because the oldest supported Python
-    lacks :mod:`tomllib`; where tomllib is available,
-    :func:`load_slo_spec` prefers it.
-    """
-    data: dict[str, dict] = {}
-    section: dict | None = None
-    for number, raw_line in enumerate(text.split("\n"), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigurationError(
-                    f"{source}:{number}: malformed section header {line!r}"
-                )
-            name = line[1:-1].strip()
-            if not name or "[" in name or "]" in name:
-                raise ConfigurationError(
-                    f"{source}:{number}: malformed section name {line!r}"
-                )
-            section = data.setdefault(name, {})
-            continue
-        if "=" not in line:
-            raise ConfigurationError(
-                f"{source}:{number}: expected 'key = value', got {line!r}"
-            )
-        if section is None:
-            raise ConfigurationError(
-                f"{source}:{number}: key outside any [section]"
-            )
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if value.startswith('"'):
-            end = value.find('"', 1)
-            if end < 0:
-                raise ConfigurationError(
-                    f"{source}:{number}: unterminated string for {key!r}"
-                )
-            trailing = value[end + 1 :].strip()
-            if trailing and not trailing.startswith("#"):
-                raise ConfigurationError(
-                    f"{source}:{number}: unexpected content after string "
-                    f"for {key!r}: {trailing!r}"
-                )
-            section[key] = value[1:end]
-            continue
-        value = value.split("#", 1)[0].strip()
-        if value in ("true", "false"):
-            section[key] = value == "true"
-        else:
-            try:
-                section[key] = float(value)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{source}:{number}: value for {key!r} is not a number, "
-                    f"bool, or quoted string: {value!r}"
-                ) from None
-    return data
-
-
 def load_slo_spec(path) -> dict:
-    """Load and structurally validate an SLO spec (TOML or JSON).
+    """Load and validate an SLO spec (TOML or JSON).
 
-    ``.json`` files parse as JSON; everything else goes through tomllib
-    (when available) or the subset parser.  Unknown sections or keys
+    ``.json`` files parse as JSON; everything else goes through
+    :mod:`tomllib`.  Unknown sections or keys, and values of the wrong
+    type (a ``bool`` or string threshold, a non-string metric name),
     raise :class:`ConfigurationError` — a typo in a spec must not
     silently weaken the gate.
     """
@@ -204,16 +143,9 @@ def load_slo_spec(path) -> dict:
             raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
     else:
         try:
-            import tomllib
-        except ImportError:  # pragma: no cover - py3.10 CI path
-            spec = parse_toml_subset(text, source=str(path))
-        else:
-            try:
-                spec = tomllib.loads(text)
-            except tomllib.TOMLDecodeError as exc:
-                raise ConfigurationError(
-                    f"{path} is not valid TOML: {exc}"
-                ) from exc
+            spec = tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
+            raise ConfigurationError(f"{path} is not valid TOML: {exc}") from exc
     if not isinstance(spec, dict):
         raise ConfigurationError(f"SLO spec {path} must be a table of sections")
     for section, keys in spec.items():
@@ -232,9 +164,29 @@ def load_slo_spec(path) -> dict:
                 f"SLO spec {path}: unknown key(s) {sorted(unknown)} in "
                 f"[{section}]; known: {sorted(_SECTION_KEYS[section])}"
             )
+        for key, value in keys.items():
+            _check_value(path, section, key, value)
     if not spec:
         raise ConfigurationError(f"SLO spec {path} defines no objectives")
     return spec
+
+
+def _check_value(path, section: str, key: str, value) -> None:
+    if key in _METRIC_KEYS:
+        if not isinstance(value, str) or not value:
+            raise ConfigurationError(
+                f"SLO spec {path}: [{section}] {key} must be a non-empty "
+                f"metric name string, got {value!r}"
+            )
+    elif (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ConfigurationError(
+            f"SLO spec {path}: [{section}] {key} must be a finite number, "
+            f"got {value!r}"
+        )
 
 
 # -------------------------------------------------------------- evaluation

@@ -434,8 +434,14 @@ class TestTraceReportMergedMemory:
         assert code == 0
         # both the locally-recorded and the adopted replicate spans render
         assert out.count("repro.replicate") >= 2
-        # and the memory attribution survived the merge
-        assert "memory.peak_bytes" in out
+        # and the memory attribution survived the merge: the tree shows
+        # a peak MB figure (not "-") for both replicate spans
+        tree = out[out.index("span  duration_s") :].splitlines()
+        assert tree[0].split()[:4] == ["span", "duration_s", "peak", "MB"]
+        replicate_rows = [row for row in tree if row.startswith("repro.replicate")]
+        assert len(replicate_rows) == 2
+        for row in replicate_rows:
+            float(row.split()[2])  # peak MB column
 
 
 class TestProgressFlags:

@@ -36,7 +36,7 @@ def _counting_replicate(rng):
     """Replicate that exercises worker-side spans and metrics."""
     registry = obs.get_registry()
     registry.counter("test.replicate_calls").inc()
-    registry.histogram("test.draws").observe(rng.random())
+    registry.log_histogram("test.draws").observe(rng.random())
     with obs.span("test.inner", kind="work") as span:
         value = float(rng.random())
         if span.recording:
@@ -186,13 +186,21 @@ class TestObservabilityAcrossProcesses:
         assert [a["index"] for a in parallel] == [0, 1, 2]
 
     def test_metrics_merged_into_parent_registry(self):
-        with obs.use_registry() as registry:
-            run_replicates(_counting_replicate, n_replicates=5, seed=2, n_jobs=2)
-        assert registry.counter("test.replicate_calls").value == 5
-        assert registry.counter("replicates.completed").value == 5
-        histogram = registry.histogram("test.draws")
-        assert histogram.count == 5
-        assert len(histogram.samples) == 5
+        def draws(n_jobs):
+            with obs.use_registry() as registry:
+                run_replicates(
+                    _counting_replicate, n_replicates=5, seed=2, n_jobs=n_jobs
+                )
+            assert registry.counter("test.replicate_calls").value == 5
+            assert registry.counter("replicates.completed").value == 5
+            return registry.log_histogram("test.draws")
+
+        serial, parallel = draws(1), draws(2)
+        assert parallel.count == serial.count == 5
+        # bucket counts add across workers, so the merge is exact
+        assert parallel.buckets == serial.buckets
+        assert parallel.zero_count == serial.zero_count
+        assert (parallel.min, parallel.max) == (serial.min, serial.max)
 
     def test_no_spans_recorded_when_tracing_disabled(self):
         with obs.use_registry():
@@ -208,14 +216,14 @@ class TestRegistryStateMerge:
         source.counter("c").inc(3)
         source.gauge("g").set(1.5)
         for value in (1.0, 2.0, 3.0):
-            source.histogram("h").observe(value)
+            source.log_histogram("h").observe(value)
 
         target = obs.MetricsRegistry()
         target.counter("c").inc(1)
         target.merge_state(source.to_state())
         assert target.counter("c").value == 4
         assert target.gauge("g").value == 1.5
-        merged = target.histogram("h")
+        merged = target.log_histogram("h")
         assert merged.count == 3
         assert merged.total == 6.0
         assert merged.min == 1.0 and merged.max == 3.0
@@ -232,6 +240,9 @@ class TestRegistryStateMerge:
         target = obs.MetricsRegistry()
         with pytest.raises(ValueError, match="unknown kind"):
             target.merge_state({"x": {"kind": "mystery", "value": 1}})
+        # so is the "histogram" kind found in older dumps
+        with pytest.raises(ValueError, match="unknown kind 'histogram'"):
+            target.merge_state({"h": {"kind": "histogram", "count": 1}})
 
 
 class TestAdoptRecords:

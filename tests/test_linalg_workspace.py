@@ -43,7 +43,7 @@ def sparse_problem():
 class TestFactorizationCache:
     def test_exact_repeat_solve_hits_cache(self, problem):
         data, graph = problem
-        ws = SolveWorkspace(graph.weights, exact=True)
+        ws = SolveWorkspace(graph.weights, backend="exact")
         a = ws.solve_soft(data.y_labeled, 0.1)
         b = ws.solve_soft(data.y_labeled, 0.1)
         stats = ws.stats()
@@ -53,7 +53,7 @@ class TestFactorizationCache:
 
     def test_lru_eviction(self, problem):
         data, graph = problem
-        ws = SolveWorkspace(graph.weights, exact=True, max_factorizations=2)
+        ws = SolveWorkspace(graph.weights, backend="exact", max_factorizations=2)
         for lam in (0.1, 0.2, 0.3):
             ws.solve_soft(data.y_labeled, lam)
         stats = ws.stats()
@@ -76,7 +76,7 @@ class TestFactorizationCache:
 
     def test_distinct_masks_get_distinct_factorizations(self, problem):
         data, graph = problem
-        ws = SolveWorkspace(graph.weights, exact=True)
+        ws = SolveWorkspace(graph.weights, backend="exact")
         ws.solve_soft(data.y_labeled, 0.1)
         ws.solve_soft(data.y_labeled[:50], 0.1)
         assert ws.stats().factor_misses == 2
@@ -96,6 +96,12 @@ class TestFactorizationCache:
             ws.solve_soft(np.ones(10), 0.1, backend="nope")
         with pytest.raises(ConfigurationError):
             check_sweep_backend("spectral")
+        # the hard solve always runs the exact grounded factorization,
+        # so it takes no backend and no strict-mode switch exists
+        with pytest.raises(TypeError):
+            ws.solve_hard(np.ones(10), backend="nope")
+        with pytest.raises(TypeError):
+            SolveWorkspace(graph.weights, exact=True)
 
 
 class TestContinuation:
@@ -141,13 +147,6 @@ class TestContinuation:
                 fit.scores, reference.scores, atol=1e-8, rtol=0
             )
 
-    def test_exact_mode_overrides_backend(self, problem):
-        data, graph = problem
-        ws = SolveWorkspace(graph.weights, backend="multigrid", exact=True)
-        fit = ws.solve_soft(data.y_labeled, 0.1)
-        assert fit.method == "workspace[exact]"
-        assert ws.stats().coarsen_builds == 0
-
 
 class TestInvalidation:
     def test_dense_mutation_raises(self, problem):
@@ -171,7 +170,7 @@ class TestInvalidation:
     def test_recompute_mode_reflects_mutation(self, problem):
         data, graph = problem
         weights = graph.weights.copy()
-        ws = SolveWorkspace(weights, exact=True, on_mutation="recompute")
+        ws = SolveWorkspace(weights, backend="exact", on_mutation="recompute")
         ws.solve_soft(data.y_labeled, 0.1)
         ws.weights[0, 1] += 0.25
         ws.weights[1, 0] += 0.25
@@ -183,7 +182,7 @@ class TestInvalidation:
 
     def test_explicit_invalidate_clears_caches(self, problem):
         data, graph = problem
-        ws = SolveWorkspace(graph.weights, exact=True)
+        ws = SolveWorkspace(graph.weights, backend="exact")
         ws.solve_soft(data.y_labeled, 0.1)
         ws.invalidate()
         ws.solve_soft(data.y_labeled, 0.1)
@@ -208,7 +207,7 @@ class TestInvalidation:
         data = make_synthetic_dataset(60, 30, seed=3)
         bandwidth = paper_bandwidth_rule(60, 5)
         weights = full_kernel_graph(data.x_all, bandwidth=bandwidth).weights.copy()
-        ws = SolveWorkspace(weights, exact=True, on_mutation=mode)
+        ws = SolveWorkspace(weights, backend="exact", on_mutation=mode)
         stale = ws.solve_soft(data.y_labeled, 0.1)
         i, j = entry
         ws.weights[i, j] += bump
@@ -228,7 +227,7 @@ class TestInvalidation:
 class TestCoreDelegation:
     def test_soft_workspace_kwarg(self, problem):
         data, graph = problem
-        ws = SolveWorkspace(graph.weights, exact=True)
+        ws = SolveWorkspace(graph.weights, backend="exact")
         fit = solve_soft_criterion(
             graph.weights, data.y_labeled, 0.1, workspace=ws
         )

@@ -25,9 +25,9 @@ from repro.obs.export import (
     load_header,
     load_jsonl,
     render_trace_report,
-    render_tree,
     write_jsonl,
 )
+from repro.obs.ledger import render_span_tree
 from repro.obs.probes import condition_estimate, graph_stats
 
 
@@ -105,7 +105,7 @@ class TestMetrics:
         registry.counter("events").inc(2)
         registry.gauge("size").set(42)
         for value in (1.0, 2.0, 3.0, 4.0):
-            registry.histogram("latency").observe(value)
+            registry.log_histogram("latency").observe(value)
         snap = registry.snapshot()
         assert snap["events"]["value"] == 3.0
         assert snap["size"]["value"] == 42.0
@@ -124,65 +124,29 @@ class TestMetrics:
         with pytest.raises(TypeError):
             registry.gauge("x")
 
-    def test_histogram_sample_cap_keeps_exact_aggregates(self):
-        from repro.obs.metrics import Histogram
+    def test_histogram_sample_cap_keeps_exact_aggregates(self, monkeypatch):
+        """Scalar observes queue for deferred bucketing; the queue is
+        folded in at ``PENDING_LIMIT`` values, so it never grows past
+        the cap, and the aggregates stay exact throughout."""
+        from repro.obs.metrics import LogBucketHistogram
 
-        hist = Histogram("h", max_samples=10)
+        monkeypatch.setattr(LogBucketHistogram, "PENDING_LIMIT", 10)
+        hist = LogBucketHistogram("h")
         for value in range(100):
             hist.observe(float(value))
+            assert hist._n_pending < 10
         assert hist.count == 100
-        assert len(hist.samples) == 10
+        assert hist.zero_count == 1  # the 0.0 observation
         assert hist.min == 0.0 and hist.max == 99.0
         assert hist.mean == pytest.approx(49.5)
-
-    def test_merge_state_respects_sample_cap(self):
-        """Regression: merging two near-full histograms used to let the
-        sample buffer grow unboundedly past ``max_samples``."""
-        from repro.obs.metrics import Histogram
-
-        left = Histogram("h", max_samples=100)
-        right = Histogram("h", max_samples=100)
-        for value in range(90):
-            left.observe(float(value))
-        for value in range(90):
-            right.observe(float(1000 + value))
-        left.merge_state(right.to_state())
-        assert left.count == 180
-        assert len(left.samples) == 100
-        assert left.min == 0.0 and left.max == 1089.0
-        assert left.total == pytest.approx(sum(range(90)) + sum(range(1000, 1090)))
-
-    def test_merge_subsample_is_deterministic_and_balanced(self):
-        """The capped subsample is seeded by metric name (reproducible)
-        and weighted, so an imbalanced merge keeps both sides roughly in
-        proportion instead of drowning the small side."""
-        from repro.obs.metrics import Histogram
-
-        def merged():
-            left = Histogram("imbalanced", max_samples=200)
-            right = Histogram("imbalanced", max_samples=200)
-            for value in range(190):
-                left.observe(0.0)
-            for value in range(19_000):
-                right.observe(1.0)
-            left.merge_state(right.to_state())
-            return left
-
-        first, second = merged(), merged()
-        assert first.samples == second.samples  # deterministic
-        assert len(first.samples) == 200
-        small_side = first.samples.count(0.0)
-        # left holds 1% of the mass (190 of 19190); its representation
-        # in the capped buffer must be of that order, not 50% (the old
-        # truncate-left bug) nor 0%
-        assert 0 < small_side < 30
+        assert sum(hist.buckets.values()) == 99
 
     def test_merge_preserves_quantiles_approximately(self):
-        from repro.obs.metrics import Histogram
+        from repro.obs.metrics import LogBucketHistogram
 
         rng = np.random.default_rng(0)
-        left = Histogram("q", max_samples=500)
-        right = Histogram("q", max_samples=500)
+        left = LogBucketHistogram("q")
+        right = LogBucketHistogram("q")
         a = rng.exponential(size=450)
         b = rng.exponential(size=450)
         for value in a:
@@ -190,9 +154,11 @@ class TestMetrics:
         for value in b:
             right.observe(float(value))
         left.merge_state(right.to_state())
-        pooled = np.concatenate([a, b])
+        pooled = np.sort(np.concatenate([a, b]))
+        exact_p50 = pooled[int(np.ceil(0.5 * pooled.size)) - 1]
+        assert left.count == 900
         assert left.snapshot()["p50"] == pytest.approx(
-            float(np.quantile(pooled, 0.5)), rel=0.25
+            exact_p50, rel=left.relative_error
         )
 
     def test_use_registry_isolates_tests(self):
@@ -251,9 +217,10 @@ class TestExporters:
         report = render_trace_report(tracer)
         assert "parent" in report and "child" in report
         assert "span" in report and "mean_s" in report
-        tree = render_tree(tracer)
-        assert tree.splitlines()[0].startswith("parent")
-        assert tree.splitlines()[1].startswith("  child")
+        header, _, parent, child = render_span_tree(tracer).splitlines()
+        assert header.split()[:2] == ["span", "duration_s"]
+        assert parent.split()[0] == "parent"
+        assert child.index("child") == parent.index("parent") + 2
 
     def test_render_report_empty(self):
         assert "empty trace" in render_trace_report([])
@@ -586,7 +553,7 @@ class TestNoopOverheadGuard:
                 probes.record_solve_info(span, info)
                 registry = obs.get_registry()
                 registry.counter("solves.hard").inc()
-                registry.histogram("solves.hard.system_size").observe(20)
+                registry.log_histogram("solves.hard.system_size").observe(20)
 
         per_call = best_of(telemetry_sequence, repeats=2000)
         assert per_call < 0.05 * per_solve, (

@@ -39,7 +39,7 @@ def golden_registry() -> MetricsRegistry:
     reg.counter("serving.drift.flagged").inc(2)
     reg.gauge("serving.request.throughput_qps").set(1234.5)
     reg.gauge("serving.drift.nystrom_margin_min").set(-0.25)
-    hist = reg.histogram("solve.residual")
+    hist = reg.log_histogram("solve.residual")
     for value in (0.25, 0.5, 0.75, 1.0):
         hist.observe(value)
     reg.log_histogram("serving.request.latency_s").observe_many(
@@ -97,16 +97,27 @@ class TestParseBackRoundTrip:
         assert buckets[-1].value == count == 5
 
     def test_summary_quantiles(self):
-        families = parse_openmetrics(render_openmetrics(golden_registry().snapshot()))
-        family = families["solve_residual"]
+        """The exporter writes no summaries, but lint-metrics also reads
+        expositions written by other programs, so the parser keeps
+        accepting summary families."""
+        exposed = render_openmetrics(golden_registry().snapshot())
+        assert "summary" not in exposed
+        families = parse_openmetrics(
+            "# TYPE rpc_duration_s summary\n"
+            'rpc_duration_s{quantile="0.5"} 0.25\n'
+            'rpc_duration_s{quantile="0.99"} 1\n'
+            "rpc_duration_s_sum 2.5\n"
+            "rpc_duration_s_count 4\n"
+            "# EOF\n"
+        )
+        family = families["rpc_duration_s"]
         assert family.type == "summary"
         quantiles = {
             s.labels["quantile"]: s.value
             for s in family.samples
             if "quantile" in s.labels
         }
-        assert set(quantiles) == {"0.5", "0.9", "0.95", "0.99"}
-        assert quantiles["0.5"] <= quantiles["0.99"]
+        assert quantiles == {"0.5": 0.25, "0.99": 1.0}
 
 
 class TestNameAndLabelHandling:
@@ -209,6 +220,38 @@ class TestCliExportAndLint:
         assert main(["obs", "export-metrics", str(dump)]) == 0
         out = capsys.readouterr().out
         assert "# TYPE serving_request_latency_s histogram" in out
+
+    def test_export_rejects_pre_change_histogram_kind(self, tmp_path, capsys):
+        """Dumps from before the registry had one histogram type carry
+        ``kind: "histogram"`` entries; exporting one fails cleanly."""
+        import json
+
+        from repro.cli import main
+
+        dump = tmp_path / "old.json"
+        dump.write_text(
+            json.dumps(
+                {
+                    "schema": "repro.metrics/v1",
+                    "metrics": {
+                        "solves.hard": {"kind": "counter", "value": 2.0},
+                        "solves.hard.system_size": {
+                            "kind": "histogram", "count": 2, "sum": 40.0,
+                            "min": 20.0, "max": 20.0, "mean": 20.0,
+                            "p50": 20.0, "p90": 20.0, "p95": 20.0, "p99": 20.0,
+                        },
+                    },
+                }
+            )
+        )
+        prom = tmp_path / "old.prom"
+        assert main(["obs", "export-metrics", str(dump), "-o", str(prom)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:")
+        assert "metric 'solves.hard.system_size' has unknown kind 'histogram'" in line
+        assert not prom.exists()
 
     def test_lint_rejects_invalid_file(self, tmp_path, capsys):
         from repro.cli import main

@@ -3,10 +3,10 @@
 The contract under test: ``repro obs slo`` exits 0 when every objective
 is met, 1 on any breach (including an objective whose metric is absent
 — an SLO you cannot observe is not being met), and 2 on configuration
-errors (unreadable spec, unknown keys, no metrics source).  Satellite
-6's regression lives here too: a corrupt ``--ledger`` file or a
-no-matching-runs query is a one-line ``error:`` + exit 2, never a
-traceback.
+errors (unreadable spec, unknown keys, mistyped values, no metrics
+source).  The ledger error paths live here too: a corrupt ``--ledger``
+file or a no-matching-runs query is a one-line ``error:`` + exit 2,
+never a traceback.
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ import pytest
 from repro.cli import main
 from repro.exceptions import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import (
-    evaluate_slo,
-    load_slo_spec,
-    parse_toml_subset,
-)
+from repro.obs.slo import evaluate_slo, load_slo_spec
 
 
 def serving_metrics(*, p99=0.02, errors=0, qps=900.0, drift=0.05) -> dict:
@@ -40,44 +36,62 @@ def serving_metrics(*, p99=0.02, errors=0, qps=900.0, drift=0.05) -> dict:
     return reg.snapshot()
 
 
+def write_spec(tmp_path, text: str, suffix: str = ".toml"):
+    spec = tmp_path / f"slo{suffix}"
+    spec.write_text(text)
+    return spec
+
+
 class TestTomlSubsetParser:
-    def test_sections_numbers_strings_bools(self):
-        data = parse_toml_subset(
-            "# header comment\n"
-            "[latency]\n"
-            'metric = "custom.lat"  # trailing comment\n'
-            "p99_max_s = 0.25\n"
-            "[drift]\n"
-            "max_flag_fraction = 0.1\n"
+    """SLO specs use a subset of TOML: ``[section]`` tables of scalar
+    keys.  :mod:`tomllib` parses the file; :func:`load_slo_spec`
+    rejects whatever falls outside the subset."""
+
+    def test_sections_numbers_strings_bools(self, tmp_path):
+        data = load_slo_spec(
+            write_spec(
+                tmp_path,
+                "# header comment\n"
+                "[latency]\n"
+                'metric = "custom.lat"  # trailing comment\n'
+                "p99_max_s = 0.25\n"
+                "[drift]\n"
+                "max_flag_fraction = 0.1\n"
+                "[throughput]\n"
+                "min_qps = 500\n",
+            )
         )
         assert data["latency"]["metric"] == "custom.lat"
         assert data["latency"]["p99_max_s"] == 0.25
         assert data["drift"]["max_flag_fraction"] == 0.1
+        assert data["throughput"]["min_qps"] == 500  # integers are numbers too
 
-    def test_key_outside_section_rejected(self):
-        with pytest.raises(ConfigurationError, match="outside"):
-            parse_toml_subset("p99_max_s = 1.0\n")
+    def test_key_outside_section_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="unknown section"):
+            load_slo_spec(write_spec(tmp_path, "p99_max_s = 1.0\n"))
 
-    def test_unterminated_string_rejected(self):
-        with pytest.raises(ConfigurationError, match="unterminated"):
-            parse_toml_subset('[latency]\nmetric = "oops\n')
+    def test_unterminated_string_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="not valid TOML"):
+            load_slo_spec(write_spec(tmp_path, '[latency]\nmetric = "oops\n'))
 
-    def test_non_scalar_value_rejected(self):
-        with pytest.raises(ConfigurationError, match="not a number"):
-            parse_toml_subset("[latency]\np99_max_s = [1, 2]\n")
+    def test_non_scalar_value_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="finite number"):
+            load_slo_spec(write_spec(tmp_path, "[latency]\np99_max_s = [1, 2]\n"))
 
-    def test_matches_tomllib_on_real_spec(self, tmp_path):
-        tomllib = pytest.importorskip("tomllib")
-        text = (
-            "[latency]\n"
-            "p50_max_s = 0.005\n"
-            "p99_max_s = 0.25\n"
-            "[errors]\n"
-            "max_rate = 0.01\n"
-            "[throughput]\n"
-            "min_qps = 500.0\n"
-        )
-        assert parse_toml_subset(text) == tomllib.loads(text)
+
+#: (suffix, spec text, section, key, message) for mistyped spec values.
+MISTYPED_SPECS = [
+    (".toml", "[errors]\nmax_rate = true\n", "errors", "max_rate", "finite number"),
+    (".toml", '[latency]\np99_max_s = "fast"\n', "latency", "p99_max_s", "finite number"),
+    (".toml", "[latency]\np99_max_s = nan\n", "latency", "p99_max_s", "finite number"),
+    (".toml", "[latency]\nmetric = 7\np99_max_s = 1.0\n", "latency", "metric", "metric name"),
+    (".toml", '[errors]\nerror_metric = ""\nmax_rate = 0.1\n', "errors", "error_metric", "metric name"),
+    (".json", '{"errors": {"max_rate": true}}', "errors", "max_rate", "finite number"),
+    (".json", '{"latency": {"p99_max_s": "fast"}}', "latency", "p99_max_s", "finite number"),
+    (".json", '{"latency": {"p99_max_s": null}}', "latency", "p99_max_s", "finite number"),
+    (".json", '{"latency": {"p99_max_s": [1, 2]}}', "latency", "p99_max_s", "finite number"),
+    (".json", '{"errors": {"ok_metric": null, "max_rate": 0.1}}', "errors", "ok_metric", "metric name"),
+]
 
 
 class TestSpecLoading:
@@ -107,6 +121,16 @@ class TestSpecLoading:
     def test_missing_file_is_configuration_error(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):
             load_slo_spec(tmp_path / "absent.toml")
+
+    @pytest.mark.parametrize("suffix,text,section,key,message", MISTYPED_SPECS)
+    def test_mistyped_value_rejected(self, tmp_path, suffix, text, section, key, message):
+        spec = write_spec(tmp_path, text, suffix)
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_slo_spec(spec)
+        error = str(excinfo.value)
+        assert str(spec) in error
+        assert f"[{section}] {key}" in error
+        assert message in error
 
 
 class TestEvaluation:
@@ -211,6 +235,20 @@ class TestCliGate:
         code = main(["obs", "slo", str(spec), "--metrics-dump", str(dump)])
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix,text,section,key,message", MISTYPED_SPECS)
+    def test_mistyped_value_exits_two(
+        self, dump, tmp_path, capsys, suffix, text, section, key, message
+    ):
+        spec = write_spec(tmp_path, text, suffix)
+        code = main(["obs", "slo", str(spec), "--metrics-dump", str(dump)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err_lines = captured.err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error: ")
+        assert f"[{section}] {key}" in err_lines[0]
 
 
 class TestLedgerErrorPaths:

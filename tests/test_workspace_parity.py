@@ -89,7 +89,7 @@ class TestBackendParity:
         op order as :func:`solve_soft_criterion`, so it must produce the
         SAME floats, not merely close ones."""
         data, graph = sparse_problem
-        ws = SolveWorkspace(graph.weights, exact=True)
+        ws = SolveWorkspace(graph.weights, backend="exact")
         for lam in LAMBDA_GRID:
             direct = solve_soft_criterion(
                 graph.weights, data.y_labeled, lam, check_reachability=False
