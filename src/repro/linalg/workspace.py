@@ -694,9 +694,10 @@ class SolveWorkspace:
             self._coarse_masks[n] = cached
         return cached
 
-    def _multigrid_preconditioner(self, lam: float, n: int):
+    def _multigrid_preconditioner(self, system, lam: float, n: int):
+        """V-cycle over ``system`` (the assembled ``soft_system(lam, n)``)."""
         hierarchy = self.hierarchy()
-        systems = [self.soft_system(lam, n)]
+        systems = [system]
         for level, mask in zip(hierarchy.levels, self._coarse_mask_diagonals(n)):
             systems.append(
                 (lam * level.laplacian + sparse.diags(mask, format="csr")).tocsr()
@@ -709,7 +710,7 @@ class SolveWorkspace:
         system = self.soft_system(lam, n)
         rhs = self._rhs_soft(y)
         registry = obs.get_registry()
-        preconditioner = self._multigrid_preconditioner(lam, n)
+        preconditioner = self._multigrid_preconditioner(system, lam, n)
         x0 = state.last_solution
         warm = x0 is not None
         try:

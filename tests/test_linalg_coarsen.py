@@ -2,9 +2,13 @@
 
 The hypothesis suite pins the structural invariants the V-cycle relies
 on: every matching yields a valid aggregation operator (one unit entry
-per row, no empty aggregates, at most two vertices per aggregate), the
-Galerkin triple product ``PᵀAP`` of an SPD system is SPD, and the
-coarse Laplacian identity ``PᵀL(W)P = L(PᵀWP)`` holds exactly.  The
+per row, no empty aggregates, at most two vertices per aggregate, pairs
+joined by a positive edge), the Galerkin triple product ``PᵀAP`` of an
+SPD system is SPD, and the coarse Laplacian identity
+``PᵀL(W)P = L(PᵀWP)`` holds exactly.  The vectorized mutual-proposal
+matching is pinned against a per-vertex loop of the same rounds, its
+hashed tie-break against unit-weight chains and grids, and its
+independence of vertex order against relabelled kNN graphs.  The
 performance-shaped property — multigrid-preconditioned CG reaches a
 residual no worse than unpreconditioned CG on the same iteration
 budget — is what justifies shipping the backend at all.
@@ -28,6 +32,7 @@ from repro.kernels.bandwidth import paper_bandwidth_rule
 from repro.kernels.base import pairwise_sq_distances
 from repro.linalg.advanced import preconditioned_conjugate_gradient
 from repro.linalg.coarsen import (
+    MATCHING_ROUNDS,
     CoarseningHierarchy,
     MultigridPreconditioner,
     aggregation_operator,
@@ -66,6 +71,78 @@ def _soft_system(weights, lam, n_labeled):
     return (sparse.diags(mask) + lam * laplacian(weights)).tocsr()
 
 
+def _path(n, weights):
+    """The chain ``0 - 1 - … - n-1`` with edge ``(i, i+1)`` weighing ``weights[i]``."""
+    i = np.arange(n - 1)
+    upper = sparse.coo_matrix((weights, (i, i + 1)), shape=(n, n))
+    return (upper + upper.T).tocsr()
+
+
+def _grid(m):
+    """The unit-weight ``m × m`` lattice."""
+    path = _path(m, np.ones(m - 1))
+    eye = sparse.identity(m)
+    return (sparse.kron(path, eye) + sparse.kron(eye, path)).tocsr()
+
+
+def _partition(labels, names=None):
+    """The aggregates as sets of vertex names (default: the indices)."""
+    names = np.arange(labels.size) if names is None else names
+    groups = {}
+    for name, label in zip(names, labels):
+        groups.setdefault(label, set()).add(int(name))
+    return {frozenset(group) for group in groups.values()}
+
+
+def _splitmix64(i, j):
+    """splitmix64 of the unordered pair ``{i, j}`` in Python integers."""
+    mask = (1 << 64) - 1
+    z = ((min(i, j) << 32) | max(i, j)) + 0x9E3779B97F4A7C15 & mask
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+    return z ^ (z >> 31)
+
+
+def _reference_matching(weights):
+    """Per-vertex loop over the same mutual-proposal rounds.
+
+    Each unmatched vertex proposes the live neighbour with the largest
+    ``(weight, hash)``; mutual proposals match; aggregates are numbered
+    by their smallest member.
+    """
+    csr = sparse.csr_matrix(weights)
+    n = csr.shape[0]
+    partner = [-1] * n
+    for _ in range(MATCHING_ROUNDS):
+        proposal = {}
+        for i in range(n):
+            if partner[i] >= 0:
+                continue
+            row = slice(csr.indptr[i], csr.indptr[i + 1])
+            best = None
+            for j, w in zip(csr.indices[row], csr.data[row]):
+                if j != i and w > 0 and partner[j] < 0:
+                    key = (w, _splitmix64(i, int(j)))
+                    if best is None or key > best[0]:
+                        best = (key, int(j))
+            if best is not None:
+                proposal[i] = best[1]
+        matched = [i for i, j in proposal.items() if proposal.get(j) == i]
+        if not matched:
+            break
+        for i in matched:
+            partner[i] = proposal[i]
+    labels = np.full(n, -1, dtype=np.intp)
+    n_coarse = 0
+    for i in range(n):
+        if labels[i] < 0:
+            labels[i] = n_coarse
+            if partner[i] >= 0:
+                labels[partner[i]] = n_coarse
+            n_coarse += 1
+    return labels
+
+
 class TestHeavyEdgeMatching:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -82,11 +159,53 @@ class TestHeavyEdgeMatching:
         # no empty aggregates, and pair matching caps aggregates at 2
         assert counts.min() >= 1
         assert counts.max() <= 2
+        # a pair is only ever matched along a positive-weight edge
+        for aggregate in np.flatnonzero(counts == 2):
+            i, j = np.flatnonzero(labels == aggregate)
+            assert weights[i, j] > 0
         p = aggregation_operator(labels)
         assert p.shape == (n, labels.max() + 1)
         # exactly one unit entry per row
         assert np.array_equal(np.diff(p.indptr), np.ones(n, dtype=p.indptr.dtype))
         np.testing.assert_array_equal(p.data, np.ones(n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**16),
+        decimals=st.sampled_from([None, 2, 1]),
+    )
+    def test_matches_per_vertex_reference(self, n, seed, decimals):
+        """Rounding the weights creates ties, so the hash decides them."""
+        weights = _random_graph(n, seed)
+        if decimals is not None:
+            weights.data = np.round(weights.data, decimals)
+        np.testing.assert_array_equal(
+            heavy_edge_matching(weights), _reference_matching(weights)
+        )
+
+    @pytest.mark.parametrize("shape", ["path", "grid"])
+    def test_unit_weight_ties_still_halve_the_graph(self, shape):
+        """A smallest-index tie-break matches one pair per round here and
+        leaves ~0.999·n aggregates; the hashed one stays near n/2."""
+        weights = _path(10_000, np.ones(9_999)) if shape == "path" else _grid(300)
+        n = weights.shape[0]
+        assert heavy_edge_matching(weights).max() + 1 <= 0.6 * n
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=120),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_partition_ignores_vertex_order(self, n, seed):
+        """kNN weights are all distinct, so no tie-break is involved and
+        relabelling the vertices relabels the same aggregates."""
+        weights = _random_graph(n, seed)
+        perm = np.random.default_rng(seed).permutation(n)
+        permuted = weights[perm][:, perm]
+        assert _partition(heavy_edge_matching(permuted), names=perm) == (
+            _partition(heavy_edge_matching(weights))
+        )
 
     def test_matching_is_deterministic(self):
         weights = _random_graph(50, 3)
@@ -171,6 +290,32 @@ class TestHierarchy:
             assert diag.sum() == pytest.approx(30.0)
         with pytest.raises(DataValidationError, match="length"):
             hierarchy.coarsen_diagonal(np.ones(7))
+
+    def test_monotone_chain_stalls_and_still_solves(self):
+        """Strictly increasing weights: only the heaviest remaining edge
+        is mutual, so each round matches one pair and the level stalls.
+        Every multigrid entry point must still solve exactly."""
+        n = 2000
+        weights = _path(n, np.arange(1.0, n))
+        hierarchy = build_hierarchy(weights, min_coarse_size=16)
+        assert hierarchy.sizes == (n,)
+        system = _soft_system(weights, 0.5, n // 20)
+        rhs = np.random.default_rng(3).normal(size=n)
+        expected = solve_spd(system, rhs, method="direct")
+        np.testing.assert_allclose(
+            solve_multigrid(system, rhs, min_coarse_size=16).x, expected, atol=1e-7
+        )
+        y = np.sin(np.arange(n // 20))
+        workspace = SolveWorkspace(weights, backend="multigrid")
+        for lam in (0.05, 0.5, 5.0):
+            expected = solve_spd(
+                _soft_system(weights, lam, y.size),
+                np.concatenate([y, np.zeros(n - y.size)]),
+                method="direct",
+            )
+            np.testing.assert_allclose(
+                workspace.solve_soft(y, lam).scores, expected, atol=1e-7
+            )
 
     def test_invalid_config_rejected(self):
         weights = _random_graph(30, 0)
