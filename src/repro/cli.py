@@ -61,6 +61,8 @@ import sys
 
 from repro.experiments.report import ascii_table, format_sweep_result, write_csv
 from repro.linalg.workspace import SWEEP_BACKEND_CHOICES
+from repro.serving.evaluate import SERVE_EVAL_GRAPHS
+from repro.serving.model import SERVING_METHODS
 
 __all__ = ["main", "build_parser"]
 
@@ -933,11 +935,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="ModelServer auto-flush threshold (default 64)",
     )
     p.add_argument(
-        "--method", choices=("nw", "nystrom", "exact", "all"), default="all",
-        help="serving method to evaluate (default: all three)",
+        "--method", choices=SERVING_METHODS + ("all",), default="all",
+        help="serving method to evaluate (default: all)",
     )
     p.add_argument(
-        "--graph", choices=("full", "knn", "epsilon"), default="knn",
+        "--graph", choices=SERVE_EVAL_GRAPHS, default="knn",
         help="reference graph family (default knn — the serving scale story)",
     )
     p.add_argument("--k", type=_positive_int, default=10, help="neighbours for knn")

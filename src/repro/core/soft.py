@@ -89,7 +89,7 @@ def solve_soft_criterion(
     workspace:
         Optional :class:`~repro.linalg.workspace.SolveWorkspace` built on
         this graph.  When given, the solve is routed through the
-        workspace's cached factorizations / eigenbasis / continuation
+        workspace's cached factorizations / hierarchy / continuation
         state (``method`` and ``solver`` are ignored; the workspace's
         backend decides), amortizing repeated solves across a sweep.
     """

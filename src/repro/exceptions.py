@@ -98,7 +98,7 @@ class WorkspaceInvalidatedError(ReproError, RuntimeError):
 
     A :class:`~repro.linalg.workspace.SolveWorkspace` fingerprints its
     weight matrix at construction; serving a cached factorization or
-    eigenbasis after the weights changed would silently return answers
+    hierarchy after the weights changed would silently return answers
     for a different graph, so the workspace raises this instead (unless
     built with ``on_mutation="recompute"``).
     """

@@ -114,10 +114,21 @@ def preconditioned_conjugate_gradient(
 ) -> IterativeResult:
     """Conjugate gradients with an SPD preconditioner.
 
-    ``preconditioner`` maps a residual ``r`` to ``M^{-1} r``; defaults to
-    the Jacobi preconditioner built from the matrix diagonal.
+    ``matrix`` is a dense array, a scipy sparse matrix, or a callable
+    ``v -> A v`` for operators never worth materializing (the system size
+    is then read from ``rhs``).  ``preconditioner`` maps a residual ``r``
+    to ``M^{-1} r``; it defaults to the Jacobi preconditioner built from
+    the matrix diagonal, so a callable operator needs an explicit one.
     """
-    if sparse.issparse(matrix):
+    if callable(matrix):
+        if preconditioner is None:
+            raise ConfigurationError(
+                "a callable operator needs an explicit preconditioner; the "
+                "Jacobi default reads the diagonal of an assembled matrix"
+            )
+        matvec = matrix
+        n = None
+    elif sparse.issparse(matrix):
         mat = matrix.tocsr()
         matvec = lambda v: mat @ v
         n = mat.shape[0]
@@ -130,7 +141,9 @@ def preconditioned_conjugate_gradient(
         matvec = lambda v: mat @ v
         n = mat.shape[0]
     rhs = check_vector(rhs, "rhs", min_length=0)
-    if rhs.shape[0] != n:
+    if n is None:
+        n = rhs.shape[0]
+    elif rhs.shape[0] != n:
         raise DataValidationError(f"rhs length {rhs.shape[0]} does not match matrix size {n}")
     if preconditioner is None:
         preconditioner = jacobi_preconditioner(matrix)
@@ -144,12 +157,12 @@ def preconditioned_conjugate_gradient(
     norm = float(np.linalg.norm(rhs))
     scale = norm if norm > 0 else 1.0
     residual = rhs - matvec(x)
-    z = preconditioner(residual)
-    direction = z.copy()
-    rz = float(residual @ z)
     residuals = [float(np.linalg.norm(residual))]
     if residuals[-1] <= tol * scale:
         return IterativeResult(x, 0, tuple(residuals), True)
+    z = preconditioner(residual)
+    direction = z.copy()
+    rz = float(residual @ z)
     for iteration in range(1, max_iter + 1):
         a_direction = matvec(direction)
         curvature = float(direction @ a_direction)

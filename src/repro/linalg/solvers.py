@@ -87,10 +87,6 @@ class SolveInfo(NamedTuple):
     warm_started:
         True when an iterative backend started from a caller-supplied
         ``x0`` rather than the zero vector.
-    iterations_saved:
-        Iterations avoided relative to a known cold-start baseline
-        (``None`` when no baseline is available; populated by
-        :class:`~repro.linalg.workspace.SolveWorkspace` sweeps).
     """
 
     method: str
@@ -101,7 +97,6 @@ class SolveInfo(NamedTuple):
     nnz: int | None = None
     fill_nnz: int | None = None
     warm_started: bool = False
-    iterations_saved: int | None = None
 
 
 class SPDFactorization:

@@ -44,11 +44,6 @@ of ``V + λL`` can amplify: multigrid scores were measured within 3e-8 of
 checks every backend against per-point direct solves at ``atol=1e-8``
 on its small graphs.
 
-Iterative backends (``"cg"``, ``"jacobi"``, ``"gauss_seidel"``) are also
-supported and warm-started from the previous solution in the sweep, with
-the iterations saved relative to the sweep's cold first solve reported in
-:class:`~repro.linalg.solvers.SolveInfo`.
-
 A workspace fingerprints its weight matrix at construction and re-checks
 the fingerprint before serving any cached artifact: mutating the graph
 after caching raises :class:`~repro.exceptions.WorkspaceInvalidatedError`
@@ -82,7 +77,7 @@ from repro.linalg.coarsen import (
     MultigridPreconditioner,
     build_hierarchy,
 )
-from repro.linalg.solvers import SolveInfo, SPDFactorization, factorize_spd, solve_spd
+from repro.linalg.solvers import SolveInfo, SPDFactorization, factorize_spd
 from repro.utils.validation import (
     check_labels,
     check_positive_scalar,
@@ -106,17 +101,11 @@ SWEEP_BACKENDS = ("exact", "factored", "multigrid")
 #: the callers; the rest select a workspace backend.
 SWEEP_BACKEND_CHOICES = ("direct",) + SWEEP_BACKENDS
 
-_ITERATIVE_BACKENDS = ("cg", "jacobi", "gauss_seidel")
-
 #: Dense matrices up to this many elements get a full-content fingerprint;
 #: larger ones fall back to a strided sample plus the matrix sum (still
 #: deterministic, but detection of a single-entry mutation becomes
 #: probabilistic — documented in docs/SCALING.md).
 FULL_FINGERPRINT_MAX_ELEMENTS = 1_000_000
-
-#: Default :meth:`SolveWorkspace.eigenbasis` size for sparse graphs
-#: (dense graphs default to the full basis).
-DEFAULT_SPARSE_COMPONENTS = 256
 
 #: The factored backend switches from anchored PCG to the rank-n_labeled
 #: Woodbury continuation when the labeled block is small enough that the
@@ -155,9 +144,6 @@ class WorkspaceStats(NamedTuple):
         Factorization-cache traffic: hits serve a previously computed
         factorization, misses factorize, evictions drop the least
         recently used entry when the cache is full.
-    spectral_builds:
-        :meth:`SolveWorkspace.eigenbasis` decompositions computed (at
-        most one per basis size).
     pcg_solves / pcg_iterations:
         Anchored-PCG solves on the factored path and their total
         iteration count.
@@ -166,9 +152,6 @@ class WorkspaceStats(NamedTuple):
         budget was exceeded (each also counts as a factor miss).
     warm_starts:
         Solves that started from a previous solution.
-    iterations_saved:
-        Total iterations saved by warm-started iterative backends
-        relative to each sweep's cold first solve.
     woodbury_solves:
         Direct low-rank continuation solves on the factored path (each
         λ after the anchor costs one capacitance solve, no iterations).
@@ -188,12 +171,10 @@ class WorkspaceStats(NamedTuple):
     factor_hits: int = 0
     factor_misses: int = 0
     factor_evictions: int = 0
-    spectral_builds: int = 0
     pcg_solves: int = 0
     pcg_iterations: int = 0
     reanchors: int = 0
     warm_starts: int = 0
-    iterations_saved: int = 0
     woodbury_solves: int = 0
     coarsen_builds: int = 0
     multigrid_solves: int = 0
@@ -240,13 +221,12 @@ def _fit_result(**kwargs):
 class _Continuation:
     """Warm-start / anchor state for one labeled-mask (one sweep)."""
 
-    __slots__ = ("anchor", "anchor_lam", "last_solution", "cold_iterations")
+    __slots__ = ("anchor", "anchor_lam", "last_solution")
 
     def __init__(self):
         self.anchor: SPDFactorization | None = None
         self.anchor_lam: float | None = None
         self.last_solution: np.ndarray | None = None
-        self.cold_iterations: int | None = None
 
 
 class _WoodburyState:
@@ -290,10 +270,6 @@ class SolveWorkspace:
         every solve stops at, and (factored) the iteration budget after
         which the workspace refactorizes at the current λ and
         re-anchors.
-    n_components:
-        Default :meth:`eigenbasis` size; ``None`` means the full basis
-        for dense graphs and :data:`DEFAULT_SPARSE_COMPONENTS` for
-        sparse graphs.
     on_mutation:
         ``"raise"`` (default): serving from a workspace whose weights
         changed raises :class:`WorkspaceInvalidatedError`.
@@ -308,7 +284,6 @@ class SolveWorkspace:
         max_factorizations: int = 8,
         pcg_tol: float = 1e-10,
         reanchor_budget: int = 15,
-        n_components: int | None = None,
         on_mutation: str = "raise",
     ):
         from repro.graph.similarity import SimilarityGraph
@@ -337,7 +312,6 @@ class SolveWorkspace:
         self.max_factorizations = int(max_factorizations)
         self.pcg_tol = float(check_positive_scalar(pcg_tol, "pcg_tol"))
         self.reanchor_budget = int(reanchor_budget)
-        self.n_components = n_components
         self.on_mutation = on_mutation
 
         self._is_sparse = sparse.issparse(self.weights)
@@ -345,7 +319,6 @@ class SolveWorkspace:
         self._degrees: np.ndarray | None = None
         self._laplacian = None
         self._factors: OrderedDict[tuple, SPDFactorization] = OrderedDict()
-        self._eigencache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._continuations: dict[tuple, _Continuation] = {}
         self._woodbury: dict[int, _WoodburyState] = {}
         self._hierarchy: CoarseningHierarchy | None = None
@@ -383,7 +356,6 @@ class SolveWorkspace:
         self._degrees = None
         self._laplacian = None
         self._factors.clear()
-        self._eigencache.clear()
         self._continuations.clear()
         self._woodbury.clear()
         self._hierarchy = None
@@ -474,61 +446,6 @@ class SolveWorkspace:
             self._counters["factor_evictions"] += 1
             registry.counter("workspace.factor.evictions").inc()
         return factor
-
-    # ------------------------------------------------------------------
-    # Laplacian eigenbasis (serving's Nyström extension reads it)
-    # ------------------------------------------------------------------
-
-    def _resolve_components(self, n_components: int | None) -> int:
-        k = n_components if n_components is not None else self.n_components
-        if k is None:
-            k = (
-                min(DEFAULT_SPARSE_COMPONENTS, self.n_total - 1)
-                if self._is_sparse
-                else self.n_total
-            )
-        k = int(k)
-        if not 1 <= k <= self.n_total:
-            raise ConfigurationError(
-                f"n_components must be in [1, {self.n_total}], got {k}"
-            )
-        if self._is_sparse and k >= self.n_total:
-            raise ConfigurationError(
-                "a full eigenbasis of a sparse graph requires densification; "
-                f"request n_components < {self.n_total} or pass a dense graph"
-            )
-        return k
-
-    def eigenbasis(self, n_components: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """``(eigenvalues, eigenvectors)`` of ``L``, smoothest first (cached).
-
-        Dense graphs use a full ``eigh`` truncated to the requested size;
-        sparse graphs use shift-inverted Lanczos (``eigsh``) for the
-        ``k`` smallest eigenpairs without densifying.
-        """
-        self.check_current()
-        k = self._resolve_components(n_components)
-        cached = self._eigencache.get(k)
-        if cached is not None:
-            return cached
-        with obs.span(
-            "repro.workspace.eigenbasis", n_components=k, n_total=self.n_total
-        ):
-            if self._is_sparse:
-                from scipy.sparse.linalg import eigsh
-
-                values, vectors = eigsh(
-                    self.laplacian.tocsc(), k=k, sigma=-1e-5, which="LM"
-                )
-                order = np.argsort(values)
-                values, vectors = values[order], vectors[:, order]
-            else:
-                values, vectors = np.linalg.eigh(self.laplacian)
-                values, vectors = values[:k], vectors[:, :k]
-        self._counters["spectral_builds"] += 1
-        obs.get_registry().counter("workspace.spectral.builds").inc()
-        self._eigencache[k] = (values, vectors)
-        return values, vectors
 
     # ------------------------------------------------------------------
     # Factored (anchored PCG continuation)
@@ -747,29 +664,6 @@ class SolveWorkspace:
         return result.x, info, {"n_levels": preconditioner.n_levels}
 
     # ------------------------------------------------------------------
-    # Warm-started classic iterative backends
-    # ------------------------------------------------------------------
-
-    def _solve_iterative(self, y: np.ndarray, lam: float, n: int, method: str):
-        state = self._continuation("soft", n)
-        system = self.soft_system(lam, n)
-        rhs = self._rhs_soft(y)
-        x0 = state.last_solution
-        scores, info = solve_spd(
-            system, rhs, method=method, x0=x0, return_info=True
-        )
-        if x0 is not None:
-            self._counters["warm_starts"] += 1
-            obs.get_registry().counter("workspace.warm_starts").inc()
-            if state.cold_iterations is not None:
-                saved = max(0, state.cold_iterations - info.iterations)
-                self._counters["iterations_saved"] += saved
-                info = info._replace(iterations_saved=saved)
-        else:
-            state.cold_iterations = info.iterations
-        return scores, info, {}
-
-    # ------------------------------------------------------------------
     # Public solves
     # ------------------------------------------------------------------
 
@@ -784,10 +678,9 @@ class SolveWorkspace:
 
     def _resolve_backend(self, backend: str | None) -> str:
         resolved = backend or self.backend
-        if resolved not in SWEEP_BACKENDS + _ITERATIVE_BACKENDS:
+        if resolved not in SWEEP_BACKENDS:
             raise ConfigurationError(
-                f"backend must be one of {SWEEP_BACKENDS + _ITERATIVE_BACKENDS}, "
-                f"got {resolved!r}"
+                f"backend must be one of {SWEEP_BACKENDS}, got {resolved!r}"
             )
         return resolved
 
@@ -829,10 +722,8 @@ class SolveWorkspace:
                 info, details = factor.info(), {}
             elif resolved == "factored":
                 scores, info, details = self._solve_factored(y, lam, n)
-            elif resolved == "multigrid":
-                scores, info, details = self._solve_multigrid(y, lam, n)
             else:
-                scores, info, details = self._solve_iterative(y, lam, n, resolved)
+                scores, info, details = self._solve_multigrid(y, lam, n)
             self._continuation("soft", n).last_solution = scores
             if span.recording:
                 span.set_attribute("solve_method", info.method)

@@ -159,7 +159,6 @@ def _render_serving(metrics: dict, lines: list[str]) -> None:
     n_ok = _metric(metrics, "serving.request.outcome.ok")
     n_error = _metric(metrics, "serving.request.outcome.error")
     drift = _metric(metrics, "serving.drift.flag_fraction")
-    margin = _metric(metrics, "serving.drift.nystrom_margin_min")
     if not any(value is not None for value in (throughput, n_ok, n_error, drift)) and latency is None:
         return
     lines.append("serving")
@@ -188,13 +187,10 @@ def _render_serving(metrics: dict, lines: list[str]) -> None:
     if drift is not None:
         flagged = _metric(metrics, "serving.drift.flagged") or 0.0
         observed = _metric(metrics, "serving.drift.observed") or 0.0
-        line = (
+        lines.append(
             f"  drift           {100.0 * drift:.2f}% flagged "
             f"({int(flagged)}/{int(observed)})"
         )
-        if margin is not None:
-            line += f", nystrom margin min {margin:+.3f}"
-        lines.append(line)
 
 
 def _render_workspace(metrics: dict, lines: list[str]) -> None:

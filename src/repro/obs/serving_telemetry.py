@@ -16,14 +16,12 @@ batched — a naive per-request ``span()`` would triple it):
     ``benchmarks/test_bench_serving.py`` measures against.
 
 :class:`DriftWatchdog`
-    The paper's hard-criterion consistency guarantee (and the Nystrom
-    stability cut derived from it) holds for queries that land inside
-    the reference density's degree regime.  The watchdog freezes a
-    baseline band of attachment-row degrees at fit time
-    (:func:`fit_drift_baseline`) and, per served batch, flags queries
-    whose degree falls outside it — plus queries eroding the Nystrom
-    ``mu_k`` stability margin — as ``serving.drift.*`` metrics that the
-    SLO gate (:mod:`repro.obs.slo`) can alarm on.
+    The paper's hard-criterion consistency guarantee holds for queries
+    that land inside the reference density's degree regime.  The
+    watchdog freezes a baseline band of attachment-row degrees at fit
+    time (:func:`fit_drift_baseline`) and, per served batch, flags
+    queries whose degree falls outside it as ``serving.drift.*`` metrics
+    that the SLO gate (:mod:`repro.obs.slo`) can alarm on.
 
 Nothing here allocates spans: all output is counters/gauges/histograms
 in the ambient :class:`~repro.obs.metrics.MetricsRegistry`, so it
@@ -49,14 +47,8 @@ __all__ = [
 
 #: Quantile band of fit-time attachment degrees considered "in regime".
 #: Queries outside the band are exactly the ones for which the paper's
-#: consistency analysis (and our Nystrom cut) offers no guarantee.
+#: consistency analysis offers no guarantee.
 DRIFT_BAND = (0.025, 0.975)
-
-#: A query's Nystrom denominators ``d(x) - mu_k`` stay comfortably
-#: bounded while ``d(x) >= SAFETY * mu_max`` for the largest served
-#: eigenvalue ``mu_max``.  Below that the extension starts amplifying
-#: the top components; the watchdog flags it as margin erosion.
-NYSTROM_MARGIN_SAFETY = 2.0
 
 
 @dataclass(frozen=True)
@@ -80,9 +72,7 @@ class DriftBaseline:
 def fit_drift_baseline(degrees, *, band: tuple[float, float] = DRIFT_BAND) -> DriftBaseline:
     """Calibrate a :class:`DriftBaseline` from reference-vertex degrees.
 
-    ``degrees`` is the fitted graph's degree vector (the same array the
-    Nystrom stability cut quantiles, so serving and drift detection
-    agree on what "in regime" means).
+    ``degrees`` is the fitted graph's degree vector.
     """
     degrees = np.asarray(degrees, dtype=np.float64).ravel()
     if degrees.size == 0:
@@ -112,10 +102,6 @@ class DriftWatchdog:
         Gauge: cumulative flagged/observed — the number SLO specs bound.
     ``serving.drift.degree_low`` / ``serving.drift.degree_high``
         Counters splitting the flags by which side of the band.
-    ``serving.drift.nystrom_margin_min``
-        Gauge: the worst ``d(x) / (SAFETY * mu_max) - 1`` seen (only
-        when serving supplies ``mu_max``); negative means some query's
-        stability margin eroded, and those queries are flagged too.
     """
 
     def __init__(self, baseline: DriftBaseline, *, registry: MetricsRegistry | None = None):
@@ -123,7 +109,6 @@ class DriftWatchdog:
         self._registry = registry
         self.observed = 0
         self.flagged = 0
-        self.margin_min = np.inf
 
     def _reg(self) -> MetricsRegistry:
         return self._registry if self._registry is not None else get_registry()
@@ -132,36 +117,22 @@ class DriftWatchdog:
     def flag_fraction(self) -> float:
         return self.flagged / self.observed if self.observed else 0.0
 
-    def observe(self, degrees, *, mu_max: float | None = None) -> int:
+    def observe(self, degrees) -> int:
         """Record one served batch's degrees; returns how many flagged."""
         degrees = np.asarray(degrees, dtype=np.float64).ravel()
         if degrees.size == 0:
             return 0
-        vmin = float(degrees.min())
-        vmax = float(degrees.max())
-        floor = None
-        if mu_max is not None and mu_max > 0.0:
-            floor = NYSTROM_MARGIN_SAFETY * mu_max
-            batch_min = vmin / floor - 1.0
-            if batch_min < self.margin_min:
-                self.margin_min = batch_min
         if (
-            vmin >= self.baseline.degree_lo
-            and vmax <= self.baseline.degree_hi
-            and (floor is None or vmin >= floor)
+            float(degrees.min()) >= self.baseline.degree_lo
+            and float(degrees.max()) <= self.baseline.degree_hi
         ):
             # Whole batch in regime — the hot-path common case: two
             # reductions decide it, no boolean masks allocated.
             n_flagged = n_low = n_high = 0
         else:
-            low = degrees < self.baseline.degree_lo
-            high = degrees > self.baseline.degree_hi
-            flags = np.logical_or(low, high)
-            if floor is not None:
-                flags |= degrees < floor
-            n_flagged = int(np.count_nonzero(flags))
-            n_low = int(np.count_nonzero(low))
-            n_high = int(np.count_nonzero(high))
+            n_low = int(np.count_nonzero(degrees < self.baseline.degree_lo))
+            n_high = int(np.count_nonzero(degrees > self.baseline.degree_hi))
+            n_flagged = n_low + n_high
         self.observed += int(degrees.size)
         self.flagged += n_flagged
 
@@ -174,10 +145,6 @@ class DriftWatchdog:
             if n_high:
                 registry.counter("serving.drift.degree_high").inc(n_high)
         registry.gauge("serving.drift.flag_fraction").set(self.flag_fraction)
-        if np.isfinite(self.margin_min):
-            registry.gauge("serving.drift.nystrom_margin_min").set(
-                float(self.margin_min)
-            )
         return n_flagged
 
 

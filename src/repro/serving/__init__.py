@@ -5,11 +5,10 @@ for the vertices the criterion was solved on.  This package is the
 fit-once/query-many counterpart:
 
 * :class:`~repro.serving.model.GraphSSLModel` — fit a reference graph
-  once (cached factorization + eigenbasis via
+  once (cached factorization via
   :class:`~repro.linalg.workspace.SolveWorkspace`), then serve new
-  points through the Nadaraya-Watson rule, a Nystrom eigenbasis
-  extension, or exact incremental vertex insertion, with optional
-  per-query credible intervals.
+  points through the Nadaraya-Watson rule or exact incremental vertex
+  insertion, with optional per-query credible intervals.
 * :class:`~repro.serving.server.ModelServer` — request micro-batching
   in front of a fitted model.
 * :func:`~repro.serving.evaluate.run_serve_eval` — the ``repro

@@ -28,7 +28,12 @@ from repro.exceptions import ConfigurationError
 from repro.serving.model import SERVING_METHODS, GraphSSLModel
 from repro.serving.server import ModelServer
 
-__all__ = ["ServeEvalResult", "MethodReport", "run_serve_eval"]
+__all__ = ["ServeEvalResult", "MethodReport", "run_serve_eval", "SERVE_EVAL_GRAPHS"]
+
+#: Reference graph families ``serve-eval`` builds.  Both need only the
+#: neighbour count ``k`` it already takes; an epsilon graph would also
+#: need a radius.
+SERVE_EVAL_GRAPHS = ("full", "knn")
 
 
 @dataclass(frozen=True)
@@ -128,8 +133,9 @@ def run_serve_eval(
     methods:
         A method name, an iterable of names, or ``"all"``.
     graph, k:
-        Reference graph family (``knn`` default — the serving scale
-        story) and its neighbour count.
+        Reference graph family, one of :data:`SERVE_EVAL_GRAPHS`
+        (``knn`` default — the serving scale story), and its neighbour
+        count.
     lam:
         Criterion (``0`` = hard).
     parity_sample:
@@ -163,6 +169,10 @@ def run_serve_eval(
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     if parity_sample < 0:
         raise ConfigurationError(f"parity_sample must be >= 0, got {parity_sample}")
+    if graph not in SERVE_EVAL_GRAPHS:
+        raise ConfigurationError(
+            f"serve-eval graph must be one of {SERVE_EVAL_GRAPHS}, got {graph!r}"
+        )
     method_names = _resolve_methods(methods)
     if single_sample is None:
         single_sample = min(64, n_queries)

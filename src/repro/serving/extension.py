@@ -1,21 +1,14 @@
-"""Out-of-sample extension rules over a fitted reference graph.
+"""Out-of-sample extension of the fitted scores to a new query.
 
-Two fast O(row) rules, both consuming the frozen-graph query rows from
-:mod:`repro.serving.queries`:
+:func:`nw_extend` is the Nadaraya-Watson / harmonic one-step rule
+``f(x) = sum_j w(x, x_j) f_j / sum_j w(x, x_j)`` over the *fitted*
+scores, consuming one frozen-graph query row from
+:mod:`repro.serving.queries` in O(row).  It is exactly the minimizer of
+the extended hard criterion when every reference score is held fixed,
+and the paper's Theorem II.1 proof device (the hard criterion converges
+to this estimator).
 
-* :func:`nw_extend` — the Nadaraya-Watson / harmonic one-step rule
-  ``f(x) = sum_j w(x, x_j) f_j / sum_j w(x, x_j)`` over the *fitted*
-  scores.  This is exactly the minimizer of the extended hard criterion
-  when every reference score is held fixed, and the paper's Theorem II.1
-  proof device (the hard criterion converges to this estimator).
-* :func:`nystrom_extend` — the Nystrom extension of the cached Laplacian
-  eigenbasis.  An eigenpair ``L u = mu u`` of the reference Laplacian
-  satisfies ``u_i = (sum_j w_ij u_j) / (d_i - mu)``; applying the same
-  identity at a new point extends each eigenvector, and the prediction
-  is the fitted scores' projection onto the basis evaluated at the
-  query: ``f(x) = sum_k a_k u_k(x)`` with ``a = U^T f``.
-
-Both raise :class:`~repro.exceptions.DataValidationError` for queries
+It raises :class:`~repro.exceptions.DataValidationError` for queries
 with zero coupling mass (no reference point inside the kernel/graph
 support): there is no graph information about such a point, and a
 silent 0/0 would serve NaNs.
@@ -28,23 +21,7 @@ import numpy as np
 from repro.exceptions import DataValidationError
 from repro.serving.queries import QueryRow
 
-__all__ = ["nw_extend", "nystrom_extend"]
-
-#: Relative floor applied to Nystrom denominators ``d(x) - mu_k``.  A
-#: component whose denominator vanishes carries no stable extension
-#: information at this query; flooring (with sign preserved) keeps the
-#: prediction finite instead of amplifying one component to infinity.
-NYSTROM_DENOMINATOR_FLOOR = 1e-12
-
-
-def _require_support(row: QueryRow, label: str) -> float:
-    total = row.total
-    if not total > 0.0:
-        raise DataValidationError(
-            f"{label}: query has no reference point within kernel support "
-            f"(coupling mass is zero); cannot extend the fitted scores to it"
-        )
-    return total
+__all__ = ["nw_extend"]
 
 
 def nw_extend(row: QueryRow, scores: np.ndarray) -> float:
@@ -54,46 +31,10 @@ def nw_extend(row: QueryRow, scores: np.ndarray) -> float:
     extended hard criterion minimizes ``sum_j w_j (f - f_j)^2`` and the
     query's diagonal term contributes ``(f - f)^2 = 0``.
     """
-    total = _require_support(row, "nw_extend")
+    total = row.total
+    if not total > 0.0:
+        raise DataValidationError(
+            "nw_extend: query has no reference point within kernel support "
+            "(coupling mass is zero); cannot extend the fitted scores to it"
+        )
     return float(np.dot(row.weights, scores[row.indices]) / total)
-
-
-def nystrom_extend(
-    row: QueryRow,
-    eigenvalues: np.ndarray,
-    eigenvectors: np.ndarray,
-    coefficients: np.ndarray,
-) -> float:
-    """Nystrom extension of the eigenbasis projection to one query.
-
-    Parameters
-    ----------
-    row:
-        The query's edges into the reference graph.
-    eigenvalues, eigenvectors:
-        The cached ``(mu_k, U)`` pairs of the reference Laplacian
-        (smoothest first, orthonormal columns), as returned by
-        :meth:`repro.linalg.workspace.SolveWorkspace.eigenbasis`.
-    coefficients:
-        Basis coefficients ``a = U^T f`` of the fitted scores.
-    """
-    _require_support(row, "nystrom_extend")
-    # The Nystrom degree is the kernel-row mass sum_j w(x, x_j).  At a
-    # reference point this equals that vertex's graph degree (the j = i
-    # term supplies the diagonal self-weight), which is what makes the
-    # extension interpolate the cached eigenvectors exactly there on
-    # full graphs; the query's own prospective diagonal w(x, x) never
-    # enters, matching the identity u_i = (W u)_i / (d_i - mu).
-    degree = row.total
-    # (w^T U)_k, evaluated on this query's own arrays only — independent
-    # of any batch it arrived in.
-    projected = row.weights @ eigenvectors[row.indices]
-    denominators = degree - eigenvalues
-    floor = NYSTROM_DENOMINATOR_FLOOR * max(1.0, abs(degree))
-    small = np.abs(denominators) < floor
-    if np.any(small):
-        signs = np.where(denominators[small] >= 0.0, 1.0, -1.0)
-        denominators = denominators.copy()
-        denominators[small] = signs * floor
-    extended = projected / denominators
-    return float(np.dot(coefficients, extended))

@@ -6,16 +6,13 @@ rebuilding the graph and re-solving.  ``GraphSSLModel`` is the inductive
 wrapper: :meth:`~GraphSSLModel.fit` builds the reference graph and
 solves the criterion exactly once (through a per-model
 :class:`~repro.linalg.workspace.SolveWorkspace`, so the factorization
-and eigenbasis are cached), and then :meth:`~GraphSSLModel.predict` /
+is cached), and then :meth:`~GraphSSLModel.predict` /
 :meth:`~GraphSSLModel.predict_batch` answer out-of-sample queries
-without ever re-solving, by one of three methods:
+without ever re-solving, by one of two methods:
 
 ``"nw"`` (default)
     The Nadaraya-Watson/harmonic one-step rule over the fitted scores —
     O(row) per query, the paper's own Theorem II.1 device.
-``"nystrom"``
-    Nystrom extension of the cached Laplacian eigenbasis — O(row * k)
-    per query after a lazily-built spectral cache.
 ``"exact"``
     Exact incremental vertex insertion (bordered solve against the
     cached factorization; see :mod:`repro.serving.insertion`) — the
@@ -57,32 +54,13 @@ from repro.obs.serving_telemetry import (
     ServingTelemetry,
     fit_drift_baseline,
 )
-from repro.serving.extension import nw_extend, nystrom_extend
+from repro.serving.extension import nw_extend
 from repro.serving.insertion import ExactInserter
 from repro.serving.queries import QueryExtractor
 
 __all__ = ["GraphSSLModel", "ServingStats", "SERVING_METHODS"]
 
-SERVING_METHODS = ("nw", "nystrom", "exact")
-
-#: Default eigenbasis size requested for ``method="nystrom"`` when the
-#: model doesn't pin ``n_components`` (the workspace's own defaults —
-#: full basis on dense graphs, 256 on sparse — keep far more of the
-#: spectrum; serving only ever extends the smooth end stably).
-DEFAULT_SERVING_COMPONENTS = 64
-
-#: Nystrom serves only eigenpairs with ``mu_k <= fraction * d_low``
-#: where ``d_low`` is a low degree quantile of the reference graph.  The
-#: extension divides by ``d(x) - mu_k``; components with ``mu_k`` near
-#: typical query degrees amplify noise unboundedly (and flip sign past
-#: them), so they carry no servable information.  The cut keeps the
-#: denominators uniformly bounded away from zero for in-distribution
-#: queries.
-NYSTROM_STABILITY_FRACTION = 0.5
-
-#: The degree quantile standing in for "a low in-distribution query
-#: degree" in the stability cut above.
-NYSTROM_DEGREE_QUANTILE = 0.1
+SERVING_METHODS = ("nw", "exact")
 
 
 class ServingStats(NamedTuple):
@@ -91,7 +69,6 @@ class ServingStats(NamedTuple):
     queries: int
     batches: int
     nw_queries: int
-    nystrom_queries: int
     exact_queries: int
     interval_queries: int
     exact_iterations: int
@@ -122,9 +99,6 @@ class GraphSSLModel:
         Extra construction parameters (``k``/``mode`` for knn,
         ``radius`` for epsilon, ``construction_method`` to pin the
         dense/kd-tree route).
-    n_components:
-        Eigenbasis size for ``method="nystrom"`` (default: the
-        workspace's — full basis on dense graphs, 256 on sparse).
     field_scale:
         Gaussian-field sigma used by credible intervals.
     telemetry:
@@ -143,7 +117,6 @@ class GraphSSLModel:
         bandwidth="median",
         graph: str = "full",
         graph_params: dict | None = None,
-        n_components: int | None = None,
         field_scale: float = 1.0,
         telemetry: bool = True,
     ) -> None:
@@ -156,7 +129,6 @@ class GraphSSLModel:
         self.bandwidth = bandwidth
         self.graph = graph
         self.graph_params = dict(graph_params or {})
-        self.n_components = n_components
         self.field_scale = float(field_scale)
         self.telemetry = ServingTelemetry(enabled=telemetry)
 
@@ -171,13 +143,11 @@ class GraphSSLModel:
         self._workspace: SolveWorkspace | None = None
         self._extractor: QueryExtractor | None = None
         self._inserter: ExactInserter | None = None
-        self._nystrom_cache = None
         self._counters = dict.fromkeys(
             (
                 "queries",
                 "batches",
                 "nw_queries",
-                "nystrom_queries",
                 "exact_queries",
                 "interval_queries",
                 "exact_iterations",
@@ -232,9 +202,7 @@ class GraphSSLModel:
                 bandwidth=self.bandwidth_,
                 **self.graph_params,
             )
-            self._workspace = SolveWorkspace(
-                self.graph_.weights, n_components=self.n_components
-            )
+            self._workspace = SolveWorkspace(self.graph_.weights)
             if self.lam == 0.0:
                 from repro.core.hard import solve_hard_criterion
 
@@ -262,10 +230,6 @@ class GraphSSLModel:
                 params=self.graph_.params,
             )
             self._inserter = None
-            self._nystrom_cache = None
-            # Freeze the drift band from the same degree vector the
-            # Nystrom stability cut quantiles, so "in regime" means the
-            # same thing to serving and to the watchdog.
             self.drift_baseline_ = fit_drift_baseline(self._workspace.degrees)
             self.drift_watchdog_ = DriftWatchdog(self.drift_baseline_)
         return self
@@ -329,37 +293,6 @@ class GraphSSLModel:
     # Prediction internals
     # ------------------------------------------------------------------
 
-    def _ensure_nystrom(self):
-        if self._nystrom_cache is None:
-            n_total = self.n_reference_
-            if self.n_components is not None:
-                requested = self.n_components
-            else:
-                requested = max(1, min(DEFAULT_SERVING_COMPONENTS, n_total - 1))
-            values, vectors = self._workspace.eigenbasis(requested)
-            # Stability cut (see NYSTROM_STABILITY_FRACTION): keep the
-            # smooth prefix whose denominators stay bounded for
-            # in-distribution queries.  The constant eigenvector
-            # (mu_1 = 0) always survives.
-            degree_floor = float(
-                np.quantile(self._workspace.degrees, NYSTROM_DEGREE_QUANTILE)
-            )
-            count = max(
-                1,
-                int(
-                    np.searchsorted(
-                        values,
-                        NYSTROM_STABILITY_FRACTION * degree_floor,
-                        side="right",
-                    )
-                ),
-            )
-            values = np.ascontiguousarray(values[:count])
-            vectors = np.ascontiguousarray(vectors[:, :count])
-            coefficients = vectors.T @ self.scores_
-            self._nystrom_cache = (values, vectors, coefficients)
-        return self._nystrom_cache
-
     def _ensure_inserter(self) -> ExactInserter:
         if self._inserter is None:
             if self._workspace is None:
@@ -381,10 +314,6 @@ class GraphSSLModel:
             scores = self.scores_
             for i, row in enumerate(rows):
                 out[i] = nw_extend(row, scores)
-        elif method == "nystrom":
-            values, vectors, coefficients = self._ensure_nystrom()
-            for i, row in enumerate(rows):
-                out[i] = nystrom_extend(row, values, vectors, coefficients)
         else:
             inserter = self._ensure_inserter()
             for i, row in enumerate(rows):
@@ -393,13 +322,11 @@ class GraphSSLModel:
                 self._counters["exact_iterations"] += result.iterations
         return out
 
-    def _observe_drift(self, rows, method: str) -> None:
+    def _observe_drift(self, rows) -> None:
         """Feed one extracted batch's degrees to the drift watchdog.
 
         The observed quantity is ``QueryRow.degree()`` — self weight
         plus attachment mass, exactly what the serving math divides by.
-        ``mu_max`` is supplied only when the Nystrom cache exists, so
-        margin erosion is tracked for the method it endangers.
         """
         if self.drift_watchdog_ is None or not rows:
             return
@@ -412,12 +339,7 @@ class GraphSSLModel:
                 dtype=np.float64,
                 count=len(rows),
             )
-        mu_max = None
-        if method == "nystrom" and self._nystrom_cache is not None:
-            values = self._nystrom_cache[0]
-            if values.size:
-                mu_max = float(values[-1])
-        self.drift_watchdog_.observe(degrees, mu_max=mu_max)
+        self.drift_watchdog_.observe(degrees)
 
     def _serve_chunk(self, chunk: np.ndarray, method: str):
         """Extract + predict one chunk on the serial path, instrumented.
@@ -437,7 +359,7 @@ class GraphSSLModel:
         t_predicted = time.perf_counter()
         self.telemetry.record_phase("extract", t_extracted - t_start)
         self.telemetry.record_phase("predict", t_predicted - t_extracted)
-        self._observe_drift(rows, method)
+        self._observe_drift(rows)
         return rows, predictions
 
     def _timed_variances(self, rows, method: str) -> np.ndarray:
@@ -522,7 +444,7 @@ class GraphSSLModel:
 
         ``batch_size`` bounds the memory of each extraction (default:
         one shot); ``n_jobs`` fans micro-batches over a process pool
-        (``-1`` = one worker per CPU) for the NW and Nystrom methods —
+        (``-1`` = one worker per CPU) for the NW method —
         results are bit-identical at every ``batch_size`` and ``n_jobs``
         setting, including to a plain loop of :meth:`predict`.
         """
@@ -588,8 +510,6 @@ class GraphSSLModel:
 
         from repro.experiments.executor import ParallelFallbackWarning
 
-        if method == "nystrom":
-            self._ensure_nystrom()  # ship the spectral cache, not the solver
         try:
             pickle.dumps(self)
         except Exception as exc:  # pragma: no cover - depends on payload

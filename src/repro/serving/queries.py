@@ -26,7 +26,7 @@ which other queries share the batch.  The dense route computes cross
 squared distances with ``np.einsum`` (fixed per-element summation
 order, no batch-shaped BLAS blocking) and the sparse routes use
 per-point ``cKDTree`` queries, so ``extract(batch)[i]`` is bit-identical
-to ``extract(batch[i:i+1])[0]``.  Everything downstream (NW, Nystrom,
+to ``extract(batch[i:i+1])[0]``.  Everything downstream (NW,
 exact insertion) consumes these rows one query at a time, which is what
 makes ``predict_batch`` bit-identical to a loop of ``predict``.
 """

@@ -100,7 +100,7 @@ class ModelServer:
     model:
         A fitted model (``fit()`` must already have run).
     method:
-        Serving method for every flushed batch (``"nw"``, ``"nystrom"``
+        Serving method for every flushed batch (``"nw"``
         or ``"exact"``).
     max_batch_size:
         Auto-flush threshold: submitting the point that fills the queue

@@ -95,6 +95,18 @@ class TestPreconditionedCg:
         sp = preconditioned_conjugate_gradient(sparse.csr_matrix(a), b, tol=1e-12).x
         np.testing.assert_allclose(sp, dense, atol=1e-8)
 
+    def test_callable_operator(self, rng):
+        a = _spd(rng, 12)
+        b = rng.normal(size=12)
+        dense = preconditioned_conjugate_gradient(a, b, tol=1e-12)
+        operator = preconditioned_conjugate_gradient(
+            lambda v: a @ v, b, preconditioner=jacobi_preconditioner(a), tol=1e-12
+        )
+        np.testing.assert_array_equal(operator.x, dense.x)
+        assert operator.iterations == dense.iterations
+        with pytest.raises(ConfigurationError, match="explicit preconditioner"):
+            preconditioned_conjugate_gradient(lambda v: a @ v, b)
+
     def test_indefinite_raises(self):
         # Positive diagonal (so the Jacobi preconditioner builds) but
         # indefinite overall: eigenvalues 4 and -2.

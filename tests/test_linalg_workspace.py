@@ -103,6 +103,11 @@ class TestFactorizationCache:
         with pytest.raises(TypeError):
             SolveWorkspace(graph.weights, exact=True)
 
+    def test_n_components_knob_removed(self, problem):
+        _, graph = problem
+        with pytest.raises(TypeError):
+            SolveWorkspace(graph.weights, n_components=8)
+
 
 class TestContinuation:
     def test_factored_sweep_warm_starts(self, problem):
@@ -115,15 +120,12 @@ class TestContinuation:
         assert stats.warm_starts >= 1
         assert stats.factor_misses < 5
 
-    def test_iterative_backend_reports_iterations_saved(self, problem):
+    def test_classic_iterative_backends_rejected(self, problem):
         data, graph = problem
         ws = SolveWorkspace(graph.weights)
-        cold = ws.solve_soft(data.y_labeled, 0.1, backend="cg")
-        warm = ws.solve_soft(data.y_labeled, 0.10001, backend="cg")
-        assert not cold.solve_info.warm_started
-        assert warm.solve_info.warm_started
-        assert warm.solve_info.iterations_saved is not None
-        assert warm.solve_info.iterations < cold.solve_info.iterations
+        for backend in ("cg", "jacobi", "gauss_seidel"):
+            with pytest.raises(ConfigurationError, match="backend must be one of"):
+                ws.solve_soft(data.y_labeled, 0.1, backend=backend)
 
     def test_small_labeled_fraction_uses_woodbury(self):
         """With n_labeled <= min(512, N/4) the factored path solves the
@@ -274,4 +276,3 @@ class TestSolveSpdWarmStart:
     def test_solveinfo_new_fields_default(self):
         info = SolveInfo(method="cholesky", size=5)
         assert info.warm_started is False
-        assert info.iterations_saved is None

@@ -54,7 +54,6 @@ def serving_metrics() -> dict:
     reg.counter("serving.drift.observed").inc(50)
     reg.counter("serving.drift.flagged").inc(3)
     reg.gauge("serving.drift.flag_fraction").set(0.06)
-    reg.gauge("serving.drift.nystrom_margin_min").set(0.42)
     return reg.snapshot()
 
 
@@ -89,7 +88,6 @@ class TestRenderTop:
         assert "p50 1.92ms" in frame
         assert "49 ok, 1 error (2.00% errors)" in frame
         assert "6.00% flagged (3/50)" in frame
-        assert "nystrom margin min +0.420" in frame
 
     def test_no_serving_metrics_no_panel(self):
         reg = MetricsRegistry()

@@ -132,17 +132,6 @@ class TestDriftWatchdog:
             watchdog.flag_fraction
         )
 
-    def test_nystrom_margin_erosion_flags(self):
-        baseline = fit_drift_baseline(np.linspace(5.0, 15.0, 1_000))
-        watchdog = DriftWatchdog(baseline)
-        registry = MetricsRegistry()
-        with obs.use_registry(registry):
-            # in-band degrees, but below the 2*mu_max stability floor
-            n = watchdog.observe(np.full(10, 9.0), mu_max=6.0)
-        assert n == 10
-        snap = registry.snapshot()
-        assert snap["serving.drift.nystrom_margin_min"]["value"] < 0
-
     def test_empty_degrees_rejected(self):
         with pytest.raises(ValueError):
             fit_drift_baseline(np.array([]))

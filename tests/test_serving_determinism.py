@@ -19,7 +19,7 @@ from repro.datasets.synthetic import make_regression_dataset, truncated_mvn_inpu
 from repro.experiments.executor import ParallelFallbackWarning
 from repro.serving import GraphSSLModel, ModelServer
 
-METHODS = ("nw", "nystrom", "exact")
+METHODS = ("nw", "exact")
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ class TestBatchEqualsLoop:
 
 
 class TestJobsInvariance:
-    @pytest.mark.parametrize("method", ["nw", "nystrom"])
+    @pytest.mark.parametrize("method", ["nw"])
     def test_process_fanout_bitwise_identical(self, fitted, method):
         models, queries = fitted
         model = models["knn"]
@@ -120,6 +120,7 @@ class TestServerDeterminism:
         """Serving is stateless: counters advance, predictions do not."""
         models, queries = fitted
         model = models["full"]
-        first = model.predict_batch(queries, method="nystrom")
-        second = model.predict_batch(queries, method="nystrom")
-        assert np.array_equal(first, second)
+        for method in METHODS:
+            first = model.predict_batch(queries, method=method)
+            second = model.predict_batch(queries, method=method)
+            assert np.array_equal(first, second)

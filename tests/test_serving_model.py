@@ -41,6 +41,10 @@ class TestConstructionAndFit:
         with pytest.raises(ConfigurationError, match="field_scale"):
             GraphSSLModel(field_scale=0.0)
 
+    def test_n_components_knob_removed(self):
+        with pytest.raises(TypeError):
+            GraphSSLModel(n_components=8)
+
     def test_unfitted_model_refuses_queries(self):
         with pytest.raises(NotFittedError):
             GraphSSLModel().predict(np.zeros((1, 3)))
@@ -104,6 +108,16 @@ class TestServingBoundary:
         with pytest.raises(ConfigurationError, match="unknown serving method"):
             model.predict(queries, method="kriging")
 
+    def test_nystrom_method_rejected_at_every_entry_point(self, fitted):
+        model, queries = fitted
+        known = r"\('nw', 'exact'\)"
+        with pytest.raises(ConfigurationError, match=known):
+            model.predict(queries, method="nystrom")
+        with pytest.raises(ConfigurationError, match=known):
+            model.predict_batch(queries, method="nystrom")
+        with pytest.raises(ConfigurationError, match=known):
+            ModelServer(model, method="nystrom")
+
     def test_bad_batch_size_rejected(self, fitted):
         model, queries = fitted
         with pytest.raises(ConfigurationError, match="batch_size"):
@@ -130,11 +144,11 @@ class TestCountersAndState:
         model, queries = fitted
         before = model.stats()
         model.predict(queries, method="nw")
-        model.predict_batch(queries, method="nystrom", batch_size=2)
+        model.predict_batch(queries, method="exact", batch_size=2)
         after = model.stats()
         assert after.queries == before.queries + 2 * len(queries)
         assert after.nw_queries == before.nw_queries + len(queries)
-        assert after.nystrom_queries == before.nystrom_queries + len(queries)
+        assert after.exact_queries == before.exact_queries + len(queries)
         assert after.batches == before.batches + 1 + 3
 
     def test_exact_iterations_accumulate(self, fitted):
@@ -230,6 +244,17 @@ class TestServeEvalDriver:
         with pytest.raises(ConfigurationError, match="unknown serving method"):
             run_serve_eval(n_reference=30, n_labeled=5, methods="krige")
 
+    def test_rejects_epsilon_graph_before_building_data(self, monkeypatch):
+        import repro.datasets.synthetic as synthetic
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("serve-eval got past graph validation")
+
+        monkeypatch.setattr(synthetic, "make_regression_dataset", unreachable)
+        monkeypatch.setattr(GraphSSLModel, "fit", unreachable)
+        with pytest.raises(ConfigurationError, match="'full', 'knn'"):
+            run_serve_eval(graph="epsilon")
+
 
 class TestServeEvalCli:
     def test_verb_registered_with_defaults(self):
@@ -238,6 +263,17 @@ class TestServeEvalCli:
         assert args.n_ref == 2000 and args.queries == 256
         assert args.method == "all" and args.graph == "knn"
         assert callable(args.handler)
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--method", "nystrom"], ["--graph", "epsilon"]],
+        ids=["method-nystrom", "graph-epsilon"],
+    )
+    def test_parser_rejects_removed_choices(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve-eval", *flag])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_small_run_prints_table(self, capsys):
         code = main(

@@ -18,9 +18,6 @@ Documented accuracy tiers (max |prediction - oracle| per query):
     The one-step Nadaraya-Watson rule over fitted scores; a smoothing
     approximation.  Tier ``5e-2``; observed <= 6e-3 on every parity
     dataset.
-``nystrom``
-    Truncated eigenbasis extension (stability-cut spectrum).  Tier
-    ``2.5e-1``; observed <= 1.3e-1.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from repro.datasets.synthetic import make_regression_dataset, truncated_mvn_inpu
 from repro.serving import GraphSSLModel
 
 #: The documented parity tiers the suite (and the acceptance gate) enforce.
-PARITY_ATOL = {"exact": 1e-8, "nw": 5e-2, "nystrom": 2.5e-1}
+PARITY_ATOL = {"exact": 1e-8, "nw": 5e-2}
 
 
 def extended_weights(model: GraphSSLModel, query: np.ndarray) -> np.ndarray:
@@ -74,10 +71,9 @@ def oracle_prediction(model: GraphSSLModel, query: np.ndarray) -> float:
 def _epsilon_radius(x_all: np.ndarray) -> float:
     """A radius keeping an epsilon graph on ``x_all`` well connected.
 
-    The 0.35 distance quantile keeps degrees homogeneous enough for the
-    Nystrom stability cut to retain a usable spectrum; much sparser
-    epsilon graphs push boundary queries' degrees below the cut's
-    in-distribution assumption.
+    The 0.35 quantile of the pairwise distances keeps degrees
+    homogeneous, so boundary queries still attach to many reference
+    points.
     """
     from scipy.spatial.distance import pdist
 
@@ -153,10 +149,10 @@ class TestExactParity:
 
 
 class TestFastMethodTiers:
-    """NW / Nystrom stay inside their documented deviation tiers."""
+    """NW stays inside its documented deviation tier."""
 
     @pytest.mark.parametrize("graph", ["full", "knn", "epsilon"])
-    @pytest.mark.parametrize("method", ["nw", "nystrom"])
+    @pytest.mark.parametrize("method", ["nw"])
     def test_within_tier_on_synthetic(self, synthetic_models, graph, method):
         model, queries = synthetic_models[graph]
         served = model.predict(queries, method=method)
@@ -167,7 +163,7 @@ class TestFastMethodTiers:
             f"{PARITY_ATOL[method]:g} tier on the {graph} graph"
         )
 
-    @pytest.mark.parametrize("method", ["nw", "nystrom"])
+    @pytest.mark.parametrize("method", ["nw"])
     def test_within_tier_on_coil_like(self, method):
         model, queries = _coil_model()
         served = model.predict(queries, method=method)
@@ -297,7 +293,7 @@ class TestPropertyBased:
             shape=st.tuples(st.integers(1, 7), st.just(5)),
             elements=st.floats(-1.5, 1.5, allow_nan=False, width=64),
         ),
-        method=st.sampled_from(["nw", "nystrom", "exact"]),
+        method=st.sampled_from(["nw", "exact"]),
     )
     @settings(max_examples=20, deadline=None)
     def test_query_batches_serve_finite_values(
@@ -315,7 +311,7 @@ class TestPropertyBased:
             elements=st.floats(-1.5, 1.5, allow_nan=False, width=64),
         ),
         copies=st.integers(2, 5),
-        method=st.sampled_from(["nw", "nystrom", "exact"]),
+        method=st.sampled_from(["nw", "exact"]),
     )
     @settings(max_examples=15, deadline=None)
     def test_duplicate_queries_answer_identically(
