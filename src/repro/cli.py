@@ -60,7 +60,7 @@ import os
 import sys
 
 from repro.experiments.report import ascii_table, format_sweep_result, write_csv
-from repro.linalg.workspace import SWEEP_BACKEND_CHOICES
+from repro.linalg.workspace import SWEEP_BACKENDS
 from repro.serving.evaluate import SERVE_EVAL_GRAPHS
 from repro.serving.model import SERVING_METHODS
 
@@ -817,11 +817,11 @@ def build_parser() -> argparse.ArgumentParser:
     def sweep_backend_flag(p):
         p.add_argument(
             "--sweep-backend",
-            choices=SWEEP_BACKEND_CHOICES,
-            default="direct",
-            help="how lambda sweeps are solved: 'direct' refactorizes "
-            "per grid point (bit-identical historical path); 'exact' "
-            "caches factorizations; 'factored' reuses one anchored "
+            choices=SWEEP_BACKENDS,
+            default="exact",
+            help="the solve workspace's backend for lambda sweeps: "
+            "'exact' (default) caches one true factorization per grid "
+            "point; 'factored' reuses one anchored "
             "factorization (Woodbury update or warm-started PCG), the "
             "fastest in d=2 or at small N; 'multigrid' uses "
             "coarsening-preconditioned CG on one assembled hierarchy, "

@@ -58,9 +58,12 @@ def solve_hard_criterion(
     tol: float = 1e-10,
     max_iter: int | None = None,
     check_reachability: bool = True,
-    workspace=None,
 ) -> FitResult:
     """Solve the hard criterion on a full similarity graph.
+
+    This is the per-point reference solve; repeated solves on one graph
+    reuse the grounded factorization through
+    :meth:`~repro.linalg.workspace.SolveWorkspace.solve_hard` instead.
 
     Parameters
     ----------
@@ -77,10 +80,6 @@ def solve_hard_criterion(
     check_reachability:
         When true (default), validate that every unlabeled vertex reaches
         a labeled one before solving; disable only if already checked.
-    workspace:
-        Optional :class:`~repro.linalg.workspace.SolveWorkspace` built on
-        this graph; when given, the grounded system's factorization is
-        cached across calls (``method``/``tol``/``max_iter`` are ignored).
 
     Returns
     -------
@@ -88,11 +87,6 @@ def solve_hard_criterion(
         With ``scores[:n] == y_labeled`` exactly and ``scores[n:]`` equal
         to Eq. (5)'s solution.
     """
-    if workspace is not None:
-        y_labeled = check_labels(y_labeled, name="y_labeled")
-        if check_reachability:
-            require_labeled_reachability(workspace.weights, y_labeled.shape[0])
-        return workspace.solve_hard(y_labeled)
     weights = check_weight_matrix(_coerce_weights(weights))
     y_labeled = check_labels(y_labeled, name="y_labeled")
     total = weights.shape[0]

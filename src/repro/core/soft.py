@@ -62,9 +62,12 @@ def solve_soft_criterion(
     method: str = "schur",
     solver: str = "direct",
     check_reachability: bool = True,
-    workspace=None,
 ) -> FitResult:
     """Solve the soft criterion for tuning parameter ``lam``.
+
+    This is the per-point reference solve.  A λ-sweep on one graph
+    amortizes its solves through a
+    :class:`~repro.linalg.workspace.SolveWorkspace` instead.
 
     Parameters
     ----------
@@ -86,18 +89,7 @@ def solve_soft_criterion(
         Validate labeled reachability first (needed for well-posedness at
         small ``lam``; at ``lam > 0`` a disconnected unlabeled component
         also makes ``V + lam L`` singular).
-    workspace:
-        Optional :class:`~repro.linalg.workspace.SolveWorkspace` built on
-        this graph.  When given, the solve is routed through the
-        workspace's cached factorizations / hierarchy / continuation
-        state (``method`` and ``solver`` are ignored; the workspace's
-        backend decides), amortizing repeated solves across a sweep.
     """
-    if workspace is not None:
-        y_labeled = check_labels(y_labeled, name="y_labeled")
-        if check_reachability:
-            require_labeled_reachability(workspace.weights, y_labeled.shape[0])
-        return workspace.solve_soft(y_labeled, lam)
     weights = check_weight_matrix(_coerce_weights(weights))
     y_labeled = check_labels(y_labeled, name="y_labeled")
     lam = check_positive_scalar(lam, "lam", allow_zero=True)

@@ -99,8 +99,9 @@ class WorkspaceInvalidatedError(ReproError, RuntimeError):
     A :class:`~repro.linalg.workspace.SolveWorkspace` fingerprints its
     weight matrix at construction; serving a cached factorization or
     hierarchy after the weights changed would silently return answers
-    for a different graph, so the workspace raises this instead (unless
-    built with ``on_mutation="recompute"``).
+    for a different graph, so the workspace always raises this instead.
+    Call :meth:`~repro.linalg.workspace.SolveWorkspace.invalidate` to
+    adopt edited weights explicitly.
     """
 
 

@@ -20,8 +20,10 @@ A third study targets the paper's practical message head-on:
 
 * :func:`run_tuned_lambda_study` — gives the soft criterion every
   advantage by cross-validating lambda per replicate
-  (:mod:`repro.model_selection`), then compares against the untuned
-  hard criterion.
+  (:mod:`repro.model_selection`, whose folds solve their lambda grid
+  through a :class:`~repro.linalg.workspace.SolveWorkspace` with the
+  ``sweep_backend`` backend), then compares against the untuned hard
+  criterion.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from repro.experiments.runner import run_replicates
 from repro.experiments.sweep import SweepResult
 from repro.graph.similarity import full_kernel_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
+from repro.linalg.workspace import check_sweep_backend
 from repro.metrics.classification import accuracy, auc, matthews_corrcoef
 from repro.metrics.regression import root_mean_squared_error
 from repro.model_selection.search import select_lambda
@@ -301,7 +304,7 @@ def _tuned_lambda_replicate(
     grid: tuple[float, ...],
     n_folds: int,
     model: str,
-    sweep_backend: str = "direct",
+    sweep_backend: str = "exact",
 ) -> dict[str, float]:
     """One tuned-lambda replicate (module-level so it pickles for n_jobs).
 
@@ -341,15 +344,13 @@ def run_tuned_lambda_study(
     seed=None,
     n_jobs: int = 1,
     progress=None,
-    sweep_backend: str = "direct",
+    sweep_backend: str = "exact",
 ) -> TunedLambdaResult:
     """Compare the untuned hard criterion with a CV-tuned soft criterion.
 
     ``sweep_backend`` is forwarded to the per-replicate
     :func:`~repro.model_selection.search.select_lambda` grid search.
     """
-    from repro.experiments.amortize import check_sweep_backend
-
     check_sweep_backend(sweep_backend)
     summary = run_replicates(
         partial(

@@ -4,7 +4,9 @@ lambda -> 0.
 The experiment solves the soft criterion along a decreasing lambda grid
 on one synthetic problem and records the max-norm deviation from the
 hard solution on the unlabeled block.  The deviations must decrease
-monotonically and vanish in the limit.
+monotonically and vanish in the limit.  The grid is solved through one
+:class:`~repro.linalg.workspace.SolveWorkspace` (``sweep_backend`` picks
+its backend); the hard solution is the per-point reference solve.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.hard import solve_hard_criterion
-from repro.core.soft import solve_soft_criterion
 from repro.datasets.synthetic import make_synthetic_dataset
 from repro.exceptions import ConfigurationError
-from repro.experiments.amortize import make_workspace
 from repro.graph.similarity import full_kernel_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
+from repro.linalg.workspace import SolveWorkspace, check_sweep_backend
 
 __all__ = ["Prop21Result", "run_prop21_experiment"]
 
@@ -62,32 +63,27 @@ def run_prop21_experiment(
     n_unlabeled: int = 30,
     lambdas: tuple[float, ...] = (1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10),
     seed: int = 0,
-    sweep_backend: str = "direct",
+    sweep_backend: str = "exact",
 ) -> Prop21Result:
     """Measure ``||f_soft(lambda) - f_hard||_max`` along a vanishing grid.
 
-    A fixed-graph lambda sweep: with a workspace ``sweep_backend`` the
-    grid shares one :class:`~repro.linalg.workspace.SolveWorkspace`
-    instead of refactorizing per point.
+    A fixed-graph lambda sweep: the grid shares one
+    :class:`~repro.linalg.workspace.SolveWorkspace` whose backend is
+    ``sweep_backend``.
     """
     if any(lam <= 0 for lam in lambdas):
         raise ConfigurationError("lambdas must be strictly positive (0 IS the hard criterion)")
     if list(lambdas) != sorted(lambdas, reverse=True):
         raise ConfigurationError("lambdas must be strictly decreasing toward 0")
+    check_sweep_backend(sweep_backend)
     data = make_synthetic_dataset(n_labeled, n_unlabeled, seed=seed)
     bandwidth = paper_bandwidth_rule(n_labeled, data.x_labeled.shape[1])
     graph = full_kernel_graph(data.x_all, bandwidth=bandwidth)
-    workspace = make_workspace(graph.weights, sweep_backend)
+    workspace = SolveWorkspace(graph.weights, backend=sweep_backend)
     hard = solve_hard_criterion(graph.weights, data.y_labeled, check_reachability=False)
     deviations = []
     for lam in lambdas:
-        if workspace is None:
-            soft = solve_soft_criterion(
-                graph.weights, data.y_labeled, lam, method="schur",
-                check_reachability=False,
-            )
-        else:
-            soft = workspace.solve_soft(data.y_labeled, lam)
+        soft = workspace.solve_soft(data.y_labeled, lam)
         deviations.append(
             float(np.max(np.abs(soft.unlabeled_scores - hard.unlabeled_scores)))
         )

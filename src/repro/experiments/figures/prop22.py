@@ -7,6 +7,10 @@ Two measurements on a connected synthetic graph:
 * the soft solution's RMSE against the true regression function must
   stay bounded away from the hard criterion's RMSE (the inconsistency
   gap) for large lambda.
+
+The grid is solved through one :class:`~repro.linalg.workspace.SolveWorkspace`
+(``sweep_backend`` picks its backend); the hard solution is the
+per-point reference solve.
 """
 
 from __future__ import annotations
@@ -16,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.hard import solve_hard_criterion
-from repro.core.soft import soft_lambda_infinity_limit, solve_soft_criterion
+from repro.core.soft import soft_lambda_infinity_limit
 from repro.datasets.synthetic import make_synthetic_dataset
 from repro.exceptions import ConfigurationError
-from repro.experiments.amortize import make_workspace
 from repro.graph.similarity import full_kernel_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
+from repro.linalg.workspace import SolveWorkspace, check_sweep_backend
 from repro.metrics.regression import root_mean_squared_error
 
 __all__ = ["Prop22Result", "run_prop22_experiment"]
@@ -77,41 +81,41 @@ def run_prop22_experiment(
     n_unlabeled: int = 30,
     lambdas: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0, 1e4, 1e6, 1e8),
     seed: int = 0,
-    sweep_backend: str = "direct",
+    sweep_backend: str = "exact",
 ) -> Prop22Result:
     """Measure the soft criterion's collapse to the labeled mean.
 
-    A fixed-graph lambda sweep: with a workspace ``sweep_backend`` the
-    grid shares one :class:`~repro.linalg.workspace.SolveWorkspace`
-    instead of refactorizing per point.
+    A fixed-graph lambda sweep: the grid shares one
+    :class:`~repro.linalg.workspace.SolveWorkspace` whose backend is
+    ``sweep_backend``.
     """
     if any(lam <= 0 for lam in lambdas):
         raise ConfigurationError("lambdas must be strictly positive")
     if list(lambdas) != sorted(lambdas):
         raise ConfigurationError("lambdas must be increasing toward infinity")
+    check_sweep_backend(sweep_backend)
     data = make_synthetic_dataset(n_labeled, n_unlabeled, seed=seed)
     bandwidth = paper_bandwidth_rule(n_labeled, data.x_labeled.shape[1])
     graph = full_kernel_graph(data.x_all, bandwidth=bandwidth)
-    workspace = make_workspace(graph.weights, sweep_backend)
+    workspace = SolveWorkspace(graph.weights, backend=sweep_backend)
 
     hard = solve_hard_criterion(graph.weights, data.y_labeled, check_reachability=False)
     hard_rmse = root_mean_squared_error(data.q_unlabeled, hard.unlabeled_scores)
     limit = soft_lambda_infinity_limit(data.y_labeled, graph.n_vertices)
 
+    # L·1 = 0, so f(λ) - limit solves the same system with the labels
+    # shifted by their mean.  Solving for that deviation directly keeps
+    # its O(1/λ) size above roundoff; subtracting the limit from f(λ)
+    # leaves only roundoff at λ = 1e8.
+    shifted = data.y_labeled - limit[:n_labeled]
     distances = []
     errors = []
     for lam in lambdas:
-        if workspace is None:
-            soft = solve_soft_criterion(
-                graph.weights, data.y_labeled, lam, method="schur",
-                check_reachability=False,
-            )
-        else:
-            soft = workspace.solve_soft(data.y_labeled, lam)
-        distances.append(
-            float(np.max(np.abs(soft.unlabeled_scores - limit[n_labeled:])))
+        deviation = workspace.solve_soft(shifted, lam).unlabeled_scores
+        distances.append(float(np.max(np.abs(deviation))))
+        errors.append(
+            root_mean_squared_error(data.q_unlabeled, limit[n_labeled:] + deviation)
         )
-        errors.append(root_mean_squared_error(data.q_unlabeled, soft.unlabeled_scores))
     return Prop22Result(
         lambdas=tuple(lambdas),
         distance_to_mean=tuple(distances),

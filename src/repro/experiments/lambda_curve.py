@@ -12,6 +12,10 @@ Proposition II.2's continuity remark — "the prediction cannot suddenly
 jump from consistent to extremely inaccurate" — predicts a smooth
 monotone-ish interpolation between the anchors, which is exactly what
 the curve shows.
+
+Each replicate solves its whole grid, and the hard anchor, through one
+:class:`~repro.linalg.workspace.SolveWorkspace` on its graph;
+``sweep_backend`` picks the workspace backend.
 """
 
 from __future__ import annotations
@@ -19,14 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from repro.core.hard import solve_hard_criterion
-from repro.core.soft import soft_lambda_infinity_limit, solve_soft_criterion
+from repro.core.soft import soft_lambda_infinity_limit
 from repro.datasets.synthetic import make_synthetic_dataset
 from repro.exceptions import ConfigurationError
-from repro.experiments.amortize import check_sweep_backend, make_workspace
 from repro.experiments.runner import run_replicates
 from repro.graph.similarity import full_kernel_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
+from repro.linalg.workspace import SolveWorkspace, check_sweep_backend
 from repro.metrics.regression import root_mean_squared_error
 
 __all__ = ["LambdaCurve", "run_lambda_curve"]
@@ -79,37 +82,27 @@ def _lambda_curve_replicate(
     n_unlabeled: int,
     lambdas: tuple[float, ...],
     model: str,
-    sweep_backend: str = "direct",
+    sweep_backend: str = "exact",
 ) -> dict[str, float]:
     """One replicate: RMSE at each grid lambda plus the two anchors.
 
     Module-level (not a closure) so it pickles across the ``n_jobs``
-    process boundary.  With a workspace ``sweep_backend``, one
-    :class:`~repro.linalg.workspace.SolveWorkspace` serves the whole
-    grid; the hard anchor is solved through the same workspace so the
-    ``lambda = 0`` grid point stays *exactly* equal to it.
+    process boundary.  One :class:`~repro.linalg.workspace.SolveWorkspace`
+    serves the whole grid; the hard anchor is solved through the same
+    workspace so the ``lambda = 0`` grid point stays *exactly* equal to
+    it.
     """
     data = make_synthetic_dataset(n_labeled, n_unlabeled, model=model, seed=rng)
     bandwidth = paper_bandwidth_rule(n_labeled, data.x_labeled.shape[1])
     graph = full_kernel_graph(data.x_all, bandwidth=bandwidth)
-    workspace = make_workspace(graph.weights, sweep_backend)
+    workspace = SolveWorkspace(graph.weights, backend=sweep_backend)
     out = {}
     for lam in lambdas:
-        if workspace is None:
-            fit = solve_soft_criterion(
-                graph.weights, data.y_labeled, lam, check_reachability=False
-            )
-        else:
-            fit = workspace.solve_soft(data.y_labeled, lam)
+        fit = workspace.solve_soft(data.y_labeled, lam)
         out[f"lam={lam:g}"] = root_mean_squared_error(
             data.q_unlabeled, fit.unlabeled_scores
         )
-    if workspace is None:
-        hard = solve_hard_criterion(
-            graph.weights, data.y_labeled, check_reachability=False
-        )
-    else:
-        hard = workspace.solve_hard(data.y_labeled)
+    hard = workspace.solve_hard(data.y_labeled)
     out["hard"] = root_mean_squared_error(
         data.q_unlabeled, hard.unlabeled_scores
     )
@@ -131,15 +124,14 @@ def run_lambda_curve(
     n_replicates: int = 50,
     seed=None,
     n_jobs: int = 1,
-    sweep_backend: str = "direct",
+    sweep_backend: str = "exact",
     progress=None,
 ) -> LambdaCurve:
     """Trace mean RMSE along a dense lambda grid.
 
-    ``sweep_backend`` selects how each replicate's grid is solved:
-    ``"direct"`` (per-point, bit-identical to previous releases) or a
-    workspace backend (``"exact"``/``"factored"``/``"multigrid"``) that
-    amortizes factorizations across the grid.
+    ``sweep_backend`` is the :class:`~repro.linalg.workspace.SolveWorkspace`
+    backend each replicate's grid is solved through (``"exact"``,
+    ``"factored"`` or ``"multigrid"``).
     """
     if lambdas[0] != 0.0 or list(lambdas[1:]) != sorted(set(lambdas[1:])):
         raise ConfigurationError(

@@ -6,7 +6,10 @@ otherwise the block system ``(D22 - W22) f_u = W21 y`` is singular and
 that component's scores are undetermined.  :func:`labeled_reachability`
 diagnoses this and :func:`require_labeled_reachability` raises
 :class:`~repro.exceptions.DisconnectedGraphError` with the offending
-component.
+component.  A caller that checks many labeled masks on one graph (the
+solve workspace) computes the components once with
+:func:`validated_components` and reports each mask in O(N) with
+:func:`reachability_report`.
 
 Proposition II.2 additionally assumes the whole graph is connected
 (:func:`is_connected`), which is what makes the ``lambda = inf`` solution
@@ -26,21 +29,32 @@ from repro.utils.validation import check_weight_matrix
 
 __all__ = [
     "connected_components",
+    "validated_components",
     "is_connected",
     "labeled_reachability",
+    "reachability_report",
+    "raise_if_unreachable",
     "require_labeled_reachability",
     "ReachabilityReport",
 ]
 
 
-def _csgraph(weights):
-    """Weight matrix as a scipy.sparse graph with exact zeros dropped."""
-    weights = check_weight_matrix(weights)
+def validated_components(weights) -> tuple[int, np.ndarray]:
+    """:func:`connected_components` of a matrix that is already validated.
+
+    ``weights`` must be what :func:`~repro.utils.validation.check_weight_matrix`
+    returned; it is not checked again.  Stored zeros are not edges, and
+    the matrix is copied only when it stores zeros.
+    """
     if sparse.issparse(weights):
-        graph = weights.copy()
-        graph.eliminate_zeros()
-        return graph
-    return sparse.csr_matrix(weights)
+        graph = weights
+        if graph.nnz and not np.all(graph.data):
+            graph = graph.copy()
+            graph.eliminate_zeros()
+    else:
+        graph = sparse.csr_matrix(weights)
+    count, labels = _cc(graph, directed=False)
+    return int(count), labels
 
 
 def connected_components(weights) -> tuple[int, np.ndarray]:
@@ -49,9 +63,7 @@ def connected_components(weights) -> tuple[int, np.ndarray]:
     Edges are pairs with strictly positive weight; weights equal to zero
     are treated as absent edges.
     """
-    graph = _csgraph(weights)
-    count, labels = _cc(graph, directed=False)
-    return int(count), labels
+    return validated_components(check_weight_matrix(weights))
 
 
 def is_connected(weights) -> bool:
@@ -100,29 +112,37 @@ def labeled_reachability(weights, n_labeled: int) -> ReachabilityReport:
         raise DataValidationError(
             f"n_labeled must be in [0, {total}], got {n_labeled}"
         )
-    count, labels = connected_components(weights)
-    labeled_comps = set(labels[:n_labeled].tolist())
-    unlabeled_comps = set(labels[n_labeled:].tolist())
-    orphans = sorted(unlabeled_comps - labeled_comps)
-    orphan_vertices = tuple(
-        int(i) for i in np.flatnonzero(np.isin(labels, orphans)) if i >= n_labeled
-    )
+    return reachability_report(*validated_components(weights), n_labeled)
+
+
+def reachability_report(
+    n_components: int, labels: np.ndarray, n_labeled: int
+) -> ReachabilityReport:
+    """The :class:`ReachabilityReport` of component ``labels``, in O(N).
+
+    ``n_components`` and ``labels`` are what :func:`connected_components`
+    returns; the first ``n_labeled`` vertices are the labeled ones.
+    """
+    has_label = np.zeros(n_components, dtype=bool)
+    has_label[labels[:n_labeled]] = True
+    unlabeled = labels[n_labeled:]
+    orphaned = ~has_label[unlabeled]
+    orphans = np.unique(unlabeled[orphaned])
     return ReachabilityReport(
-        ok=not orphans,
-        n_components=count,
-        orphan_components=tuple(orphans),
-        orphan_vertices=orphan_vertices,
+        ok=orphans.size == 0,
+        n_components=n_components,
+        orphan_components=tuple(orphans.tolist()),
+        orphan_vertices=tuple((n_labeled + np.flatnonzero(orphaned)).tolist()),
     )
 
 
-def require_labeled_reachability(weights, n_labeled: int) -> None:
-    """Raise :class:`DisconnectedGraphError` when the hard system is singular.
+def raise_if_unreachable(report: ReachabilityReport) -> None:
+    """Raise :class:`DisconnectedGraphError` for a report that is not ok.
 
     The error message names the first few orphaned vertices so callers can
     identify the offending region of input space (typically a bandwidth
     that is too small for the sample density).
     """
-    report = labeled_reachability(weights, n_labeled)
     if report.ok:
         return
     preview = report.orphan_vertices[:10]
@@ -132,3 +152,8 @@ def require_labeled_reachability(weights, n_labeled: int) -> None:
         f"linear system is singular. Increase the bandwidth or add edges.",
         component_indices=report.orphan_vertices,
     )
+
+
+def require_labeled_reachability(weights, n_labeled: int) -> None:
+    """Raise :class:`DisconnectedGraphError` when the hard system is singular."""
+    raise_if_unreachable(labeled_reachability(weights, n_labeled))

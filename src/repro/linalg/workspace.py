@@ -2,11 +2,12 @@
 
 Every λ-curve, CV grid and consistency sweep in this library solves the
 same family of systems ``(V + λL) f = (y; 0)`` over one *fixed*
-similarity graph, yet the historical hot path reassembled and
-refactorized from scratch at every grid point.  :class:`SolveWorkspace`
+similarity graph, where a per-point solve through :mod:`repro.core`
+reassembles and refactorizes at every grid point.  :class:`SolveWorkspace`
 owns a graph's Laplacian blocks once and amortizes everything that is
-shared across the sweep.  Three sweep backends (:data:`SWEEP_BACKENDS`)
-remain, each the fastest on some measured grid (docs/SCALING.md):
+shared across the sweep.  It is the only way a λ-sweep is solved; its
+one knob is the backend, one of :data:`SWEEP_BACKENDS`, each the fastest
+on some measured grid (docs/SCALING.md):
 
 * **exact** — an LRU cache of true SPD factorizations keyed by
   ``(kind, λ, n_labeled)``; a cache hit returns bit-identical solutions
@@ -18,7 +19,7 @@ remain, each the fastest on some measured grid (docs/SCALING.md):
   turns every further grid point into one back-substitution plus an
   ``n_labeled``-sized capacitance solve — no iterations, refined
   against the assembled operator until the relative residual is at
-  most ``pcg_tol``.  Otherwise each new λ is solved by preconditioned
+  most :data:`PCG_TOL`.  Otherwise each new λ is solved by preconditioned
   CG with the anchor as preconditioner, warm-started from the previous
   grid point's solution (continuation).  The generalized Rayleigh quotient of ``(V + λL)``
   against ``(V + λ₀L)`` lies in ``[min(1, λ/λ₀), max(1, λ/λ₀)]``, so
@@ -37,18 +38,26 @@ remain, each the fastest on some measured grid (docs/SCALING.md):
   fallback if the V-cycle ever stalls.
 
 Accuracy contract of the two approximate backends: every solve stops at
-relative residual ``‖b - A f‖ / ‖b‖ ≤ pcg_tol`` (default ``1e-10``).
+relative residual ``‖b - A f‖ / ‖b‖ ≤`` :data:`PCG_TOL` (``1e-10``).
 That bounds the residual, not the score error, which the conditioning
 of ``V + λL`` can amplify: multigrid scores were measured within 3e-8 of
 ``exact`` at N=2·10⁴ (d=3) and 8.6e-9 at N=4·10³ (d=2); the parity suite
-checks every backend against per-point direct solves at ``atol=1e-8``
-on its small graphs.
+checks every backend against per-point reference solves at
+``atol=1e-8`` on its small graphs.
+
+Well-posedness: the construction also computes the graph's connected
+components (one O(nnz) pass on the weights it has just validated), and
+every solve checks its labeled mask against them in O(N), cached per
+``n_labeled``.  A mask that leaves an unlabeled component without a
+label raises :class:`~repro.exceptions.DisconnectedGraphError` before
+any factorization, hierarchy build or PCG solve: ``D22 - W22`` and
+``V + λL`` are singular there.
 
 A workspace fingerprints its weight matrix at construction and re-checks
 the fingerprint before serving any cached artifact: mutating the graph
-after caching raises :class:`~repro.exceptions.WorkspaceInvalidatedError`
-(or, with ``on_mutation="recompute"``, drops every cache and rebuilds).
-A stale factorization is never served.
+after caching raises :class:`~repro.exceptions.WorkspaceInvalidatedError`.
+:meth:`SolveWorkspace.invalidate` adopts edited weights explicitly.  A
+stale factorization is never served.
 
 Everything is observable: ``workspace.*`` spans and cache hit / miss /
 eviction counters flow through :mod:`repro.obs`, and
@@ -71,6 +80,12 @@ from repro.exceptions import (
     DataValidationError,
     WorkspaceInvalidatedError,
 )
+from repro.graph.components import (
+    ReachabilityReport,
+    raise_if_unreachable,
+    reachability_report,
+    validated_components,
+)
 from repro.linalg.advanced import preconditioned_conjugate_gradient
 from repro.linalg.coarsen import (
     CoarseningHierarchy,
@@ -88,18 +103,12 @@ __all__ = [
     "SolveWorkspace",
     "WorkspaceStats",
     "SWEEP_BACKENDS",
-    "SWEEP_BACKEND_CHOICES",
     "check_sweep_backend",
 ]
 
-#: Sweep backends a workspace can solve through.
+#: Sweep backends a workspace can solve through; what every
+#: ``sweep_backend=`` parameter and ``--sweep-backend`` flag accepts.
 SWEEP_BACKENDS = ("exact", "factored", "multigrid")
-
-#: What every ``sweep_backend=`` parameter and ``--sweep-backend`` flag
-#: accepts: ``"direct"`` means "no workspace" (per-point solves through
-#: :mod:`repro.core`, the bit-identical reference path) and is handled by
-#: the callers; the rest select a workspace backend.
-SWEEP_BACKEND_CHOICES = ("direct",) + SWEEP_BACKENDS
 
 #: Dense matrices up to this many elements get a full-content fingerprint;
 #: larger ones fall back to a strided sample plus the matrix sum (still
@@ -118,6 +127,16 @@ WOODBURY_MAX_LABELED = 512
 #: budget falls back to an exact factorization (counted as a reanchor).
 MULTIGRID_MAX_ITER = 300
 
+#: LRU capacity of the factorization cache.
+MAX_FACTORIZATIONS = 8
+
+#: Relative-residual tolerance every factored and multigrid solve stops at.
+PCG_TOL = 1e-10
+
+#: Anchored-PCG iteration budget on the factored path; exceeding it
+#: refactorizes at the current λ and re-anchors.
+REANCHOR_BUDGET = 15
+
 #: The multigrid hierarchy coarsens until a level is at most this large
 #: (but never below 512 vertices) — small enough that the coarsest
 #: factorization is trivial, large enough that the coarse grid still
@@ -126,10 +145,10 @@ MULTIGRID_COARSE_DIVISOR = 64
 
 
 def check_sweep_backend(sweep_backend: str) -> str:
-    """Validate a ``sweep_backend`` name against :data:`SWEEP_BACKEND_CHOICES`."""
-    if sweep_backend not in SWEEP_BACKEND_CHOICES:
+    """Validate a ``sweep_backend`` name against :data:`SWEEP_BACKENDS`."""
+    if sweep_backend not in SWEEP_BACKENDS:
         raise ConfigurationError(
-            f"sweep_backend must be one of {SWEEP_BACKEND_CHOICES}, "
+            f"sweep_backend must be one of {SWEEP_BACKENDS}, "
             f"got {sweep_backend!r}"
         )
     return sweep_backend
@@ -256,66 +275,28 @@ class SolveWorkspace:
         ``(N, N)`` symmetric non-negative weight matrix (dense, scipy
         sparse, or a :class:`~repro.graph.similarity.SimilarityGraph`),
         labeled vertices first.  Validated once, here, instead of per
-        grid point.
+        grid point; its connected components are computed here too.
     backend:
-        Default solve backend, one of :data:`SWEEP_BACKENDS`:
+        The solve backend, one of :data:`SWEEP_BACKENDS`:
         ``"factored"`` (anchored PCG continuation), ``"exact"`` (cached
-        true factorizations, bit-compatible with direct solves), or
+        true factorizations, bit-compatible with per-point solves), or
         ``"multigrid"`` (coarsening V-cycle preconditioned PCG — no
         large factorization, the large-N backend).
-    max_factorizations:
-        LRU capacity of the factorization cache.
-    pcg_tol / reanchor_budget:
-        Factored and multigrid paths: the relative-residual tolerance
-        every solve stops at, and (factored) the iteration budget after
-        which the workspace refactorizes at the current λ and
-        re-anchors.
-    on_mutation:
-        ``"raise"`` (default): serving from a workspace whose weights
-        changed raises :class:`WorkspaceInvalidatedError`.
-        ``"recompute"``: drop all caches and re-fingerprint instead.
     """
 
-    def __init__(
-        self,
-        weights,
-        *,
-        backend: str = "factored",
-        max_factorizations: int = 8,
-        pcg_tol: float = 1e-10,
-        reanchor_budget: int = 15,
-        on_mutation: str = "raise",
-    ):
+    def __init__(self, weights, *, backend: str = "factored"):
         from repro.graph.similarity import SimilarityGraph
 
         if isinstance(weights, SimilarityGraph):
             weights = weights.weights
-        if backend not in SWEEP_BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {SWEEP_BACKENDS}, got {backend!r}"
-            )
-        if on_mutation not in ("raise", "recompute"):
-            raise ConfigurationError(
-                f"on_mutation must be 'raise' or 'recompute', got {on_mutation!r}"
-            )
-        if max_factorizations < 1:
-            raise ConfigurationError(
-                f"max_factorizations must be >= 1, got {max_factorizations}"
-            )
-        if reanchor_budget < 1:
-            raise ConfigurationError(
-                f"reanchor_budget must be >= 1, got {reanchor_budget}"
-            )
+        self.backend = check_sweep_backend(backend)
         self.weights = check_weight_matrix(weights)
         self.n_total = int(self.weights.shape[0])
-        self.backend = backend
-        self.max_factorizations = int(max_factorizations)
-        self.pcg_tol = float(check_positive_scalar(pcg_tol, "pcg_tol"))
-        self.reanchor_budget = int(reanchor_budget)
-        self.on_mutation = on_mutation
 
         self._is_sparse = sparse.issparse(self.weights)
         self._fingerprint = _fingerprint(self.weights)
+        self._components = validated_components(self.weights)
+        self._reachability: dict[int, ReachabilityReport] = {}
         self._degrees: np.ndarray | None = None
         self._laplacian = None
         self._factors: OrderedDict[tuple, SPDFactorization] = OrderedDict()
@@ -334,25 +315,26 @@ class SolveWorkspace:
     def check_current(self) -> None:
         """Verify the weights still match the construction-time fingerprint.
 
-        Called before any cached artifact is served.  On mismatch,
-        either raises :class:`WorkspaceInvalidatedError` or (with
-        ``on_mutation="recompute"``) drops every cache and adopts the
-        mutated weights as the new ground truth.
+        Called before any cached artifact is served.  On mismatch, raises
+        :class:`WorkspaceInvalidatedError`.
         """
         if _fingerprint(self.weights) == self._fingerprint:
             return
-        if self.on_mutation == "recompute":
-            self.invalidate()
-            return
         raise WorkspaceInvalidatedError(
             "the workspace's weight matrix was mutated after caching; "
-            "rebuild the workspace (or construct it with "
-            "on_mutation='recompute') instead of reusing stale factorizations"
+            "rebuild the workspace (or call invalidate() to adopt the "
+            "edited weights) instead of reusing stale factorizations"
         )
 
     def invalidate(self) -> None:
-        """Drop every cached artifact and re-fingerprint the weights."""
+        """Drop every cached artifact and adopt the current weights.
+
+        Re-fingerprints the weights and recomputes their connected
+        components.
+        """
         self._fingerprint = _fingerprint(self.weights)
+        self._components = validated_components(self.weights)
+        self._reachability.clear()
         self._degrees = None
         self._laplacian = None
         self._factors.clear()
@@ -387,7 +369,7 @@ class SolveWorkspace:
         return self._laplacian
 
     def soft_system(self, lam: float, n: int):
-        """Assemble ``V + λL`` exactly as the direct path does (bit-compatible)."""
+        """Assemble ``V + λL`` exactly as the per-point solve does (bit-compatible)."""
         if self._is_sparse:
             indicator = np.zeros(self.n_total)
             indicator[:n] = 1.0
@@ -399,7 +381,7 @@ class SolveWorkspace:
         return system
 
     def hard_system(self, n: int):
-        """The grounded system ``D22 - W22`` (assembled as the direct path does)."""
+        """The grounded system ``D22 - W22`` (assembled as the per-point solve does)."""
         if self._is_sparse:
             w22 = self.weights[n:, n:]
             return sparse.diags(self.degrees[n:], format="csr") - w22
@@ -441,7 +423,7 @@ class SolveWorkspace:
                     span.set_attribute("nnz", factor.nnz)
                     span.set_attribute("fill_nnz", factor.fill_nnz)
         self._factors[key] = factor
-        while len(self._factors) > self.max_factorizations:
+        while len(self._factors) > MAX_FACTORIZATIONS:
             self._factors.popitem(last=False)
             self._counters["factor_evictions"] += 1
             registry.counter("workspace.factor.evictions").inc()
@@ -505,7 +487,7 @@ class SolveWorkspace:
         system = self.soft_system(lam, n)
         best_norm = float(np.linalg.norm(rhs - system @ scores))
         rhs_norm = float(np.linalg.norm(rhs))
-        tol = self.pcg_tol * max(rhs_norm, 1.0)
+        tol = PCG_TOL * max(rhs_norm, 1.0)
         for _ in range(2):
             if best_norm <= tol:
                 break
@@ -557,8 +539,8 @@ class SolveWorkspace:
                 rhs,
                 preconditioner=state.anchor.solve,
                 x0=x0,
-                tol=self.pcg_tol,
-                max_iter=self.reanchor_budget,
+                tol=PCG_TOL,
+                max_iter=REANCHOR_BUDGET,
             )
         except ConvergenceError:
             self._counters["reanchors"] += 1
@@ -636,7 +618,7 @@ class SolveWorkspace:
                 rhs,
                 preconditioner=preconditioner,
                 x0=x0,
-                tol=self.pcg_tol,
+                tol=PCG_TOL,
                 max_iter=MULTIGRID_MAX_ITER,
             )
         except ConvergenceError:
@@ -676,24 +658,27 @@ class SolveWorkspace:
             )
         return y
 
-    def _resolve_backend(self, backend: str | None) -> str:
-        resolved = backend or self.backend
-        if resolved not in SWEEP_BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {SWEEP_BACKENDS}, got {resolved!r}"
-            )
-        return resolved
+    def _require_reachable(self, n: int) -> None:
+        """Raise :class:`DisconnectedGraphError` when some unlabeled
+        component holds none of the first ``n`` vertices (O(N), cached
+        per ``n``)."""
+        report = self._reachability.get(n)
+        if report is None:
+            report = reachability_report(*self._components, n)
+            self._reachability[n] = report
+        raise_if_unreachable(report)
 
-    def solve_soft(self, y_labeled, lam: float, *, backend: str | None = None):
+    def solve_soft(self, y_labeled, lam: float):
         """Solve the soft criterion at one λ through the workspace.
 
         ``lam = 0`` delegates to :meth:`solve_hard` (Proposition II.1),
-        exactly as the direct path does.  Returns a
-        :class:`~repro.core.result.FitResult`.
+        exactly as the per-point solve does.  Returns a
+        :class:`~repro.core.result.FitResult`.  Raises
+        :class:`~repro.exceptions.DisconnectedGraphError` when the
+        labeled mask leaves a component unreachable.
         """
         y = self._check_labels(y_labeled)
         lam = check_positive_scalar(lam, "lam", allow_zero=True)
-        resolved = self._resolve_backend(backend)
         n = y.shape[0]
         m = self.n_total - n
         if lam == 0.0:
@@ -702,25 +687,26 @@ class SolveWorkspace:
                 scores=hard.scores,
                 n_labeled=n,
                 lam=0.0,
-                method=f"workspace[{resolved}]->hard",
+                method=f"workspace[{self.backend}]->hard",
                 criterion="soft",
                 details=dict(hard.details),
                 solve_info=hard.solve_info,
             )
         self.check_current()
+        self._require_reachable(n)
         with obs.span(
             "repro.workspace.solve",
             kind="soft",
-            backend=resolved,
+            backend=self.backend,
             lam=float(lam),
             n=n,
             m=m,
         ) as span:
-            if resolved == "exact":
+            if self.backend == "exact":
                 factor = self.factorization("soft", lam, n)
                 scores = factor.solve(self._rhs_soft(y))
                 info, details = factor.info(), {}
-            elif resolved == "factored":
+            elif self.backend == "factored":
                 scores, info, details = self._solve_factored(y, lam, n)
             else:
                 scores, info, details = self._solve_multigrid(y, lam, n)
@@ -732,14 +718,14 @@ class SolveWorkspace:
             registry.counter("workspace.solves").inc()
             details = {
                 "system_size": self.n_total,
-                "backend": resolved,
+                "backend": self.backend,
                 **details,
             }
             return _fit_result(
                 scores=scores,
                 n_labeled=n,
                 lam=float(lam),
-                method=f"workspace[{resolved}]",
+                method=f"workspace[{self.backend}]",
                 criterion="soft",
                 details=details,
                 solve_info=info,
@@ -751,7 +737,9 @@ class SolveWorkspace:
         The grounded system is λ-independent, so the first solve
         factorizes and every later one is a back-substitution.  The
         factored/multigrid backends route here too: the factorization is
-        already amortized across the sweep.
+        already amortized across the sweep.  Raises
+        :class:`~repro.exceptions.DisconnectedGraphError` when the
+        labeled mask leaves a component unreachable.
         """
         y = self._check_labels(y_labeled)
         n = y.shape[0]
@@ -762,6 +750,7 @@ class SolveWorkspace:
                 method="workspace[exact]", criterion="hard", details={"m": 0},
             )
         self.check_current()
+        self._require_reachable(n)
         with obs.span(
             "repro.workspace.solve", kind="hard", backend="exact", n=n, m=m
         ):
@@ -782,9 +771,7 @@ class SolveWorkspace:
                 solve_info=factor.info(),
             )
 
-    def sweep_soft(
-        self, y_labeled, lambdas, *, backend: str | None = None
-    ) -> list:
+    def sweep_soft(self, y_labeled, lambdas) -> list:
         """Solve the soft criterion along a λ grid with continuation.
 
         Grid points are solved in the given order so warm starts and the
@@ -794,13 +781,10 @@ class SolveWorkspace:
         grid = tuple(lambdas)
         with obs.span(
             "repro.workspace.sweep",
-            backend=self._resolve_backend(backend),
+            backend=self.backend,
             n_points=len(grid),
         ) as span:
-            fits = [
-                self.solve_soft(y_labeled, lam, backend=backend)
-                for lam in grid
-            ]
+            fits = [self.solve_soft(y_labeled, lam) for lam in grid]
             if span.recording:
                 from repro.obs.probes import record_workspace_stats
 

@@ -13,10 +13,12 @@ recompute-everything path:
 * :func:`cross_validate_lambda` accepts a whole lambda *grid*: folds are
   drawn once and each fold's permuted weight matrix is built once, then
   every lambda is scored against it (the permutation, not the solve, was
-  the dominant per-(fold, lambda) cost on dense graphs).  With
-  ``sweep_backend != "direct"`` each fold additionally gets a
-  :class:`~repro.linalg.workspace.SolveWorkspace` so the solves
-  themselves share factorizations along the grid.
+  the dominant per-(fold, lambda) cost on dense graphs).  Each fold gets
+  one :class:`~repro.linalg.workspace.SolveWorkspace` (its backend is
+  ``sweep_backend``), so the solves themselves share factorizations
+  along the grid, sparse graphs stay sparse, and a fold whose labeled
+  mask leaves a component unreachable fails with
+  :class:`~repro.exceptions.DisconnectedGraphError`.
 * :func:`select_bandwidth` computes the pairwise distance matrix once
   and rescales it per candidate bandwidth instead of rebuilding kernels
   from raw points (bit-identical weights: ``profile(sqrt(sq)/h)`` either
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from repro.core.soft import solve_soft_criterion
 from repro.datasets.splits import kfold_indices
 from repro.exceptions import ConfigurationError, DataValidationError, ReproError
 from repro.linalg.workspace import SolveWorkspace, check_sweep_backend
@@ -90,7 +91,7 @@ def cross_validate_lambda(
     *,
     n_folds: int = 5,
     seed=None,
-    sweep_backend: str = "direct",
+    sweep_backend: str = "exact",
 ):
     """Mean held-out MSE of the soft criterion at one lambda or a grid.
 
@@ -111,10 +112,9 @@ def cross_validate_lambda(
     seed:
         Fold-shuffle seed.
     sweep_backend:
-        ``"direct"`` (per-point solves, the historical bit-identical
-        path) or a :class:`~repro.linalg.workspace.SolveWorkspace`
-        backend (``"exact"``, ``"factored"``, ``"multigrid"``) built per
-        fold to amortize the solves along a lambda grid.
+        The backend (``"exact"``, ``"factored"``, ``"multigrid"``) of the
+        :class:`~repro.linalg.workspace.SolveWorkspace` built per fold to
+        amortize the solves along a lambda grid.
 
     Returns
     -------
@@ -127,8 +127,6 @@ def cross_validate_lambda(
     if not grid:
         raise ConfigurationError("lam grid must contain at least one value")
     weights = check_weight_matrix(weights)
-    if sparse.issparse(weights) and sweep_backend == "direct":
-        weights = np.asarray(weights.todense())
     y_labeled = check_labels(y_labeled, name="y_labeled")
     n = y_labeled.shape[0]
     total = weights.shape[0]
@@ -152,20 +150,12 @@ def cross_validate_lambda(
             w_perm = weights[order][:, order].tocsr()
         else:
             w_perm = weights[np.ix_(order, order)]
-        if sweep_backend == "direct":
-            workspace = None
-        else:
-            workspace = SolveWorkspace(w_perm, backend=sweep_backend)
+        workspace = SolveWorkspace(w_perm, backend=sweep_backend)
         for j, lam_j in enumerate(grid):
             if failed[j]:
                 continue
             try:
-                if workspace is None:
-                    fit = solve_soft_criterion(
-                        w_perm, y_labeled[keep], lam_j, check_reachability=False
-                    )
-                else:
-                    fit = workspace.solve_soft(y_labeled[keep], lam_j)
+                fit = workspace.solve_soft(y_labeled[keep], lam_j)
             except ReproError:
                 if scalar:
                     raise
@@ -189,7 +179,7 @@ def select_lambda(
     grid: tuple[float, ...] = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0),
     n_folds: int = 5,
     seed=None,
-    sweep_backend: str = "direct",
+    sweep_backend: str = "exact",
 ) -> GridSearchResult:
     """Pick lambda by transductive cross-validation over ``grid``.
 
@@ -197,8 +187,7 @@ def select_lambda(
     can *choose not to regularize* — which, per the paper's theory, it
     usually should.  The whole grid is scored in one
     :func:`cross_validate_lambda` call, so folds and each fold's permuted
-    graph (and, with a workspace ``sweep_backend``, its factorizations)
-    are shared across candidates.
+    graph and workspace are shared across candidates.
     """
     if not grid:
         raise ConfigurationError("grid must contain at least one lambda")
@@ -297,7 +286,7 @@ def select_bandwidth(
     n_folds: int = 5,
     kernel=None,
     seed=None,
-    sweep_backend: str = "direct",
+    sweep_backend: str = "exact",
     graph: str = "full",
     graph_params: dict | None = None,
 ) -> GridSearchResult:
@@ -318,9 +307,7 @@ def select_bandwidth(
     (``"union"``/``"intersection"``, default ``"union"``),
     ``construction`` (``"neighbors"`` exact, default, or ``"approx"``),
     and for the approximate route ``n_trees``/``leaf_size``/``seed``.
-    Pair it with a workspace ``sweep_backend`` (``"exact"``,
-    ``"factored"``, ``"multigrid"``), which keep sparse graphs sparse;
-    the historical ``"direct"`` backend densifies them.
+    Every ``sweep_backend`` keeps the sparse graphs sparse.
 
     Each candidate is scored with :func:`cross_validate_lambda` at a
     fixed ``lam``.

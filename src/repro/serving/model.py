@@ -204,20 +204,9 @@ class GraphSSLModel:
             )
             self._workspace = SolveWorkspace(self.graph_.weights)
             if self.lam == 0.0:
-                from repro.core.hard import solve_hard_criterion
-
-                result = solve_hard_criterion(
-                    self.graph_.weights, y_labeled, workspace=self._workspace
-                )
+                result = self._workspace.solve_hard(y_labeled)
             else:
-                from repro.core.soft import solve_soft_criterion
-
-                result = solve_soft_criterion(
-                    self.graph_.weights,
-                    y_labeled,
-                    self.lam,
-                    workspace=self._workspace,
-                )
+                result = self._workspace.solve_soft(y_labeled, self.lam)
             self.result_ = result
             self.scores_ = result.scores.copy()
             self.n_labeled_ = n

@@ -490,13 +490,21 @@ class TestMemoryLeanFlags:
         assert args.sweep_backend == "multigrid"
         assert args.memory_budget_mb == 512
         defaults = build_parser().parse_args(["lambda-curve"])
-        assert defaults.sweep_backend == "direct"
+        assert defaults.sweep_backend == "exact"
         assert defaults.memory_budget_mb is None
 
     def test_spectral_sweep_backend_rejected_at_parser(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["prop21", "--sweep-backend", "spectral"])
         assert "spectral" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["prop21", "prop22", "lambda-curve", "tuned-lambda"]
+    )
+    def test_direct_sweep_backend_rejected_at_parser(self, capsys, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--sweep-backend", "direct"])
+        assert "invalid choice: 'direct'" in capsys.readouterr().err
 
     def test_bad_budget_rejected_at_parser(self, capsys):
         with pytest.raises(SystemExit):

@@ -143,6 +143,36 @@ class TestComplexityDriver:
         )
         assert result.soft_full_seconds[-1] > result.hard_seconds[-1]
 
+    def test_reports_minimum_over_repeats(self, monkeypatch):
+        """Each size reports the fastest of its repeats, not their mean."""
+        import types
+
+        from repro.utils import timing
+
+        # Per size and repeat the experiment times one hard solve, then one
+        # soft solve; each measurement reads the clock twice.
+        durations = {
+            60: ([0.3, 0.1, 0.2], [0.9, 0.5, 0.7]),
+            120: ([0.4, 0.6, 0.2], [1.5, 1.2, 2.4]),
+        }
+        readings = []
+        now = 0.0
+        for hard, soft in durations.values():
+            for pair in zip(hard, soft):
+                for seconds in pair:
+                    readings += [now, now + seconds]
+                    now += seconds + 1.0
+        clock = iter(readings)
+        monkeypatch.setattr(
+            timing, "time", types.SimpleNamespace(perf_counter=lambda: next(clock))
+        )
+        result = run_complexity_experiment(
+            total_sizes=tuple(durations), repeats=3, seed=0
+        )
+        assert next(clock, None) is None
+        assert result.hard_seconds == pytest.approx((0.1, 0.2))
+        assert result.soft_full_seconds == pytest.approx((0.5, 1.2))
+
     def test_invalid_fraction_raises(self):
         with pytest.raises(ConfigurationError):
             run_complexity_experiment(unlabeled_fraction=1.5)

@@ -84,3 +84,22 @@ class TestLabeledReachability:
 
     def test_require_passes_silently(self, tiny_weights):
         require_labeled_reachability(tiny_weights, n_labeled=2)
+
+    @pytest.mark.parametrize("as_sparse", [False, True], ids=["dense", "sparse"])
+    def test_validates_weights_once(self, disconnected_weights, monkeypatch, as_sparse):
+        from repro.graph import components
+
+        calls = []
+        original = components.check_weight_matrix
+
+        def counting(weights, *args, **kwargs):
+            calls.append(weights.shape)
+            return original(weights, *args, **kwargs)
+
+        monkeypatch.setattr(components, "check_weight_matrix", counting)
+        weights = (
+            sparse.csr_matrix(disconnected_weights) if as_sparse else disconnected_weights
+        )
+        report = labeled_reachability(weights, n_labeled=2)
+        assert report.orphan_vertices == (3, 4)
+        assert len(calls) == 1

@@ -2,8 +2,9 @@
 
 Covers the cache machinery (hits/misses/evictions), the continuation
 state (warm starts, re-anchoring), invalidation on graph mutation
-(including a hypothesis property test: a mutated workspace must raise or
-recompute, never serve stale answers), and the ``x0`` threading through
+(including a hypothesis property test: a mutated workspace must raise,
+never serve stale answers), the labeled-reachability check made from the
+components computed at construction, and the ``x0`` threading through
 ``solve_spd``.  Numerical parity against direct solves lives in
 ``tests/test_workspace_parity.py``.
 """
@@ -12,16 +13,25 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from repro.core.hard import solve_hard_criterion
 from repro.core.soft import solve_soft_criterion
 from repro.datasets.synthetic import make_synthetic_dataset
-from repro.exceptions import ConfigurationError, WorkspaceInvalidatedError
+from repro.exceptions import (
+    ConfigurationError,
+    DisconnectedGraphError,
+    WorkspaceInvalidatedError,
+)
+from repro.graph.components import require_labeled_reachability
 from repro.graph.similarity import full_kernel_graph, knn_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
+from repro.linalg import workspace as workspace_module
 from repro.linalg.solvers import SolveInfo, solve_spd
-from repro.linalg.workspace import SolveWorkspace, check_sweep_backend
+from repro.linalg.workspace import (
+    MAX_FACTORIZATIONS,
+    SolveWorkspace,
+    check_sweep_backend,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,16 +63,18 @@ class TestFactorizationCache:
 
     def test_lru_eviction(self, problem):
         data, graph = problem
-        ws = SolveWorkspace(graph.weights, backend="exact", max_factorizations=2)
-        for lam in (0.1, 0.2, 0.3):
+        ws = SolveWorkspace(graph.weights, backend="exact")
+        grid = [0.1 * (k + 1) for k in range(MAX_FACTORIZATIONS + 1)]
+        for lam in grid:
             ws.solve_soft(data.y_labeled, lam)
         stats = ws.stats()
         assert stats.factor_evictions == 1
-        # 0.1 was evicted: solving it again must miss, 0.3 must hit.
-        ws.solve_soft(data.y_labeled, 0.3)
+        # The first λ was evicted: solving it again must miss, the last
+        # must hit.
+        ws.solve_soft(data.y_labeled, grid[-1])
         assert ws.stats().factor_hits == 1
-        ws.solve_soft(data.y_labeled, 0.1)
-        assert ws.stats().factor_misses == 4
+        ws.solve_soft(data.y_labeled, grid[0])
+        assert ws.stats().factor_misses == len(grid) + 1
 
     def test_hard_factorization_reused_across_calls(self, problem):
         data, graph = problem
@@ -87,13 +99,7 @@ class TestFactorizationCache:
             SolveWorkspace(graph.weights, backend="nope")
         with pytest.raises(ConfigurationError):
             SolveWorkspace(graph.weights, backend="spectral")
-        with pytest.raises(ConfigurationError):
-            SolveWorkspace(graph.weights, on_mutation="panic")
-        with pytest.raises(ConfigurationError):
-            SolveWorkspace(graph.weights, max_factorizations=0)
         ws = SolveWorkspace(graph.weights)
-        with pytest.raises(ConfigurationError):
-            ws.solve_soft(np.ones(10), 0.1, backend="nope")
         with pytest.raises(ConfigurationError):
             check_sweep_backend("spectral")
         # the hard solve always runs the exact grounded factorization,
@@ -108,6 +114,29 @@ class TestFactorizationCache:
         with pytest.raises(TypeError):
             SolveWorkspace(graph.weights, n_components=8)
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"max_factorizations": 2},
+            {"pcg_tol": 1e-8},
+            {"reanchor_budget": 5},
+            {"on_mutation": "recompute"},
+        ],
+        ids=lambda option: next(iter(option)),
+    )
+    def test_removed_constructor_options(self, problem, option):
+        _, graph = problem
+        with pytest.raises(TypeError):
+            SolveWorkspace(graph.weights, **option)
+
+    def test_per_call_backend_removed(self, problem):
+        data, graph = problem
+        ws = SolveWorkspace(graph.weights)
+        with pytest.raises(TypeError):
+            ws.solve_soft(data.y_labeled, 0.1, backend="exact")
+        with pytest.raises(TypeError):
+            ws.sweep_soft(data.y_labeled, (0.1, 1.0), backend="exact")
+
 
 class TestContinuation:
     def test_factored_sweep_warm_starts(self, problem):
@@ -121,11 +150,10 @@ class TestContinuation:
         assert stats.factor_misses < 5
 
     def test_classic_iterative_backends_rejected(self, problem):
-        data, graph = problem
-        ws = SolveWorkspace(graph.weights)
+        _, graph = problem
         for backend in ("cg", "jacobi", "gauss_seidel"):
             with pytest.raises(ConfigurationError, match="backend must be one of"):
-                ws.solve_soft(data.y_labeled, 0.1, backend=backend)
+                SolveWorkspace(graph.weights, backend=backend)
 
     def test_small_labeled_fraction_uses_woodbury(self):
         """With n_labeled <= min(512, N/4) the factored path solves the
@@ -169,19 +197,6 @@ class TestInvalidation:
         with pytest.raises(WorkspaceInvalidatedError):
             ws.solve_hard(data.y_labeled)
 
-    def test_recompute_mode_reflects_mutation(self, problem):
-        data, graph = problem
-        weights = graph.weights.copy()
-        ws = SolveWorkspace(weights, backend="exact", on_mutation="recompute")
-        ws.solve_soft(data.y_labeled, 0.1)
-        ws.weights[0, 1] += 0.25
-        ws.weights[1, 0] += 0.25
-        fit = ws.solve_soft(data.y_labeled, 0.1)
-        reference = solve_soft_criterion(
-            ws.weights, data.y_labeled, 0.1, check_reachability=False
-        )
-        np.testing.assert_allclose(fit.scores, reference.scores, atol=1e-8)
-
     def test_explicit_invalidate_clears_caches(self, problem):
         data, graph = problem
         ws = SolveWorkspace(graph.weights, backend="exact")
@@ -197,54 +212,108 @@ class TestInvalidation:
             st.integers(min_value=0, max_value=89),
         ),
         bump=st.floats(min_value=1e-6, max_value=10.0),
-        mode=st.sampled_from(["raise", "recompute"]),
     )
-    def test_never_serves_stale_factorization(self, entry, bump, mode):
-        """Property: after ANY symmetric weight bump, a workspace either
-        raises or returns the answer for the mutated graph — never the
-        cached answer for the old one.  Diagonal bumps are excluded: they
-        shift the degree by the same amount, leaving ``L = D - W`` (and
-        hence the solution) unchanged."""
+    def test_never_serves_stale_factorization(self, entry, bump):
+        """Property: after ANY symmetric weight bump, a workspace raises
+        instead of serving the cached answer for the old graph.  Diagonal
+        bumps are excluded: they shift the degree by the same amount,
+        leaving ``L = D - W`` (and hence the solution) unchanged."""
         assume(entry[0] != entry[1])
         data = make_synthetic_dataset(60, 30, seed=3)
         bandwidth = paper_bandwidth_rule(60, 5)
         weights = full_kernel_graph(data.x_all, bandwidth=bandwidth).weights.copy()
-        ws = SolveWorkspace(weights, backend="exact", on_mutation=mode)
-        stale = ws.solve_soft(data.y_labeled, 0.1)
+        ws = SolveWorkspace(weights, backend="exact")
+        ws.solve_soft(data.y_labeled, 0.1)
         i, j = entry
         ws.weights[i, j] += bump
         ws.weights[j, i] = ws.weights[i, j]
-        if mode == "raise":
-            with pytest.raises(WorkspaceInvalidatedError):
-                ws.solve_soft(data.y_labeled, 0.1)
-        else:
-            fresh = ws.solve_soft(data.y_labeled, 0.1)
-            reference = solve_soft_criterion(
-                ws.weights, data.y_labeled, 0.1, check_reachability=False
-            )
-            np.testing.assert_allclose(fresh.scores, reference.scores, atol=1e-8)
-            assert not np.array_equal(fresh.scores, stale.scores)
+        with pytest.raises(WorkspaceInvalidatedError):
+            ws.solve_soft(data.y_labeled, 0.1)
 
 
 class TestCoreDelegation:
+    """The core solves are the per-point reference; they take no workspace."""
+
     def test_soft_workspace_kwarg(self, problem):
         data, graph = problem
         ws = SolveWorkspace(graph.weights, backend="exact")
-        fit = solve_soft_criterion(
-            graph.weights, data.y_labeled, 0.1, workspace=ws
-        )
-        assert fit.method == "workspace[exact]"
-        assert ws.stats().factor_misses == 1
+        with pytest.raises(TypeError):
+            solve_soft_criterion(graph.weights, data.y_labeled, 0.1, workspace=ws)
+        assert ws.stats().factor_misses == 0
 
     def test_hard_workspace_kwarg(self, problem):
         data, graph = problem
         ws = SolveWorkspace(graph.weights)
-        fit = solve_hard_criterion(graph.weights, data.y_labeled, workspace=ws)
-        reference = solve_hard_criterion(
-            graph.weights, data.y_labeled, check_reachability=False
+        with pytest.raises(TypeError):
+            solve_hard_criterion(graph.weights, data.y_labeled, workspace=ws)
+        assert ws.stats().factor_misses == 0
+
+
+@pytest.fixture(scope="module")
+def orphaned_problem():
+    """A kNN graph with a 300-vertex cluster that no label can reach."""
+    rng = np.random.default_rng(0)
+    x = np.vstack([rng.normal(size=(3700, 3)), rng.normal(size=(300, 3)) + 50.0])
+    graph = knn_graph(x, k=10, bandwidth=0.5)
+    return graph, np.sin(x[:200, 0])
+
+
+class TestReachability:
+    """Every solve checks its labeled mask against the components the
+    workspace computed when it was built, before any expensive phase."""
+
+    def _assert_raises_cheaply(self, ws, call, weights, n):
+        with pytest.raises(DisconnectedGraphError) as caught:
+            call()
+        with pytest.raises(DisconnectedGraphError) as reference:
+            require_labeled_reachability(weights, n)
+        assert str(caught.value) == str(reference.value)
+        assert caught.value.component_indices == tuple(range(3700, 4000))
+        stats = ws.stats()
+        assert stats.factor_misses == 0
+        assert stats.coarsen_builds == 0
+        assert stats.pcg_solves == stats.multigrid_solves == 0
+
+    @pytest.mark.parametrize("backend", ["exact", "factored", "multigrid"])
+    def test_solve_soft_raises_on_orphaned_component(self, orphaned_problem, backend):
+        graph, y = orphaned_problem
+        ws = SolveWorkspace(graph.weights, backend=backend)
+        self._assert_raises_cheaply(
+            ws, lambda: ws.solve_soft(y, 0.1), graph.weights, y.shape[0]
         )
-        np.testing.assert_array_equal(fit.scores[:60], data.y_labeled)
-        np.testing.assert_allclose(fit.scores, reference.scores, atol=1e-10)
+
+    def test_sweep_soft_raises_on_orphaned_component(self, orphaned_problem):
+        graph, y = orphaned_problem
+        ws = SolveWorkspace(graph.weights, backend="multigrid")
+        self._assert_raises_cheaply(
+            ws, lambda: ws.sweep_soft(y, (0.01, 0.1, 1.0)), graph.weights, y.shape[0]
+        )
+
+    def test_solve_hard_raises_on_orphaned_component(self, orphaned_problem):
+        graph, y = orphaned_problem
+        ws = SolveWorkspace(graph.weights)
+        self._assert_raises_cheaply(
+            ws, lambda: ws.solve_hard(y), graph.weights, y.shape[0]
+        )
+
+    def test_components_computed_once_per_workspace(self, sparse_problem, monkeypatch):
+        data, graph = sparse_problem
+        calls = []
+        original = workspace_module.validated_components
+
+        def counting(weights):
+            calls.append(weights.shape)
+            return original(weights)
+
+        monkeypatch.setattr(workspace_module, "validated_components", counting)
+        ws = SolveWorkspace(graph.weights, backend="factored")
+        ws.sweep_soft(data.y_labeled, (0.01, 0.1, 1.0, 10.0))
+        ws.solve_hard(data.y_labeled)
+        ws.solve_soft(data.y_labeled[:40], 0.1)
+        assert len(calls) == 1
+        ws.invalidate()
+        ws.solve_soft(data.y_labeled, 0.1)
+        assert len(calls) == 2
 
 
 class TestSolveSpdWarmStart:

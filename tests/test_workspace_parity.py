@@ -1,24 +1,33 @@
-"""Golden parity suite: workspace sweep backends versus direct solves.
+"""Golden parity suite: workspace sweep backends versus per-point solves.
 
-The amortization layer is only admissible if it does not move results.
+Every λ-sweep runs through :class:`~repro.linalg.workspace.SolveWorkspace`,
+so the workspace is only admissible if it does not move results.  The
+per-point reference is :func:`~repro.core.soft.solve_soft_criterion`.
 This suite pins the contract from three directions:
 
-* every workspace backend matches per-point direct solves at
-  ``atol=1e-8`` across a lambda grid (on dense graphs, where ``direct``
-  takes the Schur route, for exact/factored/multigrid; on sparse
-  graphs for exact/factored);
-* the sparse exact backend is *bitwise* identical to the direct sparse
-  path (same operations in the same order);
-* the rewired model-selection and experiment drivers (grid CV,
-  bandwidth hoist, parallel replicates) reproduce their pre-workspace
-  answers exactly.
+* every workspace backend matches per-point reference solves at
+  ``atol=1e-8`` across a lambda grid (on dense graphs, where the
+  reference takes the Schur route, for exact/factored/multigrid; on
+  sparse graphs for exact/factored);
+* the sparse exact backend is *bitwise* identical to the reference
+  sparse path (same operations in the same order);
+* the model-selection and experiment functions (grid CV against a
+  per-fold reference loop, bandwidth hoist, parallel replicates)
+  reproduce their answers, and every λ-sweep entry point rejects a ``sweep_backend``
+  outside :data:`~repro.linalg.workspace.SWEEP_BACKENDS` before it
+  builds any data.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 from repro.core.soft import solve_soft_criterion
+from repro.datasets.splits import kfold_indices
 from repro.datasets.synthetic import make_synthetic_dataset
+from repro.exceptions import ConfigurationError
+from repro.experiments.extensions import run_tuned_lambda_study
 from repro.experiments.figures.prop21 import run_prop21_experiment
 from repro.experiments.figures.prop22 import run_prop22_experiment
 from repro.experiments.lambda_curve import run_lambda_curve
@@ -28,6 +37,7 @@ from repro.linalg.workspace import SolveWorkspace
 from repro.model_selection.search import (
     cross_validate_lambda,
     select_bandwidth,
+    select_lambda,
 )
 
 LAMBDA_GRID = (1e-3, 1e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0)
@@ -145,13 +155,23 @@ class TestModelSelectionParity:
         )
         assert batched == looped
 
-    @pytest.mark.parametrize("backend", ["exact", "factored"])
+    @pytest.mark.parametrize("backend", ["exact", "factored", "multigrid"])
     def test_cv_workspace_backend_matches_direct(self, dense_problem, backend):
         data, graph = dense_problem
         grid = (0.0, 0.01, 0.1, 1.0)
-        direct = cross_validate_lambda(
-            graph.weights, data.y_labeled, grid, n_folds=4, seed=5
-        )
+        y = data.y_labeled
+        n = y.shape[0]
+        total = graph.weights.shape[0]
+        losses = [[] for _ in grid]
+        for fold in kfold_indices(n, 4, seed=5):
+            keep = np.setdiff1d(np.arange(n), fold)
+            order = np.concatenate([keep, fold, np.arange(n, total)])
+            w_perm = graph.weights[np.ix_(order, order)]
+            for j, lam in enumerate(grid):
+                fit = solve_soft_criterion(w_perm, y[keep], lam)
+                held_out = fit.scores[len(keep) : len(keep) + len(fold)]
+                losses[j].append(np.mean((y[fold] - held_out) ** 2))
+        direct = [np.mean(fold_losses) for fold_losses in losses]
         amortized = cross_validate_lambda(
             graph.weights,
             data.y_labeled,
@@ -227,3 +247,69 @@ class TestExperimentParity:
             n_labeled=40, n_unlabeled=12, seed=1, sweep_backend=backend
         )
         assert result.collapses_to_mean
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("built data before validating sweep_backend")
+
+
+#: Each λ-sweep entry point, called with the removed ``"direct"`` backend, and
+#: the data and graph constructors it must not reach.
+SWEEP_ENTRY_POINTS = {
+    "run_lambda_curve": (
+        lambda: run_lambda_curve(n_replicates=1, seed=0, sweep_backend="direct"),
+        ("repro.experiments.lambda_curve.make_synthetic_dataset",
+         "repro.experiments.lambda_curve.full_kernel_graph"),
+    ),
+    "run_prop21_experiment": (
+        lambda: run_prop21_experiment(sweep_backend="direct"),
+        ("repro.experiments.figures.prop21.make_synthetic_dataset",
+         "repro.experiments.figures.prop21.full_kernel_graph"),
+    ),
+    "run_prop22_experiment": (
+        lambda: run_prop22_experiment(sweep_backend="direct"),
+        ("repro.experiments.figures.prop22.make_synthetic_dataset",
+         "repro.experiments.figures.prop22.full_kernel_graph"),
+    ),
+    "run_tuned_lambda_study": (
+        lambda: run_tuned_lambda_study(n_replicates=1, seed=0, sweep_backend="direct"),
+        ("repro.experiments.extensions.make_synthetic_dataset",
+         "repro.experiments.extensions.full_kernel_graph"),
+    ),
+    "cross_validate_lambda": (
+        lambda: cross_validate_lambda(
+            np.ones((6, 6)), np.ones(4), (0.1, 1.0), n_folds=2,
+            sweep_backend="direct",
+        ),
+        ("repro.model_selection.search.check_weight_matrix",
+         "repro.model_selection.search.SolveWorkspace"),
+    ),
+    "select_lambda": (
+        lambda: select_lambda(
+            np.ones((6, 6)), np.ones(4), n_folds=2, sweep_backend="direct"
+        ),
+        ("repro.model_selection.search.cross_validate_lambda",
+         "repro.model_selection.search.SolveWorkspace"),
+    ),
+    "select_bandwidth": (
+        lambda: select_bandwidth(
+            np.zeros((4, 1)), np.ones(4), np.zeros((2, 1)), grid=(1.0,),
+            n_folds=2, sweep_backend="direct",
+        ),
+        ("repro.kernels.base.pairwise_sq_distances",
+         "repro.model_selection.search._knn_candidate_weights",
+         "repro.model_selection.search.cross_validate_lambda"),
+    ),
+}
+
+
+class TestSweepBackendContract:
+    @pytest.mark.parametrize("entry", sorted(SWEEP_ENTRY_POINTS))
+    def test_direct_rejected_before_building_data(self, monkeypatch, entry):
+        call, constructors = SWEEP_ENTRY_POINTS[entry]
+        for target in constructors:
+            monkeypatch.setattr(target, _must_not_run)
+        with pytest.raises(
+            ConfigurationError, match=re.escape("('exact', 'factored', 'multigrid')")
+        ):
+            call()
