@@ -27,14 +27,14 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.core.hard import _coerce_weights
+from repro.core.hard import _labeled_first_inputs
 from repro.core.result import FitResult
 from repro.exceptions import ConfigurationError, DataValidationError, NotFittedError
-from repro.graph.laplacian import laplacian
+from repro.graph.laplacian import _unchecked_laplacian
 from repro.graph.similarity import build_similarity_graph
 from repro.kernels.base import RadialKernel
 from repro.kernels.library import GaussianKernel
-from repro.utils.validation import check_labels, check_matrix_2d, check_weight_matrix
+from repro.utils.validation import check_matrix_2d
 
 __all__ = ["solve_eigenbasis", "EigenbasisRegressor"]
 
@@ -63,21 +63,14 @@ def solve_eigenbasis(
         unlabeled region), in which case plain least squares explodes
         their coefficients; a small ridge keeps such directions muted.
     """
-    weights = check_weight_matrix(_coerce_weights(weights))
-    y_labeled = check_labels(y_labeled, name="y_labeled")
-    total = weights.shape[0]
-    n = y_labeled.shape[0]
-    if n > total:
-        raise DataValidationError(
-            f"y_labeled has length {n} but the graph has only {total} vertices"
-        )
-    if not 1 <= n_components <= min(n, total):
+    weights, y_labeled, n, _ = _labeled_first_inputs(weights, y_labeled)
+    if not 1 <= n_components <= n:
         raise ConfigurationError(
-            f"n_components must be in [1, {min(n, total)}], got {n_components}"
+            f"n_components must be in [1, {n}], got {n_components}"
         )
     if ridge < 0:
         raise ConfigurationError(f"ridge must be >= 0, got {ridge}")
-    lap = laplacian(weights)
+    lap = _unchecked_laplacian(weights)
     dense = np.asarray(lap.todense()) if sparse.issparse(lap) else lap
     _, vectors = np.linalg.eigh(dense)
     basis = vectors[:, :n_components]  # smoothest first (ascending eigenvalues)

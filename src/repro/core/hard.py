@@ -35,6 +35,7 @@ from repro import obs
 from repro.core.result import FitResult
 from repro.exceptions import DataValidationError
 from repro.graph.components import require_labeled_reachability
+from repro.graph.laplacian import grounded_system
 from repro.graph.similarity import SimilarityGraph
 from repro.linalg.solvers import solve_spd
 from repro.obs import probes
@@ -48,6 +49,24 @@ def _coerce_weights(weights):
     if isinstance(weights, SimilarityGraph):
         return weights.weights
     return weights
+
+
+def _labeled_first_inputs(weights, y_labeled):
+    """Validate a labeled-first problem; returns ``(weights, y, n, m)``.
+
+    Unwraps a SimilarityGraph, validates the weights and the labels, and
+    rejects more labels than vertices.  ``n`` counts the labeled
+    vertices (the first ``n``) and ``m`` the unlabeled ones.
+    """
+    weights = check_weight_matrix(_coerce_weights(weights))
+    y = check_labels(y_labeled, name="y_labeled")
+    total = weights.shape[0]
+    n = y.shape[0]
+    if n > total:
+        raise DataValidationError(
+            f"y_labeled has length {n} but the graph has only {total} vertices"
+        )
+    return weights, y, n, total - n
 
 
 def solve_hard_criterion(
@@ -87,15 +106,7 @@ def solve_hard_criterion(
         With ``scores[:n] == y_labeled`` exactly and ``scores[n:]`` equal
         to Eq. (5)'s solution.
     """
-    weights = check_weight_matrix(_coerce_weights(weights))
-    y_labeled = check_labels(y_labeled, name="y_labeled")
-    total = weights.shape[0]
-    n = y_labeled.shape[0]
-    if n > total:
-        raise DataValidationError(
-            f"y_labeled has length {n} but the graph has only {total} vertices"
-        )
-    m = total - n
+    weights, y_labeled, n, m = _labeled_first_inputs(weights, y_labeled)
 
     if m == 0:
         scores = y_labeled.copy()
@@ -108,20 +119,10 @@ def solve_hard_criterion(
         require_labeled_reachability(weights, n)
 
     with obs.span("repro.solve_hard", n=n, m=m, method=method) as span:
-        if sparse.issparse(weights):
-            w21 = weights[n:, :n]
-            w22 = weights[n:, n:]
-            degrees = np.asarray(weights.sum(axis=1)).ravel()[n:]
-            system = sparse.diags(degrees, format="csr") - w22
-            rhs = np.asarray(w21 @ y_labeled).ravel()
-            if method == "direct":
-                method = "sparse"
-        else:
-            w21 = weights[n:, :n]
-            w22 = weights[n:, n:]
-            degrees = weights.sum(axis=1)[n:]
-            system = np.diag(degrees) - w22
-            rhs = w21 @ y_labeled
+        system, w21 = grounded_system(weights, n)
+        rhs = np.asarray(w21 @ y_labeled).ravel()
+        if method == "direct" and sparse.issparse(weights):
+            method = "sparse"
 
         if span.recording:
             probes.record_graph_stats(span, weights, n)

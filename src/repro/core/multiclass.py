@@ -20,6 +20,7 @@ from scipy import sparse
 from repro.core.hard import _coerce_weights
 from repro.exceptions import DataValidationError, NotFittedError
 from repro.graph.components import require_labeled_reachability
+from repro.graph.laplacian import grounded_system
 from repro.graph.similarity import build_similarity_graph
 from repro.kernels.base import RadialKernel
 from repro.kernels.library import GaussianKernel
@@ -132,19 +133,14 @@ def solve_multiclass_hard(weights, y_labeled, *, check_reachability: bool = True
         )
     if check_reachability:
         require_labeled_reachability(weights, n)
+    grounded, w21 = grounded_system(weights, n)
+    rhs = np.asarray(w21 @ onehot)  # (m, K): one rhs per class
     if sparse.issparse(weights):
-        # Sparse graphs stay sparse: ground the Laplacian in CSR and
-        # factor it once; the K one-vs-rest columns share the single
+        # Sparse graphs stay sparse: the grounded Laplacian is CSR and
+        # factored once; the K one-vs-rest columns share the single
         # factorization through a (m, K) block back-substitution.
-        csr = weights.tocsr()
-        degrees = np.asarray(csr.sum(axis=1)).ravel()
-        grounded = sparse.diags(degrees[n:], format="csr") - csr[n:, n:]
-        rhs = np.asarray(csr[n:, :n] @ onehot)
         scores = factorize_spd(grounded).solve(rhs)
     else:
-        degrees = weights.sum(axis=1)
-        grounded = np.diag(degrees[n:]) - weights[n:, n:]
-        rhs = weights[n:, :n] @ onehot  # (m, K): one rhs per class
         scores = np.linalg.solve(grounded, rhs)
     priors = onehot.mean(axis=0)
     return MulticlassFit(scores=scores, classes=classes, priors=priors)

@@ -22,12 +22,12 @@ import numpy as np
 from scipy import sparse
 
 from repro import obs
-from repro.core.hard import _coerce_weights
+from repro.core.hard import _labeled_first_inputs
 from repro.core.result import FitResult, PropagationResult
 from repro.exceptions import ConfigurationError, ConvergenceError, DataValidationError
 from repro.graph.components import require_labeled_reachability
+from repro.graph.laplacian import _row_sums
 from repro.linalg.solvers import solve_square
-from repro.utils.validation import check_labels, check_weight_matrix
 
 __all__ = ["propagate_labels", "propagate_soft", "local_global_consistency"]
 
@@ -62,15 +62,7 @@ def propagate_labels(
     PropagationResult
         Fixed-point scores plus the per-iteration update-norm trace.
     """
-    weights = check_weight_matrix(_coerce_weights(weights))
-    y_labeled = check_labels(y_labeled, name="y_labeled")
-    total = weights.shape[0]
-    n = y_labeled.shape[0]
-    if n > total:
-        raise DataValidationError(
-            f"y_labeled has length {n} but the graph has only {total} vertices"
-        )
-    m = total - n
+    weights, y_labeled, n, m = _labeled_first_inputs(weights, y_labeled)
     if check_reachability:
         require_labeled_reachability(weights, n)
 
@@ -81,14 +73,9 @@ def propagate_labels(
         )
         return PropagationResult(fit=fit, iterations=0, delta_norms=(), converged=True)
 
-    if sparse.issparse(weights):
-        w21 = weights[n:, :n].tocsr()
-        w22 = weights[n:, n:].tocsr()
-        degrees = np.asarray(weights.sum(axis=1)).ravel()[n:]
-    else:
-        w21 = weights[n:, :n]
-        w22 = weights[n:, n:]
-        degrees = weights.sum(axis=1)[n:]
+    w21 = weights[n:, :n]
+    w22 = weights[n:, n:]
+    degrees = _row_sums(weights)[n:]
     if np.any(degrees <= 0):
         raise DataValidationError(
             "label propagation requires every unlabeled vertex to have "
@@ -157,29 +144,17 @@ def propagate_soft(
         Tuning parameter; must be > 0 (use :func:`propagate_labels` for
         the hard criterion's fixed point).
     """
-    weights = check_weight_matrix(_coerce_weights(weights))
-    y_labeled = check_labels(y_labeled, name="y_labeled")
+    weights, y_labeled, n, m = _labeled_first_inputs(weights, y_labeled)
     if lam <= 0:
         raise DataValidationError(
             f"propagate_soft requires lam > 0 (got {lam}); "
             f"use propagate_labels for the hard criterion"
         )
-    total = weights.shape[0]
-    n = y_labeled.shape[0]
-    if n > total:
-        raise DataValidationError(
-            f"y_labeled has length {n} but the graph has only {total} vertices"
-        )
     if check_reachability:
         require_labeled_reachability(weights, n)
 
-    if sparse.issparse(weights):
-        matvec = lambda v: np.asarray(weights @ v).ravel()
-        degrees = np.asarray(weights.sum(axis=1)).ravel()
-    else:
-        matvec = lambda v: weights @ v
-        degrees = weights.sum(axis=1)
-
+    total = n + m
+    degrees = _row_sums(weights)
     indicator = np.zeros(total)
     indicator[:n] = 1.0
     denominator = indicator + lam * degrees
@@ -195,7 +170,7 @@ def propagate_soft(
         scores = rhs / denominator  # one-sweep warm start
         deltas: list[float] = []
         for iteration in range(1, max_iter + 1):
-            updated = (rhs + lam * matvec(scores)) / denominator
+            updated = (rhs + lam * np.asarray(weights @ scores).ravel()) / denominator
             delta = float(np.max(np.abs(updated - scores)))
             deltas.append(delta)
             scores = updated
@@ -239,21 +214,12 @@ def local_global_consistency(
     Returned scores are *not* clamped on labeled vertices — like the soft
     criterion, this method smooths the labeled responses too.
     """
-    weights = check_weight_matrix(_coerce_weights(weights))
-    y_labeled = check_labels(y_labeled, name="y_labeled")
+    weights, y_labeled, n, m = _labeled_first_inputs(weights, y_labeled)
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
-    total = weights.shape[0]
-    n = y_labeled.shape[0]
-    if n > total:
-        raise DataValidationError(
-            f"y_labeled has length {n} but the graph has only {total} vertices"
-        )
+    total = n + m
 
-    if sparse.issparse(weights):
-        degrees = np.asarray(weights.sum(axis=1)).ravel()
-    else:
-        degrees = weights.sum(axis=1)
+    degrees = _row_sums(weights)
     if np.any(degrees <= 0):
         raise DataValidationError(
             "local-global consistency requires strictly positive degrees"

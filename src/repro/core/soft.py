@@ -21,8 +21,13 @@ and ``L = D - W`` the unnormalized Laplacian.  Two backends:
   Eq. (5) — Proposition II.1.  The labeled block is then recovered from
   the first block row.
 
-Sparse weight matrices stay sparse end to end: the stationarity system
-``V + lambda L`` is assembled in CSR and handed to the sparse
+Both systems come from :mod:`repro.graph.laplacian` —
+:func:`~repro.graph.laplacian.soft_system` for ``V + lambda L`` and
+:func:`~repro.graph.laplacian.grounded_system` for the Schur route's
+``D22 - W22`` — the same assembly the
+:class:`~repro.linalg.workspace.SolveWorkspace` factorizes, in the
+input's format.  Sparse weight matrices therefore stay sparse end to
+end: ``V + lambda L`` is assembled in CSR and handed to the sparse
 factorization in :func:`repro.linalg.solvers.solve_spd` — the weights
 are never densified.  Because the Schur route's intermediate
 ``(I + lam D11 - lam W11)^{-1} W12`` block is inherently dense, sparse
@@ -43,10 +48,11 @@ from scipy import sparse
 import math
 
 from repro import obs
-from repro.core.hard import _coerce_weights, solve_hard_criterion
+from repro.core.hard import _coerce_weights, _labeled_first_inputs, solve_hard_criterion
 from repro.core.result import FitResult
 from repro.exceptions import ConfigurationError, DataValidationError
 from repro.graph.components import require_labeled_reachability
+from repro.graph.laplacian import _unchecked_laplacian, grounded_system, soft_system
 from repro.linalg.solvers import SolveInfo, solve_spd, solve_square
 from repro.obs import probes
 from repro.utils.validation import check_labels, check_positive_scalar, check_weight_matrix
@@ -90,16 +96,8 @@ def solve_soft_criterion(
         small ``lam``; at ``lam > 0`` a disconnected unlabeled component
         also makes ``V + lam L`` singular).
     """
-    weights = check_weight_matrix(_coerce_weights(weights))
-    y_labeled = check_labels(y_labeled, name="y_labeled")
+    weights, y_labeled, n, m = _labeled_first_inputs(weights, y_labeled)
     lam = check_positive_scalar(lam, "lam", allow_zero=True)
-    total = weights.shape[0]
-    n = y_labeled.shape[0]
-    if n > total:
-        raise DataValidationError(
-            f"y_labeled has length {n} but the graph has only {total} vertices"
-        )
-    m = total - n
 
     if lam == 0.0:
         hard = solve_hard_criterion(
@@ -121,63 +119,27 @@ def solve_soft_criterion(
     if method not in ("full", "schur"):
         raise ConfigurationError(f"method must be 'full' or 'schur', got {method!r}")
 
-    if sparse.issparse(weights):
-        return _solve_full_sparse(weights, y_labeled, lam, n, m, solver, method)
-    if method == "full":
-        return _solve_full(weights, y_labeled, lam, n, m, solver)
+    if sparse.issparse(weights) or method == "full":
+        return _solve_full(weights, y_labeled, lam, n, m, solver, method)
     return _solve_schur(weights, y_labeled, lam, n, m)
 
 
-def _solve_full(weights: np.ndarray, y: np.ndarray, lam: float, n: int, m: int, solver: str) -> FitResult:
-    """Solve ``(V + lam L) f = (y; 0)`` over all n+m vertices."""
-    total = n + m
-    with obs.span("repro.solve_soft", n=n, m=m, lam=lam, method="full") as span:
-        degrees = weights.sum(axis=1)
-        laplacian = np.diag(degrees) - weights
-        system = lam * laplacian
-        system[np.arange(n), np.arange(n)] += 1.0
-        rhs = np.zeros(total)
-        rhs[:n] = y
-        if span.recording:
-            probes.record_graph_stats(span, weights, n)
-            probes.record_spd_system(span, system)
-        scores, info = solve_spd(system, rhs, method=solver, return_info=True)
-        probes.record_solve_info(span, info)
-        registry = obs.get_registry()
-        registry.counter("solves.soft").inc()
-        registry.log_histogram("solves.soft.system_size").observe(total)
-        return FitResult(
-            scores=scores,
-            n_labeled=n,
-            lam=lam,
-            method="full",
-            criterion="soft",
-            details={"system_size": total},
-            solve_info=info,
-        )
-
-
-def _solve_full_sparse(
+def _solve_full(
     weights, y: np.ndarray, lam: float, n: int, m: int, solver: str, requested: str
 ) -> FitResult:
-    """Solve ``(V + lam L) f = (y; 0)`` without densifying the weights.
+    """Solve ``(V + lam L) f = (y; 0)`` over all n+m vertices.
 
-    The system is assembled as ``lam * (D - W) + diag(V)`` in CSR and
-    solved by the sparse factorization (or an iterative backend).  Used
-    for both ``method="full"`` and — because its intermediates densify —
-    ``method="schur"`` on sparse inputs; the two are algebraically equal.
+    Answers ``method="full"`` and — because the Schur route's
+    intermediates densify — ``method="schur"`` on sparse inputs; the two
+    are algebraically equal.  Sparse weights stay sparse: the system is
+    assembled in CSR and solved by the sparse factorization (or an
+    iterative backend).
     """
     total = n + m
-    with obs.span(
-        "repro.solve_soft", n=n, m=m, lam=lam, method=f"{requested}:sparse"
-    ) as span:
-        degrees = np.asarray(weights.sum(axis=1)).ravel()
-        laplacian = sparse.diags(degrees, format="csr") - weights.tocsr()
-        labeled_indicator = np.zeros(total)
-        labeled_indicator[:n] = 1.0
-        system = (
-            lam * laplacian + sparse.diags(labeled_indicator, format="csr")
-        ).tocsr()
+    is_sparse = sparse.issparse(weights)
+    label = f"{requested}:sparse" if is_sparse else requested
+    with obs.span("repro.solve_soft", n=n, m=m, lam=lam, method=label) as span:
+        system = soft_system(_unchecked_laplacian(weights), n, lam)
         rhs = np.zeros(total)
         rhs[:n] = y
         if span.recording:
@@ -188,14 +150,16 @@ def _solve_full_sparse(
         registry = obs.get_registry()
         registry.counter("solves.soft").inc()
         registry.log_histogram("solves.soft.system_size").observe(total)
-        method = "full" if requested == "full" else "schur->sparse_full"
+        details = {"system_size": total}
+        if is_sparse:
+            details["nnz"] = int(system.nnz)
         return FitResult(
             scores=scores,
             n_labeled=n,
             lam=lam,
-            method=method,
+            method="full" if requested == "full" else "schur->sparse_full",
             criterion="soft",
-            details={"system_size": total, "nnz": int(system.nnz)},
+            details=details,
             solve_info=info,
         )
 
@@ -206,11 +170,8 @@ def _solve_schur(weights: np.ndarray, y: np.ndarray, lam: float, n: int, m: int)
         probes.record_schur_blocks(span, n, m)
         w11 = weights[:n, :n]
         w12 = weights[:n, n:]
-        w21 = weights[n:, :n]
-        w22 = weights[n:, n:]
         degrees = weights.sum(axis=1)
         d11 = degrees[:n]
-        d22 = degrees[n:]
 
         # inner = I_n + lam*D11 - lam*W11 (n x n, SPD for lam >= 0).
         inner = -lam * w11
@@ -227,7 +188,7 @@ def _solve_schur(weights: np.ndarray, y: np.ndarray, lam: float, n: int, m: int)
             )
 
         inner_inv_w12 = np.linalg.solve(inner, w12)  # n x m
-        grounded = np.diag(d22) - w22  # D22 - W22, m x m
+        grounded, w21 = grounded_system(weights, n, degrees)  # D22 - W22, m x m
         system = grounded - lam * (w21 @ inner_inv_w12)
         schur_rhs = w21 @ inner_inv_y
         if span.recording:

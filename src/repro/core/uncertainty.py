@@ -25,6 +25,7 @@ from scipy import sparse
 from repro.core.hard import _coerce_weights
 from repro.exceptions import DataValidationError
 from repro.graph.components import require_labeled_reachability
+from repro.graph.laplacian import grounded_system
 from repro.linalg.solvers import factorize_spd
 from repro.utils.validation import check_labels, check_positive_scalar, check_weight_matrix
 
@@ -112,22 +113,18 @@ def gaussian_field_posterior(
     if check_reachability:
         require_labeled_reachability(weights, n)
     m = total - n
+    grounded, w21 = grounded_system(weights, n)
     if sparse.issparse(weights):
         # Keep the graph sparse: factor the grounded Laplacian once and
         # back-substitute the identity columns for the inverse.  The
         # posterior covariance itself is inherently dense (it is the
         # requested m x m output), but the (n+m)^2 weights never are.
-        csr = weights.tocsr()
-        degrees = np.asarray(csr.sum(axis=1)).ravel()
-        grounded = sparse.diags(degrees[n:], format="csr") - csr[n:, n:]
         factor = factorize_spd(grounded)
-        mean = factor.solve(np.asarray(csr[n:, :n] @ y_labeled).ravel())
+        mean = factor.solve(np.asarray(w21 @ y_labeled).ravel())
         inverse = factor.solve(np.eye(m))
     else:
-        degrees = weights.sum(axis=1)
-        grounded = np.diag(degrees[n:]) - weights[n:, n:]
         inverse = np.linalg.inv(grounded)
-        mean = inverse @ (weights[n:, :n] @ y_labeled)
+        mean = inverse @ (w21 @ y_labeled)
     covariance = field_scale**2 * inverse
     return GaussianFieldPosterior(
         mean=mean,

@@ -17,15 +17,13 @@ paper's workload.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
-from repro.core.hard import _coerce_weights
+from repro.core.hard import _labeled_first_inputs
 from repro.core.result import FitResult
-from repro.exceptions import DataValidationError
 from repro.graph.components import require_labeled_reachability
-from repro.graph.laplacian import normalized_laplacian
+from repro.graph.laplacian import normalized_laplacian, soft_system
 from repro.linalg.solvers import solve_square
-from repro.utils.validation import check_labels, check_positive_scalar, check_weight_matrix
+from repro.utils.validation import check_positive_scalar
 
 __all__ = ["solve_soft_criterion_normalized"]
 
@@ -50,33 +48,14 @@ def solve_soft_criterion_normalized(
         Penalty weight; must be > 0 (at 0 the unlabeled block is
         unconstrained — use the hard criterion for the clamped limit).
     """
-    weights = check_weight_matrix(_coerce_weights(weights))
-    y_labeled = check_labels(y_labeled, name="y_labeled")
+    weights, y_labeled, n, m = _labeled_first_inputs(weights, y_labeled)
     lam = check_positive_scalar(lam, "lam")
-    total = weights.shape[0]
-    n = y_labeled.shape[0]
-    if n > total:
-        raise DataValidationError(
-            f"y_labeled has length {n} but the graph has only {total} vertices"
-        )
     if check_reachability:
         require_labeled_reachability(weights, n)
 
-    lap = normalized_laplacian(weights)
-    rhs = np.zeros(total)
+    system = soft_system(normalized_laplacian(weights), n, lam)
+    rhs = np.zeros(n + m)
     rhs[:n] = y_labeled
-    if sparse.issparse(lap):
-        # Sparse graphs stay sparse: add the labeled indicator as a
-        # diagonal matrix (entry-assignment on CSR would be both slow
-        # and a SparseEfficiencyWarning).
-        labeled_indicator = np.zeros(total)
-        labeled_indicator[:n] = 1.0
-        system = (
-            lam * lap.tocsr() + sparse.diags(labeled_indicator, format="csr")
-        ).tocsr()
-    else:
-        system = lam * lap
-        system[np.arange(n), np.arange(n)] += 1.0
     scores = solve_square(system, rhs)
     return FitResult(
         scores=scores,

@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.hard import solve_hard_criterion
 from repro.datasets.toy import constant_input_toy
 from repro.exceptions import ConfigurationError
+from repro.graph.laplacian import grounded_system
 from repro.graph.similarity import full_kernel_graph
 from repro.utils.rng import spawn_rngs
 
@@ -73,9 +74,7 @@ def run_toy_example(
             worst_score,
             float(np.max(np.abs(fit.unlabeled_scores - toy.expected_unlabeled_score))),
         )
-        weights = graph.dense_weights()
-        degrees = weights.sum(axis=1)
-        grounded = np.diag(degrees[n:]) - weights[n:, n:]
+        grounded, _ = grounded_system(graph.dense_weights(), n)
         inverse = np.linalg.inv(grounded)
         expected = np.full(
             (m, m), toy.expected_inverse_off_diagonal

@@ -8,9 +8,11 @@ from repro.graph.components import (
 )
 from repro.graph.laplacian import (
     degree_vector,
+    grounded_system,
     laplacian,
     normalized_laplacian,
     random_walk_laplacian,
+    soft_system,
 )
 from repro.graph.approx import approx_knn_graph, knn_recall, rp_tree_knn
 from repro.graph.similarity import (
@@ -43,6 +45,8 @@ __all__ = [
     "laplacian",
     "normalized_laplacian",
     "random_walk_laplacian",
+    "grounded_system",
+    "soft_system",
     "connected_components",
     "is_connected",
     "labeled_reachability",

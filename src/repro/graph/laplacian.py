@@ -1,10 +1,26 @@
-"""Graph Laplacians and degree computations.
+"""Graph Laplacians, degrees, and the two labeled-first linear systems.
 
 The paper uses the *unnormalized* Laplacian ``L = D - W`` (Section II).
 The symmetric-normalized and random-walk variants are provided for the
 local-global-consistency baseline (Zhou et al. 2004) and for spectral
 diagnostics.  All functions accept dense ndarrays or scipy sparse
 matrices and preserve sparsity.
+
+The paper's two criteria solve two linear systems on a graph whose
+first ``n`` vertices are labeled, and both are assembled here:
+
+* :func:`soft_system` — Eq. (3)'s stationarity matrix ``V + λL``, with
+  ``V`` the indicator of the labeled vertices;
+* :func:`grounded_system` — Eq. (5)'s grounded Laplacian ``D22 - W22``
+  and the coupling block ``W21``.
+
+They take weights that are already validated and keep the input's
+format: a CSR input gives CSR systems (the indicator is added as a
+diagonal matrix, never assigned into CSR), a dense input dense ones.
+The per-point solves in :mod:`repro.core`, the cached factorizations of
+:class:`~repro.linalg.workspace.SolveWorkspace` and the exact serving
+path all call them, so each system has one operation order and the
+cached paths reproduce the reference solves bit for bit.
 """
 
 from __future__ import annotations
@@ -22,15 +38,34 @@ __all__ = [
     "laplacian",
     "normalized_laplacian",
     "random_walk_laplacian",
+    "grounded_system",
+    "soft_system",
 ]
+
+
+def _row_sums(weights) -> np.ndarray:
+    """Row sums of already-validated weights, self-weights included."""
+    if sparse.issparse(weights):
+        return np.asarray(weights.sum(axis=1)).ravel()
+    return weights.sum(axis=1)
+
+
+def _unchecked_laplacian(weights, degrees=None):
+    """``diag(degrees) - weights`` on already-validated weights.
+
+    ``degrees`` default to the row sums, which gives ``L = D - W``; the
+    unlabeled block's weights with the full degrees give ``D22 - W22``.
+    """
+    if degrees is None:
+        degrees = _row_sums(weights)
+    if sparse.issparse(weights):
+        return sparse.diags(degrees, format="csr") - weights
+    return np.diag(degrees) - weights
 
 
 def degree_vector(weights) -> np.ndarray:
     """Degrees ``d_i = sum_j w_ij`` of a validated weight matrix."""
-    weights = check_weight_matrix(weights)
-    if sparse.issparse(weights):
-        return np.asarray(weights.sum(axis=1)).ravel()
-    return weights.sum(axis=1)
+    return _row_sums(check_weight_matrix(weights))
 
 
 def laplacian(weights):
@@ -39,15 +74,40 @@ def laplacian(weights):
     ``L`` is symmetric positive semidefinite with zero row sums; its null
     space is spanned by the indicators of connected components.
     """
-    weights = check_weight_matrix(weights)
-    degrees = degree_vector(weights)
-    if sparse.issparse(weights):
-        return sparse.diags(degrees, format="csr") - weights
-    return np.diag(degrees) - weights
+    return _unchecked_laplacian(check_weight_matrix(weights))
+
+
+def grounded_system(weights, n: int, degrees=None):
+    """Eq. (5)'s grounded system: ``(D22 - W22, W21)``.
+
+    ``weights`` are already-validated, labeled-first weights and ``n``
+    the number of labeled vertices.  ``D22`` is the unlabeled block of
+    the *full* degree matrix — edges to labeled vertices and self-weights
+    count — so pass ``degrees`` when the full row sums are already at
+    hand.  Both blocks keep the format of ``weights``.
+    """
+    if degrees is None:
+        degrees = _row_sums(weights)
+    return _unchecked_laplacian(weights[n:, n:], degrees[n:]), weights[n:, :n]
+
+
+def soft_system(laplacian, n: int, lam: float):
+    """Eq. (3)'s stationarity matrix ``V + λL``.
+
+    ``V`` is the indicator of the first ``n`` vertices.  A sparse
+    ``laplacian`` gives a CSR system, a dense one a new dense array.
+    """
+    if sparse.issparse(laplacian):
+        indicator = np.zeros(laplacian.shape[0])
+        indicator[:n] = 1.0
+        return (lam * laplacian + sparse.diags(indicator, format="csr")).tocsr()
+    system = lam * laplacian
+    system[np.arange(n), np.arange(n)] += 1.0
+    return system
 
 
 def _checked_positive_degrees(weights, variant: str) -> np.ndarray:
-    degrees = degree_vector(weights)
+    degrees = _row_sums(weights)
     zero = np.flatnonzero(degrees <= 0)
     if zero.size:
         raise GraphStructureError(

@@ -29,11 +29,20 @@ the standard algebraic-multigrid remedy from the *graph itself*:
    hierarchy serves a whole λ-sweep: at each level,
    ``Pᵀ(V + λL)P = diag(PᵀvV) + λ L(W_c)`` re-assembles in O(nnz) from
    cached parts.
-4. A **V-cycle** with damped-Jacobi pre/post smoothing and an exact
-   factorization at the coarsest level
-   (:class:`MultigridPreconditioner`) is a symmetric positive operator,
-   hence a valid CG preconditioner; :func:`solve_multigrid` wraps it
-   around :func:`~repro.linalg.advanced.preconditioned_conjugate_gradient`.
+4. A **V-cycle** with one damped-Jacobi pre-sweep and one post-sweep
+   (weight :data:`OMEGA`) and an exact factorization at the coarsest
+   level (:class:`MultigridPreconditioner`) is a symmetric positive
+   operator, hence a valid CG preconditioner; :func:`solve_multigrid`
+   wraps it around
+   :func:`~repro.linalg.advanced.preconditioned_conjugate_gradient`.
+
+The coarse Laplacians ``L(W_c)`` come from the same assembly as every
+fine-level system (:mod:`repro.graph.laplacian`).  The coarse level
+systems ``λL_l + diag(v_l)`` that
+:class:`~repro.linalg.workspace.SolveWorkspace` assembles per λ do not
+go through :func:`~repro.graph.laplacian.soft_system`: the aggregated
+mask ``v_l`` counts labeled vertices per aggregate and is no 0/1
+indicator of the first ``n`` vertices.
 
 The continuum-limit literature (Dunlop et al., *Large Data and Zero
 Noise Limits of Graph-Based Semi-Supervised Learning*; Calder,
@@ -59,6 +68,7 @@ from scipy import sparse
 
 from repro import obs
 from repro.exceptions import ConfigurationError, DataValidationError
+from repro.graph.laplacian import _unchecked_laplacian
 from repro.linalg.advanced import preconditioned_conjugate_gradient
 from repro.linalg.solvers import SPDFactorization, factorize_spd
 
@@ -73,7 +83,7 @@ __all__ = [
     "MultigridPreconditioner",
     "solve_multigrid",
     "DEFAULT_MIN_COARSE_SIZE",
-    "DEFAULT_OMEGA",
+    "OMEGA",
 ]
 
 #: Coarsening stops once a level has at most this many vertices; the
@@ -82,17 +92,17 @@ DEFAULT_MIN_COARSE_SIZE = 1024
 
 #: Damped-Jacobi smoothing weight.  ω = 0.7 damps the oscillatory half
 #: of the spectrum on graph Laplacians without over-relaxing hubs.
-DEFAULT_OMEGA = 0.7
+OMEGA = 0.7
 
 #: Coarsening stalls (stop adding levels) when a matching pass removes
 #: fewer than ``1 - STALL_RATIO`` of the vertices — star-like graphs can
 #: defeat matching, and a level that barely shrinks only adds cost.
 STALL_RATIO = 0.9
 
-#: Default cap on hierarchy depth (a pair-matching hierarchy halves per
-#: level, so 32 levels covers any representable graph; the cap guards
-#: against stalls that slip past :data:`STALL_RATIO`).
-DEFAULT_MAX_LEVELS = 32
+#: Cap on hierarchy depth (a pair-matching hierarchy halves per level,
+#: so 32 levels covers any representable graph; the cap guards against
+#: stalls that slip past :data:`STALL_RATIO`).
+MAX_LEVELS = 32
 
 #: Cap on the mutual-proposal rounds of one :func:`heavy_edge_matching`
 #: pass.  kNN graphs and unit-weight lattices stop matching well before
@@ -234,11 +244,6 @@ def coarsen_weights(weights, prolongation: sparse.csr_matrix) -> sparse.csr_matr
     return (prolongation.T @ csr @ prolongation).tocsr()
 
 
-def _graph_laplacian(weights: sparse.csr_matrix) -> sparse.csr_matrix:
-    degrees = np.asarray(weights.sum(axis=1)).ravel()
-    return (sparse.diags(degrees, format="csr") - weights).tocsr()
-
-
 def graph_from_system(matrix) -> sparse.csr_matrix:
     """Recover a similarity graph from an SPD system's off-diagonal.
 
@@ -330,12 +335,11 @@ def build_hierarchy(
     weights,
     *,
     min_coarse_size: int = DEFAULT_MIN_COARSE_SIZE,
-    max_levels: int = DEFAULT_MAX_LEVELS,
 ) -> CoarseningHierarchy:
     """Coarsen a similarity graph by repeated heavy-edge matching.
 
     Stops when the coarsest level has at most ``min_coarse_size``
-    vertices, after ``max_levels`` levels, or when a matching pass
+    vertices, after :data:`MAX_LEVELS` levels, or when a matching pass
     stalls (shrinks the graph by less than ``1 -`` :data:`STALL_RATIO`).
     A graph already at or below ``min_coarse_size`` yields an empty
     hierarchy — the V-cycle then degenerates to one exact solve.
@@ -344,8 +348,6 @@ def build_hierarchy(
         raise ConfigurationError(
             f"min_coarse_size must be >= 1, got {min_coarse_size}"
         )
-    if max_levels < 0:
-        raise ConfigurationError(f"max_levels must be >= 0, got {max_levels}")
     current = _as_csr(weights)
     n = int(current.shape[0])
     levels: list[CoarseLevel] = []
@@ -354,7 +356,7 @@ def build_hierarchy(
         n_vertices=n,
         min_coarse_size=int(min_coarse_size),
     ) as span:
-        while current.shape[0] > min_coarse_size and len(levels) < max_levels:
+        while current.shape[0] > min_coarse_size and len(levels) < MAX_LEVELS:
             labels = heavy_edge_matching(current)
             n_coarse = int(labels.max()) + 1
             if n_coarse >= STALL_RATIO * current.shape[0]:
@@ -365,7 +367,7 @@ def build_hierarchy(
                 CoarseLevel(
                     prolongation=prolongation,
                     weights=coarse,
-                    laplacian=_graph_laplacian(coarse),
+                    laplacian=_unchecked_laplacian(coarse),
                 )
             )
             current = coarse
@@ -398,28 +400,17 @@ class MultigridPreconditioner:
     prolongations:
         ``len(systems) - 1`` aggregation operators linking consecutive
         levels.
-    omega:
-        Damped-Jacobi smoothing weight in ``(0, 1]``.
-    n_smooth:
-        Pre- and post-smoothing sweeps per level (symmetric, so the
-        V-cycle stays a valid CG preconditioner).
 
-    Calling the instance applies one V-cycle to a residual: damped-Jacobi
-    pre-smoothing, restriction of the remaining residual, recursion,
-    prolongated coarse-grid correction, damped-Jacobi post-smoothing.
-    The operator is symmetric positive definite whenever every level
-    system is, so it can be passed directly as the ``preconditioner`` of
+    Calling the instance applies one V-cycle to a residual: one
+    damped-Jacobi pre-sweep (weight :data:`OMEGA`) from zero,
+    restriction of the remaining residual, recursion, prolongated
+    coarse-grid correction, one damped-Jacobi post-sweep.  The operator
+    is symmetric positive definite whenever every level system is, so it
+    can be passed directly as the ``preconditioner`` of
     :func:`~repro.linalg.advanced.preconditioned_conjugate_gradient`.
     """
 
-    def __init__(
-        self,
-        systems,
-        prolongations,
-        *,
-        omega: float = DEFAULT_OMEGA,
-        n_smooth: int = 1,
-    ):
+    def __init__(self, systems, prolongations):
         systems = list(systems)
         prolongations = list(prolongations)
         if not systems:
@@ -429,12 +420,6 @@ class MultigridPreconditioner:
                 f"{len(systems)} level systems need {len(systems) - 1} "
                 f"prolongations, got {len(prolongations)}"
             )
-        if not 0.0 < omega <= 1.0:
-            raise ConfigurationError(f"omega must be in (0, 1], got {omega}")
-        if n_smooth < 1:
-            raise ConfigurationError(f"n_smooth must be >= 1, got {n_smooth}")
-        self.omega = float(omega)
-        self.n_smooth = int(n_smooth)
         self._systems = systems
         self._prolongations = prolongations
         self._inv_diagonals: list[np.ndarray] = []
@@ -458,27 +443,20 @@ class MultigridPreconditioner:
         cls,
         matrix,
         *,
-        hierarchy: CoarseningHierarchy | None = None,
-        omega: float = DEFAULT_OMEGA,
-        n_smooth: int = 1,
         min_coarse_size: int = DEFAULT_MIN_COARSE_SIZE,
-        max_levels: int = DEFAULT_MAX_LEVELS,
     ) -> "MultigridPreconditioner":
         """Build the level systems for one SPD matrix by pure Galerkin.
 
-        ``hierarchy`` defaults to coarsening the graph recovered from the
-        matrix's off-diagonal (:func:`graph_from_system`); level systems
-        are the triple products ``PᵀAP``.  Callers sweeping λ over one
-        graph should prefer assembling levels from a shared hierarchy
-        (as :class:`~repro.linalg.workspace.SolveWorkspace` does) — this
+        Coarsens the graph recovered from the matrix's off-diagonal
+        (:func:`graph_from_system`); level systems are the triple
+        products ``PᵀAP``.  Callers sweeping λ over one graph should
+        prefer assembling levels from a shared hierarchy (as
+        :class:`~repro.linalg.workspace.SolveWorkspace` does) — this
         constructor recoarsens per call.
         """
-        if hierarchy is None:
-            hierarchy = build_hierarchy(
-                graph_from_system(matrix),
-                min_coarse_size=min_coarse_size,
-                max_levels=max_levels,
-            )
+        hierarchy = build_hierarchy(
+            graph_from_system(matrix), min_coarse_size=min_coarse_size
+        )
         systems = [matrix]
         prolongations = []
         current = matrix
@@ -489,7 +467,7 @@ class MultigridPreconditioner:
                 current = current.tocsr()
             systems.append(current)
             prolongations.append(p)
-        return cls(systems, prolongations, omega=omega, n_smooth=n_smooth)
+        return cls(systems, prolongations)
 
     @property
     def n_levels(self) -> int:
@@ -498,30 +476,22 @@ class MultigridPreconditioner:
     def __call__(self, residual: np.ndarray) -> np.ndarray:
         return self._cycle(0, np.asarray(residual, dtype=np.float64))
 
-    def _smooth(self, level: int, rhs: np.ndarray, x: np.ndarray | None):
-        """Damped-Jacobi sweeps ``x += ω D⁻¹ (rhs - A x)``."""
-        system = self._systems[level]
-        inv_diag = self._inv_diagonals[level]
-        sweeps = self.n_smooth
-        if x is None:
-            x = self.omega * (inv_diag * rhs)
-            sweeps -= 1
-        for _ in range(sweeps):
-            x = x + self.omega * (inv_diag * (rhs - _matvec(system, x)))
-        return x
-
     def _cycle(self, level: int, rhs: np.ndarray) -> np.ndarray:
         if level == len(self._systems) - 1:
             return np.asarray(self._coarse_factor.solve(rhs)).ravel()
-        x = self._smooth(level, rhs, None)
+        system = self._systems[level]
+        inv_diag = self._inv_diagonals[level]
         prolongation = self._prolongations[level]
+        # damped-Jacobi pre-sweep from x = 0
+        x = OMEGA * (inv_diag * rhs)
         coarse_residual = np.asarray(
-            prolongation.T @ (rhs - _matvec(self._systems[level], x))
+            prolongation.T @ (rhs - _matvec(system, x))
         ).ravel()
         x = x + np.asarray(
             prolongation @ self._cycle(level + 1, coarse_residual)
         ).ravel()
-        return self._smooth(level, rhs, x)
+        # damped-Jacobi post-sweep
+        return x + OMEGA * (inv_diag * (rhs - _matvec(system, x)))
 
 
 def solve_multigrid(
@@ -531,30 +501,21 @@ def solve_multigrid(
     x0=None,
     tol: float = 1e-10,
     max_iter: int | None = None,
-    preconditioner: MultigridPreconditioner | None = None,
-    omega: float = DEFAULT_OMEGA,
-    n_smooth: int = 1,
     min_coarse_size: int = DEFAULT_MIN_COARSE_SIZE,
 ):
     """PCG with a coarsening V-cycle preconditioner.
 
-    Builds a :class:`MultigridPreconditioner` from the matrix (unless one
-    is supplied) and runs
+    Builds a :class:`MultigridPreconditioner` from the matrix and runs
     :func:`~repro.linalg.advanced.preconditioned_conjugate_gradient`.
     Returns the same :class:`~repro.linalg.iterative.IterativeResult`;
     raises :class:`~repro.exceptions.ConvergenceError` past ``max_iter``.
     """
-    if preconditioner is None:
-        preconditioner = MultigridPreconditioner.from_matrix(
-            matrix,
-            omega=omega,
-            n_smooth=n_smooth,
-            min_coarse_size=min_coarse_size,
-        )
     return preconditioned_conjugate_gradient(
         matrix,
         rhs,
-        preconditioner=preconditioner,
+        preconditioner=MultigridPreconditioner.from_matrix(
+            matrix, min_coarse_size=min_coarse_size
+        ),
         x0=x0,
         tol=tol,
         max_iter=max_iter,

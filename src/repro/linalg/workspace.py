@@ -9,10 +9,17 @@ shared across the sweep.  It is the only way a λ-sweep is solved; its
 one knob is the backend, one of :data:`SWEEP_BACKENDS`, each the fastest
 on some measured grid (docs/SCALING.md):
 
-* **exact** — an LRU cache of true SPD factorizations keyed by
-  ``(kind, λ, n_labeled)``; a cache hit returns bit-identical solutions
-  to refactorizing, so strict/golden paths can reuse safely.
-* **factored** (default) — one *anchor* factorization serves the whole
+* **exact** (default) — an LRU cache of true SPD factorizations keyed
+  by ``(kind, λ, n_labeled)``; a cache hit returns bit-identical
+  solutions to refactorizing, so strict/golden paths can reuse safely.
+  Its systems come from :func:`~repro.graph.laplacian.soft_system` and
+  :func:`~repro.graph.laplacian.grounded_system`, the same assembly the
+  per-point reference solves in :mod:`repro.core` use, so on sparse
+  graphs (and dense ``method="full"`` / hard solves) its scores equal
+  theirs bit for bit.  It is the default: a one-off solve such as a
+  model fit costs one factorization and one back-substitution, where
+  ``factored`` would first build its continuation basis.
+* **factored** — one *anchor* factorization serves the whole
   λ grid.  When the labeled block is small (``n_labeled ≤ min(512,
   N/4)``) this is *direct*: ``A(λ) = (λ/λ₀)A(λ₀) + (1-λ/λ₀)EEᵀ`` is a
   rank-``n_labeled`` update of the anchor, so Sherman–Morrison–Woodbury
@@ -86,6 +93,8 @@ from repro.graph.components import (
     reachability_report,
     validated_components,
 )
+from repro.graph.laplacian import _row_sums, _unchecked_laplacian, grounded_system
+from repro.graph.laplacian import soft_system as assemble_soft_system
 from repro.linalg.advanced import preconditioned_conjugate_gradient
 from repro.linalg.coarsen import (
     CoarseningHierarchy,
@@ -277,14 +286,15 @@ class SolveWorkspace:
         labeled vertices first.  Validated once, here, instead of per
         grid point; its connected components are computed here too.
     backend:
-        The solve backend, one of :data:`SWEEP_BACKENDS`:
-        ``"factored"`` (anchored PCG continuation), ``"exact"`` (cached
-        true factorizations, bit-compatible with per-point solves), or
-        ``"multigrid"`` (coarsening V-cycle preconditioned PCG — no
-        large factorization, the large-N backend).
+        The solve backend, one of :data:`SWEEP_BACKENDS`: ``"exact"``
+        (default; cached true factorizations, bit-compatible with
+        per-point solves), ``"factored"`` (one anchor factorization
+        continued along a λ grid), or ``"multigrid"`` (coarsening
+        V-cycle preconditioned PCG — no large factorization, the large-N
+        backend).
     """
 
-    def __init__(self, weights, *, backend: str = "factored"):
+    def __init__(self, weights, *, backend: str = "exact"):
         from repro.graph.similarity import SimilarityGraph
 
         if isinstance(weights, SimilarityGraph):
@@ -293,7 +303,6 @@ class SolveWorkspace:
         self.weights = check_weight_matrix(weights)
         self.n_total = int(self.weights.shape[0])
 
-        self._is_sparse = sparse.issparse(self.weights)
         self._fingerprint = _fingerprint(self.weights)
         self._components = validated_components(self.weights)
         self._reachability: dict[int, ReachabilityReport] = {}
@@ -349,44 +358,25 @@ class SolveWorkspace:
 
     @property
     def degrees(self) -> np.ndarray:
+        """Row sums of the weights, self-weights included (computed once)."""
         if self._degrees is None:
-            if self._is_sparse:
-                self._degrees = np.asarray(self.weights.sum(axis=1)).ravel()
-            else:
-                self._degrees = self.weights.sum(axis=1)
+            self._degrees = _row_sums(self.weights)
         return self._degrees
 
     @property
     def laplacian(self):
         """The unnormalized Laplacian ``L = D - W``, assembled once."""
         if self._laplacian is None:
-            if self._is_sparse:
-                self._laplacian = (
-                    sparse.diags(self.degrees, format="csr") - self.weights.tocsr()
-                )
-            else:
-                self._laplacian = np.diag(self.degrees) - self.weights
+            self._laplacian = _unchecked_laplacian(self.weights, self.degrees)
         return self._laplacian
 
     def soft_system(self, lam: float, n: int):
-        """Assemble ``V + λL`` exactly as the per-point solve does (bit-compatible)."""
-        if self._is_sparse:
-            indicator = np.zeros(self.n_total)
-            indicator[:n] = 1.0
-            return (
-                lam * self.laplacian + sparse.diags(indicator, format="csr")
-            ).tocsr()
-        system = lam * self.laplacian
-        system[np.arange(n), np.arange(n)] += 1.0
-        return system
+        """``V + λL``, assembled as the per-point solve does (bit-compatible)."""
+        return assemble_soft_system(self.laplacian, n, lam)
 
     def hard_system(self, n: int):
-        """The grounded system ``D22 - W22`` (assembled as the per-point solve does)."""
-        if self._is_sparse:
-            w22 = self.weights[n:, n:]
-            return sparse.diags(self.degrees[n:], format="csr") - w22
-        w22 = self.weights[n:, n:]
-        return np.diag(self.degrees[n:]) - w22
+        """The grounded system ``D22 - W22``, assembled as the per-point solve does."""
+        return grounded_system(self.weights, n, self.degrees)[0]
 
     def _rhs_soft(self, y: np.ndarray) -> np.ndarray:
         rhs = np.zeros(self.n_total)
@@ -755,11 +745,7 @@ class SolveWorkspace:
             "repro.workspace.solve", kind="hard", backend="exact", n=n, m=m
         ):
             factor = self.factorization("hard", 0.0, n)
-            if self._is_sparse:
-                rhs = np.asarray(self.weights[n:, :n] @ y).ravel()
-            else:
-                rhs = self.weights[n:, :n] @ y
-            f_unlabeled = factor.solve(rhs)
+            f_unlabeled = factor.solve(np.asarray(self.weights[n:, :n] @ y).ravel())
             obs.get_registry().counter("workspace.solves").inc()
             return _fit_result(
                 scores=np.concatenate([y, f_unlabeled]),
@@ -800,7 +786,7 @@ class SolveWorkspace:
         return WorkspaceStats(**self._counters)
 
     def __repr__(self) -> str:
-        kind = "sparse" if self._is_sparse else "dense"
+        kind = "sparse" if sparse.issparse(self.weights) else "dense"
         return (
             f"SolveWorkspace(n_total={self.n_total}, {kind}, "
             f"backend={self.backend!r}, "

@@ -23,7 +23,13 @@ initial guess: the preconditioned operator is ``I`` plus the
 to the re-solve answer at tolerance — typically 2-10 iterations.
 
 The soft criterion (``lam > 0``) inserts through the analogous bordered
-system on ``V + lam (L + diag(c))``.
+system on ``V + lam (L + diag(c))``: the same matrix shape with ``A = V +
+lam L``, the border ``c`` over all vertices scaled by ``lam``, a zero
+tail and the right-hand side ``(y; 0)``.  Both criteria therefore share
+one bordered solve; :meth:`ExactInserter.insert` only picks its inputs.
+The cached systems and the hard right-hand side ``W21 y`` come from
+:mod:`repro.graph.laplacian`, the assembly the fit itself factorized,
+once per inserter.
 
 Credible intervals come from the Gaussian-field view (the same model as
 :mod:`repro.core.uncertainty`): the query's posterior variance is
@@ -42,9 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from repro.exceptions import ConvergenceError, DataValidationError
+from repro.graph.laplacian import grounded_system
 from repro.linalg.advanced import preconditioned_conjugate_gradient
 from repro.serving.queries import QueryRow
 
@@ -106,21 +112,20 @@ class ExactInserter:
         self.n_total = int(weights.shape[0])
         self.m = self.n_total - self.n
         self.workspace = workspace
-        self._sparse = sparse.issparse(weights)
         if self.lam == 0.0:
             if self.m > 0:
-                self.system = workspace.hard_system(self.n)
+                self.system, w21 = grounded_system(
+                    workspace.weights, self.n, workspace.degrees
+                )
+                self.rhs = np.asarray(w21 @ self.y).ravel()
                 self.factor = workspace.factorization("hard", 0.0, self.n)
             else:
-                self.system = None
-                self.factor = None
+                self.system = self.rhs = self.factor = None
         else:
             self.system = workspace.soft_system(self.lam, self.n)
+            self.rhs = np.zeros(self.n_total)
+            self.rhs[: self.n] = self.y
             self.factor = workspace.factorization("soft", self.lam, self.n)
-
-    # ------------------------------------------------------------------
-    # Row splitting
-    # ------------------------------------------------------------------
 
     def _split(self, row: QueryRow):
         """Split a query row into labeled mass and a dense unlabeled vector."""
@@ -131,39 +136,40 @@ class ExactInserter:
         cu[row.indices[unlabeled] - self.n] = row.weights[unlabeled]
         return rq, cu
 
-    # ------------------------------------------------------------------
-    # Hard criterion (lam = 0)
-    # ------------------------------------------------------------------
+    def _bordered_solve(self, row: QueryRow, c, scale: float, tail: float, warm):
+        """Solve the bordered system of one query by anchored PCG.
 
-    def _insert_hard(self, row: QueryRow) -> InsertionResult:
-        s = _require_support(row)
-        if self.m == 0:
-            # No unlabeled block: the extended grounded system is the
-            # 1x1 scalar ``s * f_q = c_l^T y``.
-            labeled_mass = float(np.dot(row.weights, self.y[row.indices]))
-            return InsertionResult(labeled_mass / s, 0)
-        rq, cu = self._split(row)
-        f_u0 = self.scores[self.n :]
-        g = self.factor.solve(cu)
-        denom = s - float(cu @ g)
+        The system is ``[[A + scale·diag(c), -scale·c], [-scale·cᵀ,
+        scale·s]]`` with right-hand side ``(self.rhs; tail)``: ``A`` is
+        the cached ``self.system``, ``c`` the query's edge weights into
+        the vertices ``A`` covers and ``s`` its total edge weight.  The
+        hard criterion passes ``scale = 1``, the soft one ``scale =
+        lam``.  The cached factorization of ``A`` preconditions, and the
+        rank-1 border (Schur-complement) solution around the fitted
+        scores ``warm`` is the initial guess.
+        """
+        s = row.total
+        border = scale * c
+        g = self.factor.solve(border)
+        denom = scale * s - float(border @ g)
         if denom > 0:
-            f_q0 = (rq + float(cu @ f_u0)) / denom
+            f_q0 = (tail + float(border @ warm)) / denom
         else:
             # Degenerate rank-1 border (possible for very strongly
             # coupled queries); fall back to the NW estimate as a guess.
             f_q0 = float(np.dot(row.weights, self.scores[row.indices]) / s)
-        x0 = np.concatenate([f_u0 + g * f_q0, [f_q0]])
-        rhs = np.concatenate([self._hard_rhs(), [rq]])
-        system, factor, m = self.system, self.factor, self.m
+        x0 = np.concatenate([warm + g * f_q0, [f_q0]])
+        rhs = np.concatenate([self.rhs, [tail]])
+        system, factor, k = self.system, self.factor, c.shape[0]
 
         def matvec(v):
-            vu, t = v[:m], v[m]
-            top = system @ vu + cu * vu - cu * t
-            bottom = s * t - float(cu @ vu)
+            vu, t = v[:k], v[k]
+            top = system @ vu + scale * (c * vu) - border * t
+            bottom = scale * (s * t - float(c @ vu))
             return np.concatenate([top, [bottom]])
 
         def precondition(r):
-            return np.concatenate([factor.solve(r[:m]), [r[m] / s]])
+            return np.concatenate([factor.solve(r[:k]), [r[k] / (scale * s)]])
 
         result = preconditioned_conjugate_gradient(
             matvec,
@@ -173,62 +179,7 @@ class ExactInserter:
             tol=INSERTION_TOL,
             max_iter=INSERTION_MAX_ITER,
         )
-        return InsertionResult(float(result.x[m]), result.iterations)
-
-    def _hard_rhs(self) -> np.ndarray:
-        if not hasattr(self, "_cached_hard_rhs"):
-            w21 = self.workspace.weights[self.n :, : self.n]
-            if self._sparse:
-                rhs = np.asarray(w21 @ self.y).ravel()
-            else:
-                rhs = w21 @ self.y
-            self._cached_hard_rhs = rhs
-        return self._cached_hard_rhs
-
-    # ------------------------------------------------------------------
-    # Soft criterion (lam > 0)
-    # ------------------------------------------------------------------
-
-    def _insert_soft(self, row: QueryRow) -> InsertionResult:
-        s = _require_support(row)
-        lam, total = self.lam, self.n_total
-        c = np.zeros(total)
-        c[row.indices] = row.weights
-        g = self.factor.solve(lam * c)
-        denom = lam * s - float(lam * c @ g)
-        if denom > 0:
-            f_q0 = float(lam * c @ self.scores) / denom
-        else:
-            f_q0 = float(np.dot(row.weights, self.scores[row.indices]) / s)
-        x0 = np.concatenate([self.scores + g * f_q0, [f_q0]])
-        rhs = np.concatenate([self._soft_rhs(), [0.0]])
-        system, factor = self.system, self.factor
-
-        def matvec(v):
-            vu, t = v[:total], v[total]
-            top = system @ vu + lam * (c * vu) - lam * c * t
-            bottom = lam * (s * t - float(c @ vu))
-            return np.concatenate([top, [bottom]])
-
-        def precondition(r):
-            return np.concatenate([factor.solve(r[:total]), [r[total] / (lam * s)]])
-
-        result = preconditioned_conjugate_gradient(
-            matvec,
-            rhs,
-            preconditioner=precondition,
-            x0=x0,
-            tol=INSERTION_TOL,
-            max_iter=INSERTION_MAX_ITER,
-        )
-        return InsertionResult(float(result.x[total]), result.iterations)
-
-    def _soft_rhs(self) -> np.ndarray:
-        if not hasattr(self, "_cached_soft_rhs"):
-            rhs = np.zeros(self.n_total)
-            rhs[: self.n] = self.y
-            self._cached_soft_rhs = rhs
-        return self._cached_soft_rhs
+        return InsertionResult(float(result.x[k]), result.iterations)
 
     # ------------------------------------------------------------------
     # Public API
@@ -236,9 +187,18 @@ class ExactInserter:
 
     def insert(self, row: QueryRow) -> InsertionResult:
         """Exactly insert one query; returns its re-solved prediction."""
-        if self.lam == 0.0:
-            return self._insert_hard(row)
-        return self._insert_soft(row)
+        s = _require_support(row)
+        if self.lam != 0.0:
+            c = np.zeros(self.n_total)
+            c[row.indices] = row.weights
+            return self._bordered_solve(row, c, self.lam, 0.0, self.scores)
+        if self.m == 0:
+            # No unlabeled block: the extended grounded system is the
+            # 1x1 scalar ``s * f_q = c_l^T y``.
+            labeled_mass = float(np.dot(row.weights, self.y[row.indices]))
+            return InsertionResult(labeled_mass / s, 0)
+        rq, cu = self._split(row)
+        return self._bordered_solve(row, cu, 1.0, rq, self.scores[self.n :])
 
     def variance(self, row: QueryRow, *, field_scale: float = 1.0, exact: bool = True) -> float:
         """Posterior variance of the query under the Gaussian-field view.

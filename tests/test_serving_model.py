@@ -14,6 +14,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.datasets.synthetic import make_regression_dataset, truncated_mvn_inputs
 from repro.exceptions import ConfigurationError, NotFittedError
+from repro.linalg.solvers import SPDFactorization
 from repro.serving import (
     SERVING_METHODS,
     GraphSSLModel,
@@ -64,6 +65,24 @@ class TestConstructionAndFit:
                 np.zeros(4),
                 np.zeros((3, 5)),
             )
+
+    def test_soft_fit_solves_one_right_hand_side(self, monkeypatch):
+        """A soft fit is one factorization and one back-substitution: the
+        model's workspace runs the ``exact`` backend, which builds no
+        rank-``n_labeled`` continuation basis for a single λ."""
+        columns = []
+        solve = SPDFactorization.solve
+
+        def counting_solve(factor, rhs):
+            rhs = np.asarray(rhs)
+            columns.append(1 if rhs.ndim == 1 else rhs.shape[1])
+            return solve(factor, rhs)
+
+        monkeypatch.setattr(SPDFactorization, "solve", counting_solve)
+        x = np.random.default_rng(7).normal(size=(400, 3))
+        model = GraphSSLModel(lam=0.5, graph="full")
+        model.fit(x[:40], np.sin(x[:40, 0]), x[40:])
+        assert columns == [1]
 
     def test_fit_returns_self_and_exposes_state(self, fitted):
         model, _ = fitted

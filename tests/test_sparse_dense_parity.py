@@ -96,6 +96,19 @@ class TestEstimatorParity:
             lambda w: solve_soft_criterion(w, problem["y"], lam, method=method).scores,
         )
 
+    def test_soft_with_empty_laplacian_diagonal(self):
+        """A labeled vertex with only a self-loop has ``L_ii = 0``, which
+        CSR does not store: ``V`` must enter ``V + lam L`` as a diagonal
+        matrix, because assigning it into CSR changes the sparsity
+        structure, which this module's CI gate turns into an error."""
+        weights = np.eye(8)
+        for i in range(1, 7):
+            weights[i, i + 1] = weights[i + 1, i] = 0.5
+        y = np.array([0.3, 1.0])
+        dense = solve_soft_criterion(weights, y, 0.5, method="full").scores
+        csr = solve_soft_criterion(sparse.csr_matrix(weights), y, 0.5, method="full").scores
+        np.testing.assert_allclose(csr, dense, atol=ATOL, rtol=0)
+
     def test_soft_lam_zero_matches_hard(self, problem):
         scores = _check_parity(
             problem, lambda w: solve_soft_criterion(w, problem["y"], 0.0).scores

@@ -9,8 +9,11 @@ This suite pins the contract from three directions:
   ``atol=1e-8`` across a lambda grid (on dense graphs, where the
   reference takes the Schur route, for exact/factored/multigrid; on
   sparse graphs for exact/factored);
-* the sparse exact backend is *bitwise* identical to the reference
-  sparse path (same operations in the same order);
+* the exact backend is *bitwise* identical to the reference solves
+  that assemble the same system — soft on sparse graphs, dense
+  ``method="full"``, and the hard criterion on both — because both
+  sides assemble through :mod:`repro.graph.laplacian` and solve in the
+  same operation order;
 * the model-selection and experiment functions (grid CV against a
   per-fold reference loop, bandwidth hoist, parallel replicates)
   reproduce their answers, and every λ-sweep entry point rejects a ``sweep_backend``
@@ -23,6 +26,7 @@ import re
 import numpy as np
 import pytest
 
+from repro.core.hard import solve_hard_criterion
 from repro.core.soft import solve_soft_criterion
 from repro.datasets.splits import kfold_indices
 from repro.datasets.synthetic import make_synthetic_dataset
@@ -94,15 +98,34 @@ class TestBackendParity:
                 err_msg=f"backend={backend} lam={lam}",
             )
 
-    def test_sparse_exact_is_bitwise_identical(self, sparse_problem):
-        """The sparse exact path assembles the same system with the same
-        op order as :func:`solve_soft_criterion`, so it must produce the
-        SAME floats, not merely close ones."""
-        data, graph = sparse_problem
+    @pytest.mark.parametrize(
+        "problem, method",
+        [
+            ("sparse_problem", "schur"),
+            ("dense_problem", "full"),
+            ("sparse_problem", "hard"),
+            ("dense_problem", "hard"),
+        ],
+        ids=["sparse-schur", "dense-full", "sparse-hard", "dense-hard"],
+    )
+    def test_exact_is_bitwise_identical(self, request, problem, method):
+        """The exact backend factorizes the system the per-point solve
+        assembles — both come from :mod:`repro.graph.laplacian` — and
+        solves it in the same op order, so it must produce the SAME
+        floats, not merely close ones.  (On sparse graphs the default
+        ``method="schur"`` is answered by the full system.)"""
+        data, graph = request.getfixturevalue(problem)
         ws = SolveWorkspace(graph.weights, backend="exact")
+        if method == "hard":
+            np.testing.assert_array_equal(
+                ws.solve_hard(data.y_labeled).scores,
+                solve_hard_criterion(graph.weights, data.y_labeled).scores,
+            )
+            return
         for lam in LAMBDA_GRID:
             direct = solve_soft_criterion(
-                graph.weights, data.y_labeled, lam, check_reachability=False
+                graph.weights, data.y_labeled, lam, method=method,
+                check_reachability=False,
             )
             amortized = ws.solve_soft(data.y_labeled, lam)
             np.testing.assert_array_equal(
