@@ -51,7 +51,8 @@ graphs approximate fine ones — the coarse-grid correction is solving the
 same SSL problem on a subsampled point cloud.
 
 :class:`~repro.linalg.workspace.SolveWorkspace` exposes this as the
-``"multigrid"`` sweep backend; :func:`~repro.linalg.solvers.solve_spd`
+``"multigrid"`` sweep backend (soft and hard solves, and the
+preconditioner of exact serving); :func:`~repro.linalg.solvers.solve_spd`
 as ``method="multigrid"`` (extracting the graph from the system's
 off-diagonal).  Measured at N=10⁵, d=3, k=10 on a 2-CPU host: the
 hierarchy builds once in ~0.4 s (8 levels) and each grid point solves in
@@ -451,8 +452,10 @@ class MultigridPreconditioner:
         (:func:`graph_from_system`); level systems are the triple
         products ``PᵀAP``.  Callers sweeping λ over one graph should
         prefer assembling levels from a shared hierarchy (as
-        :class:`~repro.linalg.workspace.SolveWorkspace` does) — this
-        constructor recoarsens per call.
+        :class:`~repro.linalg.workspace.SolveWorkspace` does for the soft
+        criterion) — this constructor recoarsens per call.  The
+        workspace's λ-independent hard system ``D22 - W22`` is built
+        here, once per labeled mask.
         """
         hierarchy = build_hierarchy(
             graph_from_system(matrix), min_coarse_size=min_coarse_size

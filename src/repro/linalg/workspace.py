@@ -40,12 +40,23 @@ on some measured grid (docs/SCALING.md):
   level systems ``diag(v_l) + λ L_l`` re-assemble in O(nnz) per grid
   point (the Galerkin coarse operator of a graph Laplacian is the
   Laplacian of the coarsened graph, and aggregation keeps ``V``
-  diagonal).  This is the backend that scales past the splu fill-in
+  diagonal).  The hard criterion's ``D22 - W22`` gets its own Galerkin
+  V-cycle (:meth:`~repro.linalg.coarsen.MultigridPreconditioner.from_matrix`),
+  built once per ``n_labeled``, and each hard solve runs cold-started
+  PCG on it.  This is the backend that scales past the splu fill-in
   wall (N ≈ 10⁴ in d ≥ 3) to N = 10⁶, with an exact-factorization
   fallback if the V-cycle ever stalls.
 
+:meth:`SolveWorkspace.preconditioner` hands out the cached ``r ↦ M⁻¹r``
+of either system — the factorization's back-substitution on ``exact``
+and ``factored``, the V-cycle on ``multigrid`` — so callers that solve a
+perturbed system (exact serving's bordered insertion) never branch on
+the backend.
+
 Accuracy contract of the two approximate backends: every solve stops at
-relative residual ``‖b - A f‖ / ‖b‖ ≤`` :data:`PCG_TOL` (``1e-10``).
+relative residual ``‖b - A f‖ / ‖b‖ ≤`` :data:`PCG_TOL` (``1e-10``), and
+its :class:`~repro.linalg.solvers.SolveInfo` reports the true residual
+``‖b - A f‖``, recomputed with one matvec after PCG returns.
 That bounds the residual, not the score error, which the conditioning
 of ``V + λL`` can amplify: multigrid scores were measured within 3e-8 of
 ``exact`` at N=2·10⁴ (d=3) and 8.6e-9 at N=4·10³ (d=2); the parity suite
@@ -101,7 +112,12 @@ from repro.linalg.coarsen import (
     MultigridPreconditioner,
     build_hierarchy,
 )
-from repro.linalg.solvers import SolveInfo, SPDFactorization, factorize_spd
+from repro.linalg.solvers import (
+    SolveInfo,
+    SPDFactorization,
+    _residual_norm,
+    factorize_spd,
+)
 from repro.utils.validation import (
     check_labels,
     check_positive_scalar,
@@ -153,6 +169,11 @@ REANCHOR_BUDGET = 15
 MULTIGRID_COARSE_DIVISOR = 64
 
 
+def _min_coarse_size(size: int) -> int:
+    """Coarsest-level bound for a V-cycle over a ``size``-vertex system."""
+    return max(512, size // MULTIGRID_COARSE_DIVISOR)
+
+
 def check_sweep_backend(sweep_backend: str) -> str:
     """Validate a ``sweep_backend`` name against :data:`SWEEP_BACKENDS`."""
     if sweep_backend not in SWEEP_BACKENDS:
@@ -173,8 +194,8 @@ class WorkspaceStats(NamedTuple):
         factorization, misses factorize, evictions drop the least
         recently used entry when the cache is full.
     pcg_solves / pcg_iterations:
-        Anchored-PCG solves on the factored path and their total
-        iteration count.
+        Anchored-PCG solves on the factored path, and the total PCG
+        iteration count of the factored and multigrid paths.
     reanchors:
         Times the factored path refactorized because the iteration
         budget was exceeded (each also counts as a factor miss).
@@ -184,11 +205,13 @@ class WorkspaceStats(NamedTuple):
         Direct low-rank continuation solves on the factored path (each
         λ after the anchor costs one capacitance solve, no iterations).
     coarsen_builds:
-        Coarsening hierarchies built (at most one per workspace until
-        invalidation).
+        Coarsenings built on the multigrid path: the soft criterion's
+        hierarchy (at most one per workspace until invalidation) plus
+        one hard-criterion V-cycle per ``n_labeled``.
     multigrid_solves:
-        V-cycle-preconditioned PCG solves on the multigrid path (their
-        iteration counts accumulate into ``pcg_iterations``).
+        V-cycle-preconditioned PCG solves on the multigrid path, soft
+        and hard (their iteration counts accumulate into
+        ``pcg_iterations``).
     hierarchy_mode:
         The multigrid hierarchy representation.  Always ``"assembled"``:
         per-level Galerkin CSR matrices are the only representation.
@@ -313,6 +336,7 @@ class SolveWorkspace:
         self._woodbury: dict[int, _WoodburyState] = {}
         self._hierarchy: CoarseningHierarchy | None = None
         self._coarse_masks: dict[int, list[np.ndarray]] = {}
+        self._hard_vcycles: dict[int, MultigridPreconditioner] = {}
         self._counters = {
             field: 0 for field in WorkspaceStats._fields if field != "hierarchy_mode"
         }
@@ -351,6 +375,7 @@ class SolveWorkspace:
         self._woodbury.clear()
         self._hierarchy = None
         self._coarse_masks.clear()
+        self._hard_vcycles.clear()
 
     # ------------------------------------------------------------------
     # Shared assembly
@@ -418,6 +443,27 @@ class SolveWorkspace:
             self._counters["factor_evictions"] += 1
             registry.counter("workspace.factor.evictions").inc()
         return factor
+
+    def preconditioner(self, kind: str, lam: float, n: int):
+        """The cached ``r ↦ M⁻¹r`` for the ``(kind, λ, n)`` system.
+
+        ``kind`` is ``"hard"`` (``D22 - W22``; ``lam`` is ignored) or
+        ``"soft"`` (``V + λL``).  On ``exact`` and ``factored`` this is
+        the cached factorization's back-substitution, so ``M = A``; on
+        ``multigrid`` it is a V-cycle — the hard one cached per ``n``,
+        the soft one assembled over the cached hierarchy.  Both are
+        symmetric positive definite, so either preconditions CG on the
+        system or on an SPD perturbation of it.  Raises
+        :class:`~repro.exceptions.DisconnectedGraphError` before building
+        anything when the labeled mask leaves a component unreachable.
+        """
+        self.check_current()
+        self._require_reachable(n)
+        if self.backend != "multigrid":
+            return self.factorization(kind, lam, n).solve
+        if kind == "hard":
+            return self._hard_vcycle(n)
+        return self._multigrid_preconditioner(self.soft_system(lam, n), lam, n)
 
     # ------------------------------------------------------------------
     # Factored (anchored PCG continuation)
@@ -546,7 +592,7 @@ class SolveWorkspace:
             method="pcg",
             size=self.n_total,
             iterations=result.iterations,
-            final_residual=result.final_residual,
+            final_residual=_residual_norm(system, result.x, rhs),
             converged=result.converged,
             warm_started=warm,
         )
@@ -555,6 +601,10 @@ class SolveWorkspace:
     # ------------------------------------------------------------------
     # Multigrid (coarsening V-cycle preconditioned PCG)
     # ------------------------------------------------------------------
+
+    def _count_coarsening(self) -> None:
+        self._counters["coarsen_builds"] += 1
+        obs.get_registry().counter("workspace.coarsen.builds").inc()
 
     def hierarchy(self) -> CoarseningHierarchy:
         """The graph's coarsening hierarchy, built once per workspace.
@@ -565,12 +615,10 @@ class SolveWorkspace:
         """
         self.check_current()
         if self._hierarchy is None:
-            min_coarse = max(512, self.n_total // MULTIGRID_COARSE_DIVISOR)
             self._hierarchy = build_hierarchy(
-                self.weights, min_coarse_size=min_coarse
+                self.weights, min_coarse_size=_min_coarse_size(self.n_total)
             )
-            self._counters["coarsen_builds"] += 1
-            obs.get_registry().counter("workspace.coarsen.builds").inc()
+            self._count_coarsening()
         return self._hierarchy
 
     def _coarse_mask_diagonals(self, n: int) -> list[np.ndarray]:
@@ -594,14 +642,31 @@ class SolveWorkspace:
         prolongations = [level.prolongation for level in hierarchy.levels]
         return MultigridPreconditioner(systems, prolongations)
 
-    def _solve_multigrid(self, y: np.ndarray, lam: float, n: int):
-        state = self._continuation("soft", n)
-        system = self.soft_system(lam, n)
-        rhs = self._rhs_soft(y)
+    def _hard_vcycle(self, n: int) -> MultigridPreconditioner:
+        """Galerkin V-cycle over ``hard_system(n)``, built once per ``n``.
+
+        ``D22 - W22`` is λ-independent, so one coarsening of its
+        unlabeled subgraph (the grounding ``W21·1`` rides along in the
+        Galerkin diagonals) serves every hard solve and insertion.
+        """
+        vcycle = self._hard_vcycles.get(n)
+        if vcycle is None:
+            system = self.hard_system(n)
+            vcycle = MultigridPreconditioner.from_matrix(
+                system, min_coarse_size=_min_coarse_size(system.shape[0])
+            )
+            self._hard_vcycles[n] = vcycle
+            self._count_coarsening()
+        return vcycle
+
+    def _multigrid_pcg(self, kind, lam, n, system, rhs, preconditioner, x0=None):
+        """PCG on ``system`` with a V-cycle, to :data:`PCG_TOL`.
+
+        A stalled V-cycle (pathological graph) falls back to an exact
+        factorization of the ``(kind, lam, n)`` system, like a factored
+        re-anchor.
+        """
         registry = obs.get_registry()
-        preconditioner = self._multigrid_preconditioner(system, lam, n)
-        x0 = state.last_solution
-        warm = x0 is not None
         try:
             result = preconditioned_conjugate_gradient(
                 system,
@@ -612,28 +677,39 @@ class SolveWorkspace:
                 max_iter=MULTIGRID_MAX_ITER,
             )
         except ConvergenceError:
-            # A stalled V-cycle (pathological graph) falls back to an
-            # exact factorization at this λ, like a factored re-anchor.
             self._counters["reanchors"] += 1
             registry.counter("workspace.reanchors").inc()
-            factor = self.factorization("soft", lam, n)
+            factor = self.factorization(kind, lam, n)
             return factor.solve(rhs), factor.info(), {"fallback": "exact"}
         self._counters["multigrid_solves"] += 1
         self._counters["pcg_iterations"] += result.iterations
         registry.counter("workspace.multigrid_solves").inc()
+        warm = x0 is not None
         if warm:
             self._counters["warm_starts"] += 1
             registry.counter("workspace.warm_starts").inc()
         registry.log_histogram("workspace.pcg.iterations").observe(result.iterations)
         info = SolveInfo(
             method="multigrid_pcg",
-            size=self.n_total,
+            size=rhs.shape[0],
             iterations=result.iterations,
-            final_residual=result.final_residual,
+            final_residual=_residual_norm(system, result.x, rhs),
             converged=result.converged,
             warm_started=warm,
         )
         return result.x, info, {"n_levels": preconditioner.n_levels}
+
+    def _solve_multigrid(self, y: np.ndarray, lam: float, n: int):
+        system = self.soft_system(lam, n)
+        return self._multigrid_pcg(
+            "soft",
+            lam,
+            n,
+            system,
+            self._rhs_soft(y),
+            self._multigrid_preconditioner(system, lam, n),
+            x0=self._continuation("soft", n).last_solution,
+        )
 
     # ------------------------------------------------------------------
     # Public solves
@@ -722,13 +798,14 @@ class SolveWorkspace:
             )
 
     def solve_hard(self, y_labeled):
-        """Solve the hard criterion through the cached grounded factorization.
+        """Solve the hard criterion ``(D22 - W22) f_u = W21 y`` once.
 
-        The grounded system is λ-independent, so the first solve
-        factorizes and every later one is a back-substitution.  The
-        factored/multigrid backends route here too: the factorization is
-        already amortized across the sweep.  Raises
-        :class:`~repro.exceptions.DisconnectedGraphError` when the
+        ``D22 - W22`` is λ-independent.  On ``exact`` and ``factored`` the
+        first solve factorizes it and every later one is a
+        back-substitution; on ``multigrid`` the first solve builds its
+        V-cycle and every solve runs cold-started PCG to
+        :data:`PCG_TOL`, so repeated solves return the same floats.
+        Raises :class:`~repro.exceptions.DisconnectedGraphError` when the
         labeled mask leaves a component unreachable.
         """
         y = self._check_labels(y_labeled)
@@ -737,24 +814,34 @@ class SolveWorkspace:
         if m == 0:
             return _fit_result(
                 scores=y.copy(), n_labeled=n, lam=0.0,
-                method="workspace[exact]", criterion="hard", details={"m": 0},
+                method=f"workspace[{self.backend}]", criterion="hard",
+                details={"m": 0},
             )
         self.check_current()
         self._require_reachable(n)
         with obs.span(
-            "repro.workspace.solve", kind="hard", backend="exact", n=n, m=m
-        ):
-            factor = self.factorization("hard", 0.0, n)
-            f_unlabeled = factor.solve(np.asarray(self.weights[n:, :n] @ y).ravel())
+            "repro.workspace.solve", kind="hard", backend=self.backend, n=n, m=m
+        ) as span:
+            rhs = np.asarray(self.weights[n:, :n] @ y).ravel()
+            if self.backend == "multigrid":
+                f_unlabeled, info, details = self._multigrid_pcg(
+                    "hard", 0.0, n, self.hard_system(n), rhs, self._hard_vcycle(n)
+                )
+            else:
+                factor = self.factorization("hard", 0.0, n)
+                f_unlabeled, info, details = factor.solve(rhs), factor.info(), {}
+            if span.recording:
+                span.set_attribute("solve_method", info.method)
+                span.set_attribute("iterations", info.iterations)
             obs.get_registry().counter("workspace.solves").inc()
             return _fit_result(
                 scores=np.concatenate([y, f_unlabeled]),
                 n_labeled=n,
                 lam=0.0,
-                method="workspace[exact]",
+                method=f"workspace[{self.backend}]",
                 criterion="hard",
-                details={"m": m, "system_size": m},
-                solve_info=factor.info(),
+                details={"m": m, "system_size": m, "backend": self.backend, **details},
+                solve_info=info,
             )
 
     def sweep_soft(self, y_labeled, lambdas) -> list:

@@ -5,10 +5,12 @@ for the vertices the criterion was solved on.  This package is the
 fit-once/query-many counterpart:
 
 * :class:`~repro.serving.model.GraphSSLModel` — fit a reference graph
-  once (cached factorization via
-  :class:`~repro.linalg.workspace.SolveWorkspace`), then serve new
-  points through the Nadaraya-Watson rule or exact incremental vertex
-  insertion, with optional per-query credible intervals.
+  once through a :class:`~repro.linalg.workspace.SolveWorkspace` that
+  caches a factorization (dense and small sparse graphs) or a Galerkin
+  V-cycle (sparse graphs above a measured size), then serve new points
+  through the Nadaraya-Watson rule or exact incremental vertex
+  insertion preconditioned by that cache, with optional per-query
+  credible intervals.
 * :class:`~repro.serving.server.ModelServer` — request micro-batching
   in front of a fitted model.
 * :func:`~repro.serving.evaluate.run_serve_eval` — the ``repro

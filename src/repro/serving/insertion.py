@@ -6,21 +6,29 @@ and re-minimizing the hard criterion yields the bordered grounded system
     [[ A + diag(c_u),  -c_u ],   [ f_u ]     [ W21 y    ]
      [ -c_u^T,          s   ]] @ [ f_q ]  =  [ c_l^T y  ]
 
-where ``A = D22 - W22`` is the reference grounded Laplacian (already
-factorized in the model's :class:`~repro.linalg.workspace.SolveWorkspace`),
-``c_l``/``c_u`` split the query's edges by labeled/unlabeled endpoint and
-``s = sum(c)`` (the query's self-weight cancels between its degree and
-diagonal).  The border alone would be a rank-1 update of the cached
+where ``A = D22 - W22`` is the reference grounded Laplacian (the system
+the model's :class:`~repro.linalg.workspace.SolveWorkspace` solved at
+fit time), ``c_l``/``c_u`` split the query's edges by labeled/unlabeled
+endpoint and ``s = sum(c)`` (the query's self-weight cancels between its
+degree and diagonal).  The border alone would be a rank-1 update of the cached
 system — the same Gaussian-conditioning algebra as
 :mod:`repro.core.incremental` — but the insertion also adds ``diag(c_u)``
 to every touched vertex's degree, so no finite low-rank shortcut is
 exact.  This module therefore solves the bordered system with
 preconditioned CG (:func:`~repro.linalg.advanced.preconditioned_conjugate_gradient`
-on a callable operator), using the *cached* factorization of ``A`` as the
-preconditioner and the rank-1 border (Schur-complement) solution as the
-initial guess: the preconditioned operator is ``I`` plus the
-``diag(c_u)`` perturbation, so a handful of back-substitutions converge
-to the re-solve answer at tolerance — typically 2-10 iterations.
+on a callable operator), preconditioned block-diagonally by the
+workspace's cached ``r ↦ M⁻¹r`` for ``A``
+(:meth:`~repro.linalg.workspace.SolveWorkspace.preconditioner`) and
+started from the rank-1 border (Schur-complement) guess built with that
+same ``M⁻¹``.  When the workspace factorizes ``A`` (``M = A``), the
+preconditioned operator is ``I`` plus the ``diag(c_u)`` perturbation
+and a handful of back-substitutions converge — typically 2-10
+iterations.  When it runs the ``multigrid`` backend, ``M⁻¹`` is one
+cached V-cycle and a query takes about 15 iterations, each far cheaper
+than a back-substitution through a high-fill LU factor.  Either way the
+solve stops at :data:`INSERTION_TOL`, so the prediction does not depend
+on the preconditioner beyond that tolerance.  Each insertion is
+stateless: nothing carries over from one query to the next.
 
 The soft criterion (``lam > 0``) inserts through the analogous bordered
 system on ``V + lam (L + diag(c))``: the same matrix shape with ``A = V +
@@ -28,8 +36,8 @@ lam L``, the border ``c`` over all vertices scaled by ``lam``, a zero
 tail and the right-hand side ``(y; 0)``.  Both criteria therefore share
 one bordered solve; :meth:`ExactInserter.insert` only picks its inputs.
 The cached systems and the hard right-hand side ``W21 y`` come from
-:mod:`repro.graph.laplacian`, the assembly the fit itself factorized,
-once per inserter.
+:mod:`repro.graph.laplacian`, the assembly the fit itself solved, once
+per inserter.
 
 Credible intervals come from the Gaussian-field view (the same model as
 :mod:`repro.core.uncertainty`): the query's posterior variance is
@@ -38,9 +46,12 @@ Credible intervals come from the Gaussian-field view (the same model as
     Var(f_q) = sigma^2 / (s - c_u^T (A + diag(c_u))^{-1} c_u),
 
 computed exactly with one more preconditioned solve, or approximated to
-first order by ``sigma^2 / (s - c_u^T A^{-1} c_u)`` with a single cached
-back-substitution (an over-estimate, since ``A + diag(c_u) >= A``; the
-exact route kicks in automatically if the approximation degenerates).
+first order by ``sigma^2 / (s - c_u^T A^{-1} c_u)`` (an over-estimate,
+since ``A + diag(c_u) >= A``; the exact route kicks in automatically if
+the approximation degenerates).  ``A^{-1} c_u`` is itself a PCG solve to
+:data:`INSERTION_TOL` with the cached preconditioner — one iteration
+when that is a factorization — so the first-order interval means the
+same thing on every backend.
 """
 
 from __future__ import annotations
@@ -86,7 +97,7 @@ def _require_support(row: QueryRow) -> float:
 
 
 class ExactInserter:
-    """Per-model machinery for exact insertions against cached factors.
+    """Per-model machinery for exact insertions against a cached preconditioner.
 
     Parameters
     ----------
@@ -98,7 +109,8 @@ class ExactInserter:
         The fitted scores over all ``N`` reference vertices.
     workspace:
         The model's :class:`~repro.linalg.workspace.SolveWorkspace`; its
-        LRU factorization cache supplies the preconditioner.
+        :meth:`~repro.linalg.workspace.SolveWorkspace.preconditioner`
+        (a cached factorization or V-cycle) preconditions every solve.
     lam:
         ``0.0`` for the hard criterion, else the soft criterion's
         tuning parameter.
@@ -118,14 +130,14 @@ class ExactInserter:
                     workspace.weights, self.n, workspace.degrees
                 )
                 self.rhs = np.asarray(w21 @ self.y).ravel()
-                self.factor = workspace.factorization("hard", 0.0, self.n)
+                self.precondition = workspace.preconditioner("hard", 0.0, self.n)
             else:
-                self.system = self.rhs = self.factor = None
+                self.system = self.rhs = self.precondition = None
         else:
             self.system = workspace.soft_system(self.lam, self.n)
             self.rhs = np.zeros(self.n_total)
             self.rhs[: self.n] = self.y
-            self.factor = workspace.factorization("soft", self.lam, self.n)
+            self.precondition = workspace.preconditioner("soft", self.lam, self.n)
 
     def _split(self, row: QueryRow):
         """Split a query row into labeled mass and a dense unlabeled vector."""
@@ -144,13 +156,13 @@ class ExactInserter:
         the cached ``self.system``, ``c`` the query's edge weights into
         the vertices ``A`` covers and ``s`` its total edge weight.  The
         hard criterion passes ``scale = 1``, the soft one ``scale =
-        lam``.  The cached factorization of ``A`` preconditions, and the
-        rank-1 border (Schur-complement) solution around the fitted
-        scores ``warm`` is the initial guess.
+        lam``.  The cached ``M⁻¹ ≈ A⁻¹`` preconditions, and the rank-1
+        border (Schur-complement) solution around the fitted scores
+        ``warm``, built with ``M⁻¹``, is the initial guess.
         """
         s = row.total
         border = scale * c
-        g = self.factor.solve(border)
+        g = self.precondition(border)
         denom = scale * s - float(border @ g)
         if denom > 0:
             f_q0 = (tail + float(border @ warm)) / denom
@@ -160,7 +172,7 @@ class ExactInserter:
             f_q0 = float(np.dot(row.weights, self.scores[row.indices]) / s)
         x0 = np.concatenate([warm + g * f_q0, [f_q0]])
         rhs = np.concatenate([self.rhs, [tail]])
-        system, factor, k = self.system, self.factor, c.shape[0]
+        system, inverse, k = self.system, self.precondition, c.shape[0]
 
         def matvec(v):
             vu, t = v[:k], v[k]
@@ -169,7 +181,7 @@ class ExactInserter:
             return np.concatenate([top, [bottom]])
 
         def precondition(r):
-            return np.concatenate([factor.solve(r[:k]), [r[k] / (scale * s)]])
+            return np.concatenate([inverse(r[:k]), [r[k] / (scale * s)]])
 
         result = preconditioned_conjugate_gradient(
             matvec,
@@ -220,12 +232,18 @@ class ExactInserter:
         if self.m == 0:
             return sigma_sq / s
         _, cu = self._split(row)
-        g = self.factor.solve(cu)
+        system, precondition = self.system, self.precondition
+        g = preconditioned_conjugate_gradient(
+            system,
+            cu,
+            preconditioner=precondition,
+            tol=INSERTION_TOL,
+            max_iter=INSERTION_MAX_ITER,
+        ).x
         if not exact:
             denom = s - float(cu @ g)
             if denom > 0:
                 return sigma_sq / denom
-        factor, system = self.factor, self.system
 
         def matvec(v):
             return system @ v + cu * v
@@ -233,7 +251,7 @@ class ExactInserter:
         v = preconditioned_conjugate_gradient(
             matvec,
             cu,
-            preconditioner=factor.solve,
+            preconditioner=precondition,
             x0=g,
             tol=INSERTION_TOL,
             max_iter=INSERTION_MAX_ITER,

@@ -5,19 +5,26 @@ the vertices they were fitted on; predicting a *new* point means
 rebuilding the graph and re-solving.  ``GraphSSLModel`` is the inductive
 wrapper: :meth:`~GraphSSLModel.fit` builds the reference graph and
 solves the criterion exactly once (through a per-model
-:class:`~repro.linalg.workspace.SolveWorkspace`, so the factorization
-is cached), and then :meth:`~GraphSSLModel.predict` /
-:meth:`~GraphSSLModel.predict_batch` answer out-of-sample queries
-without ever re-solving, by one of two methods:
+:class:`~repro.linalg.workspace.SolveWorkspace`, which caches the
+preconditioner exact serving reuses), and then
+:meth:`~GraphSSLModel.predict` / :meth:`~GraphSSLModel.predict_batch`
+answer out-of-sample queries without ever re-solving, by one of two
+methods:
 
 ``"nw"`` (default)
     The Nadaraya-Watson/harmonic one-step rule over the fitted scores —
     O(row) per query, the paper's own Theorem II.1 device.
 ``"exact"``
-    Exact incremental vertex insertion (bordered solve against the
-    cached factorization; see :mod:`repro.serving.insertion`) — the
-    ground-truth slow path, matching a from-scratch rebuild-and-resolve
-    to solver tolerance.
+    Exact incremental vertex insertion (a bordered PCG solve against
+    the cached preconditioner; see :mod:`repro.serving.insertion`) —
+    the ground-truth slow path, matching a from-scratch
+    rebuild-and-resolve to solver tolerance.
+
+The workspace backend follows a measured crossover
+(:data:`FACTORIZE_MAX_VERTICES`, docs/SCALING.md): dense graphs and
+sparse graphs up to that many vertices factorize (``"exact"``); larger
+sparse graphs, whose sparse LU fills in past the point where it pays,
+fit and serve through a cached Galerkin V-cycle (``"multigrid"``).
 
 Determinism contract: every per-query quantity is computed from that
 query's own arrays only (see :mod:`repro.serving.queries`), so
@@ -41,6 +48,7 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from repro import obs
 from repro.core.estimators import _resolve_bandwidth
@@ -61,6 +69,20 @@ from repro.serving.queries import QueryExtractor
 __all__ = ["GraphSSLModel", "ServingStats", "SERVING_METHODS"]
 
 SERVING_METHODS = ("nw", "exact")
+
+#: Sparse reference graphs with more vertices than this fit and serve on
+#: the ``multigrid`` workspace backend; smaller ones, and every dense
+#: graph, on ``exact``.  The measured crossover of one fit solve plus 100
+#: exact insertions on 5-d kNN data, k = 10: sparse LU wins up to 3000
+#: vertices, the V-cycle from 3500–4000 on (docs/SCALING.md).
+FACTORIZE_MAX_VERTICES = 3000
+
+
+def _serving_backend(weights) -> str:
+    """The workspace backend a model with these weights fits and serves on."""
+    if sparse.issparse(weights) and weights.shape[0] > FACTORIZE_MAX_VERTICES:
+        return "multigrid"
+    return "exact"
 
 
 class ServingStats(NamedTuple):
@@ -193,7 +215,7 @@ class GraphSSLModel:
             n_reference=int(x_all.shape[0]),
             lam=self.lam,
             graph=self.graph,
-        ):
+        ) as span:
             self.bandwidth_ = _resolve_bandwidth(self.bandwidth, x_all, n)
             self.graph_ = build_similarity_graph(
                 x_all,
@@ -202,7 +224,12 @@ class GraphSSLModel:
                 bandwidth=self.bandwidth_,
                 **self.graph_params,
             )
-            self._workspace = SolveWorkspace(self.graph_.weights)
+            backend = _serving_backend(self.graph_.weights)
+            if span.recording:
+                # The choice and what it read: sparsity and N (n_reference).
+                span.set_attribute("backend", backend)
+                span.set_attribute("sparse", sparse.issparse(self.graph_.weights))
+            self._workspace = SolveWorkspace(self.graph_.weights, backend=backend)
             if self.lam == 0.0:
                 result = self._workspace.solve_hard(y_labeled)
             else:
@@ -286,7 +313,10 @@ class GraphSSLModel:
         if self._inserter is None:
             if self._workspace is None:
                 # A worker-side copy (see __getstate__) rebuilds lazily.
-                self._workspace = SolveWorkspace(self.graph_.weights)
+                weights = self.graph_.weights
+                self._workspace = SolveWorkspace(
+                    weights, backend=_serving_backend(weights)
+                )
             self._inserter = ExactInserter(
                 self.graph_.weights,
                 self._y,
@@ -446,8 +476,9 @@ class GraphSSLModel:
         workers = resolve_n_jobs(n_jobs)
         if workers > 1 and method == "exact":
             raise ConfigurationError(
-                "method='exact' serves against the cached factorization, "
-                "which does not ship across processes; use n_jobs=1"
+                "method='exact' serves against the workspace's cached "
+                "preconditioner (a factorization or V-cycle), which does not "
+                "ship across processes; use n_jobs=1"
             )
         total = queries.shape[0]
         size = total if batch_size is None else min(batch_size, total)
@@ -546,8 +577,8 @@ class GraphSSLModel:
         return ServingStats(**self._counters)
 
     def __getstate__(self):
-        # Factorizations (sparse splu handles) don't pickle; workers
-        # rebuild lazily if they ever need the exact path.
+        # Cached preconditioners (splu handles, V-cycles) don't ship;
+        # workers rebuild lazily if they ever need the exact path.
         state = self.__dict__.copy()
         state["_workspace"] = None
         state["_inserter"] = None

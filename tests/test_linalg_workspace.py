@@ -4,9 +4,10 @@ Covers the cache machinery (hits/misses/evictions), the continuation
 state (warm starts, re-anchoring), invalidation on graph mutation
 (including a hypothesis property test: a mutated workspace must raise,
 never serve stale answers), the labeled-reachability check made from the
-components computed at construction, and the ``x0`` threading through
-``solve_spd``.  Numerical parity against direct solves lives in
-``tests/test_workspace_parity.py``.
+components computed at construction, the multigrid backend's hard
+V-cycle, the true residual every PCG path reports, and the ``x0``
+threading through ``solve_spd``.  Numerical parity against direct solves
+lives in ``tests/test_workspace_parity.py``.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.hard import solve_hard_criterion
 from repro.core.soft import solve_soft_criterion
 from repro.datasets.synthetic import make_synthetic_dataset
@@ -102,8 +104,8 @@ class TestFactorizationCache:
         ws = SolveWorkspace(graph.weights)
         with pytest.raises(ConfigurationError):
             check_sweep_backend("spectral")
-        # the hard solve always runs the exact grounded factorization,
-        # so it takes no backend and no strict-mode switch exists
+        # the hard solve runs on the workspace's own backend: it takes
+        # no per-call backend, and no strict-mode switch exists
         with pytest.raises(TypeError):
             ws.solve_hard(np.ones(10), backend="nope")
         with pytest.raises(TypeError):
@@ -291,10 +293,11 @@ class TestReachability:
 
     def test_solve_hard_raises_on_orphaned_component(self, orphaned_problem):
         graph, y = orphaned_problem
-        ws = SolveWorkspace(graph.weights)
-        self._assert_raises_cheaply(
-            ws, lambda: ws.solve_hard(y), graph.weights, y.shape[0]
-        )
+        for backend in ("exact", "factored", "multigrid"):
+            ws = SolveWorkspace(graph.weights, backend=backend)
+            self._assert_raises_cheaply(
+                ws, lambda: ws.solve_hard(y), graph.weights, y.shape[0]
+            )
 
     def test_components_computed_once_per_workspace(self, sparse_problem, monkeypatch):
         data, graph = sparse_problem
@@ -314,6 +317,138 @@ class TestReachability:
         ws.invalidate()
         ws.solve_soft(data.y_labeled, 0.1)
         assert len(calls) == 2
+
+
+@pytest.fixture(scope="module")
+def multilevel_problem():
+    """A kNN graph whose unlabeled block (660 vertices) exceeds the
+    V-cycle's 512-vertex coarsest level, so the hard V-cycle coarsens."""
+    data = make_synthetic_dataset(40, 660, seed=4)
+    bandwidth = paper_bandwidth_rule(40, 5)
+    graph = knn_graph(data.x_all, k=10, bandwidth=bandwidth)
+    return data, graph
+
+
+class TestHardMultigrid:
+    """On ``multigrid`` the hard criterion runs cold-started PCG on a
+    Galerkin V-cycle of ``D22 - W22``, built once per ``n_labeled``."""
+
+    def test_matches_reference_on_a_multilevel_vcycle(self, multilevel_problem):
+        data, graph = multilevel_problem
+        ws = SolveWorkspace(graph.weights, backend="multigrid")
+        fit = ws.solve_hard(data.y_labeled)
+        assert fit.details["n_levels"] >= 2
+        np.testing.assert_allclose(
+            fit.scores,
+            solve_hard_criterion(graph.weights, data.y_labeled).scores,
+            atol=1e-8,
+            rtol=0,
+        )
+
+    def test_vcycle_built_once_per_mask_and_counted(self, multilevel_problem):
+        data, graph = multilevel_problem
+        ws = SolveWorkspace(graph.weights, backend="multigrid")
+        first = ws.solve_hard(data.y_labeled)
+        second = ws.solve_hard(data.y_labeled)
+        third = ws.solve_hard(data.y_labeled[:30])
+        stats = ws.stats()
+        assert stats.coarsen_builds == 2
+        assert stats.multigrid_solves == 3
+        assert stats.factor_misses == 0
+        assert stats.warm_starts == 0
+        assert stats.pcg_iterations == sum(
+            fit.solve_info.iterations for fit in (first, second, third)
+        )
+        # Cold starts: a repeated solve returns the same floats.
+        np.testing.assert_array_equal(first.scores, second.scores)
+
+    @pytest.mark.parametrize(
+        "backend, solve_method",
+        [("exact", "sparse_lu"), ("factored", "sparse_lu"), ("multigrid", "multigrid_pcg")],
+    )
+    def test_route_is_reported(self, sparse_problem, backend, solve_method):
+        data, graph = sparse_problem
+        ws = SolveWorkspace(graph.weights, backend=backend)
+        tracer = obs.RecordingTracer()
+        with obs.use_tracer(tracer):
+            fit = ws.solve_hard(data.y_labeled)
+        (span,) = [s for s in tracer.iter_spans() if s.name == "repro.workspace.solve"]
+        assert span.attributes["backend"] == backend
+        assert span.attributes["solve_method"] == solve_method
+        assert fit.method == f"workspace[{backend}]"
+        assert fit.details["backend"] == backend
+        assert fit.solve_info.method == solve_method
+
+    def test_stalled_vcycle_falls_back_to_factorization(self, sparse_problem, monkeypatch):
+        data, graph = sparse_problem
+        monkeypatch.setattr(workspace_module, "MULTIGRID_MAX_ITER", 0)
+        ws = SolveWorkspace(graph.weights, backend="multigrid")
+        fit = ws.solve_hard(data.y_labeled)
+        stats = ws.stats()
+        assert fit.details["fallback"] == "exact"
+        assert stats.reanchors == 1 and stats.factor_misses == 1
+        assert stats.multigrid_solves == 0
+        np.testing.assert_array_equal(
+            fit.scores, SolveWorkspace(graph.weights).solve_hard(data.y_labeled).scores
+        )
+
+    @pytest.mark.parametrize("backend", ["exact", "factored", "multigrid"])
+    def test_preconditioner_accessor(self, multilevel_problem, backend):
+        """``preconditioner`` returns ``r ↦ M⁻¹r``: the factorization's
+        back-substitution (``M = A``) or the cached V-cycle."""
+        data, graph = multilevel_problem
+        n = data.y_labeled.shape[0]
+        ws = SolveWorkspace(graph.weights, backend=backend)
+        system = ws.hard_system(n)
+        r = np.random.default_rng(0).normal(size=system.shape[0])
+        inverse = ws.preconditioner("hard", 0.0, n)
+        if backend == "multigrid":
+            assert inverse is ws.preconditioner("hard", 0.0, n)
+            assert inverse.n_levels >= 2
+            assert ws.stats().factor_misses == 0
+            # A V-cycle is an SPD approximation of A⁻¹, not A⁻¹ itself.
+            z = inverse(r)
+            assert float(r @ z) > 0
+            assert np.linalg.norm(system @ z - r) < np.linalg.norm(r)
+        else:
+            np.testing.assert_allclose(system @ inverse(r), r, atol=1e-10)
+            assert ws.stats().factor_misses == 1
+
+
+class TestTrueResidual:
+    """Every PCG path reports ``‖b − A f‖`` of the answer it returns."""
+
+    def test_factored_anchored_pcg(self, problem):
+        data, graph = problem
+        y = data.y_labeled
+        ws = SolveWorkspace(graph.weights, backend="factored")
+        ws.solve_soft(y, 0.1)  # anchors
+        fit = ws.solve_soft(y, 0.2)
+        assert fit.solve_info.method == "pcg"
+        b = np.concatenate([y, np.zeros(ws.n_total - y.shape[0])])
+        expected = np.linalg.norm(b - ws.soft_system(0.2, y.shape[0]) @ fit.scores)
+        assert fit.solve_info.final_residual == expected
+
+    def test_multigrid_soft(self, multilevel_problem):
+        data, graph = multilevel_problem
+        y = data.y_labeled
+        ws = SolveWorkspace(graph.weights, backend="multigrid")
+        fit = ws.solve_soft(y, 0.5)
+        assert fit.solve_info.method == "multigrid_pcg"
+        b = np.concatenate([y, np.zeros(ws.n_total - y.shape[0])])
+        expected = np.linalg.norm(b - ws.soft_system(0.5, y.shape[0]) @ fit.scores)
+        assert fit.solve_info.final_residual == expected
+
+    def test_multigrid_hard(self, multilevel_problem):
+        data, graph = multilevel_problem
+        y = data.y_labeled
+        n = y.shape[0]
+        ws = SolveWorkspace(graph.weights, backend="multigrid")
+        fit = ws.solve_hard(y)
+        assert fit.solve_info.method == "multigrid_pcg"
+        b = np.asarray(graph.weights[n:, :n] @ y).ravel()
+        expected = np.linalg.norm(b - ws.hard_system(n) @ fit.scores[n:])
+        assert fit.solve_info.final_residual == expected
 
 
 class TestSolveSpdWarmStart:

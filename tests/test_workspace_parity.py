@@ -8,7 +8,8 @@ This suite pins the contract from three directions:
 * every workspace backend matches per-point reference solves at
   ``atol=1e-8`` across a lambda grid (on dense graphs, where the
   reference takes the Schur route, for exact/factored/multigrid; on
-  sparse graphs for exact/factored);
+  sparse graphs for exact/factored), and the multigrid backend's hard
+  solve matches :func:`~repro.core.hard.solve_hard_criterion` on both;
 * the exact backend is *bitwise* identical to the reference solves
   that assemble the same system — soft on sparse graphs, dense
   ``method="full"``, and the hard criterion on both — because both
@@ -97,6 +98,21 @@ class TestBackendParity:
                 rtol=0,
                 err_msg=f"backend={backend} lam={lam}",
             )
+
+    @pytest.mark.parametrize("problem", ["sparse_problem", "dense_problem"])
+    def test_multigrid_hard_matches_direct(self, request, problem):
+        """On ``multigrid`` the hard criterion runs PCG on a V-cycle of
+        ``D22 - W22`` instead of factorizing it; it must still track the
+        per-point reference at 1e-8."""
+        data, graph = request.getfixturevalue(problem)
+        ws = SolveWorkspace(graph.weights, backend="multigrid")
+        np.testing.assert_allclose(
+            ws.solve_hard(data.y_labeled).scores,
+            solve_hard_criterion(graph.weights, data.y_labeled).scores,
+            atol=1e-8,
+            rtol=0,
+        )
+        assert ws.stats().multigrid_solves == 1
 
     @pytest.mark.parametrize(
         "problem, method",
