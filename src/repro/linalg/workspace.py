@@ -40,12 +40,14 @@ on some measured grid (docs/SCALING.md):
   level systems ``diag(v_l) + λ L_l`` re-assemble in O(nnz) per grid
   point (the Galerkin coarse operator of a graph Laplacian is the
   Laplacian of the coarsened graph, and aggregation keeps ``V``
-  diagonal).  The hard criterion's ``D22 - W22`` gets its own Galerkin
-  V-cycle (:meth:`~repro.linalg.coarsen.MultigridPreconditioner.from_matrix`),
-  built once per ``n_labeled``, and each hard solve runs cold-started
-  PCG on it.  This is the backend that scales past the splu fill-in
-  wall (N ≈ 10⁴ in d ≥ 3) to N = 10⁶, with an exact-factorization
-  fallback if the V-cycle ever stalls.
+  diagonal).  The hard criterion's ``D22 - W22 = L(W22) + diag(W21·1)``
+  has the same form: its V-cycle coarsens the unlabeled subgraph ``W22``
+  with the same hierarchy builder and assembles each level as ``L_l +
+  diag(Pᵀ…Pᵀ W21·1)`` with the same helper, once per ``n_labeled``, and
+  each hard solve runs cold-started PCG on it.  This is the backend
+  that scales past the splu fill-in wall (N ≈ 10⁴ in d ≥ 3) to
+  N = 10⁶, with an exact-factorization fallback if the V-cycle ever
+  stalls.
 
 :meth:`SolveWorkspace.preconditioner` hands out the cached ``r ↦ M⁻¹r``
 of either system — the factorization's back-substitution on ``exact``
@@ -172,6 +174,24 @@ MULTIGRID_COARSE_DIVISOR = 64
 def _min_coarse_size(size: int) -> int:
     """Coarsest-level bound for a V-cycle over a ``size``-vertex system."""
     return max(512, size // MULTIGRID_COARSE_DIVISOR)
+
+
+def _vcycle(system, hierarchy: CoarseningHierarchy, scale: float, diagonals):
+    """V-cycle over ``system`` with coarse levels ``scale·L_l + diag(d_l)``.
+
+    ``L_l`` are the hierarchy's Laplacians and ``diagonals`` its
+    :meth:`~repro.linalg.coarsen.CoarseningHierarchy.coarsen_diagonal`
+    of the fine diagonal term, so each level is the Galerkin product of
+    ``scale·L + diag(d)``: ``V + λL`` for the soft criterion, ``L(W22) +
+    diag(W21·1)`` for the hard one.
+    """
+    systems = [system]
+    for level, diagonal in zip(hierarchy.levels, diagonals):
+        systems.append(
+            (scale * level.laplacian + sparse.diags(diagonal, format="csr")).tocsr()
+        )
+    prolongations = [level.prolongation for level in hierarchy.levels]
+    return MultigridPreconditioner(systems, prolongations)
 
 
 def check_sweep_backend(sweep_backend: str) -> str:
@@ -633,27 +653,26 @@ class SolveWorkspace:
 
     def _multigrid_preconditioner(self, system, lam: float, n: int):
         """V-cycle over ``system`` (the assembled ``soft_system(lam, n)``)."""
-        hierarchy = self.hierarchy()
-        systems = [system]
-        for level, mask in zip(hierarchy.levels, self._coarse_mask_diagonals(n)):
-            systems.append(
-                (lam * level.laplacian + sparse.diags(mask, format="csr")).tocsr()
-            )
-        prolongations = [level.prolongation for level in hierarchy.levels]
-        return MultigridPreconditioner(systems, prolongations)
+        return _vcycle(system, self.hierarchy(), lam, self._coarse_mask_diagonals(n))
 
     def _hard_vcycle(self, n: int) -> MultigridPreconditioner:
         """Galerkin V-cycle over ``hard_system(n)``, built once per ``n``.
 
-        ``D22 - W22`` is λ-independent, so one coarsening of its
-        unlabeled subgraph (the grounding ``W21·1`` rides along in the
-        Galerkin diagonals) serves every hard solve and insertion.
+        ``D22 - W22 = L(W22) + diag(W21·1)`` is λ-independent and has the
+        soft system's form, so it coarsens the same way: one hierarchy of
+        the unlabeled subgraph ``W22``, with the grounding ``W21·1``
+        aggregated into each level's diagonal.  It serves every hard
+        solve and insertion.
         """
         vcycle = self._hard_vcycles.get(n)
         if vcycle is None:
-            system = self.hard_system(n)
-            vcycle = MultigridPreconditioner.from_matrix(
-                system, min_coarse_size=_min_coarse_size(system.shape[0])
+            system, w21 = grounded_system(self.weights, n, self.degrees)
+            hierarchy = build_hierarchy(
+                self.weights[n:, n:],
+                min_coarse_size=_min_coarse_size(self.n_total - n),
+            )
+            vcycle = _vcycle(
+                system, hierarchy, 1.0, hierarchy.coarsen_diagonal(_row_sums(w21))
             )
             self._hard_vcycles[n] = vcycle
             self._count_coarsening()

@@ -24,7 +24,7 @@ same ``M⁻¹``.  When the workspace factorizes ``A`` (``M = A``), the
 preconditioned operator is ``I`` plus the ``diag(c_u)`` perturbation
 and a handful of back-substitutions converge — typically 2-10
 iterations.  When it runs the ``multigrid`` backend, ``M⁻¹`` is one
-cached V-cycle and a query takes about 15 iterations, each far cheaper
+cached V-cycle and a query takes about 19 iterations, each far cheaper
 than a back-substitution through a high-fill LU factor.  Either way the
 solve stops at :data:`INSERTION_TOL`, so the prediction does not depend
 on the preconditioner beyond that tolerance.  Each insertion is

@@ -73,9 +73,9 @@ SERVING_METHODS = ("nw", "exact")
 #: Sparse reference graphs with more vertices than this fit and serve on
 #: the ``multigrid`` workspace backend; smaller ones, and every dense
 #: graph, on ``exact``.  The measured crossover of one fit solve plus 100
-#: exact insertions on 5-d kNN data, k = 10: sparse LU wins up to 3000
-#: vertices, the V-cycle from 3500–4000 on (docs/SCALING.md).
-FACTORIZE_MAX_VERTICES = 3000
+#: exact insertions on 5-d kNN data, k = 10: sparse LU wins up to 1000
+#: vertices, the V-cycle from 1500 on (docs/SCALING.md).
+FACTORIZE_MAX_VERTICES = 1000
 
 
 def _serving_backend(weights) -> str:

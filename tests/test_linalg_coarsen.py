@@ -3,9 +3,13 @@
 The hypothesis suite pins the structural invariants the V-cycle relies
 on: every matching yields a valid aggregation operator (one unit entry
 per row, no empty aggregates, at most two vertices per aggregate, pairs
-joined by a positive edge), the Galerkin triple product ``PᵀAP`` of an
-SPD system is SPD, and the coarse Laplacian identity
-``PᵀL(W)P = L(PᵀWP)`` holds exactly.  The vectorized mutual-proposal
+joined by a positive edge), every hierarchy level composes two of them
+into connected aggregates of at most four vertices, the Galerkin triple
+product ``PᵀAP`` of an SPD system is SPD, and the coarse Laplacian
+identity ``PᵀL(W)P = L(PᵀWP)`` holds exactly.  The hierarchy is pinned
+against a pairwise chain built from the matching itself, and the
+V-cycle's cached restrictions against a cycle that transposes ``P`` on
+every call.  The vectorized mutual-proposal
 matching is pinned against a per-vertex loop of the same rounds, its
 hashed tie-break against unit-weight chains and grids, and its
 independence of vertex order against relabelled kNN graphs.  The
@@ -19,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from repro.datasets.synthetic import make_synthetic_dataset
 from repro.exceptions import (
@@ -33,6 +38,8 @@ from repro.kernels.base import pairwise_sq_distances
 from repro.linalg.advanced import preconditioned_conjugate_gradient
 from repro.linalg.coarsen import (
     MATCHING_ROUNDS,
+    OMEGA,
+    STALL_RATIO,
     MultigridPreconditioner,
     aggregation_operator,
     build_hierarchy,
@@ -41,7 +48,7 @@ from repro.linalg.coarsen import (
     heavy_edge_matching,
     solve_multigrid,
 )
-from repro.linalg.solvers import solve_spd
+from repro.linalg.solvers import factorize_spd, solve_spd
 from repro.linalg.workspace import SolveWorkspace
 
 
@@ -75,6 +82,28 @@ def _path(n, weights):
     i = np.arange(n - 1)
     upper = sparse.coo_matrix((weights, (i, i + 1)), shape=(n, n))
     return (upper + upper.T).tocsr()
+
+
+def _knn_3d(n, seed):
+    """``n`` standard-normal points in d=3, k=10, bandwidth 0.5."""
+    x = np.random.default_rng(seed).normal(size=(n, 3))
+    return knn_graph(x, k=10, bandwidth=0.5).weights
+
+
+def _pairwise_chain(weights, min_coarse_size):
+    """Sizes and graphs of one heavy-edge matching per level.
+
+    The chain a pairwise hierarchy would build: it stops at
+    ``min_coarse_size`` vertices or at the first pass that stalls.
+    """
+    sizes, graphs = [weights.shape[0]], [weights]
+    while sizes[-1] > min_coarse_size:
+        labels = heavy_edge_matching(graphs[-1])
+        if labels.max() + 1 >= STALL_RATIO * sizes[-1]:
+            break
+        graphs.append(coarsen_weights(graphs[-1], aggregation_operator(labels)))
+        sizes.append(graphs[-1].shape[0])
+    return sizes, graphs
 
 
 def _grid(m):
@@ -321,6 +350,98 @@ class TestHierarchy:
         with pytest.raises(ConfigurationError, match="min_coarse_size"):
             build_hierarchy(weights, min_coarse_size=0)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**16),
+        min_coarse_size=st.sampled_from([1, 8, 64]),
+    )
+    def test_levels_hold_connected_aggregates_of_one_to_four(
+        self, n, seed, min_coarse_size
+    ):
+        weights = _random_graph(n, seed)
+        hierarchy = build_hierarchy(weights, min_coarse_size=min_coarse_size)
+        matched_on = sparse.coo_matrix(weights)
+        for level in hierarchy.levels:
+            p = level.prolongation
+            assert np.array_equal(np.diff(p.indptr), np.ones(p.shape[0], dtype=p.indptr.dtype))
+            np.testing.assert_array_equal(p.data, np.ones(p.shape[0]))
+            members = np.bincount(p.indices, minlength=p.shape[1])
+            assert members.min() >= 1 and members.max() <= 4
+            # the positive edges inside the aggregates connect each of them
+            labels = p.indices
+            row, col, w = matched_on.row, matched_on.col, matched_on.data
+            inside = (labels[row] == labels[col]) & (row != col) & (w > 0)
+            edges = sparse.coo_matrix(
+                (w[inside], (row[inside], col[inside])), shape=matched_on.shape
+            )
+            n_parts, _ = connected_components(edges, directed=False)
+            assert n_parts == p.shape[1]
+            matched_on = sparse.coo_matrix(level.weights)
+
+    @pytest.mark.parametrize("data", ["normal-3d", "truncated-mvn-5d"])
+    def test_kept_levels_are_every_second_pairwise_level(self, data):
+        """The shapes of the pipeline and serving benchmarks' graphs."""
+        if data == "normal-3d":
+            weights = _knn_3d(3000, 8)
+        else:
+            cov = np.full((5, 5), 0.05)
+            np.fill_diagonal(cov, 0.1)
+            raw = np.random.default_rng(8).multivariate_normal(
+                np.full(5, 0.5), cov, size=3000
+            )
+            x = np.where((raw >= 0.0) & (raw <= 1.0), raw, 0.0)
+            weights = knn_graph(x, k=10, bandwidth=0.82).weights
+        sizes, graphs = _pairwise_chain(weights, 16)
+        hierarchy = build_hierarchy(weights, min_coarse_size=16)
+        kept = list(range(0, len(sizes), 2))
+        if kept[-1] != len(sizes) - 1:
+            kept.append(len(sizes) - 1)  # a last pass left at most 16
+        assert list(hierarchy.sizes) == [sizes[i] for i in kept]
+        assert len(hierarchy.levels) >= 3
+        for level, index in zip(hierarchy.levels, kept[1:]):
+            assert (level.weights != graphs[index]).nnz == 0
+
+    def test_operator_complexity_of_a_knn_hierarchy(self):
+        """Σ nnz(L_l) ÷ nnz(L): pairwise levels make it about 2."""
+        weights = _knn_3d(3000, 1)
+        hierarchy = build_hierarchy(weights, min_coarse_size=16)
+        fine = laplacian(weights).nnz
+        total = fine + sum(level.laplacian.nnz for level in hierarchy.levels)
+        assert total / fine <= 1.5
+
+    def test_stalled_second_pass_keeps_the_pairwise_level(self):
+        """Pair edges ``(2i, 2i+1)`` weigh 100 and the linking edges
+        strictly increase: the first pass halves the path, the second
+        stalls on the monotone coarse chain, and the hierarchy keeps that
+        one pairwise level.  Every multigrid entry point still solves."""
+        n = 2000
+        edge = np.empty(n - 1)
+        edge[0::2] = 100.0
+        edge[1::2] = np.linspace(1.0, 50.0, n // 2 - 1)
+        weights = _path(n, edge)
+        hierarchy = build_hierarchy(weights, min_coarse_size=16)
+        assert hierarchy.sizes == (n, n // 2)
+        assert np.bincount(hierarchy.levels[0].prolongation.indices).max() == 2
+        system = _soft_system(weights, 0.5, n // 20)
+        rhs = np.random.default_rng(3).normal(size=n)
+        np.testing.assert_allclose(
+            solve_multigrid(system, rhs, min_coarse_size=16).x,
+            solve_spd(system, rhs, method="direct"),
+            atol=1e-7,
+        )
+        y = np.sin(np.arange(n // 20))
+        workspace = SolveWorkspace(weights, backend="multigrid")
+        for lam in (0.05, 0.5, 5.0):
+            expected = solve_spd(
+                _soft_system(weights, lam, y.size),
+                np.concatenate([y, np.zeros(n - y.size)]),
+                method="direct",
+            )
+            fit = workspace.solve_soft(y, lam)
+            assert fit.details["n_levels"] == 2
+            np.testing.assert_allclose(fit.scores, expected, atol=1e-7)
+
 
 class TestMultigridPreconditioner:
     def test_preconditioner_is_symmetric(self):
@@ -365,6 +486,28 @@ class TestMultigridPreconditioner:
 
         mg = MultigridPreconditioner.from_matrix(system, min_coarse_size=16)
         assert final_residual(mg) <= 1.05 * final_residual(None) + 1e-12
+
+    def test_cached_restrictions_change_no_output_bit(self):
+        """Against a cycle that transposes ``P`` on every call."""
+        system = _soft_system(_knn_3d(2000, 4), 0.8, 100)
+        precond = MultigridPreconditioner.from_matrix(system, min_coarse_size=16)
+        systems, prolongations = precond._systems, precond._prolongations
+        coarsest = factorize_spd(systems[-1])
+
+        def cycle(level, rhs):
+            if level == len(systems) - 1:
+                return np.asarray(coarsest.solve(rhs)).ravel()
+            a, p = systems[level], prolongations[level]
+            inv_diag = 1.0 / a.diagonal()
+            x = OMEGA * (inv_diag * rhs)
+            coarse_residual = np.asarray(p.T @ (rhs - a @ x)).ravel()
+            x = x + np.asarray(p @ cycle(level + 1, coarse_residual)).ravel()
+            return x + OMEGA * (inv_diag * (rhs - a @ x))
+
+        assert precond.n_levels >= 4
+        for seed in range(3):
+            r = np.random.default_rng(seed).normal(size=system.shape[0])
+            assert np.array_equal(precond(r), cycle(0, r))
 
     def test_validates_level_shapes_and_params(self):
         weights = _random_graph(40, 4)

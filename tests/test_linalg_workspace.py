@@ -27,6 +27,7 @@ from repro.exceptions import (
 from repro.graph.components import require_labeled_reachability
 from repro.graph.similarity import full_kernel_graph, knn_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
+from repro.linalg import coarsen as coarsen_module
 from repro.linalg import workspace as workspace_module
 from repro.linalg.solvers import SolveInfo, solve_spd
 from repro.linalg.workspace import (
@@ -329,9 +330,40 @@ def multilevel_problem():
     return data, graph
 
 
+@pytest.fixture(scope="module")
+def deep_problem():
+    """2400 unlabeled vertices: above its 512-vertex coarsest level the
+    hard V-cycle keeps at least two coarse levels."""
+    data = make_synthetic_dataset(40, 2400, seed=5)
+    bandwidth = paper_bandwidth_rule(40, 5)
+    graph = knn_graph(data.x_all, k=10, bandwidth=bandwidth)
+    return data, graph
+
+
 class TestHardMultigrid:
     """On ``multigrid`` the hard criterion runs cold-started PCG on a
     Galerkin V-cycle of ``D22 - W22``, built once per ``n_labeled``."""
+
+    def test_levels_are_galerkin_products_of_the_level_above(
+        self, deep_problem, monkeypatch
+    ):
+        """``D22 - W22 = L(W22) + diag(W21·1)`` coarsens like the soft
+        system: each level is assembled from a hierarchy of ``W22``, not
+        from a graph re-extracted from the system and triple products."""
+
+        def recovered(matrix):
+            raise AssertionError("the hard V-cycle re-extracted its graph")
+
+        monkeypatch.setattr(coarsen_module, "graph_from_system", recovered)
+        data, graph = deep_problem
+        ws = SolveWorkspace(graph.weights, backend="multigrid")
+        vcycle = ws.preconditioner("hard", 0.0, data.y_labeled.shape[0])
+        systems, prolongations = vcycle._systems, vcycle._prolongations
+        assert len(systems) >= 3
+        for fine, coarse, p in zip(systems, systems[1:], prolongations):
+            np.testing.assert_allclose(
+                coarse.toarray(), (p.T @ fine @ p).toarray(), rtol=1e-12, atol=0
+            )
 
     def test_matches_reference_on_a_multilevel_vcycle(self, multilevel_problem):
         data, graph = multilevel_problem
