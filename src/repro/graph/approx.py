@@ -30,13 +30,15 @@ always produces the same graph.
 
 Beyond N ≈ 5·10⁵ the *merge* becomes the memory wall: holding every
 tree's candidate list at once costs ``n_trees · N · k`` 24-byte triples
-(plus a concatenation copy).  The query phase therefore streams — leaf
-fragments accumulate in a bounded candidate buffer
-(:class:`_CandidateMerge`) that folds into an ``(N, k)`` running top-k
-state whenever it fills, capping peak memory at ``O(N·k + block_size)``.
-Streaming engages automatically past :data:`STREAM_AUTO_CANDIDATES`
-candidates and is bit-identical to the one-shot merge at every
-``block_size`` (pinned by ``tests/test_graph_approx.py``).
+(plus a concatenation copy).  The query phase therefore streams once the
+forest's candidate volume exceeds :data:`STREAM_AUTO_CANDIDATES`: leaf
+fragments accumulate in a buffer of :data:`DEFAULT_BLOCK_CANDIDATES`
+triples (:class:`_CandidateMerge`) that folds into an ``(N, k)`` running
+top-k state whenever it fills, capping peak memory at
+``O(N·k + DEFAULT_BLOCK_CANDIDATES)``.  Streaming is bit-identical to the
+one-shot merge at every buffer capacity (pinned by
+``tests/test_graph_approx.py``).  docs/SCALING.md compares its peak
+memory and time with the one-shot merge and the exact kd-tree route.
 """
 
 from __future__ import annotations
@@ -89,8 +91,8 @@ MIN_LEAF_SIZE = 96
 STREAM_AUTO_CANDIDATES = 2**22
 
 #: Candidate-buffer capacity, in ``(row, col, sq-distance)`` triples, of
-#: the streamed path when ``block_size`` is not given explicitly: 2^20
-#: triples = 24 MB of buffered leaf fragments between merges.
+#: the streamed path: 2^20 triples = 24 MB of buffered leaf fragments
+#: between merges.
 DEFAULT_BLOCK_CANDIDATES = 2**20
 
 
@@ -165,21 +167,6 @@ class _CandidateMerge:
         return np.sum(self.idx != self.n, axis=1)
 
 
-def _resolve_block_capacity(
-    block_size: int | None, n: int, k: int, n_trees: int
-) -> int | None:
-    """Buffer capacity in candidate triples; ``None`` means one-shot."""
-    if block_size is None:
-        if n_trees * n * k > STREAM_AUTO_CANDIDATES:
-            return DEFAULT_BLOCK_CANDIDATES
-        return None
-    if int(block_size) != block_size or block_size < 0:
-        raise ConfigurationError(
-            f"block_size must be a non-negative integer, got {block_size!r}"
-        )
-    return int(block_size) if block_size else None
-
-
 def _tree_leaves(x: np.ndarray, leaf_size: int, rng) -> list[np.ndarray]:
     """Partition all points into RP-tree leaves of ≈ ``leaf_size``.
 
@@ -232,9 +219,12 @@ def rp_tree_knn(
     n_trees: int = DEFAULT_N_TREES,
     leaf_size: int | None = None,
     seed: int = 0,
-    block_size: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Approximate k-nearest-neighbour lists from random-projection trees.
+
+    The query phase streams its candidate merge once ``n_trees · n · k``
+    exceeds :data:`STREAM_AUTO_CANDIDATES`; the neighbour lists are
+    bit-identical either way, only peak memory changes.
 
     Parameters
     ----------
@@ -249,18 +239,6 @@ def rp_tree_knn(
     seed:
         Seeds the projection directions; results are deterministic in
         ``(x, k, n_trees, leaf_size, seed)``.
-    block_size:
-        Candidate-buffer capacity of the streamed query phase, in
-        ``(row, col, distance)`` triples.  ``None`` (default) picks
-        automatically: stream with :data:`DEFAULT_BLOCK_CANDIDATES` once
-        the forest's candidate volume exceeds
-        :data:`STREAM_AUTO_CANDIDATES`, else merge one-shot.  ``0``
-        forces the one-shot (in-memory) merge; a positive integer forces
-        streaming at that buffer capacity.  Every setting produces
-        bit-identical neighbour lists (pinned by
-        ``tests/test_graph_approx.py``) — only peak memory changes:
-        ``O(n·k + block_size)`` streamed vs ``O(n_trees · n · k)``
-        one-shot.
 
     Returns
     -------
@@ -282,7 +260,10 @@ def rp_tree_knn(
             f"leaf_size must exceed k so a leaf can hold k neighbours; "
             f"got leaf_size={leaf_size}, k={k}"
         )
-    capacity = _resolve_block_capacity(block_size, n, k, n_trees)
+    # buffer capacity in candidate triples; None merges one-shot
+    capacity = (
+        DEFAULT_BLOCK_CANDIDATES if n_trees * n * k > STREAM_AUTO_CANDIDATES else None
+    )
     rng = np.random.default_rng(seed)
 
     with obs.span(
@@ -337,7 +318,6 @@ def approx_knn_graph(
     n_trees: int = DEFAULT_N_TREES,
     leaf_size: int | None = None,
     seed: int = 0,
-    block_size: int | None = None,
 ) -> SimilarityGraph:
     """Approximate kNN similarity graph with the exact routes' contract.
 
@@ -348,8 +328,6 @@ def approx_knn_graph(
     default the graph differs from the exact one only in a few percent
     of the longest (smallest-weight) edges, and downstream estimator
     scores match within 1e-2 (pinned by ``tests/test_graph_approx.py``).
-    ``block_size`` bounds the query phase's candidate buffer (see
-    :func:`rp_tree_knn`) — the graph is bit-identical at every setting.
     """
     x = check_matrix_2d(x, "x")
     n = x.shape[0]
@@ -365,8 +343,7 @@ def approx_knn_graph(
         construction="approx",
     ) as span:
         neighbour_dist, neighbour_idx = rp_tree_knn(
-            x, k, n_trees=n_trees, leaf_size=leaf_size, seed=seed,
-            block_size=block_size,
+            x, k, n_trees=n_trees, leaf_size=leaf_size, seed=seed
         )
         weights = _assemble_knn_csr(
             n, neighbour_idx, neighbour_dist, kernel, bandwidth, mode
@@ -384,7 +361,6 @@ def approx_knn_graph(
                 "construction": "approx",
                 "n_trees": int(n_trees),
                 "seed": int(seed),
-                "block_size": block_size if block_size is None else int(block_size),
             },
         )
 

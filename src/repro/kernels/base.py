@@ -16,43 +16,15 @@ __all__ = [
     "KernelConditionReport",
     "pairwise_sq_distances",
     "CHUNK_AUTO_ELEMENTS",
-    "CHUNK_AUTO_BYTES",
 ]
 
 #: ``pairwise_sq_distances`` switches from the one-shot expression to
-#: row-blocked computation once the output exceeds this many *float64*
+#: row-blocked computation once the output exceeds this many float64
 #: elements (4M doubles = 32 MB): beyond it the one-shot path's
 #: *temporaries* (``x @ y.T``, the broadcast sum) would triple the peak
 #: footprint.  Below it the historical expression runs unchanged
 #: (bit-identical).
 CHUNK_AUTO_ELEMENTS = 2**22
-
-#: The auto-chunk rule measured in *bytes*: the cutoff is 32 MB of
-#: output regardless of dtype, so a float32 output (4-byte elements)
-#: chunks at ``2**23`` elements — twice as many as float64.  The
-#: element-count constant above is the float64 specialization kept for
-#: backwards compatibility.
-CHUNK_AUTO_BYTES = CHUNK_AUTO_ELEMENTS * 8
-
-
-def _as_2d_floating(array, name: str) -> np.ndarray:
-    """Validate a 2-d finite matrix, preserving float32 inputs.
-
-    Everything else goes through :func:`check_matrix_2d` and lands as
-    float64, exactly as before; float32 ndarrays keep their dtype so the
-    mixed-precision paths never pay a silent 2x memory upcast.
-    """
-    arr = np.asarray(array)
-    if arr.dtype != np.float32:
-        return check_matrix_2d(arr, name)
-    if arr.ndim != 2:
-        raise DataValidationError(f"{name} must be 2-d, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.sum(~np.isfinite(arr)))
-        raise DataValidationError(
-            f"{name} contains {bad} non-finite (NaN/inf) entries"
-        )
-    return arr
 
 
 def _fill_sq_blocked(x, y, x_norms, y_norms, out, block_rows: int) -> None:
@@ -75,13 +47,7 @@ def _fill_sq_blocked(x, y, x_norms, y_norms, out, block_rows: int) -> None:
         out[start:stop] = block
 
 
-def pairwise_sq_distances(
-    x: np.ndarray,
-    y: np.ndarray | None = None,
-    *,
-    chunk_size: int | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def pairwise_sq_distances(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between rows of ``x`` and rows of ``y``.
 
     Parameters
@@ -90,77 +56,36 @@ def pairwise_sq_distances(
         Array of shape ``(n, d)``.
     y:
         Optional array of shape ``(m, d)``; defaults to ``x``.
-    chunk_size:
-        Rows per computation block.  ``None`` (default) picks
-        automatically: outputs up to :data:`CHUNK_AUTO_BYTES` (32 MB —
-        :data:`CHUNK_AUTO_ELEMENTS` float64 elements, twice that many
-        float32 elements, since the rule accounts for the dtype width)
-        use the historical one-shot expression (bit-identical to
-        previous releases); larger outputs are computed in row blocks
-        sized to keep temporaries near 32 MB, avoiding the 3x
-        peak-memory spike of the one-shot temporaries.  An explicit
-        positive integer forces blocked computation with that many rows
-        per block.
-    out:
-        Optional preallocated ``(n, m)`` output array matching the
-        result dtype, for callers that reuse one buffer across repeated
-        computations.
 
     Returns
     -------
-    ndarray of shape ``(n, m)`` with entries ``||x_i - y_j||^2``, clipped at
-    zero to remove tiny negative values from floating-point cancellation.
-    The result is float32 when *both* inputs are float32 ndarrays and
-    float64 otherwise (inputs are validated and coerced exactly as
-    before for every other dtype).
+    float64 ndarray of shape ``(n, m)`` with entries ``||x_i - y_j||^2``,
+    clipped at zero to remove tiny negative values from floating-point
+    cancellation.  Outputs up to :data:`CHUNK_AUTO_ELEMENTS` elements
+    come from the one-shot expression; larger ones are computed in row
+    blocks of about that many elements, so no temporary besides the
+    output grows to ``n·m``.
     """
-    x = _as_2d_floating(x, "x")
+    x = check_matrix_2d(x, "x")
     if y is None:
         y = x
     else:
-        y = _as_2d_floating(y, "y")
+        y = check_matrix_2d(y, "y")
         if y.shape[1] != x.shape[1]:
             raise DataValidationError(
                 f"x and y must have the same number of columns; "
                 f"got {x.shape[1]} and {y.shape[1]}"
             )
-    dtype = np.promote_types(x.dtype, y.dtype)
-    if dtype != np.float32:
-        dtype = np.dtype(np.float64)
-        x = np.asarray(x, dtype=np.float64)
-        y = x if y is x else np.asarray(y, dtype=np.float64)
     n, m = x.shape[0], y.shape[0]
-    if chunk_size is not None and (int(chunk_size) != chunk_size or chunk_size < 1):
-        raise DataValidationError(
-            f"chunk_size must be a positive integer, got {chunk_size!r}"
-        )
-    if out is not None:
-        if out.shape != (n, m) or out.dtype != dtype:
-            raise DataValidationError(
-                f"out must be a {dtype} array of shape {(n, m)}, "
-                f"got shape {out.shape} dtype {out.dtype}"
-            )
     x_norms = np.einsum("ij,ij->i", x, x)
     y_norms = np.einsum("ij,ij->i", y, y)
-    # The auto rule is byte-based: 32 MB of output at the result dtype's
-    # width (2^22 elements for float64, 2^23 for float32).
-    auto_elements = CHUNK_AUTO_BYTES // dtype.itemsize
-    if chunk_size is None and n * m <= auto_elements:
+    if n * m <= CHUNK_AUTO_ELEMENTS:
         sq = x_norms[:, None] + y_norms[None, :] - 2.0 * (x @ y.T)
         np.maximum(sq, 0.0, out=sq)
-        if out is not None:
-            out[...] = sq
-            sq = out
     else:
-        if out is None:
-            out = np.empty((n, m), dtype=dtype)
-        block_rows = (
-            int(chunk_size)
-            if chunk_size is not None
-            else max(1, auto_elements // max(1, m))
-        )
-        _fill_sq_blocked(x, y, x_norms, y_norms, out, block_rows)
-        sq = out
+        sq = np.empty((n, m))
+        block_rows = max(1, CHUNK_AUTO_ELEMENTS // m)
+        _fill_sq_blocked(x, y, x_norms, y_norms, sq, block_rows)
     if y is x:
         np.fill_diagonal(sq, 0.0)
     return sq

@@ -12,7 +12,6 @@ from repro.linalg.coarsen import (
     build_hierarchy,
     coarsen_weights,
     heavy_edge_matching,
-    solve_multigrid,
 )
 from repro.linalg.iterative import (
     IterativeResult,
@@ -63,5 +62,4 @@ __all__ = [
     "build_hierarchy",
     "coarsen_weights",
     "heavy_edge_matching",
-    "solve_multigrid",
 ]

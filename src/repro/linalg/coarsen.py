@@ -39,20 +39,21 @@ the standard algebraic-multigrid remedy from the *graph itself*:
 4. A **V-cycle** with one damped-Jacobi pre-sweep and one post-sweep
    (weight :data:`OMEGA`) and an exact factorization at the coarsest
    level (:class:`MultigridPreconditioner`) is a symmetric positive
-   operator, hence a valid CG preconditioner; :func:`solve_multigrid`
-   wraps it around
-   :func:`~repro.linalg.advanced.preconditioned_conjugate_gradient`.
-   The preconditioner stores each level's restriction ``Pᵀ`` as CSR
-   when it is built, so a cycle wraps no transposes of its own.
+   operator, hence a valid CG preconditioner.
+   :meth:`MultigridPreconditioner.from_hierarchy` is the one way to
+   build it: it assembles each coarse level as ``scale·L_l + diag(d_l)``
+   from a hierarchy's Laplacians and a coarsened diagonal, the Galerkin
+   product of a fine system ``scale·L + diag(d)``.  Both criteria have
+   that form — the soft ``V + λL`` (Eq. 3) and the hard ``D₂₂ − W₂₂ =
+   L(W₂₂) + diag(W₂₁·1)`` (Eq. 5).  The preconditioner stores each
+   level's restriction ``Pᵀ`` as CSR when it is built, so a cycle wraps
+   no transposes of its own.
 
 The coarse Laplacians ``L(W_c)`` come from the same assembly as every
 fine-level system (:mod:`repro.graph.laplacian`).  The coarse level
-systems that :class:`~repro.linalg.workspace.SolveWorkspace` assembles —
-``λL_l + diag(v_l)`` per λ, and ``L_l + diag(g_l)`` for the hard
-system over a hierarchy of the unlabeled subgraph — do not go through
-:func:`~repro.graph.laplacian.soft_system`: the aggregated mask ``v_l``
-counts labeled vertices per aggregate and is no 0/1 indicator of the
-first ``n`` vertices.
+systems do not go through :func:`~repro.graph.laplacian.soft_system`:
+the aggregated mask ``v_l`` counts labeled vertices per aggregate and is
+no 0/1 indicator of the first ``n`` vertices.
 
 The continuum-limit literature (Dunlop et al., *Large Data and Zero
 Noise Limits of Graph-Based Semi-Supervised Learning*; Calder,
@@ -61,13 +62,11 @@ graphs approximate fine ones — the coarse-grid correction is solving the
 same SSL problem on a subsampled point cloud.
 
 :class:`~repro.linalg.workspace.SolveWorkspace` exposes this as the
-``"multigrid"`` sweep backend (soft and hard solves, and the
-preconditioner of exact serving); :func:`~repro.linalg.solvers.solve_spd`
-as ``method="multigrid"`` (extracting the graph from the system's
-off-diagonal).  Measured at N=10⁵, d=3, k=10 on a 2-CPU host: the
-hierarchy builds once in 0.3–0.4 s (4 coarse levels) and each grid
-point solves in a few tens of V-cycles, where a single exact splu
-factorization costs ~80 s.
+``"multigrid"`` sweep backend: soft and hard solves, and the
+preconditioner of exact serving.  Measured at N=10⁵, d=3, k=10 on a
+2-CPU host: the hierarchy builds once in 0.3–0.4 s (4 coarse levels)
+and each grid point solves in a few tens of V-cycles, where a single
+exact splu factorization costs ~80 s.
 """
 
 from __future__ import annotations
@@ -80,19 +79,16 @@ from scipy import sparse
 from repro import obs
 from repro.exceptions import ConfigurationError, DataValidationError
 from repro.graph.laplacian import _unchecked_laplacian
-from repro.linalg.advanced import preconditioned_conjugate_gradient
 from repro.linalg.solvers import SPDFactorization, factorize_spd
 
 __all__ = [
     "heavy_edge_matching",
     "aggregation_operator",
     "coarsen_weights",
-    "graph_from_system",
     "CoarseLevel",
     "CoarseningHierarchy",
     "build_hierarchy",
     "MultigridPreconditioner",
-    "solve_multigrid",
     "DEFAULT_MIN_COARSE_SIZE",
     "OMEGA",
 ]
@@ -256,24 +252,6 @@ def coarsen_weights(weights, prolongation: sparse.csr_matrix) -> sparse.csr_matr
     return (prolongation.T @ csr @ prolongation).tocsr()
 
 
-def graph_from_system(matrix) -> sparse.csr_matrix:
-    """Recover a similarity graph from an SPD system's off-diagonal.
-
-    For ``A = V + λL(W)`` the off-diagonal is exactly ``-λ w_ij``, so
-    ``W ∝ -offdiag(A)`` clipped at zero (positive off-diagonal entries —
-    a non-Laplacian system — contribute nothing to the coarsening but do
-    not break it).  The result is symmetrized so matching is well
-    defined even for slightly asymmetric inputs.
-    """
-    csr = _as_csr(matrix)
-    graph = csr - sparse.diags(csr.diagonal(), format="csr")
-    graph = -graph
-    graph.data = np.maximum(graph.data, 0.0)
-    graph = graph.maximum(graph.T).tocsr()
-    graph.eliminate_zeros()
-    return graph
-
-
 @dataclass(frozen=True)
 class CoarseLevel:
     """One level of a coarsening hierarchy.
@@ -429,9 +407,8 @@ class MultigridPreconditioner:
     ----------
     systems:
         Per-level system matrices, finest first; ``systems[-1]`` is
-        factorized exactly.  For the soft criterion these are
-        ``diag(v_l) + λ L_l`` with ``v_l, L_l`` from a
-        :class:`CoarseningHierarchy`.
+        factorized exactly.  :meth:`from_hierarchy` assembles them from
+        a :class:`CoarseningHierarchy`; this constructor validates them.
     prolongations:
         ``len(systems) - 1`` aggregation operators linking consecutive
         levels.
@@ -478,38 +455,28 @@ class MultigridPreconditioner:
         self._coarse_factor: SPDFactorization = factorize_spd(systems[-1])
 
     @classmethod
-    def from_matrix(
+    def from_hierarchy(
         cls,
-        matrix,
-        *,
-        min_coarse_size: int = DEFAULT_MIN_COARSE_SIZE,
+        system,
+        hierarchy: CoarseningHierarchy,
+        scale: float,
+        diagonals,
     ) -> "MultigridPreconditioner":
-        """Build the level systems for one SPD matrix by pure Galerkin.
+        """V-cycle over ``system`` with coarse levels ``scale·L_l + diag(d_l)``.
 
-        Coarsens the graph recovered from the matrix's off-diagonal
-        (:func:`graph_from_system`); level systems are the triple
-        products ``PᵀAP``, so the matrix need not be a Laplacian plus a
-        diagonal.  This is the V-cycle of :func:`solve_multigrid` and
-        ``solve_spd(method="multigrid")``.  A system of that form — ``V
-        + λL`` or ``D22 - W22 = L(W22) + diag(W21·1)`` — assembles its
-        levels from a hierarchy of its graph instead, in O(nnz) per
-        level, as :class:`~repro.linalg.workspace.SolveWorkspace` does
-        for both criteria.
+        ``L_l`` are the hierarchy's Laplacians and ``diagonals`` its
+        :meth:`~CoarseningHierarchy.coarsen_diagonal` of the fine
+        diagonal term, so each level is the Galerkin product of
+        ``system = scale·L + diag(d)``: ``V + λL`` for the soft
+        criterion, ``L(W22) + diag(W21·1)`` for the hard one.  Each level
+        assembles in O(nnz), with no triple products.
         """
-        hierarchy = build_hierarchy(
-            graph_from_system(matrix), min_coarse_size=min_coarse_size
-        )
-        systems = [matrix]
-        prolongations = []
-        current = matrix
-        for level in hierarchy.levels:
-            p = level.prolongation
-            current = p.T @ current @ p
-            if sparse.issparse(current):
-                current = current.tocsr()
-            systems.append(current)
-            prolongations.append(p)
-        return cls(systems, prolongations)
+        systems = [system]
+        for level, diagonal in zip(hierarchy.levels, diagonals):
+            systems.append(
+                (scale * level.laplacian + sparse.diags(diagonal, format="csr")).tocsr()
+            )
+        return cls(systems, [level.prolongation for level in hierarchy.levels])
 
     @property
     def n_levels(self) -> int:
@@ -533,31 +500,3 @@ class MultigridPreconditioner:
         )
         # damped-Jacobi post-sweep
         return x + OMEGA * (inv_diag * (rhs - _matvec(system, x)))
-
-
-def solve_multigrid(
-    matrix,
-    rhs,
-    *,
-    x0=None,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-    min_coarse_size: int = DEFAULT_MIN_COARSE_SIZE,
-):
-    """PCG with a coarsening V-cycle preconditioner.
-
-    Builds a :class:`MultigridPreconditioner` from the matrix and runs
-    :func:`~repro.linalg.advanced.preconditioned_conjugate_gradient`.
-    Returns the same :class:`~repro.linalg.iterative.IterativeResult`;
-    raises :class:`~repro.exceptions.ConvergenceError` past ``max_iter``.
-    """
-    return preconditioned_conjugate_gradient(
-        matrix,
-        rhs,
-        preconditioner=MultigridPreconditioner.from_matrix(
-            matrix, min_coarse_size=min_coarse_size
-        ),
-        x0=x0,
-        tol=tol,
-        max_iter=max_iter,
-    )

@@ -11,10 +11,12 @@ reachability holds) systems.  :func:`solve_spd` picks a backend by name:
   hard system is exactly label propagation);
 * ``"sparse"`` — symmetric-mode sparse LU (``splu`` with the
   ``MMD_AT_PLUS_A`` fill-reducing ordering, the standard sparse-Cholesky
-  stand-in when no supernodal Cholesky is available);
-* ``"multigrid"`` — CG preconditioned by a graph-coarsening V-cycle
-  (:mod:`repro.linalg.coarsen`): no large factorization, so it scales
-  past the splu fill-in wall to N = 10⁵⁺ graph systems.
+  stand-in when no supernodal Cholesky is available).
+
+Graph systems past the splu fill-in wall (N = 10⁵⁺) are solved by
+:class:`~repro.linalg.workspace.SolveWorkspace`'s ``"multigrid"``
+backend, whose V-cycle is assembled from the graph's coarsening
+hierarchy (:mod:`repro.linalg.coarsen`) rather than from a bare matrix.
 
 :func:`factorize_spd` exposes the factorization itself, so callers with
 many right-hand sides on one system (multiclass one-vs-rest columns, the
@@ -240,10 +242,8 @@ def solve_spd(
     rhs:
         Right-hand-side vector.
     method:
-        ``"direct"``, ``"sparse"``, ``"multigrid"`` (coarsening V-cycle
-        preconditioned CG, :mod:`repro.linalg.coarsen` — the large-N
-        choice when factorization fill-in is prohibitive), ``"cg"``,
-        ``"jacobi"`` or ``"gauss_seidel"``.
+        ``"direct"``, ``"sparse"``, ``"cg"``, ``"jacobi"`` or
+        ``"gauss_seidel"``.
     tol, max_iter:
         Forwarded to the iterative backends.
     x0:
@@ -265,22 +265,6 @@ def solve_spd(
             return x
         residual = _residual_norm(matrix, x, rhs) if obs.tracing_enabled() else math.nan
         return x, factor.info(final_residual=residual)
-    if method == "multigrid":
-        # Imported lazily: coarsen builds on this module's factorizations.
-        from repro.linalg.coarsen import solve_multigrid
-
-        result = solve_multigrid(matrix, rhs, x0=x0, tol=tol, max_iter=max_iter)
-        if not return_info:
-            return result.x
-        info = SolveInfo(
-            method=method,
-            size=size,
-            iterations=result.iterations,
-            final_residual=result.final_residual,
-            converged=result.converged,
-            warm_started=x0 is not None,
-        )
-        return result.x, info
     if method in _ITERATIVE:
         kwargs = {"tol": tol}
         if max_iter is not None:
@@ -299,5 +283,5 @@ def solve_spd(
             warm_started=x0 is not None,
         )
         return result.x, info
-    known = "direct, sparse, multigrid, " + ", ".join(sorted(_ITERATIVE))
+    known = "direct, sparse, " + ", ".join(sorted(_ITERATIVE))
     raise ConfigurationError(f"unknown solver method {method!r}; known: {known}")

@@ -43,11 +43,12 @@ on some measured grid (docs/SCALING.md):
   diagonal).  The hard criterion's ``D22 - W22 = L(W22) + diag(W21·1)``
   has the same form: its V-cycle coarsens the unlabeled subgraph ``W22``
   with the same hierarchy builder and assembles each level as ``L_l +
-  diag(Pᵀ…Pᵀ W21·1)`` with the same helper, once per ``n_labeled``, and
-  each hard solve runs cold-started PCG on it.  This is the backend
-  that scales past the splu fill-in wall (N ≈ 10⁴ in d ≥ 3) to
-  N = 10⁶, with an exact-factorization fallback if the V-cycle ever
-  stalls.
+  diag(Pᵀ…Pᵀ W21·1)`` through the same constructor
+  (:meth:`~repro.linalg.coarsen.MultigridPreconditioner.from_hierarchy`),
+  once per ``n_labeled``, and each hard solve runs cold-started PCG on
+  it.  This is the backend that scales past the splu fill-in wall
+  (N ≈ 10⁴ in d ≥ 3) to N = 10⁶, with an exact-factorization fallback
+  if the V-cycle ever stalls.
 
 :meth:`SolveWorkspace.preconditioner` hands out the cached ``r ↦ M⁻¹r``
 of either system — the factorization's back-substitution on ``exact``
@@ -174,24 +175,6 @@ MULTIGRID_COARSE_DIVISOR = 64
 def _min_coarse_size(size: int) -> int:
     """Coarsest-level bound for a V-cycle over a ``size``-vertex system."""
     return max(512, size // MULTIGRID_COARSE_DIVISOR)
-
-
-def _vcycle(system, hierarchy: CoarseningHierarchy, scale: float, diagonals):
-    """V-cycle over ``system`` with coarse levels ``scale·L_l + diag(d_l)``.
-
-    ``L_l`` are the hierarchy's Laplacians and ``diagonals`` its
-    :meth:`~repro.linalg.coarsen.CoarseningHierarchy.coarsen_diagonal`
-    of the fine diagonal term, so each level is the Galerkin product of
-    ``scale·L + diag(d)``: ``V + λL`` for the soft criterion, ``L(W22) +
-    diag(W21·1)`` for the hard one.
-    """
-    systems = [system]
-    for level, diagonal in zip(hierarchy.levels, diagonals):
-        systems.append(
-            (scale * level.laplacian + sparse.diags(diagonal, format="csr")).tocsr()
-        )
-    prolongations = [level.prolongation for level in hierarchy.levels]
-    return MultigridPreconditioner(systems, prolongations)
 
 
 def check_sweep_backend(sweep_backend: str) -> str:
@@ -653,7 +636,9 @@ class SolveWorkspace:
 
     def _multigrid_preconditioner(self, system, lam: float, n: int):
         """V-cycle over ``system`` (the assembled ``soft_system(lam, n)``)."""
-        return _vcycle(system, self.hierarchy(), lam, self._coarse_mask_diagonals(n))
+        return MultigridPreconditioner.from_hierarchy(
+            system, self.hierarchy(), lam, self._coarse_mask_diagonals(n)
+        )
 
     def _hard_vcycle(self, n: int) -> MultigridPreconditioner:
         """Galerkin V-cycle over ``hard_system(n)``, built once per ``n``.
@@ -671,7 +656,7 @@ class SolveWorkspace:
                 self.weights[n:, n:],
                 min_coarse_size=_min_coarse_size(self.n_total - n),
             )
-            vcycle = _vcycle(
+            vcycle = MultigridPreconditioner.from_hierarchy(
                 system, hierarchy, 1.0, hierarchy.coarsen_diagonal(_row_sums(w21))
             )
             self._hard_vcycles[n] = vcycle
@@ -718,7 +703,7 @@ class SolveWorkspace:
         )
         return result.x, info, {"n_levels": preconditioner.n_levels}
 
-    def _solve_multigrid(self, y: np.ndarray, lam: float, n: int):
+    def _solve_soft_multigrid(self, y: np.ndarray, lam: float, n: int):
         system = self.soft_system(lam, n)
         return self._multigrid_pcg(
             "soft",
@@ -794,7 +779,7 @@ class SolveWorkspace:
             elif self.backend == "factored":
                 scores, info, details = self._solve_factored(y, lam, n)
             else:
-                scores, info, details = self._solve_multigrid(y, lam, n)
+                scores, info, details = self._solve_soft_multigrid(y, lam, n)
             self._continuation("soft", n).last_solution = scores
             if span.recording:
                 span.set_attribute("solve_method", info.method)

@@ -297,6 +297,17 @@ class GraphSSLModel:
             )
         return np.ascontiguousarray(queries)
 
+    def _check_interval_request(self, return_interval: bool, z: float) -> None:
+        """Refuse an interval request before any query is served or counted."""
+        if not return_interval:
+            return
+        if self.lam != 0.0:
+            raise ConfigurationError(
+                "credible intervals require a hard-criterion model (lam=0)"
+            )
+        if z <= 0:
+            raise ConfigurationError(f"z must be > 0, got {z}")
+
     @staticmethod
     def _validate_method(method: str) -> str:
         if method not in SERVING_METHODS:
@@ -428,12 +439,7 @@ class GraphSSLModel:
         """
         method = self._validate_method(method)
         queries = self._validate_queries(x)
-        if return_interval and self.lam != 0.0:
-            raise ConfigurationError(
-                "credible intervals require a hard-criterion model (lam=0)"
-            )
-        if return_interval and z <= 0:
-            raise ConfigurationError(f"z must be > 0, got {z}")
+        self._check_interval_request(return_interval, z)
         with obs.span(
             "repro.serving.predict",
             method=method,
@@ -471,6 +477,7 @@ class GraphSSLModel:
 
         method = self._validate_method(method)
         queries = self._validate_queries(x)
+        self._check_interval_request(return_interval, z)
         if batch_size is not None and batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
         workers = resolve_n_jobs(n_jobs)
@@ -507,12 +514,6 @@ class GraphSSLModel:
             self._record_stats(span)
             if not return_interval:
                 return predictions
-            if self.lam != 0.0:
-                raise ConfigurationError(
-                    "credible intervals require a hard-criterion model (lam=0)"
-                )
-            if z <= 0:
-                raise ConfigurationError(f"z must be > 0, got {z}")
             variances = np.concatenate(
                 [
                     self._timed_variances(self._extractor.extract(chunk), method)

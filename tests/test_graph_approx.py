@@ -9,11 +9,14 @@ on arbitrary inputs: self-exclusion, row sorting by (distance, index),
 and recall never hurt by adding trees.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.graph.approx as approx_mod
 from repro.core.soft import solve_soft_criterion
 from repro.exceptions import ConfigurationError
 from repro.graph.approx import (
@@ -22,7 +25,7 @@ from repro.graph.approx import (
     knn_recall,
     rp_tree_knn,
 )
-from repro.graph.similarity import knn_graph
+from repro.graph.similarity import _knn_neighbor_lists, knn_graph
 
 
 def _clustered(n_per_blob=300, n_blobs=5, d=3, seed=42):
@@ -31,6 +34,20 @@ def _clustered(n_per_blob=300, n_blobs=5, d=3, seed=42):
     return np.concatenate(
         [c + rng.normal(size=(n_per_blob, d)) for c in centers]
     )
+
+
+@contextmanager
+def _streamed(capacity):
+    """Stream every query's candidate merge through a ``capacity`` buffer.
+
+    The query phase streams on its own only past
+    ``STREAM_AUTO_CANDIDATES`` (about 4·10⁶ candidates); these fixtures
+    are far below that, so they run one-shot unless patched.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(approx_mod, "STREAM_AUTO_CANDIDATES", 0)
+        patch.setattr(approx_mod, "DEFAULT_BLOCK_CANDIDATES", capacity)
+        yield
 
 
 class TestRpTreeKnn:
@@ -74,7 +91,7 @@ class TestRpTreeKnn:
         for i in range(20):
             assert set(idx[i, :4]) == set(twins[i])
 
-    def test_tiny_leaf_fallback_is_exact(self):
+    def test_tiny_leaf_fallback_is_exact(self, monkeypatch):
         # leaf_size barely above k forces many short rows through the
         # brute-force fallback; those rows must be exactly right
         x = _clustered(n_per_blob=50, n_blobs=2)
@@ -82,6 +99,13 @@ class TestRpTreeKnn:
         _, exact = rp_tree_knn(x, 3, n_trees=64)
         assert knn_recall(x, 3, idx) > 0.0  # sanity: ran at all
         assert idx.shape == exact.shape
+        # with no leaf candidates at all the merge sees none and every
+        # row takes the fallback: it must return the exact lists
+        monkeypatch.setattr(approx_mod, "_leaf_candidates", lambda x, ids, k: None)
+        dist, idx = rp_tree_knn(x, 3, n_trees=1, leaf_size=4)
+        exact_dist, exact_idx = _knn_neighbor_lists(x, 3)
+        np.testing.assert_array_equal(idx, exact_idx)
+        np.testing.assert_allclose(dist, exact_dist, rtol=0, atol=1e-9)
 
     def test_validation(self):
         x = _clustered(n_per_blob=30, n_blobs=1)
@@ -108,8 +132,9 @@ class TestRpTreeKnn:
             k = n - 1
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, d))
-        one_shot = rp_tree_knn(x, k, n_trees=2, seed=seed, block_size=0)
-        streamed = rp_tree_knn(x, k, n_trees=2, seed=seed, block_size=3)
+        one_shot = rp_tree_knn(x, k, n_trees=2, seed=seed)
+        with _streamed(3):
+            streamed = rp_tree_knn(x, k, n_trees=2, seed=seed)
         np.testing.assert_array_equal(streamed[0], one_shot[0])
         np.testing.assert_array_equal(streamed[1], one_shot[1])
 
@@ -134,28 +159,27 @@ class TestRpTreeKnn:
 
 class TestStreamedQueries:
     """The block-streamed candidate merge must be bit-identical to the
-    one-shot path at every capacity — including rows served by the
-    brute-force fallback — so the ``block_size`` knob can never change a
-    result, only its peak memory."""
-
-    def _reference(self, x, k, **kwargs):
-        return rp_tree_knn(x, k, block_size=0, **kwargs)
+    one-shot path at every buffer capacity — including rows served by
+    the brute-force fallback — so streaming can never change a result,
+    only its peak memory."""
 
     def test_bit_identical_at_every_block_size(self):
         x = _clustered(n_per_blob=120, n_blobs=4, seed=11)
-        ref_dist, ref_idx = self._reference(x, 10)
-        for block_size in (1, 17, 256, 4096, None):
-            dist, idx = rp_tree_knn(x, 10, block_size=block_size)
-            np.testing.assert_array_equal(idx, ref_idx, err_msg=f"{block_size}")
-            np.testing.assert_array_equal(dist, ref_dist, err_msg=f"{block_size}")
+        ref_dist, ref_idx = rp_tree_knn(x, 10)
+        for capacity in (1, 17, 256, 4096):
+            with _streamed(capacity):
+                dist, idx = rp_tree_knn(x, 10)
+            np.testing.assert_array_equal(idx, ref_idx, err_msg=f"{capacity}")
+            np.testing.assert_array_equal(dist, ref_dist, err_msg=f"{capacity}")
 
     def test_bit_identical_with_fallback_rows(self):
         # leaf_size barely above k forces short rows through the
         # brute-force fallback; streaming must not disturb them
         x = _clustered(n_per_blob=30, n_blobs=2, seed=12)
-        ref = self._reference(x, 20, n_trees=1, leaf_size=21)
-        for block_size in (1, 50, 1000):
-            dist, idx = rp_tree_knn(x, 20, n_trees=1, leaf_size=21, block_size=block_size)
+        ref = rp_tree_knn(x, 20, n_trees=1, leaf_size=21)
+        for capacity in (1, 50, 1000):
+            with _streamed(capacity):
+                dist, idx = rp_tree_knn(x, 20, n_trees=1, leaf_size=21)
             np.testing.assert_array_equal(idx, ref[1])
             np.testing.assert_array_equal(dist, ref[0])
 
@@ -164,14 +188,13 @@ class TestStreamedQueries:
         # several trees; first-occurrence dedup must agree across paths
         x = _clustered(n_per_blob=40, seed=13)
         xd = np.vstack([x[:15]] * 3 + [x])
-        ref = self._reference(xd, 6)
-        dist, idx = rp_tree_knn(xd, 6, block_size=29)
+        ref = rp_tree_knn(xd, 6)
+        with _streamed(29):
+            dist, idx = rp_tree_knn(xd, 6)
         np.testing.assert_array_equal(idx, ref[1])
         np.testing.assert_array_equal(dist, ref[0])
 
     def test_auto_streaming_engages_above_threshold(self, monkeypatch):
-        import repro.graph.approx as approx_mod
-
         from repro.obs.export import to_records
         from repro.obs.trace import RecordingTracer, use_tracer
 
@@ -198,17 +221,11 @@ class TestStreamedQueries:
 
     def test_streamed_graph_route_matches(self):
         x = _clustered(n_per_blob=80, seed=15)
-        streamed = approx_knn_graph(x, k=8, bandwidth=1.5, block_size=37)
-        one_shot = approx_knn_graph(x, k=8, bandwidth=1.5, block_size=0)
+        one_shot = approx_knn_graph(x, k=8, bandwidth=1.5)
+        with _streamed(37):
+            streamed = approx_knn_graph(x, k=8, bandwidth=1.5)
         assert (streamed.weights != one_shot.weights).nnz == 0
-        assert streamed.params["block_size"] == 37
-
-    def test_block_size_validation(self):
-        x = _clustered(n_per_blob=30, n_blobs=1)
-        with pytest.raises(ConfigurationError, match="block_size"):
-            rp_tree_knn(x, 3, block_size=-1)
-        with pytest.raises(ConfigurationError, match="block_size"):
-            rp_tree_knn(x, 3, block_size=2.5)
+        assert "block_size" not in streamed.params
 
 
 class TestApproxGraph:

@@ -93,25 +93,40 @@ class TestRadialKernelApi:
 
 class TestChunkedDistances:
     """The blocked large-output path must agree with the one-shot
-    expression, allocate no (n, m)-sized temporaries beyond the output,
-    and honour caller-supplied buffers."""
+    expression and allocate no (n, m)-sized temporaries beyond the
+    output.  These tests lower ``CHUNK_AUTO_ELEMENTS`` so small inputs
+    take the blocked path."""
 
-    def test_explicit_chunk_matches_one_shot(self, rng):
+    def test_explicit_chunk_matches_one_shot(self, rng, monkeypatch):
+        import repro.kernels.base as base
+
         x = rng.normal(size=(57, 4))
         y = rng.normal(size=(23, 4))
         reference = pairwise_sq_distances(x, y)
-        for chunk in (1, 7, 57, 100):
-            np.testing.assert_allclose(
-                pairwise_sq_distances(x, y, chunk_size=chunk),
-                reference,
-                atol=1e-12,
-            )
+        block_rows = []
+        original = base._fill_sq_blocked
 
-    def test_chunked_self_distances_zero_diagonal(self, rng):
+        def spy(*args):
+            block_rows.append(args[5])
+            return original(*args)
+
+        monkeypatch.setattr(base, "_fill_sq_blocked", spy)
+        for rows in (1, 7, 56):
+            monkeypatch.setattr(base, "CHUNK_AUTO_ELEMENTS", rows * 23)
+            np.testing.assert_allclose(
+                pairwise_sq_distances(x, y), reference, atol=1e-12
+            )
+        assert block_rows == [1, 7, 56]
+
+    def test_chunked_self_distances_zero_diagonal(self, rng, monkeypatch):
+        import repro.kernels.base as base
+
         x = rng.normal(size=(40, 3))
-        sq = pairwise_sq_distances(x, chunk_size=11)
+        reference = pairwise_sq_distances(x)
+        monkeypatch.setattr(base, "CHUNK_AUTO_ELEMENTS", 11 * 40)
+        sq = pairwise_sq_distances(x)
         np.testing.assert_array_equal(np.diagonal(sq), np.zeros(40))
-        np.testing.assert_allclose(sq, pairwise_sq_distances(x), atol=1e-12)
+        np.testing.assert_allclose(sq, reference, atol=1e-12)
 
     def test_small_outputs_keep_historical_expression_bitwise(self, rng):
         # the auto path below CHUNK_AUTO_ELEMENTS must stay bit-identical
@@ -127,91 +142,43 @@ class TestChunkedDistances:
         np.maximum(legacy, 0.0, out=legacy)
         np.testing.assert_array_equal(pairwise_sq_distances(x, y), legacy)
 
-    def test_out_buffer_reused(self, rng):
-        x = rng.normal(size=(30, 2))
-        out = np.empty((30, 30))
-        result = pairwise_sq_distances(x, out=out)
-        assert result is out
-        result_chunked = pairwise_sq_distances(x, chunk_size=8, out=out)
-        assert result_chunked is out
-
     def test_invalid_arguments_rejected(self, rng):
         x = rng.normal(size=(10, 2))
-        with pytest.raises(DataValidationError, match="chunk_size"):
-            pairwise_sq_distances(x, chunk_size=0)
-        with pytest.raises(DataValidationError, match="chunk_size"):
-            pairwise_sq_distances(x, chunk_size=2.5)
-        with pytest.raises(DataValidationError, match="out"):
-            pairwise_sq_distances(x, out=np.empty((3, 3)))
-        with pytest.raises(DataValidationError, match="out"):
-            pairwise_sq_distances(x, out=np.empty((10, 10), dtype=np.float32))
-
-    def test_float32_inputs_keep_dtype(self, rng):
-        x32 = rng.normal(size=(20, 3)).astype(np.float32)
-        y32 = rng.normal(size=(15, 3)).astype(np.float32)
-        sq = pairwise_sq_distances(x32, y32)
-        assert sq.dtype == np.float32
-        np.testing.assert_allclose(
-            sq,
-            pairwise_sq_distances(x32.astype(np.float64), y32.astype(np.float64)),
-            atol=1e-5,
-        )
-        # mixed precision promotes to float64, exactly as before
-        assert pairwise_sq_distances(x32, y32.astype(np.float64)).dtype == np.float64
-
-    def test_auto_threshold_is_byte_based(self, rng, monkeypatch):
-        """The auto rule cuts at CHUNK_AUTO_BYTES of *output*, so float32
-        outputs chunk at twice the element count of float64 ones."""
-        import repro.kernels.base as base
-
-        monkeypatch.setattr(base, "CHUNK_AUTO_BYTES", 64 * 8)
-        x = rng.normal(size=(16, 3))
-        calls = []
-        original = base._fill_sq_blocked
-
-        def spy(*args, **kwargs):
-            calls.append(args[4].shape)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(base, "_fill_sq_blocked", spy)
-        # 8x8 float64 = 64 elements: at the cutoff, one-shot
-        pairwise_sq_distances(x[:8], x[:8].copy())
-        assert calls == []
-        # 16x8 float64 = 128 elements: over, blocked
-        pairwise_sq_distances(x, x[:8].copy())
-        assert calls == [(16, 8)]
-        # 16x8 float32 = 512 bytes: under the 512-byte cutoff, one-shot
-        pairwise_sq_distances(
-            x.astype(np.float32), x[:8].astype(np.float32)
-        )
-        assert calls == [(16, 8)]
+        # the block size and the output buffer are internal
+        with pytest.raises(TypeError):
+            pairwise_sq_distances(x, chunk_size=4)
+        with pytest.raises(TypeError):
+            pairwise_sq_distances(x, out=np.empty((10, 10)))
+        with pytest.raises(DataValidationError, match="2-d"):
+            pairwise_sq_distances(x[:, 0])
+        with pytest.raises(DataValidationError, match="non-finite"):
+            pairwise_sq_distances(x, np.full((3, 2), np.nan))
 
     def test_auto_chunking_bounds_temporaries(self, rng, monkeypatch):
         """Above the auto threshold, no allocation besides the output may
         reach (n * m) elements."""
         import repro.kernels.base as base
 
-        monkeypatch.setattr(base, "CHUNK_AUTO_BYTES", 2**10 * 8)
+        monkeypatch.setattr(base, "CHUNK_AUTO_ELEMENTS", 2**10)
         n, m = 96, 64
-        budget = n * m  # the output itself is allocated before guarding
+        budget = n * m
         x = rng.normal(size=(n, 3))
         y = rng.normal(size=(m, 3))
         reference = x.copy(), y.copy()
-        out = np.empty((n, m))
+        large = []
 
         def guarded(allocator):
             def wrapper(shape, *args, **kwargs):
-                size = int(np.prod(np.atleast_1d(shape)))
-                assert size < budget, (
-                    f"allocation of shape {shape} on the chunked path"
-                )
+                if int(np.prod(np.atleast_1d(shape))) >= budget:
+                    large.append(tuple(np.atleast_1d(shape)))
                 return allocator(shape, *args, **kwargs)
 
             return wrapper
 
         monkeypatch.setattr(np, "empty", guarded(np.empty))
         monkeypatch.setattr(np, "zeros", guarded(np.zeros))
-        sq = pairwise_sq_distances(x, y, out=out)
+        sq = pairwise_sq_distances(x, y)
+        assert large == [(n, m)], f"allocations on the chunked path: {large}"
         np.testing.assert_array_equal(x, reference[0])
         np.testing.assert_array_equal(y, reference[1])
         expected = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)

@@ -44,9 +44,7 @@ from repro.linalg.coarsen import (
     aggregation_operator,
     build_hierarchy,
     coarsen_weights,
-    graph_from_system,
     heavy_edge_matching,
-    solve_multigrid,
 )
 from repro.linalg.solvers import factorize_spd, solve_spd
 from repro.linalg.workspace import SolveWorkspace
@@ -75,6 +73,33 @@ def _soft_system(weights, lam, n_labeled):
     mask = np.zeros(n)
     mask[:n_labeled] = 1.0
     return (sparse.diags(mask) + lam * laplacian(weights)).tocsr()
+
+
+def _soft_vcycle(weights, lam, n_labeled, min_coarse_size=16):
+    """The soft criterion's V-cycle, as ``SolveWorkspace`` builds it.
+
+    Coarse levels ``λ·L_l + diag(v_l)`` come from a hierarchy of the
+    graph and the coarsened labeled mask; ``min_coarse_size`` is the
+    workspace floor (512) lowered so small graphs keep coarse levels.
+    """
+    hierarchy = build_hierarchy(weights, min_coarse_size=min_coarse_size)
+    mask = np.zeros(weights.shape[0])
+    mask[:n_labeled] = 1.0
+    return MultigridPreconditioner.from_hierarchy(
+        _soft_system(weights, lam, n_labeled),
+        hierarchy,
+        lam,
+        hierarchy.coarsen_diagonal(mask),
+    )
+
+
+def _vcycle_pcg(weights, lam, n_labeled, rhs):
+    """PCG to 1e-10 on the soft system, preconditioned by its V-cycle."""
+    return preconditioned_conjugate_gradient(
+        _soft_system(weights, lam, n_labeled),
+        rhs,
+        preconditioner=_soft_vcycle(weights, lam, n_labeled),
+    ).x
 
 
 def _path(n, weights):
@@ -278,18 +303,6 @@ class TestGalerkinIdentities:
         eigenvalues = np.linalg.eigvalsh(coarse)
         assert eigenvalues.min() > -1e-10
 
-    def test_graph_from_system_recovers_weights(self):
-        weights = _random_graph(40, 11)
-        lam = 0.7
-        system = _soft_system(weights, lam, 10)
-        recovered = graph_from_system(system)
-        expected = (lam * weights).tocsr()
-        expected.setdiag(0.0)
-        expected.eliminate_zeros()
-        np.testing.assert_allclose(
-            recovered.toarray(), expected.toarray(), atol=1e-12
-        )
-
 
 class TestHierarchy:
     def test_sizes_shrink_monotonically(self):
@@ -331,7 +344,7 @@ class TestHierarchy:
         rhs = np.random.default_rng(3).normal(size=n)
         expected = solve_spd(system, rhs, method="direct")
         np.testing.assert_allclose(
-            solve_multigrid(system, rhs, min_coarse_size=16).x, expected, atol=1e-7
+            _vcycle_pcg(weights, 0.5, n // 20, rhs), expected, atol=1e-7
         )
         y = np.sin(np.arange(n // 20))
         workspace = SolveWorkspace(weights, backend="multigrid")
@@ -426,7 +439,7 @@ class TestHierarchy:
         system = _soft_system(weights, 0.5, n // 20)
         rhs = np.random.default_rng(3).normal(size=n)
         np.testing.assert_allclose(
-            solve_multigrid(system, rhs, min_coarse_size=16).x,
+            _vcycle_pcg(weights, 0.5, n // 20, rhs),
             solve_spd(system, rhs, method="direct"),
             atol=1e-7,
         )
@@ -445,17 +458,24 @@ class TestHierarchy:
 
 class TestMultigridPreconditioner:
     def test_preconditioner_is_symmetric(self):
-        weights = _random_graph(150, 7)
-        system = _soft_system(weights, 1.5, 40)
-        precond = MultigridPreconditioner.from_matrix(
-            system, min_coarse_size=16
-        )
+        precond = _soft_vcycle(_random_graph(150, 7), 1.5, 40)
+        assert precond.n_levels >= 3
         rng = np.random.default_rng(0)
         u, v = rng.normal(size=(2, 150))
         # <Mu, v> == <u, Mv>: required for a valid CG preconditioner
         assert np.dot(precond(u), v) == pytest.approx(
             np.dot(u, precond(v)), rel=1e-8
         )
+
+    def test_from_hierarchy_levels_are_galerkin_products(self):
+        """``λL_l + diag(v_l)`` equals ``PᵀA_{l-1}P`` at every level."""
+        precond = _soft_vcycle(_knn_3d(2000, 6), 0.3, 100)
+        systems, prolongations = precond._systems, precond._prolongations
+        assert len(systems) >= 4
+        for fine, coarse, p in zip(systems, systems[1:], prolongations):
+            np.testing.assert_allclose(
+                coarse.toarray(), (p.T @ fine @ p).toarray(), rtol=1e-12, atol=1e-12
+            )
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -484,13 +504,14 @@ class TestMultigridPreconditioner:
             except ConvergenceError as exc:
                 return exc.residual
 
-        mg = MultigridPreconditioner.from_matrix(system, min_coarse_size=16)
+        mg = _soft_vcycle(weights, lam, 75)
         assert final_residual(mg) <= 1.05 * final_residual(None) + 1e-12
 
     def test_cached_restrictions_change_no_output_bit(self):
         """Against a cycle that transposes ``P`` on every call."""
-        system = _soft_system(_knn_3d(2000, 4), 0.8, 100)
-        precond = MultigridPreconditioner.from_matrix(system, min_coarse_size=16)
+        weights = _knn_3d(2000, 4)
+        system = _soft_system(weights, 0.8, 100)
+        precond = _soft_vcycle(weights, 0.8, 100)
         systems, prolongations = precond._systems, precond._prolongations
         coarsest = factorize_spd(systems[-1])
 
@@ -522,37 +543,6 @@ class TestMultigridPreconditioner:
         p = aggregation_operator(np.array([0, 0, 1, 1]))
         with pytest.raises(DataValidationError, match="diagonal"):
             MultigridPreconditioner([bad, (p.T @ bad @ p).tocsr()], [p])
-
-
-class TestSolveMultigrid:
-    def test_matches_direct_solve(self):
-        weights = _random_graph(250, 9)
-        system = _soft_system(weights, 2.0, 60)
-        rng = np.random.default_rng(1)
-        rhs = rng.normal(size=250)
-        result = solve_multigrid(system, rhs, min_coarse_size=16)
-        expected = solve_spd(system, rhs, method="direct")
-        np.testing.assert_allclose(result.x, expected, atol=1e-7)
-        assert result.converged
-
-    def test_solve_spd_method_multigrid(self):
-        weights = _random_graph(180, 10)
-        system = _soft_system(weights, 0.5, 45)
-        rhs = np.ones(180)
-        x, info = solve_spd(
-            system, rhs, method="multigrid", return_info=True
-        )
-        np.testing.assert_allclose(
-            x, solve_spd(system, rhs, method="direct"), atol=1e-7
-        )
-        assert info.method == "multigrid"
-        assert info.iterations > 0
-        # warm start from the exact answer converges immediately
-        _, warm_info = solve_spd(
-            system, rhs, method="multigrid", x0=x, return_info=True
-        )
-        assert warm_info.warm_started
-        assert warm_info.iterations <= info.iterations
 
 
 class TestWorkspaceMultigridBackend:
@@ -619,7 +609,12 @@ class TestWorkspaceMultigridBackend:
         # the V-cycle is a single exact solve
         weights = _random_graph(30, 21)
         system = _soft_system(weights, 1.0, 10)
-        precond = MultigridPreconditioner.from_matrix(system)
+        hierarchy = build_hierarchy(weights)
+        mask = np.zeros(30)
+        mask[:10] = 1.0
+        precond = MultigridPreconditioner.from_hierarchy(
+            system, hierarchy, 1.0, hierarchy.coarsen_diagonal(mask)
+        )
         assert precond.n_levels == 1
         rng = np.random.default_rng(2)
         rhs = rng.normal(size=30)

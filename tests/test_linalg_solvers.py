@@ -62,8 +62,29 @@ class TestSolveSpd:
 
     def test_unknown_method_raises(self, rng):
         a = _spd(rng, 3)
+        # "multigrid" is no solve_spd method: graph systems get their
+        # V-cycle from SolveWorkspace(backend="multigrid")
+        for method in ("quantum", "multigrid"):
+            with pytest.raises(ConfigurationError, match="unknown solver"):
+                solve_spd(a, np.ones(3), method=method)
+
+    def test_criteria_reject_multigrid_solver(self, rng):
+        from repro.core.estimators import GraphSSLRegressor
+        from repro.core.hard import solve_hard_criterion
+        from repro.core.soft import solve_soft_criterion
+
+        weights = _spd(rng, 6)
+        np.fill_diagonal(weights, 1.0)
+        y = np.array([1.0, -1.0])
         with pytest.raises(ConfigurationError, match="unknown solver"):
-            solve_spd(a, np.ones(3), method="quantum")
+            solve_hard_criterion(weights, y, method="multigrid")
+        with pytest.raises(ConfigurationError, match="unknown solver"):
+            solve_soft_criterion(
+                sparse.csr_matrix(weights), y, 0.5, solver="multigrid"
+            )
+        model = GraphSSLRegressor(0.0, bandwidth=1.0, solver="multigrid")
+        with pytest.raises(ConfigurationError, match="unknown solver"):
+            model.fit(rng.normal(size=(2, 2)), y, rng.normal(size=(4, 2)))
 
     def test_max_iter_forwarded(self, rng):
         from repro.exceptions import ConvergenceError

@@ -27,7 +27,6 @@ from repro.exceptions import (
 from repro.graph.components import require_labeled_reachability
 from repro.graph.similarity import full_kernel_graph, knn_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
-from repro.linalg import coarsen as coarsen_module
 from repro.linalg import workspace as workspace_module
 from repro.linalg.solvers import SolveInfo, solve_spd
 from repro.linalg.workspace import (
@@ -344,17 +343,10 @@ class TestHardMultigrid:
     """On ``multigrid`` the hard criterion runs cold-started PCG on a
     Galerkin V-cycle of ``D22 - W22``, built once per ``n_labeled``."""
 
-    def test_levels_are_galerkin_products_of_the_level_above(
-        self, deep_problem, monkeypatch
-    ):
+    def test_levels_are_galerkin_products_of_the_level_above(self, deep_problem):
         """``D22 - W22 = L(W22) + diag(W21·1)`` coarsens like the soft
-        system: each level is assembled from a hierarchy of ``W22``, not
-        from a graph re-extracted from the system and triple products."""
-
-        def recovered(matrix):
-            raise AssertionError("the hard V-cycle re-extracted its graph")
-
-        monkeypatch.setattr(coarsen_module, "graph_from_system", recovered)
+        system: each level is assembled from a hierarchy of ``W22`` and
+        equals the triple product ``PᵀAP`` of the level above."""
         data, graph = deep_problem
         ws = SolveWorkspace(graph.weights, backend="multigrid")
         vcycle = ws.preconditioner("hard", 0.0, data.y_labeled.shape[0])

@@ -157,6 +157,42 @@ class TestServingBoundary:
         with pytest.raises(ConfigurationError, match="z must be"):
             model.predict(queries, return_interval=True, z=0.0)
 
+    @pytest.mark.parametrize("entry", ["predict", "predict_batch"])
+    @pytest.mark.parametrize(
+        "lam, z, reason", [(0.5, 1.96, "hard-criterion"), (0.0, -1.0, "z must be")]
+    )
+    def test_refused_interval_request_serves_and_counts_nothing(
+        self, entry, lam, z, reason, monkeypatch
+    ):
+        from repro import obs
+        from repro.serving.insertion import ExactInserter
+
+        rng = np.random.default_rng(11)
+        data = make_regression_dataset(15, 30, seed=rng)
+        model = GraphSSLModel(lam=lam)
+        model.fit(data.x_labeled, data.y_labeled, data.x_unlabeled)
+        inserts = []
+        original = ExactInserter.insert
+
+        def counted(self, row):
+            inserts.append(row)
+            return original(self, row)
+
+        monkeypatch.setattr(ExactInserter, "insert", counted)
+        registry = obs.get_registry()
+        names = ("serving.queries", "serving.batches")
+        before = model.stats(), [registry.counter(name).value for name in names]
+        with pytest.raises(ConfigurationError, match=reason):
+            getattr(model, entry)(
+                truncated_mvn_inputs(5, seed=rng),
+                method="exact",
+                return_interval=True,
+                z=z,
+            )
+        assert inserts == []
+        assert model.stats() == before[0]
+        assert [registry.counter(name).value for name in names] == before[1]
+
 
 class TestCountersAndState:
     def test_stats_counters_advance(self, fitted):
