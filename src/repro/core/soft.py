@@ -34,6 +34,8 @@ are never densified.  Because the Schur route's intermediate
 inputs requesting ``method="schur"`` are answered through the (equal, by
 the 2x2 block-inverse identity) sparse full system instead; the
 ``FitResult.method`` records that rerouting as ``"schur->sparse_full"``.
+A ``solver`` other than ``"direct"`` reroutes dense ``method="schur"``
+requests the same way (``"schur->full"``), so the named backend runs.
 
 Proposition II.2's ``lambda -> inf`` limit (the constant labeled-mean
 prediction that makes the soft criterion inconsistent) is exposed as
@@ -53,7 +55,7 @@ from repro.core.result import FitResult
 from repro.exceptions import ConfigurationError, DataValidationError
 from repro.graph.components import require_labeled_reachability
 from repro.graph.laplacian import _unchecked_laplacian, grounded_system, soft_system
-from repro.linalg.solvers import SolveInfo, solve_spd, solve_square
+from repro.linalg.solvers import SolveInfo, check_solver_method, solve_spd, solve_square
 from repro.obs import probes
 from repro.utils.validation import check_labels, check_positive_scalar, check_weight_matrix
 
@@ -90,12 +92,17 @@ def solve_soft_criterion(
         or ``"full"`` (Eq. 3's ``(n+m) x (n+m)`` stationarity system;
         requires ``lam > 0``).
     solver:
-        Backend for the SPD solves (``"direct"``, ``"cg"``, ...).
+        Backend for the SPD solves, one of
+        :func:`~repro.linalg.solvers.solve_spd`'s names (``"direct"``,
+        ``"cg"``, ...), checked before anything else runs.  The Schur
+        route solves with dense LU, so on dense weights any other
+        backend answers ``method="schur"`` through the equal full system.
     check_reachability:
         Validate labeled reachability first (needed for well-posedness at
         small ``lam``; at ``lam > 0`` a disconnected unlabeled component
         also makes ``V + lam L`` singular).
     """
+    check_solver_method(solver)
     weights, y_labeled, n, m = _labeled_first_inputs(weights, y_labeled)
     lam = check_positive_scalar(lam, "lam", allow_zero=True)
 
@@ -119,7 +126,7 @@ def solve_soft_criterion(
     if method not in ("full", "schur"):
         raise ConfigurationError(f"method must be 'full' or 'schur', got {method!r}")
 
-    if sparse.issparse(weights) or method == "full":
+    if sparse.issparse(weights) or method == "full" or solver != "direct":
         return _solve_full(weights, y_labeled, lam, n, m, solver, method)
     return _solve_schur(weights, y_labeled, lam, n, m)
 
@@ -129,11 +136,12 @@ def _solve_full(
 ) -> FitResult:
     """Solve ``(V + lam L) f = (y; 0)`` over all n+m vertices.
 
-    Answers ``method="full"`` and — because the Schur route's
-    intermediates densify — ``method="schur"`` on sparse inputs; the two
-    are algebraically equal.  Sparse weights stay sparse: the system is
-    assembled in CSR and solved by the sparse factorization (or an
-    iterative backend).
+    Answers ``method="full"`` and ``method="schur"`` wherever the Schur
+    route does not apply: on sparse inputs, because its intermediates
+    densify, and with any ``solver`` but ``"direct"``, because its
+    dense LU solves have no other backend.  The two are algebraically
+    equal.  Sparse weights stay sparse: the system is assembled in CSR
+    and solved by the sparse factorization (or an iterative backend).
     """
     total = n + m
     is_sparse = sparse.issparse(weights)
@@ -157,7 +165,11 @@ def _solve_full(
             scores=scores,
             n_labeled=n,
             lam=lam,
-            method="full" if requested == "full" else "schur->sparse_full",
+            method=(
+                "full"
+                if requested == "full"
+                else "schur->sparse_full" if is_sparse else "schur->full"
+            ),
             criterion="soft",
             details=details,
             solve_info=info,

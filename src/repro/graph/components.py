@@ -45,6 +45,14 @@ def validated_components(weights) -> tuple[int, np.ndarray]:
     ``weights`` must be what :func:`~repro.utils.validation.check_weight_matrix`
     returned; it is not checked again.  Stored zeros are not edges, and
     the matrix is copied only when it stores zeros.
+
+    On a symmetric pattern the strongly connected components of the
+    directed graph are its components, and finding them needs no
+    transpose, where scipy's undirected search builds one.  Strong
+    components are renumbered by their smallest vertex, the numbering of
+    the undirected search.  A one-sided entry within the symmetry
+    tolerance can join two strong components; when a stored edge does,
+    the undirected search runs instead.
     """
     if sparse.issparse(weights):
         graph = weights
@@ -53,7 +61,15 @@ def validated_components(weights) -> tuple[int, np.ndarray]:
             graph.eliminate_zeros()
     else:
         graph = sparse.csr_matrix(weights)
-    count, labels = _cc(graph, directed=False)
+    count, labels = _cc(graph, directed=True, connection="strong")
+    if count > 1:
+        _, first_vertex = np.unique(labels, return_index=True)
+        rank = np.empty(count, dtype=labels.dtype)
+        rank[np.argsort(first_vertex)] = np.arange(count, dtype=labels.dtype)
+        labels = rank[labels]
+        row_labels = np.repeat(labels, np.diff(graph.indptr))
+        if not np.array_equal(row_labels, labels[graph.indices]):
+            count, labels = _cc(graph, directed=False)
     return int(count), labels
 
 

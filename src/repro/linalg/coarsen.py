@@ -247,9 +247,15 @@ def coarsen_weights(weights, prolongation: sparse.csr_matrix) -> sparse.csr_matr
     self-loops; like the fine graph's self-weights they cancel in the
     Laplacian quadratic form while keeping the degree bookkeeping
     consistent, so ``L(W_c) = PᵀL(W)P`` holds exactly.
+
+    The restriction ``Pᵀ`` is formed as its own CSR matrix, so every
+    product is CSR by CSR and ``W`` is never converted to CSC; sorting
+    the result's indices gives the canonical CSR, with the same bits,
+    that ``(P.T @ W @ P).tocsr()`` returns.
     """
-    csr = _as_csr(weights)
-    return (prolongation.T @ csr @ prolongation).tocsr()
+    coarse = sparse.csr_matrix(prolongation.T) @ _as_csr(weights) @ prolongation
+    coarse.sort_indices()
+    return coarse
 
 
 @dataclass(frozen=True)

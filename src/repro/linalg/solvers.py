@@ -46,13 +46,28 @@ from repro.exceptions import ConfigurationError, SingularSystemError
 from repro.linalg.iterative import conjugate_gradient, gauss_seidel, jacobi
 from repro.utils.validation import check_vector
 
-__all__ = ["SolveInfo", "SPDFactorization", "factorize_spd", "solve_spd", "solve_square"]
+__all__ = [
+    "SolveInfo",
+    "SPDFactorization",
+    "check_solver_method",
+    "factorize_spd",
+    "solve_spd",
+    "solve_square",
+]
 
 _ITERATIVE = {
     "cg": conjugate_gradient,
     "jacobi": jacobi,
     "gauss_seidel": gauss_seidel,
 }
+
+
+def check_solver_method(method: str) -> str:
+    """Validate a backend name against the ones :func:`solve_spd` knows."""
+    if method in ("direct", "sparse") or method in _ITERATIVE:
+        return method
+    known = "direct, sparse, " + ", ".join(sorted(_ITERATIVE))
+    raise ConfigurationError(f"unknown solver method {method!r}; known: {known}")
 
 
 class SolveInfo(NamedTuple):
@@ -256,6 +271,7 @@ def solve_spd(
     """
     rhs = check_vector(rhs, "rhs", min_length=0)
     size = rhs.shape[0]
+    check_solver_method(method)
     if method in ("direct", "sparse"):
         if method == "sparse" and not sparse.issparse(matrix):
             matrix = sparse.csc_matrix(matrix)
@@ -265,23 +281,20 @@ def solve_spd(
             return x
         residual = _residual_norm(matrix, x, rhs) if obs.tracing_enabled() else math.nan
         return x, factor.info(final_residual=residual)
-    if method in _ITERATIVE:
-        kwargs = {"tol": tol}
-        if max_iter is not None:
-            kwargs["max_iter"] = max_iter
-        if x0 is not None:
-            kwargs["x0"] = x0
-        result = _ITERATIVE[method](matrix, rhs, **kwargs)
-        if not return_info:
-            return result.x
-        info = SolveInfo(
-            method=method,
-            size=size,
-            iterations=result.iterations,
-            final_residual=result.final_residual,
-            converged=result.converged,
-            warm_started=x0 is not None,
-        )
-        return result.x, info
-    known = "direct, sparse, " + ", ".join(sorted(_ITERATIVE))
-    raise ConfigurationError(f"unknown solver method {method!r}; known: {known}")
+    kwargs = {"tol": tol}
+    if max_iter is not None:
+        kwargs["max_iter"] = max_iter
+    if x0 is not None:
+        kwargs["x0"] = x0
+    result = _ITERATIVE[method](matrix, rhs, **kwargs)
+    if not return_info:
+        return result.x
+    info = SolveInfo(
+        method=method,
+        size=size,
+        iterations=result.iterations,
+        final_residual=result.final_residual,
+        converged=result.converged,
+        warm_started=x0 is not None,
+    )
+    return result.x, info

@@ -77,6 +77,9 @@ any factorization, hierarchy build or PCG solve: ``D22 - W22`` and
 A workspace fingerprints its weight matrix at construction and re-checks
 the fingerprint before serving any cached artifact: mutating the graph
 after caching raises :class:`~repro.exceptions.WorkspaceInvalidatedError`.
+The workspace keeps the caller's matrix, not a copy, whenever validation
+returns it unchanged (a float64 ndarray or canonical float64 CSR), so an
+edit made through the caller's handle raises too.
 :meth:`SolveWorkspace.invalidate` adopts edited weights explicitly.  A
 stale factorization is never served.
 
@@ -311,6 +314,11 @@ class SolveWorkspace:
         sparse, or a :class:`~repro.graph.similarity.SimilarityGraph`),
         labeled vertices first.  Validated once, here, instead of per
         grid point; its connected components are computed here too.
+        ``self.weights`` is the caller's matrix itself when it is a
+        float64 ndarray or a canonical float64 CSR matrix (other input is
+        converted once): editing it in place after a solve raises
+        :class:`~repro.exceptions.WorkspaceInvalidatedError` at the next
+        solve.
     backend:
         The solve backend, one of :data:`SWEEP_BACKENDS`: ``"exact"``
         (default; cached true factorizations, bit-compatible with

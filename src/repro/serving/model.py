@@ -503,10 +503,14 @@ class GraphSSLModel:
                 # workers' registries are private and their chunk rows
                 # never return to this process.
                 parts = self._predict_parallel(chunks, method, workers)
+                kept_rows = None
             else:
-                parts = [
-                    self._serve_chunk(chunk, method)[1] for chunk in chunks
-                ]
+                parts, kept_rows = [], []
+                for chunk in chunks:
+                    rows, predicted = self._serve_chunk(chunk, method)
+                    parts.append(predicted)
+                    if return_interval:  # the variances reuse them
+                        kept_rows.append(rows)
             predictions = np.concatenate(parts)
             self._count(
                 method, total, batches=len(chunks), intervals=return_interval
@@ -514,11 +518,10 @@ class GraphSSLModel:
             self._record_stats(span)
             if not return_interval:
                 return predictions
+            if kept_rows is None:  # extract again, one chunk at a time
+                kept_rows = (self._extractor.extract(chunk) for chunk in chunks)
             variances = np.concatenate(
-                [
-                    self._timed_variances(self._extractor.extract(chunk), method)
-                    for chunk in chunks
-                ]
+                [self._timed_variances(rows, method) for rows in kept_rows]
             )
             sd = np.sqrt(variances)
             return predictions, predictions - z * sd, predictions + z * sd

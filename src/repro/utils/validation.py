@@ -5,6 +5,11 @@ Each checker raises :class:`repro.exceptions.DataValidationError` (or
 message naming the offending argument, and returns the validated array as a
 C-contiguous ``float64`` ndarray so downstream numeric code can rely on a
 uniform dtype.
+
+Nothing is copied that is already in that form: a float64 ndarray comes
+back as the same object, and so does a canonical float64 CSR weight matrix
+(:func:`check_weight_matrix`).  Code that keeps a validated matrix
+therefore aliases the caller's; whoever edits it in place edits both.
 """
 
 from __future__ import annotations
@@ -78,25 +83,50 @@ def check_symmetric(matrix: np.ndarray, name: str = "matrix", tol: float = 1e-10
     return matrix
 
 
+def _sparse_asymmetry(mat) -> float:
+    """``max |W - Wᵀ|`` of a canonical CSR matrix, with one transpose.
+
+    The CSC arrays of ``W`` are the CSR arrays of ``Wᵀ``, sorted, so when
+    the two share a sparsity pattern the data arrays line up entry for
+    entry; only matrices whose patterns differ pay for ``|W - Wᵀ|``.
+    """
+    transposed = mat.tocsc()
+    if np.array_equal(mat.indptr, transposed.indptr) and np.array_equal(
+        mat.indices, transposed.indices
+    ):
+        return float(np.max(np.abs(mat.data - transposed.data), initial=0.0))
+    asym = abs(mat - mat.T)
+    return float(asym.data.max()) if asym.nnz else 0.0
+
+
 def check_weight_matrix(weights, name: str = "weights", *, allow_sparse: bool = True):
     """Validate a similarity/weight matrix.
 
     Requirements: square, symmetric, finite, non-negative entries.  Sparse
     CSR/CSC matrices are accepted (and returned as CSR) when
-    ``allow_sparse`` is true.
+    ``allow_sparse`` is true.  Like dense input, a float64 CSR matrix in
+    canonical form (sorted indices, no duplicates) is returned as is, not
+    copied; other sparse input is converted, and duplicate or unsorted
+    entries are canonicalized in a copy, so the caller's arrays are never
+    modified.
     """
     if sparse.issparse(weights):
         if not allow_sparse:
             raise DataValidationError(f"{name} must be dense for this operation")
-        mat = weights.tocsr().astype(np.float64)
-        if mat.shape[0] != mat.shape[1]:
-            raise DataValidationError(f"{name} must be square, got shape {mat.shape}")
+        if weights.shape[0] != weights.shape[1]:
+            raise DataValidationError(
+                f"{name} must be square, got shape {weights.shape}"
+            )
+        mat = weights.tocsr().astype(np.float64, copy=False)
+        if not mat.has_canonical_format:
+            if mat is weights:
+                mat = mat.copy()
+            mat.sum_duplicates()
         if mat.nnz and not np.all(np.isfinite(mat.data)):
             raise DataValidationError(f"{name} contains non-finite entries")
         if mat.nnz and mat.data.min() < 0:
             raise GraphStructureError(f"{name} contains negative weights")
-        asym = abs(mat - mat.T)
-        if asym.nnz and asym.data.max() > 1e-10:
+        if _sparse_asymmetry(mat) > 1e-10:
             raise GraphStructureError(f"{name} must be symmetric")
         return mat
     mat = check_square_matrix(weights, name)

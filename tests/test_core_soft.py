@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core.hard import solve_hard_criterion
 from repro.core.soft import (
@@ -156,6 +157,70 @@ class TestValidationAndErrors:
         data, weights, _ = small_problem
         fit = solve_soft_criterion(weights, data.y_labeled, 1.0)
         assert np.max(np.abs(fit.labeled_scores - data.y_labeled)) > 1e-3
+
+
+def _six_vertex_problem():
+    """Dense 6-vertex full-kernel weights, two labeled vertices first."""
+    from repro.graph.similarity import full_kernel_graph
+
+    x = np.random.default_rng(6).normal(size=(6, 2))
+    return full_kernel_graph(x, bandwidth=1.0).weights, np.array([1.0, -1.0])
+
+
+class TestSolverName:
+    """``solver`` is checked on entry and the named backend runs on every
+    route, dense Schur requests included."""
+
+    @pytest.mark.parametrize("form", ["dense-schur", "dense-full", "sparse"])
+    def test_unknown_solver_raises_before_any_work(self, form, monkeypatch):
+        from repro.core import soft
+        from repro.linalg.solvers import solve_spd
+
+        weights, y = _six_vertex_problem()
+        if form == "sparse":
+            weights = sparse.csr_matrix(weights)
+        method = "full" if form == "dense-full" else "schur"
+
+        def no_reachability(*args, **kwargs):
+            raise AssertionError("reachability ran before the solver check")
+
+        monkeypatch.setattr(soft, "require_labeled_reachability", no_reachability)
+        with pytest.raises(ConfigurationError) as spd_error:
+            solve_spd(np.eye(2), np.ones(2), method="no-such-solver")
+        with pytest.raises(ConfigurationError) as excinfo:
+            solve_soft_criterion(
+                weights, y, 0.5, method=method, solver="no-such-solver"
+            )
+        assert str(excinfo.value) == str(spd_error.value)
+
+    def test_named_backend_runs_on_dense_schur(self):
+        weights, y = _six_vertex_problem()
+        fit = solve_soft_criterion(weights, y, 0.5, solver="cg")
+        assert fit.solve_info.method == "cg"
+        assert fit.method == "schur->full"
+        reference = solve_soft_criterion(weights, y, 0.5)
+        np.testing.assert_allclose(fit.scores, reference.scores, atol=1e-8)
+
+    def test_regressor_reports_its_solver(self):
+        from repro.core.estimators import GraphSSLRegressor
+
+        rng = np.random.default_rng(8)
+        model = GraphSSLRegressor(lam=0.5, bandwidth=1.0, solver="cg")
+        model.fit(rng.normal(size=(4, 2)), rng.normal(size=4), rng.normal(size=(8, 2)))
+        assert model.graph_.construction == "full"
+        assert model.result_.solve_info.method == "cg"
+
+    def test_default_solver_keeps_the_schur_bits(self):
+        from repro.core.soft import _solve_schur
+
+        weights, y = _six_vertex_problem()
+        fit = solve_soft_criterion(weights, y, 0.5)
+        assert fit.method == "schur"
+        np.testing.assert_array_equal(
+            fit.scores, _solve_schur(weights, y, 0.5, 2, 4).scores
+        )
+        direct = solve_soft_criterion(weights, y, 0.5, solver="direct")
+        np.testing.assert_array_equal(direct.scores, fit.scores)
 
 
 class TestObjectiveHelper:

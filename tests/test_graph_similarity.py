@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
+from scipy.spatial import cKDTree
 
 from repro.exceptions import ConfigurationError, GraphStructureError
+from repro.graph import similarity
 from repro.graph.similarity import (
     SimilarityGraph,
     build_similarity_graph,
@@ -355,3 +359,70 @@ class TestKnnTieDeterminism:
         x = np.vstack([np.zeros((3, 2)), np.random.default_rng(0).normal(size=(5, 2))])
         with pytest.raises(DataValidationError, match=r"vertices \[0, 1, 2\]"):
             local_scaling_graph(x, k=2)
+
+
+class _InputOrderTree(cKDTree):
+    """A kd-tree whose "leaf order" is the input order and whose queries
+    run on one thread."""
+
+    @property
+    def indices(self):
+        return np.arange(self.n)
+
+    def query(self, x, k=1, **kwargs):
+        kwargs["workers"] = 1
+        return super().query(x, k=k, **kwargs)
+
+
+def _input_order_lists(x, k):
+    """Reference neighbour lists: one single-threaded query of every point
+    in input order, followed by the same tie handling."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(similarity, "cKDTree", _InputOrderTree)
+        patch.setattr(similarity, "_QUERY_BLOCK_ROWS", x.shape[0])
+        return similarity._knn_neighbor_lists(x, k)
+
+
+def _tied_points(kind, n, dim, seed):
+    """Points with exact duplicates and many tied distances."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":  # integer lattice: duplicates and equal distances
+        return rng.integers(0, 3, size=(n, dim)).astype(float)
+    unique = rng.normal(size=(max(1, n // 3), dim))
+    return unique[rng.integers(0, unique.shape[0], size=n)]
+
+
+class TestLeafOrderQueries:
+    """Querying in the tree's leaf order, in blocks, on every core gives
+    the neighbour lists of an input-order single-threaded query bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["grid", "duplicated"]),
+        dim=st.sampled_from([1, 2, 3, 5]),
+        block=st.sampled_from([8, 16, 32]),
+        offset=st.sampled_from([-1, 0, 1]),
+        k=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_matches_input_order_query(self, kind, dim, block, offset, k, seed):
+        n = block + offset
+        k = min(k, n - 1)
+        x = _tied_points(kind, n, dim, seed)
+        expected = _input_order_lists(x, k)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(similarity, "_QUERY_BLOCK_ROWS", block)
+            got = similarity._knn_neighbor_lists(x, k)
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_matches_at_the_block_size(self, offset):
+        n = similarity._QUERY_BLOCK_ROWS + offset
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(n, 3))
+        x[rng.integers(0, n, size=200)] = x[:200]  # exact duplicates
+        expected = _input_order_lists(x, 10)
+        got = similarity._knn_neighbor_lists(x, 10)
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])

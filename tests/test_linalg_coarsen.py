@@ -304,6 +304,31 @@ class TestGalerkinIdentities:
         assert eigenvalues.min() > -1e-10
 
 
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_coarse_graph_is_canonical_and_bit_equal(self, dim):
+        """``coarsen_weights`` never converts W to CSC, and returns the
+        canonical CSR ``(P.T @ W @ P).tocsr()`` returns, bit for bit, on
+        both passes of a hierarchy level."""
+        x = np.random.default_rng(dim).normal(size=(1500, dim))
+        weights = knn_graph(x, k=10, bandwidth=0.7).weights
+        for _ in range(2):
+            p = aggregation_operator(heavy_edge_matching(weights))
+            coarse = coarsen_weights(weights, p)
+            expected = (p.T @ weights @ p).tocsr()
+            assert coarse.format == "csr"
+            rebuilt = sparse.csr_matrix(
+                (coarse.data, coarse.indices, coarse.indptr), shape=coarse.shape
+            )
+            assert rebuilt.has_canonical_format  # recomputed, not a cached flag
+            for got, want in (
+                (coarse.indptr, expected.indptr),
+                (coarse.indices, expected.indices),
+                (coarse.data, expected.data),
+            ):
+                np.testing.assert_array_equal(got, want)
+            weights = coarse
+
+
 class TestHierarchy:
     def test_sizes_shrink_monotonically(self):
         weights = _random_graph(200, 5)

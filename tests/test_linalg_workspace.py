@@ -199,6 +199,18 @@ class TestInvalidation:
         with pytest.raises(WorkspaceInvalidatedError):
             ws.solve_hard(data.y_labeled)
 
+    def test_caller_sparse_mutation_raises(self, sparse_problem):
+        """The workspace keeps the caller's canonical CSR matrix, not a
+        copy, so an edit through the caller's handle is caught too."""
+        data, graph = sparse_problem
+        weights = graph.weights.copy()
+        ws = SolveWorkspace(weights)
+        assert ws.weights is weights
+        ws.solve_hard(data.y_labeled)
+        weights.data[0] += 1.0
+        with pytest.raises(WorkspaceInvalidatedError):
+            ws.solve_hard(data.y_labeled)
+
     def test_explicit_invalidate_clears_caches(self, problem):
         data, graph = problem
         ws = SolveWorkspace(graph.weights, backend="exact")

@@ -212,6 +212,28 @@ class TestCountersAndState:
         model.predict(queries, method="exact")
         assert model.stats().exact_iterations > before
 
+    @pytest.mark.parametrize("method", ["nw", "exact"])
+    def test_batch_intervals_extract_each_chunk_once(self, fitted, method, monkeypatch):
+        from repro.serving.queries import QueryExtractor
+
+        model, _ = fitted
+        queries = truncated_mvn_inputs(8, seed=np.random.default_rng(21))
+        expected = model.predict(queries, method=method, return_interval=True)
+        calls = []
+        original = QueryExtractor.extract
+
+        def spy(self, batch):
+            calls.append(len(batch))
+            return original(self, batch)
+
+        monkeypatch.setattr(QueryExtractor, "extract", spy)
+        got = model.predict_batch(
+            queries, method=method, batch_size=4, return_interval=True
+        )
+        assert calls == [4, 4]
+        for served, reference in zip(got, expected):
+            np.testing.assert_array_equal(served, reference)
+
     def test_pickle_roundtrip_drops_factorizations(self, fitted):
         import pickle
 
