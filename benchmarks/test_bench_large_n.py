@@ -65,8 +65,8 @@ MAX_APPROX_SCORE_ERROR = 1e-2
 # ----------------------------------------------------------------------
 
 #: The budgeted pipeline: N = 10⁶ at paper scale, a CI-sized 2·10⁵
-#: otherwise (large enough that auto-streaming engages — see
-#: ``STREAM_AUTO_CANDIDATES``).
+#: otherwise.  Its graph is the exact kNN graph on the route
+#: ``construction="auto"`` picks at d=3: the kd-tree.
 N_BUDGET = 1_000_000 if SCALE == "paper" else 200_000
 
 #: Reduced λ grid for the budgeted sweep (memory is λ-count-independent;
@@ -74,10 +74,9 @@ N_BUDGET = 1_000_000 if SCALE == "paper" else 200_000
 BUDGET_GRID = tuple(float(lam) for lam in np.logspace(-2, 1, 4))
 
 #: Every phase of the memory-lean pipeline must peak below this fraction
-#: of the naive pipeline's peak.  The naive peak is dominated by the
-#: one-shot candidate merge: ``n_trees · N · k`` (row, col, sq) triples
-#: of 24 bytes concatenated and then copied once more by the
-#: dedup/lexsort reduction.
+#: of a naive pipeline's peak: the RP-tree route's one-shot candidate
+#: merge, ``n_trees · N · k`` (row, col, sq) triples of 24 bytes
+#: concatenated and then copied once more by the dedup/lexsort reduction.
 BUDGET_FRACTION = 0.40
 
 
@@ -104,7 +103,7 @@ def test_bench_memory_budget(bench, results_dir):
     # tracemalloc peak, so the phases run once (gated) and the record is
     # built from the phase durations (repeats=1, informational only).
     with gate.phase("graph", budget_bytes=budget_bytes):
-        graph = approx_knn_graph(x, k=K, bandwidth=0.5)
+        graph = knn_graph(x, k=K, bandwidth=0.5)
     workspace = SolveWorkspace(graph.weights, backend="multigrid")
     with gate.phase("hierarchy", budget_bytes=budget_bytes):
         hierarchy = workspace.hierarchy()

@@ -60,7 +60,6 @@ import os
 import sys
 
 from repro.experiments.report import ascii_table, format_sweep_result, write_csv
-from repro.linalg.workspace import SWEEP_BACKENDS
 from repro.serving.evaluate import SERVE_EVAL_GRAPHS
 from repro.serving.model import SERVING_METHODS
 
@@ -178,9 +177,7 @@ def _cmd_complexity(args) -> int:
 def _cmd_prop21(args) -> int:
     from repro.experiments.figures import run_prop21_experiment
 
-    result = run_prop21_experiment(
-        seed=args.seed or 0, sweep_backend=args.sweep_backend,
-    )
+    result = run_prop21_experiment(seed=args.seed or 0)
     _print_rows(
         "Proposition II.1 (lambda -> 0)",
         result.headers(),
@@ -193,9 +190,7 @@ def _cmd_prop21(args) -> int:
 def _cmd_prop22(args) -> int:
     from repro.experiments.figures import run_prop22_experiment
 
-    result = run_prop22_experiment(
-        seed=args.seed or 0, sweep_backend=args.sweep_backend,
-    )
+    result = run_prop22_experiment(seed=args.seed or 0)
     _print_rows(
         "Proposition II.2 (lambda -> inf)",
         result.headers(),
@@ -269,8 +264,7 @@ def _cmd_lambda_curve(args) -> int:
     from repro.experiments.lambda_curve import run_lambda_curve
 
     curve = run_lambda_curve(
-        n_replicates=args.replicates, seed=args.seed, n_jobs=args.jobs,
-        sweep_backend=args.sweep_backend,
+        n_replicates=args.replicates, seed=args.seed, n_jobs=args.jobs
     )
     rows = [[f"{lam:g}", value] for lam, value in zip(curve.lambdas, curve.rmse)]
     _print_rows("lambda-degradation curve", curve.headers(), rows, args.csv)
@@ -728,8 +722,7 @@ def _cmd_tuned_lambda(args) -> int:
     from repro.experiments.extensions import run_tuned_lambda_study
 
     result = run_tuned_lambda_study(
-        n_replicates=args.replicates, seed=args.seed, n_jobs=args.jobs,
-        sweep_backend=args.sweep_backend,
+        n_replicates=args.replicates, seed=args.seed, n_jobs=args.jobs
     )
     _print_rows(
         "untuned hard vs CV-tuned soft",
@@ -758,7 +751,6 @@ def _cmd_serve_eval(args) -> int:
         lam=args.lam,
         parity_sample=args.parity_sample,
         seed=args.seed,
-        n_jobs=args.jobs,
         telemetry=not args.no_telemetry,
     )
     _print_rows(
@@ -814,20 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
             "ingestable prefix)",
         )
 
-    def sweep_backend_flag(p):
-        p.add_argument(
-            "--sweep-backend",
-            choices=SWEEP_BACKENDS,
-            default="exact",
-            help="the solve workspace's backend for lambda sweeps: "
-            "'exact' (default) caches one true factorization per grid "
-            "point; 'factored' reuses one anchored "
-            "factorization (Woodbury update or warm-started PCG), the "
-            "fastest in d=2 or at small N; 'multigrid' uses "
-            "coarsening-preconditioned CG on one assembled hierarchy, "
-            "the choice for N>=1e4 in d>=3 and up to N=1e6 (see "
-            "docs/SCALING.md)",
-        )
+    def memory_budget_flag(p):
         p.add_argument(
             "--memory-budget-mb",
             type=_positive_int,
@@ -861,12 +840,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prop21", help="Proposition II.1 (lambda -> 0)")
     common(p)
-    sweep_backend_flag(p)
+    memory_budget_flag(p)
     p.set_defaults(handler=_cmd_prop21)
 
     p = sub.add_parser("prop22", help="Proposition II.2 (lambda -> inf)")
     common(p)
-    sweep_backend_flag(p)
+    memory_budget_flag(p)
     p.set_defaults(handler=_cmd_prop22)
 
     p = sub.add_parser("proof-constructs", help="Section IV proof constructs")
@@ -888,12 +867,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tuned-lambda", help="untuned hard vs CV-tuned soft")
     common(p, replicates_default=10)
-    sweep_backend_flag(p)
+    memory_budget_flag(p)
     p.set_defaults(handler=_cmd_tuned_lambda)
 
     p = sub.add_parser("lambda-curve", help="RMSE along a dense lambda grid")
     common(p, replicates_default=30)
-    sweep_backend_flag(p)
+    memory_budget_flag(p)
     p.set_defaults(handler=_cmd_lambda_curve)
 
     p = sub.add_parser("ablation", help="run one design-choice ablation")
@@ -912,12 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
     # flags directly instead of via common().
     p.add_argument("--seed", type=_seed_int, default=None, help="master RNG seed")
     p.add_argument("--csv", type=str, default=None, help="also write CSV here")
-    p.add_argument(
-        "--jobs", type=_jobs_int, default=1, metavar="N",
-        help="worker processes for the batched path's query fan-out "
-        "(1 = serial, -1 = one per CPU); predictions are identical at "
-        "every setting",
-    )
     p.add_argument(
         "--n-ref", type=_positive_int, default=2000, metavar="N",
         help="reference graph size, labeled + unlabeled (default 2000)",

@@ -21,9 +21,8 @@ A third study targets the paper's practical message head-on:
 * :func:`run_tuned_lambda_study` — gives the soft criterion every
   advantage by cross-validating lambda per replicate
   (:mod:`repro.model_selection`, whose folds solve their lambda grid
-  through a :class:`~repro.linalg.workspace.SolveWorkspace` with the
-  ``sweep_backend`` backend), then compares against the untuned hard
-  criterion.
+  through a :class:`~repro.linalg.workspace.SolveWorkspace`), then
+  compares against the untuned hard criterion.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from repro.experiments.runner import run_replicates
 from repro.experiments.sweep import SweepResult
 from repro.graph.similarity import full_kernel_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
-from repro.linalg.workspace import check_sweep_backend
 from repro.metrics.classification import accuracy, auc, matthews_corrcoef
 from repro.metrics.regression import root_mean_squared_error
 from repro.model_selection.search import select_lambda
@@ -304,7 +302,6 @@ def _tuned_lambda_replicate(
     grid: tuple[float, ...],
     n_folds: int,
     model: str,
-    sweep_backend: str = "exact",
 ) -> dict[str, float]:
     """One tuned-lambda replicate (module-level so it pickles for n_jobs).
 
@@ -317,7 +314,6 @@ def _tuned_lambda_replicate(
     graph = full_kernel_graph(data.x_all, bandwidth=bandwidth)
     search = select_lambda(
         graph.weights, data.y_labeled, grid=grid, n_folds=n_folds, seed=rng,
-        sweep_backend=sweep_backend,
     )
     tuned = solve_soft_criterion(
         graph.weights, data.y_labeled, search.best_value,
@@ -344,14 +340,8 @@ def run_tuned_lambda_study(
     seed=None,
     n_jobs: int = 1,
     progress=None,
-    sweep_backend: str = "exact",
 ) -> TunedLambdaResult:
-    """Compare the untuned hard criterion with a CV-tuned soft criterion.
-
-    ``sweep_backend`` is forwarded to the per-replicate
-    :func:`~repro.model_selection.search.select_lambda` grid search.
-    """
-    check_sweep_backend(sweep_backend)
+    """Compare the untuned hard criterion with a CV-tuned soft criterion."""
     summary = run_replicates(
         partial(
             _tuned_lambda_replicate,
@@ -360,7 +350,6 @@ def run_tuned_lambda_study(
             grid=tuple(grid),
             n_folds=n_folds,
             model=model,
-            sweep_backend=sweep_backend,
         ),
         n_replicates=n_replicates,
         seed=seed,

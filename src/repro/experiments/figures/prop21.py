@@ -5,8 +5,9 @@ The experiment solves the soft criterion along a decreasing lambda grid
 on one synthetic problem and records the max-norm deviation from the
 hard solution on the unlabeled block.  The deviations must decrease
 monotonically and vanish in the limit.  The grid is solved through one
-:class:`~repro.linalg.workspace.SolveWorkspace` (``sweep_backend`` picks
-its backend); the hard solution is the per-point reference solve.
+:class:`~repro.linalg.workspace.SolveWorkspace`, whose backend
+:func:`~repro.linalg.workspace.choose_backend` reads off the graph; the
+hard solution is the per-point reference solve.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.datasets.synthetic import make_synthetic_dataset
 from repro.exceptions import ConfigurationError
 from repro.graph.similarity import full_kernel_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
-from repro.linalg.workspace import SolveWorkspace, check_sweep_backend
+from repro.linalg.workspace import SolveWorkspace, choose_backend
 
 __all__ = ["Prop21Result", "run_prop21_experiment"]
 
@@ -63,23 +64,20 @@ def run_prop21_experiment(
     n_unlabeled: int = 30,
     lambdas: tuple[float, ...] = (1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10),
     seed: int = 0,
-    sweep_backend: str = "exact",
 ) -> Prop21Result:
     """Measure ``||f_soft(lambda) - f_hard||_max`` along a vanishing grid.
 
     A fixed-graph lambda sweep: the grid shares one
-    :class:`~repro.linalg.workspace.SolveWorkspace` whose backend is
-    ``sweep_backend``.
+    :class:`~repro.linalg.workspace.SolveWorkspace`.
     """
     if any(lam <= 0 for lam in lambdas):
         raise ConfigurationError("lambdas must be strictly positive (0 IS the hard criterion)")
     if list(lambdas) != sorted(lambdas, reverse=True):
         raise ConfigurationError("lambdas must be strictly decreasing toward 0")
-    check_sweep_backend(sweep_backend)
     data = make_synthetic_dataset(n_labeled, n_unlabeled, seed=seed)
     bandwidth = paper_bandwidth_rule(n_labeled, data.x_labeled.shape[1])
     graph = full_kernel_graph(data.x_all, bandwidth=bandwidth)
-    workspace = SolveWorkspace(graph.weights, backend=sweep_backend)
+    workspace = SolveWorkspace(graph.weights, backend=choose_backend(graph.weights))
     hard = solve_hard_criterion(graph.weights, data.y_labeled, check_reachability=False)
     deviations = []
     for lam in lambdas:

@@ -8,9 +8,9 @@ Two measurements on a connected synthetic graph:
   stay bounded away from the hard criterion's RMSE (the inconsistency
   gap) for large lambda.
 
-The grid is solved through one :class:`~repro.linalg.workspace.SolveWorkspace`
-(``sweep_backend`` picks its backend); the hard solution is the
-per-point reference solve.
+The grid is solved through one :class:`~repro.linalg.workspace.SolveWorkspace`,
+whose backend :func:`~repro.linalg.workspace.choose_backend` reads off
+the graph; the hard solution is the per-point reference solve.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.datasets.synthetic import make_synthetic_dataset
 from repro.exceptions import ConfigurationError
 from repro.graph.similarity import full_kernel_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
-from repro.linalg.workspace import SolveWorkspace, check_sweep_backend
+from repro.linalg.workspace import SolveWorkspace, choose_backend
 from repro.metrics.regression import root_mean_squared_error
 
 __all__ = ["Prop22Result", "run_prop22_experiment"]
@@ -81,23 +81,20 @@ def run_prop22_experiment(
     n_unlabeled: int = 30,
     lambdas: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0, 1e4, 1e6, 1e8),
     seed: int = 0,
-    sweep_backend: str = "exact",
 ) -> Prop22Result:
     """Measure the soft criterion's collapse to the labeled mean.
 
     A fixed-graph lambda sweep: the grid shares one
-    :class:`~repro.linalg.workspace.SolveWorkspace` whose backend is
-    ``sweep_backend``.
+    :class:`~repro.linalg.workspace.SolveWorkspace`.
     """
     if any(lam <= 0 for lam in lambdas):
         raise ConfigurationError("lambdas must be strictly positive")
     if list(lambdas) != sorted(lambdas):
         raise ConfigurationError("lambdas must be increasing toward infinity")
-    check_sweep_backend(sweep_backend)
     data = make_synthetic_dataset(n_labeled, n_unlabeled, seed=seed)
     bandwidth = paper_bandwidth_rule(n_labeled, data.x_labeled.shape[1])
     graph = full_kernel_graph(data.x_all, bandwidth=bandwidth)
-    workspace = SolveWorkspace(graph.weights, backend=sweep_backend)
+    workspace = SolveWorkspace(graph.weights, backend=choose_backend(graph.weights))
 
     hard = solve_hard_criterion(graph.weights, data.y_labeled, check_reachability=False)
     hard_rmse = root_mean_squared_error(data.q_unlabeled, hard.unlabeled_scores)

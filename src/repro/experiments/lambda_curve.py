@@ -14,8 +14,9 @@ monotone-ish interpolation between the anchors, which is exactly what
 the curve shows.
 
 Each replicate solves its whole grid, and the hard anchor, through one
-:class:`~repro.linalg.workspace.SolveWorkspace` on its graph;
-``sweep_backend`` picks the workspace backend.
+:class:`~repro.linalg.workspace.SolveWorkspace` on its graph, whose
+backend :func:`~repro.linalg.workspace.choose_backend` reads off the
+graph.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.runner import run_replicates
 from repro.graph.similarity import full_kernel_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
-from repro.linalg.workspace import SolveWorkspace, check_sweep_backend
+from repro.linalg.workspace import SolveWorkspace, choose_backend
 from repro.metrics.regression import root_mean_squared_error
 
 __all__ = ["LambdaCurve", "run_lambda_curve"]
@@ -82,7 +83,6 @@ def _lambda_curve_replicate(
     n_unlabeled: int,
     lambdas: tuple[float, ...],
     model: str,
-    sweep_backend: str = "exact",
 ) -> dict[str, float]:
     """One replicate: RMSE at each grid lambda plus the two anchors.
 
@@ -95,7 +95,7 @@ def _lambda_curve_replicate(
     data = make_synthetic_dataset(n_labeled, n_unlabeled, model=model, seed=rng)
     bandwidth = paper_bandwidth_rule(n_labeled, data.x_labeled.shape[1])
     graph = full_kernel_graph(data.x_all, bandwidth=bandwidth)
-    workspace = SolveWorkspace(graph.weights, backend=sweep_backend)
+    workspace = SolveWorkspace(graph.weights, backend=choose_backend(graph.weights))
     out = {}
     for lam in lambdas:
         fit = workspace.solve_soft(data.y_labeled, lam)
@@ -124,28 +124,19 @@ def run_lambda_curve(
     n_replicates: int = 50,
     seed=None,
     n_jobs: int = 1,
-    sweep_backend: str = "exact",
     progress=None,
 ) -> LambdaCurve:
-    """Trace mean RMSE along a dense lambda grid.
-
-    ``sweep_backend`` is the :class:`~repro.linalg.workspace.SolveWorkspace`
-    backend each replicate's grid is solved through (``"exact"``,
-    ``"factored"`` or ``"multigrid"``).
-    """
+    """Trace mean RMSE along a dense lambda grid."""
     if lambdas[0] != 0.0 or list(lambdas[1:]) != sorted(set(lambdas[1:])):
         raise ConfigurationError(
             "lambdas must start at 0 and then strictly increase"
         )
-    check_sweep_backend(sweep_backend)
-
     replicate = partial(
         _lambda_curve_replicate,
         n_labeled=n_labeled,
         n_unlabeled=n_unlabeled,
         lambdas=tuple(lambdas),
         model=model,
-        sweep_backend=sweep_backend,
     )
     summary = run_replicates(
         replicate, n_replicates=n_replicates, seed=seed, n_jobs=n_jobs,

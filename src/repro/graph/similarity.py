@@ -328,6 +328,13 @@ def _knn_neighbor_lists(x, k) -> tuple[np.ndarray, np.ndarray]:
     keeping the smallest-index member of every tie — the same rule as
     the dense route's stable argsort.
 
+    ``cKDTree`` returns each row sorted by distance, so a row whose
+    candidate distances hold no equal adjacent pair and start with the
+    vertex itself (at distance 0) is already in that order: its
+    neighbours are candidates ``1..k`` as returned.  Only the other,
+    *irregular* rows are re-sorted, stripped of their self entry and
+    checked for a boundary tie.
+
     The tree is queried in its own leaf order (``tree.indices``), so
     consecutive queries walk neighbouring leaves, on every core
     (``workers=-1``), in blocks of :data:`_QUERY_BLOCK_ROWS` rows whose
@@ -346,7 +353,15 @@ def _knn_neighbor_lists(x, k) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, n, _QUERY_BLOCK_ROWS):
         block = leaf_order[start : start + _QUERY_BLOCK_ROWS]
         dist[block], idx[block] = tree.query(x[block], k=m, workers=-1)
-    rows = np.arange(n)
+    neighbour_idx = np.ascontiguousarray(idx[:, 1 : k + 1])
+    neighbour_dist = np.ascontiguousarray(dist[:, 1 : k + 1])
+    # The irregular rows: a tied distance, or self not first.
+    rows = np.flatnonzero(
+        (dist[:, 1:] == dist[:, :-1]).any(axis=1) | (idx[:, 0] != np.arange(n))
+    )
+    if rows.size == 0:
+        return neighbour_dist, neighbour_idx
+    dist, idx = dist[rows], idx[rows]
     # Canonical (distance, index) order within the returned candidates.
     order = np.lexsort((idx, dist))
     dist = np.take_along_axis(dist, order, axis=1)
@@ -357,20 +372,20 @@ def _knn_neighbor_lists(x, k) -> tuple[np.ndarray, np.ndarray]:
     is_self = idx == rows[:, None]
     has_self = is_self.any(axis=1)
     drop = np.where(has_self, np.argmax(is_self, axis=1), m - 1)
-    keep = np.ones((n, m), dtype=bool)
-    keep[rows, drop] = False
-    candidate_idx = idx[keep].reshape(n, m - 1)
-    candidate_dist = dist[keep].reshape(n, m - 1)
-    neighbour_idx = np.ascontiguousarray(candidate_idx[:, :k])
-    neighbour_dist = np.ascontiguousarray(candidate_dist[:, :k])
+    keep = np.ones(idx.shape, dtype=bool)
+    keep[np.arange(rows.size), drop] = False
+    candidate_idx = idx[keep].reshape(rows.size, m - 1)
+    candidate_dist = dist[keep].reshape(rows.size, m - 1)
+    neighbour_idx[rows] = candidate_idx[:, :k]
+    neighbour_dist[rows] = candidate_dist[:, :k]
 
     if m - 1 > k:
         # A row is ambiguous when the first *excluded* candidate ties the
         # k-th kept distance (the tree's choice among the tied set was
         # arbitrary) or when self was crowded out of the results (a
         # >= k+2-way duplicate tie).  Those rows are re-resolved exactly.
-        ambiguous = (candidate_dist[:, k] == neighbour_dist[:, k - 1]) | ~has_self
-        for i in np.flatnonzero(ambiguous):
+        ambiguous = (candidate_dist[:, k] == candidate_dist[:, k - 1]) | ~has_self
+        for i in rows[ambiguous]:
             # Inflate the radius by a few ulps: a tied point sitting
             # exactly at the k-th distance must not be rounded out of
             # the ball.

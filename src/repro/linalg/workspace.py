@@ -50,6 +50,11 @@ on some measured grid (docs/SCALING.md):
   (N ≈ 10⁴ in d ≥ 3) to N = 10⁶, with an exact-factorization fallback
   if the V-cycle ever stalls.
 
+The library's own sweeps, CV folds and model fits take their backend
+from the graph through :func:`choose_backend`: ``multigrid`` for a
+sparse graph above :data:`FACTORIZE_MAX_VERTICES` vertices, ``exact``
+otherwise.  ``backend=`` pins one.
+
 :meth:`SolveWorkspace.preconditioner` hands out the cached ``r ↦ M⁻¹r``
 of either system — the factorization's back-substitution on ``exact``
 and ``factored``, the V-cycle on ``multigrid`` — so callers that solve a
@@ -134,12 +139,19 @@ __all__ = [
     "SolveWorkspace",
     "WorkspaceStats",
     "SWEEP_BACKENDS",
-    "check_sweep_backend",
+    "FACTORIZE_MAX_VERTICES",
+    "choose_backend",
 ]
 
-#: Sweep backends a workspace can solve through; what every
-#: ``sweep_backend=`` parameter and ``--sweep-backend`` flag accepts.
+#: Sweep backends a workspace can solve through (its ``backend=``).
 SWEEP_BACKENDS = ("exact", "factored", "multigrid")
+
+#: Sparse graphs with more vertices than this solve on the ``multigrid``
+#: backend; smaller ones, and every dense graph, on ``exact``.  The
+#: measured crossover of one fit solve plus 100 exact insertions on 5-d
+#: kNN data, k = 10: sparse LU wins up to 1000 vertices, the V-cycle from
+#: 1500 on (docs/SCALING.md).
+FACTORIZE_MAX_VERTICES = 1000
 
 #: Dense matrices up to this many elements get a full-content fingerprint;
 #: larger ones fall back to a strided sample plus the matrix sum (still
@@ -180,14 +192,16 @@ def _min_coarse_size(size: int) -> int:
     return max(512, size // MULTIGRID_COARSE_DIVISOR)
 
 
-def check_sweep_backend(sweep_backend: str) -> str:
-    """Validate a ``sweep_backend`` name against :data:`SWEEP_BACKENDS`."""
-    if sweep_backend not in SWEEP_BACKENDS:
-        raise ConfigurationError(
-            f"sweep_backend must be one of {SWEEP_BACKENDS}, "
-            f"got {sweep_backend!r}"
-        )
-    return sweep_backend
+def choose_backend(weights) -> str:
+    """The backend a workspace over ``weights`` solves on.
+
+    ``"multigrid"`` for a sparse graph with more than
+    :data:`FACTORIZE_MAX_VERTICES` vertices, whose sparse LU fills in
+    past the point where it pays; ``"exact"`` otherwise.
+    """
+    if sparse.issparse(weights) and weights.shape[0] > FACTORIZE_MAX_VERTICES:
+        return "multigrid"
+    return "exact"
 
 
 class WorkspaceStats(NamedTuple):
@@ -325,7 +339,7 @@ class SolveWorkspace:
         per-point solves), ``"factored"`` (one anchor factorization
         continued along a λ grid), or ``"multigrid"`` (coarsening
         V-cycle preconditioned PCG — no large factorization, the large-N
-        backend).
+        backend).  :func:`choose_backend` picks one from the graph.
     """
 
     def __init__(self, weights, *, backend: str = "exact"):
@@ -333,7 +347,11 @@ class SolveWorkspace:
 
         if isinstance(weights, SimilarityGraph):
             weights = weights.weights
-        self.backend = check_sweep_backend(backend)
+        if backend not in SWEEP_BACKENDS:
+            raise ConfigurationError(
+                f"backend must be one of {SWEEP_BACKENDS}, got {backend!r}"
+            )
+        self.backend = backend
         self.weights = check_weight_matrix(weights)
         self.n_total = int(self.weights.shape[0])
 

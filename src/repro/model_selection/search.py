@@ -14,10 +14,11 @@ recompute-everything path:
   drawn once and each fold's permuted weight matrix is built once, then
   every lambda is scored against it (the permutation, not the solve, was
   the dominant per-(fold, lambda) cost on dense graphs).  Each fold gets
-  one :class:`~repro.linalg.workspace.SolveWorkspace` (its backend is
-  ``sweep_backend``), so the solves themselves share factorizations
-  along the grid, sparse graphs stay sparse, and a fold whose labeled
-  mask leaves a component unreachable fails with
+  one :class:`~repro.linalg.workspace.SolveWorkspace`, so the solves
+  themselves share factorizations (or, on sparse graphs above
+  :data:`~repro.linalg.workspace.FACTORIZE_MAX_VERTICES` vertices, one
+  V-cycle hierarchy) along the grid, sparse graphs stay sparse, and a
+  fold whose labeled mask leaves a component unreachable fails with
   :class:`~repro.exceptions.DisconnectedGraphError`.
 * :func:`select_bandwidth` computes the pairwise distance matrix once
   and rescales it per candidate bandwidth instead of rebuilding kernels
@@ -34,7 +35,7 @@ from scipy import sparse
 
 from repro.datasets.splits import kfold_indices
 from repro.exceptions import ConfigurationError, DataValidationError, ReproError
-from repro.linalg.workspace import SolveWorkspace, check_sweep_backend
+from repro.linalg.workspace import SolveWorkspace, choose_backend
 from repro.metrics.regression import mean_squared_error
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_labels, check_weight_matrix
@@ -91,7 +92,6 @@ def cross_validate_lambda(
     *,
     n_folds: int = 5,
     seed=None,
-    sweep_backend: str = "exact",
 ):
     """Mean held-out MSE of the soft criterion at one lambda or a grid.
 
@@ -111,17 +111,15 @@ def cross_validate_lambda(
         Folds over the labeled set.
     seed:
         Fold-shuffle seed.
-    sweep_backend:
-        The backend (``"exact"``, ``"factored"``, ``"multigrid"``) of the
-        :class:`~repro.linalg.workspace.SolveWorkspace` built per fold to
-        amortize the solves along a lambda grid.
+
+    Each fold's :class:`~repro.linalg.workspace.SolveWorkspace` takes its
+    backend from :func:`~repro.linalg.workspace.choose_backend`.
 
     Returns
     -------
     float, or a tuple of floats when ``lam`` is a sequence (one mean
     loss per candidate, in grid order).
     """
-    check_sweep_backend(sweep_backend)
     scalar = np.ndim(lam) == 0
     grid = (lam,) if scalar else tuple(lam)
     if not grid:
@@ -139,6 +137,7 @@ def cross_validate_lambda(
             f"need at least n_folds={n_folds} labeled points, got {n}"
         )
 
+    backend = choose_backend(weights)
     losses: list[list[float]] = [[] for _ in grid]
     failed = [False] * len(grid)
     rng = as_rng(seed)
@@ -150,7 +149,7 @@ def cross_validate_lambda(
             w_perm = weights[order][:, order].tocsr()
         else:
             w_perm = weights[np.ix_(order, order)]
-        workspace = SolveWorkspace(w_perm, backend=sweep_backend)
+        workspace = SolveWorkspace(w_perm, backend=backend)
         for j, lam_j in enumerate(grid):
             if failed[j]:
                 continue
@@ -179,7 +178,6 @@ def select_lambda(
     grid: tuple[float, ...] = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0),
     n_folds: int = 5,
     seed=None,
-    sweep_backend: str = "exact",
 ) -> GridSearchResult:
     """Pick lambda by transductive cross-validation over ``grid``.
 
@@ -193,7 +191,6 @@ def select_lambda(
         raise ConfigurationError("grid must contain at least one lambda")
     if any(lam < 0 for lam in grid):
         raise ConfigurationError("lambda grid values must be >= 0")
-    check_sweep_backend(sweep_backend)
     try:
         scores = cross_validate_lambda(
             weights,
@@ -201,7 +198,6 @@ def select_lambda(
             tuple(grid),
             n_folds=n_folds,
             seed=seed,
-            sweep_backend=sweep_backend,
         )
     except ReproError:
         # Validation failures (degenerate graph, too few labels) score
@@ -286,7 +282,6 @@ def select_bandwidth(
     n_folds: int = 5,
     kernel=None,
     seed=None,
-    sweep_backend: str = "exact",
     graph: str = "full",
     graph_params: dict | None = None,
 ) -> GridSearchResult:
@@ -307,7 +302,7 @@ def select_bandwidth(
     (``"union"``/``"intersection"``, default ``"union"``),
     ``construction`` (``"neighbors"`` exact, default, or ``"approx"``),
     and for the approximate route ``n_trees``/``leaf_size``/``seed``.
-    Every ``sweep_backend`` keeps the sparse graphs sparse.
+    The sparse graphs stay sparse through every CV fold.
 
     Each candidate is scored with :func:`cross_validate_lambda` at a
     fixed ``lam``.
@@ -320,7 +315,6 @@ def select_bandwidth(
         raise ConfigurationError("grid must contain at least one bandwidth")
     if any(h <= 0 for h in grid):
         raise ConfigurationError("bandwidth grid values must be > 0")
-    check_sweep_backend(sweep_backend)
     if graph not in ("full", "knn"):
         raise ConfigurationError(
             f"graph must be 'full' or 'knn', got {graph!r}"
@@ -353,7 +347,6 @@ def select_bandwidth(
                     lam,
                     n_folds=n_folds,
                     seed=seed,
-                    sweep_backend=sweep_backend,
                 )
             )
         )

@@ -115,7 +115,6 @@ def run_serve_eval(
     parity_sample: int = 16,
     single_sample: int | None = None,
     seed=None,
-    n_jobs: int | None = 1,
     telemetry: bool = True,
 ) -> ServeEvalResult:
     """Fit one reference graph and measure serving throughput + parity.
@@ -147,8 +146,6 @@ def run_serve_eval(
         without dominating wall-clock).
     seed:
         Master seed for the dataset and query draw.
-    n_jobs:
-        Worker processes for the batched path's fan-out.
     telemetry:
         ``True`` (default) records per-request latency/queue-wait
         distributions, phase timings, and drift statistics under
@@ -224,12 +221,10 @@ def run_serve_eval(
 
                 # Batched path: the same workload through the
                 # micro-batching server.
-                jobs = 1 if method == "exact" else n_jobs
                 server = ModelServer(
                     model,
                     method=method,
                     max_batch_size=batch_size,
-                    n_jobs=jobs,
                     telemetry="full" if telemetry else "off",
                 )
                 t0 = time.perf_counter()

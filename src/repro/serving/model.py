@@ -20,11 +20,13 @@ methods:
     the ground-truth slow path, matching a from-scratch
     rebuild-and-resolve to solver tolerance.
 
-The workspace backend follows a measured crossover
-(:data:`FACTORIZE_MAX_VERTICES`, docs/SCALING.md): dense graphs and
-sparse graphs up to that many vertices factorize (``"exact"``); larger
-sparse graphs, whose sparse LU fills in past the point where it pays,
-fit and serve through a cached Galerkin V-cycle (``"multigrid"``).
+The workspace backend follows the measured crossover of
+:func:`repro.linalg.workspace.choose_backend` (docs/SCALING.md): dense
+graphs and sparse graphs up to
+:data:`~repro.linalg.workspace.FACTORIZE_MAX_VERTICES` vertices
+factorize (``"exact"``); larger sparse graphs, whose sparse LU fills in
+past the point where it pays, fit and serve through a cached Galerkin
+V-cycle (``"multigrid"``).
 
 Determinism contract: every per-query quantity is computed from that
 query's own arrays only (see :mod:`repro.serving.queries`), so
@@ -56,7 +58,7 @@ from repro.exceptions import ConfigurationError, NotFittedError
 from repro.graph.similarity import build_similarity_graph
 from repro.kernels.base import RadialKernel
 from repro.kernels.library import GaussianKernel
-from repro.linalg.workspace import SolveWorkspace
+from repro.linalg.workspace import SolveWorkspace, choose_backend
 from repro.obs.serving_telemetry import (
     DriftWatchdog,
     ServingTelemetry,
@@ -69,20 +71,6 @@ from repro.serving.queries import QueryExtractor
 __all__ = ["GraphSSLModel", "ServingStats", "SERVING_METHODS"]
 
 SERVING_METHODS = ("nw", "exact")
-
-#: Sparse reference graphs with more vertices than this fit and serve on
-#: the ``multigrid`` workspace backend; smaller ones, and every dense
-#: graph, on ``exact``.  The measured crossover of one fit solve plus 100
-#: exact insertions on 5-d kNN data, k = 10: sparse LU wins up to 1000
-#: vertices, the V-cycle from 1500 on (docs/SCALING.md).
-FACTORIZE_MAX_VERTICES = 1000
-
-
-def _serving_backend(weights) -> str:
-    """The workspace backend a model with these weights fits and serves on."""
-    if sparse.issparse(weights) and weights.shape[0] > FACTORIZE_MAX_VERTICES:
-        return "multigrid"
-    return "exact"
 
 
 class ServingStats(NamedTuple):
@@ -224,7 +212,7 @@ class GraphSSLModel:
                 bandwidth=self.bandwidth_,
                 **self.graph_params,
             )
-            backend = _serving_backend(self.graph_.weights)
+            backend = choose_backend(self.graph_.weights)
             if span.recording:
                 # The choice and what it read: sparsity and N (n_reference).
                 span.set_attribute("backend", backend)
@@ -326,7 +314,7 @@ class GraphSSLModel:
                 # A worker-side copy (see __getstate__) rebuilds lazily.
                 weights = self.graph_.weights
                 self._workspace = SolveWorkspace(
-                    weights, backend=_serving_backend(weights)
+                    weights, backend=choose_backend(weights)
                 )
             self._inserter = ExactInserter(
                 self.graph_.weights,

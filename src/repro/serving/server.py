@@ -105,8 +105,6 @@ class ModelServer:
     max_batch_size:
         Auto-flush threshold: submitting the point that fills the queue
         to this size triggers a flush.
-    n_jobs:
-        Forwarded to :meth:`GraphSSLModel.predict_batch` on each flush.
     telemetry:
         ``"full"`` (default) records per-request latency/queue-wait
         distributions, flush-reason counters, and a throughput gauge
@@ -128,7 +126,6 @@ class ModelServer:
         *,
         method: str = "nw",
         max_batch_size: int = 64,
-        n_jobs: int | None = 1,
         telemetry: str = "full",
     ) -> None:
         if max_batch_size < 1:
@@ -143,7 +140,6 @@ class ModelServer:
         self.model = model
         self.method = model._validate_method(method)
         self.max_batch_size = int(max_batch_size)
-        self.n_jobs = n_jobs
         self.telemetry = ServingTelemetry(enabled=telemetry == "full")
         self._queue: list[np.ndarray] = []
         self._tickets: list[PredictionTicket] = []
@@ -203,9 +199,7 @@ class ModelServer:
                 n_queries=int(batch.shape[0]),
                 reason=reason,
             ) as span:
-                predictions = self.model.predict_batch(
-                    batch, method=self.method, n_jobs=self.n_jobs
-                )
+                predictions = self.model.predict_batch(batch, method=self.method)
                 finished = time.perf_counter()
                 for ticket, value in zip(tickets, predictions):
                     ticket._resolve(float(value))

@@ -483,38 +483,16 @@ class TestProgressFlags:
 
 
 class TestMemoryLeanFlags:
-    def test_sweep_backend_and_budget_parsed(self):
-        args = build_parser().parse_args(
-            ["prop21", "--sweep-backend", "multigrid", "--memory-budget-mb", "512"]
-        )
-        assert args.sweep_backend == "multigrid"
+    def test_memory_budget_parsed(self):
+        args = build_parser().parse_args(["prop21", "--memory-budget-mb", "512"])
         assert args.memory_budget_mb == 512
         defaults = build_parser().parse_args(["lambda-curve"])
-        assert defaults.sweep_backend == "exact"
         assert defaults.memory_budget_mb is None
-
-    def test_spectral_sweep_backend_rejected_at_parser(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["prop21", "--sweep-backend", "spectral"])
-        assert "spectral" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "command", ["prop21", "prop22", "lambda-curve", "tuned-lambda"]
-    )
-    def test_direct_sweep_backend_rejected_at_parser(self, capsys, command):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([command, "--sweep-backend", "direct"])
-        assert "invalid choice: 'direct'" in capsys.readouterr().err
 
     def test_bad_budget_rejected_at_parser(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["prop21", "--memory-budget-mb", "0"])
         assert ">= 1" in capsys.readouterr().err
-
-    def test_prop21_multigrid(self, capsys):
-        code = main(["prop21", "--seed", "0", "--sweep-backend", "multigrid"])
-        assert code == 0
-        assert "Proposition II.1" in capsys.readouterr().out
 
     def test_budget_within_reports_usage(self, capsys):
         code = main(["prop21", "--seed", "0", "--memory-budget-mb", "512"])

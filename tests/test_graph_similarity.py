@@ -426,3 +426,27 @@ class TestLeafOrderQueries:
         got = similarity._knn_neighbor_lists(x, 10)
         np.testing.assert_array_equal(got[0], expected[0])
         np.testing.assert_array_equal(got[1], expected[1])
+
+
+class TestNeighbourListOrder:
+    """Every row is sorted by ``(distance, index)`` without the vertex
+    itself, whether or not its distances tie: on lattice points, whose
+    distances are exact, it equals a brute-force sort of all vertices."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2, 3]),
+        n=st.integers(min_value=2, max_value=60),
+        k=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_rows_match_a_brute_force_sort(self, dim, n, k, seed):
+        k = min(k, n - 1)
+        x = _tied_points("grid", n, dim, seed)
+        dist, idx = similarity._knn_neighbor_lists(x, k)
+        for i in range(n):
+            sq = ((x - x[i]) ** 2).sum(axis=1)
+            others = np.delete(np.arange(n), i)
+            expected = others[np.lexsort((others, sq[others]))][:k]
+            np.testing.assert_array_equal(idx[i], expected)
+            np.testing.assert_array_equal(dist[i], np.sqrt(sq[expected]))

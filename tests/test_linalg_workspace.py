@@ -29,11 +29,7 @@ from repro.graph.similarity import full_kernel_graph, knn_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
 from repro.linalg import workspace as workspace_module
 from repro.linalg.solvers import SolveInfo, solve_spd
-from repro.linalg.workspace import (
-    MAX_FACTORIZATIONS,
-    SolveWorkspace,
-    check_sweep_backend,
-)
+from repro.linalg.workspace import MAX_FACTORIZATIONS, SolveWorkspace
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +98,6 @@ class TestFactorizationCache:
         with pytest.raises(ConfigurationError):
             SolveWorkspace(graph.weights, backend="spectral")
         ws = SolveWorkspace(graph.weights)
-        with pytest.raises(ConfigurationError):
-            check_sweep_backend("spectral")
         # the hard solve runs on the workspace's own backend: it takes
         # no per-call backend, and no strict-mode switch exists
         with pytest.raises(TypeError):

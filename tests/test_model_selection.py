@@ -7,6 +7,7 @@ from repro.datasets.synthetic import make_synthetic_dataset
 from repro.exceptions import ConfigurationError, DataValidationError
 from repro.graph.similarity import full_kernel_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
+from repro.linalg import workspace as workspace_module
 from repro.model_selection.search import (
     cross_validate_lambda,
     select_bandwidth,
@@ -126,17 +127,18 @@ class TestSelectBandwidthKnnRoute:
         )
         knn = select_bandwidth(
             data.x_labeled, data.y_labeled, data.x_unlabeled,
-            grid=grid, seed=0, graph="knn", sweep_backend="exact",
-            graph_params={"k": 15},
+            grid=grid, seed=0, graph="knn", graph_params={"k": 15},
         )
         assert knn.best_value in grid
         assert knn.best_value == full.best_value
 
-    def test_approx_construction_and_multigrid_backend(self):
+    def test_approx_construction_and_multigrid_backend(self, monkeypatch):
         data, grid = self._problem(seed=6)
+        # Lowered floor: the 80-vertex kNN graphs take the multigrid backend.
+        monkeypatch.setattr(workspace_module, "FACTORIZE_MAX_VERTICES", 10)
         result = select_bandwidth(
             data.x_labeled, data.y_labeled, data.x_unlabeled,
-            grid=grid, seed=0, graph="knn", sweep_backend="multigrid",
+            grid=grid, seed=0, graph="knn",
             graph_params={"k": 12, "construction": "approx", "n_trees": 8},
         )
         assert result.best_value in grid
@@ -195,7 +197,6 @@ class TestSelectBandwidthKnnRoute:
             lam=0.1,
             n_folds=2,
             seed=0,
-            sweep_backend="exact",
             graph="knn",
             graph_params={"k": 8},
         )

@@ -524,27 +524,31 @@ class TestNoopOverheadGuard:
         Replays the exact telemetry sequence a direct hard solve executes
         (span open/close, tracing-enabled check, SolveInfo construction,
         probe no-op, two metric updates) and compares its per-call cost
-        against the per-solve wall clock, using best-of-several minima so
-        scheduler noise cannot fail the build spuriously.
+        against the per-solve wall clock.
+
+        Each round times 10 solves and then 2000 telemetry sequences back
+        to back, so both see the same host load, and the test reads the
+        median of the per-round ratios, so a round that a load spike or a
+        histogram drain slowed cannot decide it.  On a 2-CPU host under a
+        toggling background load, minima taken over two separate timing
+        windows read 2.0-6.0%; these medians read 3.1-4.0%.  Each solve
+        round follows one untimed solve, so the telemetry loop before it
+        does not slow the solves.
         """
         from repro.obs import probes
 
         data, weights = problem
         assert not obs.tracing_enabled()
 
-        def best_of(fn, repeats, rounds=7):
-            best = float("inf")
-            for _ in range(rounds):
-                start = time.perf_counter()
-                for _ in range(repeats):
-                    fn()
-                best = min(best, (time.perf_counter() - start) / repeats)
-            return best
+        def per_repeat(fn, repeats):
+            start = time.perf_counter()
+            for _ in range(repeats):
+                fn()
+            return (time.perf_counter() - start) / repeats
 
         solve = lambda: solve_hard_criterion(  # noqa: E731
             weights, data.y_labeled, method="direct", check_reachability=False
         )
-        per_solve = best_of(solve, repeats=10)
 
         def telemetry_sequence():
             with obs.span("repro.solve_hard", n=40, m=20, method="direct") as span:
@@ -555,8 +559,14 @@ class TestNoopOverheadGuard:
                 registry.counter("solves.hard").inc()
                 registry.log_histogram("solves.hard.system_size").observe(20)
 
-        per_call = best_of(telemetry_sequence, repeats=2000)
-        assert per_call < 0.05 * per_solve, (
-            f"noop telemetry overhead {per_call * 1e6:.2f}us exceeds 5% of "
-            f"per-solve time {per_solve * 1e6:.1f}us"
+        rounds = []
+        for _ in range(15):
+            solve()
+            per_solve = per_repeat(solve, 10)
+            rounds.append((per_repeat(telemetry_sequence, 2000) / per_solve, per_solve))
+        ratio, per_solve = sorted(rounds)[len(rounds) // 2]
+        assert ratio < 0.05, (
+            f"noop telemetry overhead {ratio * per_solve * 1e6:.2f}us exceeds 5% "
+            f"of per-solve time {per_solve * 1e6:.1f}us (median of "
+            f"{len(rounds)} rounds)"
         )

@@ -1,7 +1,7 @@
 """Serving above the factorization floor: fit and insert through a V-cycle.
 
 ``GraphSSLModel`` fits and serves sparse reference graphs with more than
-:data:`~repro.serving.model.FACTORIZE_MAX_VERTICES` vertices on the
+:data:`~repro.linalg.workspace.FACTORIZE_MAX_VERTICES` vertices on the
 workspace's ``multigrid`` backend: the fit runs PCG on a Galerkin V-cycle
 and exact insertion is preconditioned by that cached V-cycle instead of a
 sparse LU of the whole system.  These tests lower the floor below a
@@ -27,9 +27,9 @@ from test_serving_parity import oracle_prediction
 from repro import obs
 from repro.datasets.synthetic import make_regression_dataset, truncated_mvn_inputs
 from repro.linalg import solvers as solvers_module
+from repro.linalg import workspace as workspace_module
 from repro.linalg.workspace import _min_coarse_size
 from repro.serving import GraphSSLModel
-from repro.serving import model as model_module
 
 #: Floor used by these tests: below the fixture's 700 vertices.
 LOWERED_FLOOR = 600
@@ -56,7 +56,7 @@ def models(data):
     """``{lam: (multigrid model, exact-backend model)}`` on one graph."""
     reference, _ = data
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(model_module, "FACTORIZE_MAX_VERTICES", LOWERED_FLOOR)
+        patch.setattr(workspace_module, "FACTORIZE_MAX_VERTICES", LOWERED_FLOOR)
         multigrid = {lam: _fit(reference, lam) for lam in LAMS}
     return {lam: (multigrid[lam], _fit(reference, lam)) for lam in LAMS}
 
@@ -72,7 +72,7 @@ class TestBackendChoice:
 
     def test_fit_span_records_the_choice(self, data, monkeypatch):
         reference, _ = data
-        monkeypatch.setattr(model_module, "FACTORIZE_MAX_VERTICES", LOWERED_FLOOR)
+        monkeypatch.setattr(workspace_module, "FACTORIZE_MAX_VERTICES", LOWERED_FLOOR)
         tracer = obs.RecordingTracer()
         with obs.use_tracer(tracer):
             _fit(reference, 0.0)
@@ -83,9 +83,9 @@ class TestBackendChoice:
 
     def test_dense_and_below_floor_models_factorize(self, data, monkeypatch):
         reference, _ = data
-        assert 700 <= model_module.FACTORIZE_MAX_VERTICES
+        assert 700 <= workspace_module.FACTORIZE_MAX_VERTICES
         assert _fit(reference, 0.0)._workspace.backend == "exact"
-        monkeypatch.setattr(model_module, "FACTORIZE_MAX_VERTICES", 10)
+        monkeypatch.setattr(workspace_module, "FACTORIZE_MAX_VERTICES", 10)
         assert _fit(reference, 0.0, graph="full")._workspace.backend == "exact"
 
 
@@ -103,7 +103,7 @@ class TestNoLargeFactorization:
             original(factor, matrix)
 
         monkeypatch.setattr(solvers_module.SPDFactorization, "__init__", recording)
-        monkeypatch.setattr(model_module, "FACTORIZE_MAX_VERTICES", LOWERED_FLOOR)
+        monkeypatch.setattr(workspace_module, "FACTORIZE_MAX_VERTICES", LOWERED_FLOOR)
         model = _fit(reference, lam)
         model.predict(queries, method="exact")
         if lam == 0.0:
@@ -160,7 +160,7 @@ class TestDeterminism:
     def test_pickled_copy_rebuilds_the_same_vcycle(self, models, data, monkeypatch):
         multigrid, _ = models[0.0]
         _, queries = data
-        monkeypatch.setattr(model_module, "FACTORIZE_MAX_VERTICES", LOWERED_FLOOR)
+        monkeypatch.setattr(workspace_module, "FACTORIZE_MAX_VERTICES", LOWERED_FLOOR)
         clone = pickle.loads(pickle.dumps(multigrid))
         np.testing.assert_array_equal(
             clone.predict(queries, method="exact"),

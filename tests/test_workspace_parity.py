@@ -17,12 +17,12 @@ This suite pins the contract from three directions:
   same operation order;
 * the model-selection and experiment functions (grid CV against a
   per-fold reference loop, bandwidth hoist, parallel replicates)
-  reproduce their answers, and every λ-sweep entry point rejects a ``sweep_backend``
-  outside :data:`~repro.linalg.workspace.SWEEP_BACKENDS` before it
-  builds any data.
+  reproduce their answers on every backend, and each CV fold takes its
+  backend from :func:`~repro.linalg.workspace.choose_backend`:
+  ``multigrid`` on sparse graphs above
+  :data:`~repro.linalg.workspace.FACTORIZE_MAX_VERTICES` vertices,
+  ``exact`` (with the per-fold exact loop's bits) otherwise.
 """
-
-import re
 
 import numpy as np
 import pytest
@@ -31,19 +31,14 @@ from repro.core.hard import solve_hard_criterion
 from repro.core.soft import solve_soft_criterion
 from repro.datasets.splits import kfold_indices
 from repro.datasets.synthetic import make_synthetic_dataset
-from repro.exceptions import ConfigurationError
-from repro.experiments.extensions import run_tuned_lambda_study
 from repro.experiments.figures.prop21 import run_prop21_experiment
 from repro.experiments.figures.prop22 import run_prop22_experiment
 from repro.experiments.lambda_curve import run_lambda_curve
 from repro.graph.similarity import full_kernel_graph, knn_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
-from repro.linalg.workspace import SolveWorkspace
-from repro.model_selection.search import (
-    cross_validate_lambda,
-    select_bandwidth,
-    select_lambda,
-)
+from repro.linalg.workspace import FACTORIZE_MAX_VERTICES, SolveWorkspace
+from repro.model_selection import search as search_module
+from repro.model_selection.search import cross_validate_lambda, select_bandwidth
 
 LAMBDA_GRID = (1e-3, 1e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0)
 
@@ -195,8 +190,11 @@ class TestModelSelectionParity:
         assert batched == looped
 
     @pytest.mark.parametrize("backend", ["exact", "factored", "multigrid"])
-    def test_cv_workspace_backend_matches_direct(self, dense_problem, backend):
+    def test_cv_workspace_backend_matches_direct(
+        self, dense_problem, backend, monkeypatch
+    ):
         data, graph = dense_problem
+        monkeypatch.setattr(search_module, "choose_backend", lambda weights: backend)
         grid = (0.0, 0.01, 0.1, 1.0)
         y = data.y_labeled
         n = y.shape[0]
@@ -217,9 +215,63 @@ class TestModelSelectionParity:
             grid,
             n_folds=4,
             seed=5,
-            sweep_backend=backend,
         )
         np.testing.assert_allclose(amortized, direct, atol=1e-8, rtol=0)
+
+    @pytest.mark.parametrize(
+        "graph, n_total, backend",
+        [
+            ("dense", 120, "exact"),
+            ("knn", FACTORIZE_MAX_VERTICES, "exact"),
+            ("knn", FACTORIZE_MAX_VERTICES + 1, "multigrid"),
+        ],
+        ids=["dense", "sparse-at-floor", "sparse-above-floor"],
+    )
+    def test_cv_folds_take_the_backend_from_the_graph(
+        self, monkeypatch, graph, n_total, backend
+    ):
+        """Every fold of a sparse graph above the floor solves through
+        ``multigrid`` within 1e-8 of a per-fold ``exact`` loop; a dense
+        graph, or a sparse one at the floor, keeps that loop's bits."""
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(n_total, 3))
+        n = n_total // 20
+        y = np.sin(x[:n, 0]) + 0.1 * rng.normal(size=n)
+        if graph == "dense":
+            weights = full_kernel_graph(x, bandwidth=0.5).weights
+        else:
+            weights = knn_graph(x, k=10, bandwidth=0.5).weights
+        grid = (0.0, 0.1, 1.0)
+
+        losses = [[] for _ in grid]
+        for fold in kfold_indices(n, 4, seed=5):
+            keep = np.setdiff1d(np.arange(n), fold)
+            order = np.concatenate([keep, fold, np.arange(n, n_total)])
+            if graph == "dense":
+                w_perm = weights[np.ix_(order, order)]
+            else:
+                w_perm = weights[order][:, order].tocsr()
+            ws = SolveWorkspace(w_perm, backend="exact")
+            for j, lam in enumerate(grid):
+                held_out = ws.solve_soft(y[keep], lam).scores[len(keep) : n]
+                losses[j].append(np.mean((y[fold] - held_out) ** 2))
+        per_fold_exact = tuple(float(np.mean(fold_losses)) for fold_losses in losses)
+
+        built = []
+
+        class RecordingWorkspace(SolveWorkspace):
+            def __init__(self, weights, **kwargs):
+                super().__init__(weights, **kwargs)
+                built.append(self.backend)
+
+        monkeypatch.setattr(search_module, "SolveWorkspace", RecordingWorkspace)
+        scores = cross_validate_lambda(weights, y, grid, n_folds=4, seed=5)
+        assert built == [backend] * 4
+        assert np.all(np.isfinite(scores))
+        if backend == "exact":
+            assert scores == per_fold_exact
+        else:
+            np.testing.assert_allclose(scores, per_fold_exact, atol=1e-8, rtol=0)
 
     def test_select_bandwidth_hoist_matches_rebuilt(self):
         """Hoisting sqrt(pairwise distances) out of the bandwidth loop
@@ -254,7 +306,6 @@ class TestExperimentParity:
             lambdas=(0.0, 0.01, 0.1, 1.0),
             n_replicates=4,
             seed=21,
-            sweep_backend="factored",
         )
         serial = run_lambda_curve(n_jobs=1, **kwargs)
         parallel = run_lambda_curve(n_jobs=2, **kwargs)
@@ -269,86 +320,22 @@ class TestExperimentParity:
             lambdas=(0.0, 0.01, 0.1, 1.0, 100.0, 1e4),
             n_replicates=3,
             seed=22,
-            sweep_backend="factored",
         )
         assert curve.interpolates_anchors
 
     @pytest.mark.parametrize("backend", ["exact", "factored", "multigrid"])
-    def test_prop21_still_converges(self, backend):
-        result = run_prop21_experiment(
-            n_labeled=40, n_unlabeled=12, seed=1, sweep_backend=backend
+    def test_prop21_still_converges(self, backend, monkeypatch):
+        monkeypatch.setattr(
+            "repro.experiments.figures.prop21.choose_backend", lambda weights: backend
         )
+        result = run_prop21_experiment(n_labeled=40, n_unlabeled=12, seed=1)
         assert result.converges
 
     @pytest.mark.parametrize("backend", ["exact", "factored", "multigrid"])
-    def test_prop22_still_collapses(self, backend):
-        result = run_prop22_experiment(
-            n_labeled=40, n_unlabeled=12, seed=1, sweep_backend=backend
+    def test_prop22_still_collapses(self, backend, monkeypatch):
+        monkeypatch.setattr(
+            "repro.experiments.figures.prop22.choose_backend", lambda weights: backend
         )
+        result = run_prop22_experiment(n_labeled=40, n_unlabeled=12, seed=1)
         assert result.collapses_to_mean
 
-
-def _must_not_run(*args, **kwargs):
-    raise AssertionError("built data before validating sweep_backend")
-
-
-#: Each λ-sweep entry point, called with the removed ``"direct"`` backend, and
-#: the data and graph constructors it must not reach.
-SWEEP_ENTRY_POINTS = {
-    "run_lambda_curve": (
-        lambda: run_lambda_curve(n_replicates=1, seed=0, sweep_backend="direct"),
-        ("repro.experiments.lambda_curve.make_synthetic_dataset",
-         "repro.experiments.lambda_curve.full_kernel_graph"),
-    ),
-    "run_prop21_experiment": (
-        lambda: run_prop21_experiment(sweep_backend="direct"),
-        ("repro.experiments.figures.prop21.make_synthetic_dataset",
-         "repro.experiments.figures.prop21.full_kernel_graph"),
-    ),
-    "run_prop22_experiment": (
-        lambda: run_prop22_experiment(sweep_backend="direct"),
-        ("repro.experiments.figures.prop22.make_synthetic_dataset",
-         "repro.experiments.figures.prop22.full_kernel_graph"),
-    ),
-    "run_tuned_lambda_study": (
-        lambda: run_tuned_lambda_study(n_replicates=1, seed=0, sweep_backend="direct"),
-        ("repro.experiments.extensions.make_synthetic_dataset",
-         "repro.experiments.extensions.full_kernel_graph"),
-    ),
-    "cross_validate_lambda": (
-        lambda: cross_validate_lambda(
-            np.ones((6, 6)), np.ones(4), (0.1, 1.0), n_folds=2,
-            sweep_backend="direct",
-        ),
-        ("repro.model_selection.search.check_weight_matrix",
-         "repro.model_selection.search.SolveWorkspace"),
-    ),
-    "select_lambda": (
-        lambda: select_lambda(
-            np.ones((6, 6)), np.ones(4), n_folds=2, sweep_backend="direct"
-        ),
-        ("repro.model_selection.search.cross_validate_lambda",
-         "repro.model_selection.search.SolveWorkspace"),
-    ),
-    "select_bandwidth": (
-        lambda: select_bandwidth(
-            np.zeros((4, 1)), np.ones(4), np.zeros((2, 1)), grid=(1.0,),
-            n_folds=2, sweep_backend="direct",
-        ),
-        ("repro.kernels.base.pairwise_sq_distances",
-         "repro.model_selection.search._knn_candidate_weights",
-         "repro.model_selection.search.cross_validate_lambda"),
-    ),
-}
-
-
-class TestSweepBackendContract:
-    @pytest.mark.parametrize("entry", sorted(SWEEP_ENTRY_POINTS))
-    def test_direct_rejected_before_building_data(self, monkeypatch, entry):
-        call, constructors = SWEEP_ENTRY_POINTS[entry]
-        for target in constructors:
-            monkeypatch.setattr(target, _must_not_run)
-        with pytest.raises(
-            ConfigurationError, match=re.escape("('exact', 'factored', 'multigrid')")
-        ):
-            call()
