@@ -45,9 +45,10 @@ the standard algebraic-multigrid remedy from the *graph itself*:
    from a hierarchy's Laplacians and a coarsened diagonal, the Galerkin
    product of a fine system ``scale·L + diag(d)``.  Both criteria have
    that form — the soft ``V + λL`` (Eq. 3) and the hard ``D₂₂ − W₂₂ =
-   L(W₂₂) + diag(W₂₁·1)`` (Eq. 5).  The preconditioner stores each
-   level's restriction ``Pᵀ`` as CSR when it is built, so a cycle wraps
-   no transposes of its own.
+   L(W₂₂) + diag(W₂₁·1)`` (Eq. 5).  The cycle transfers through each
+   ``P``'s aggregate map alone: restriction ``Pᵀr`` is a ``bincount``
+   over the map and prolongation ``Pe`` a gather, so it stores no
+   restriction matrices and forms no transposes.
 
 The coarse Laplacians ``L(W_c)`` come from the same assembly as every
 fine-level system (:mod:`repro.graph.laplacian`).  The coarse level
@@ -417,7 +418,9 @@ class MultigridPreconditioner:
         a :class:`CoarseningHierarchy`; this constructor validates them.
     prolongations:
         ``len(systems) - 1`` aggregation operators linking consecutive
-        levels.
+        levels: CSR matrices with one unit entry per row, as
+        :func:`aggregation_operator` builds them.  Any other
+        prolongation raises :class:`~repro.exceptions.ConfigurationError`.
 
     Calling the instance applies one V-cycle to a residual: one
     damped-Jacobi pre-sweep (weight :data:`OMEGA`) from zero,
@@ -440,10 +443,22 @@ class MultigridPreconditioner:
             )
         self._systems = systems
         self._prolongations = prolongations
-        # Pᵀ as its own CSR matrix: ``prolongation.T`` would wrap a fresh
-        # CSC view on every cycle; the row sums it computes are the same
-        # additions in the same order, so the cycle's output bits are too
-        self._restrictions = [sparse.csr_matrix(p.T) for p in prolongations]
+        # each P's aggregate map: P[i, labels[i]] = 1 is row i's only entry
+        self._labels = []
+        for level, p in enumerate(prolongations):
+            shape = (systems[level].shape[0], systems[level + 1].shape[0])
+            if not (
+                sparse.issparse(p)
+                and p.format == "csr"
+                and p.shape == shape
+                and np.array_equal(p.indptr, np.arange(shape[0] + 1))
+                and np.all(p.data == 1.0)
+            ):
+                raise ConfigurationError(
+                    f"prolongation {level} must be a {shape} aggregation "
+                    "operator: a CSR matrix with one unit entry per row"
+                )
+            self._labels.append(p.indices)
         self._inv_diagonals: list[np.ndarray] = []
         for level, system in enumerate(systems[:-1]):
             diagonal = (
@@ -496,13 +511,22 @@ class MultigridPreconditioner:
             return np.asarray(self._coarse_factor.solve(rhs)).ravel()
         system = self._systems[level]
         inv_diag = self._inv_diagonals[level]
+        labels = self._labels[level]
         # damped-Jacobi pre-sweep from x = 0
-        x = OMEGA * (inv_diag * rhs)
-        coarse_residual = _matvec(
-            self._restrictions[level], rhs - _matvec(system, x)
+        x = inv_diag * rhs
+        x *= OMEGA
+        # restriction Pᵀr sums the residual over each aggregate in vertex
+        # order, the additions a CSR product with Pᵀ makes; prolongation
+        # Pe copies each aggregate's correction back to its vertices
+        coarse_residual = np.bincount(
+            labels,
+            weights=rhs - _matvec(system, x),
+            minlength=self._systems[level + 1].shape[0],
         )
-        x = x + _matvec(
-            self._prolongations[level], self._cycle(level + 1, coarse_residual)
-        )
+        x += self._cycle(level + 1, coarse_residual)[labels]
         # damped-Jacobi post-sweep
-        return x + OMEGA * (inv_diag * (rhs - _matvec(system, x)))
+        correction = rhs - _matvec(system, x)
+        correction *= inv_diag
+        correction *= OMEGA
+        x += correction
+        return x

@@ -97,6 +97,7 @@ from __future__ import annotations
 
 import zlib
 from collections import OrderedDict
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -649,6 +650,35 @@ class SolveWorkspace:
             )
             self._count_coarsening()
         return self._hierarchy
+
+    def permuted(self, order) -> "SolveWorkspace":
+        """A workspace on the same backend over this graph, vertices reordered.
+
+        Vertex ``i`` of the returned workspace is vertex ``order[i]`` of
+        this one.  A hierarchy this workspace has built is shared, not
+        rebuilt: with ``Q`` the permutation, ``(QP₀)ᵀ(QWQᵀ)(QP₀) =
+        P₀ᵀWP₀``, so only the first prolongation's rows are reordered
+        (``P₀[order]``) and every coarse level is reused as is.
+        Cross-validation folds, each one reordering of the same graph,
+        thereby build one hierarchy between them.
+        """
+        self.check_current()
+        order = np.asarray(order, dtype=np.intp)
+        if not np.array_equal(np.sort(order), np.arange(self.n_total)):
+            raise DataValidationError(
+                f"order must be a permutation of the {self.n_total} vertices"
+            )
+        if sparse.issparse(self.weights):
+            weights = self.weights[order][:, order].tocsr()
+        else:
+            weights = self.weights[np.ix_(order, order)]
+        workspace = type(self)(weights, backend=self.backend)
+        if self._hierarchy is not None:
+            levels = list(self._hierarchy.levels)
+            if levels:
+                levels[0] = replace(levels[0], prolongation=levels[0].prolongation[order])
+            workspace._hierarchy = CoarseningHierarchy(self.n_total, tuple(levels))
+        return workspace
 
     def _coarse_mask_diagonals(self, n: int) -> list[np.ndarray]:
         """Per-level Galerkin diagonals of the labeled-mask ``V`` (cached)."""

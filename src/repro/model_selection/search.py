@@ -15,11 +15,14 @@ recompute-everything path:
   every lambda is scored against it (the permutation, not the solve, was
   the dominant per-(fold, lambda) cost on dense graphs).  Each fold gets
   one :class:`~repro.linalg.workspace.SolveWorkspace`, so the solves
-  themselves share factorizations (or, on sparse graphs above
-  :data:`~repro.linalg.workspace.FACTORIZE_MAX_VERTICES` vertices, one
-  V-cycle hierarchy) along the grid, sparse graphs stay sparse, and a
-  fold whose labeled mask leaves a component unreachable fails with
-  :class:`~repro.exceptions.DisconnectedGraphError`.
+  themselves share factorizations along the grid, sparse graphs stay
+  sparse, and a fold whose labeled mask leaves a component unreachable
+  fails with :class:`~repro.exceptions.DisconnectedGraphError`.  On
+  sparse graphs above
+  :data:`~repro.linalg.workspace.FACTORIZE_MAX_VERTICES` vertices every
+  fold's workspace is the previous fold's reordered
+  (:meth:`~repro.linalg.workspace.SolveWorkspace.permuted`), so the
+  folds share one V-cycle hierarchy per call.
 * :func:`select_bandwidth` computes the pairwise distance matrix once
   and rescales it per candidate bandwidth instead of rebuilding kernels
   from raw points (bit-identical weights: ``profile(sqrt(sq)/h)`` either
@@ -137,19 +140,24 @@ def cross_validate_lambda(
             f"need at least n_folds={n_folds} labeled points, got {n}"
         )
 
-    backend = choose_backend(weights)
     losses: list[list[float]] = [[] for _ in grid]
     failed = [False] * len(grid)
     rng = as_rng(seed)
+    workspace = position = None
     for fold in kfold_indices(n, n_folds, seed=rng):
         keep = np.setdiff1d(np.arange(n), fold)
         # Reorder: kept-labeled first, then [held-out fold + true unlabeled].
         order = np.concatenate([keep, fold, np.arange(n, total)])
-        if sparse.issparse(weights):
-            w_perm = weights[order][:, order].tocsr()
+        if workspace is None:
+            if sparse.issparse(weights):
+                w_perm = weights[order][:, order].tocsr()
+            else:
+                w_perm = weights[np.ix_(order, order)]
+            workspace = SolveWorkspace(w_perm, backend=choose_backend(weights))
         else:
-            w_perm = weights[np.ix_(order, order)]
-        workspace = SolveWorkspace(w_perm, backend=backend)
+            # the previous fold's graph reordered, sharing its hierarchy
+            workspace = workspace.permuted(position[order])
+        position = np.argsort(order)
         for j, lam_j in enumerate(grid):
             if failed[j]:
                 continue

@@ -19,12 +19,16 @@ preconditioned CG (:func:`~repro.linalg.advanced.preconditioned_conjugate_gradie
 on a callable operator), preconditioned block-diagonally by the
 workspace's cached ``r ↦ M⁻¹r`` for ``A``
 (:meth:`~repro.linalg.workspace.SolveWorkspace.preconditioner`) and
-started from the rank-1 border (Schur-complement) guess built with that
-same ``M⁻¹``.  When the workspace factorizes ``A`` (``M = A``), the
-preconditioned operator is ``I`` plus the ``diag(c_u)`` perturbation
+started from the fitted field: the reference vertices at their fitted
+scores and the query at the weighted mean of its neighbours' fitted
+scores and labels.  At the extended minimizer the query's score is
+exactly such a mean (the harmonic property), so this start zeroes the
+query's row of the residual and leaves the rest nonzero only on the
+query's neighbours.  When the workspace factorizes ``A`` (``M = A``),
+the preconditioned operator is ``I`` plus the ``diag(c_u)`` perturbation
 and a handful of back-substitutions converge — typically 2-10
 iterations.  When it runs the ``multigrid`` backend, ``M⁻¹`` is one
-cached V-cycle and a query takes about 19 iterations, each far cheaper
+cached V-cycle and a query takes about 17 iterations, each far cheaper
 than a back-substitution through a high-fill LU factor.  Either way the
 solve stops at :data:`INSERTION_TOL`, so the prediction does not depend
 on the preconditioner beyond that tolerance.  Each insertion is
@@ -149,28 +153,26 @@ class ExactInserter:
         return rq, cu
 
     def _bordered_solve(self, row: QueryRow, c, scale: float, tail: float, warm):
-        """Solve the bordered system of one query by anchored PCG.
+        """Solve the bordered system of one query by PCG from the fitted field.
 
         The system is ``[[A + scale·diag(c), -scale·c], [-scale·cᵀ,
         scale·s]]`` with right-hand side ``(self.rhs; tail)``: ``A`` is
         the cached ``self.system``, ``c`` the query's edge weights into
-        the vertices ``A`` covers and ``s`` its total edge weight.  The
-        hard criterion passes ``scale = 1``, the soft one ``scale =
-        lam``.  The cached ``M⁻¹ ≈ A⁻¹`` preconditions, and the rank-1
-        border (Schur-complement) solution around the fitted scores
-        ``warm``, built with ``M⁻¹``, is the initial guess.
+        the vertices ``A`` covers and ``s > 0`` its total edge weight.
+        The hard criterion passes ``scale = 1``, the soft one ``scale =
+        lam``.  The cached ``M⁻¹ ≈ A⁻¹`` preconditions.  PCG starts at
+        ``(warm, t₀)``: the fitted scores, and the query at the value
+        ``t₀ = (tail + scale·cᵀwarm) / (scale·s)`` that zeroes the
+        bottom row of the starting residual — the weighted mean of its
+        neighbours' fitted scores and labels, where the extended
+        minimizer is harmonic.  The top block of that residual is the
+        fit's own residual plus ``scale·c·(t₀ − warm)``, nonzero only on
+        the query's neighbours.
         """
         s = row.total
         border = scale * c
-        g = self.precondition(border)
-        denom = scale * s - float(border @ g)
-        if denom > 0:
-            f_q0 = (tail + float(border @ warm)) / denom
-        else:
-            # Degenerate rank-1 border (possible for very strongly
-            # coupled queries); fall back to the NW estimate as a guess.
-            f_q0 = float(np.dot(row.weights, self.scores[row.indices]) / s)
-        x0 = np.concatenate([warm + g * f_q0, [f_q0]])
+        f_q0 = (tail + float(border @ warm)) / (scale * s)
+        x0 = np.concatenate([warm, [f_q0]])
         rhs = np.concatenate([self.rhs, [tail]])
         system, inverse, k = self.system, self.precondition, c.shape[0]
 

@@ -8,8 +8,10 @@ into connected aggregates of at most four vertices, the Galerkin triple
 product ``PᵀAP`` of an SPD system is SPD, and the coarse Laplacian
 identity ``PᵀL(W)P = L(PᵀWP)`` holds exactly.  The hierarchy is pinned
 against a pairwise chain built from the matching itself, and the
-V-cycle's cached restrictions against a cycle that transposes ``P`` on
-every call.  The vectorized mutual-proposal
+V-cycle's aggregate-map transfers (a ``bincount`` restriction and a
+gather prolongation) against the sparse products ``Pᵀr`` and ``Pe``
+and against a cycle that transposes ``P`` on every call.  The
+vectorized mutual-proposal
 matching is pinned against a per-vertex loop of the same rounds, its
 hashed tie-break against unit-weight chains and grids, and its
 independence of vertex order against relabelled kNN graphs.  The
@@ -554,6 +556,50 @@ class TestMultigridPreconditioner:
         for seed in range(3):
             r = np.random.default_rng(seed).normal(size=system.shape[0])
             assert np.array_equal(precond(r), cycle(0, r))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=40),
+        seed=st.integers(min_value=0, max_value=2**16),
+        scale=st.floats(min_value=1e-100, max_value=1e100),
+    )
+    @example(sizes=[1], seed=0, scale=1.0)
+    def test_aggregate_map_transfers_are_the_sparse_products_bit_for_bit(
+        self, sizes, seed, scale
+    ):
+        """On any aggregate map, singletons included, the cycle's
+        ``bincount`` restriction adds each aggregate's entries in vertex
+        order, as the CSR product with ``Pᵀ`` does, and its gather is
+        ``P @ e``.  The values are scaled normals, none of them ``-0.0``:
+        the product's sum starts at ``+0.0`` and would drop a zero's sign
+        that the gather keeps."""
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        p = aggregation_operator(labels)
+        r = scale * rng.normal(size=labels.size)
+        e = scale * rng.normal(size=len(sizes))
+        restricted = np.bincount(p.indices, weights=r, minlength=p.shape[1])
+        assert restricted.tobytes() == (sparse.csr_matrix(p.T) @ r).tobytes()
+        assert restricted.tobytes() == (p.T @ r).tobytes()
+        assert e[p.indices].tobytes() == (p @ e).tobytes()
+
+    @pytest.mark.parametrize(
+        "prolongation",
+        [
+            aggregation_operator(np.array([0, 0, 1, 1])) * 0.5,
+            sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])),
+            sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 1.0]])),
+            aggregation_operator(np.array([0, 0, 1, 1])).tocsc(),
+            aggregation_operator(np.array([0, 0, 1, 1])).toarray(),
+            aggregation_operator(np.array([0, 0, 1])),
+        ],
+        ids=["scaled", "two-entries", "empty-row", "csc", "dense", "wrong-shape"],
+    )
+    def test_rejects_a_prolongation_that_is_no_aggregation_operator(self, prolongation):
+        system = _soft_system(_random_graph(4, 2, k=2), 1.0, 2)
+        coarse = sparse.identity(2, format="csr")
+        with pytest.raises(ConfigurationError, match="aggregation operator"):
+            MultigridPreconditioner([system, coarse], [prolongation])
 
     def test_validates_level_shapes_and_params(self):
         weights = _random_graph(40, 4)

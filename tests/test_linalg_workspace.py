@@ -21,6 +21,7 @@ from repro.core.soft import solve_soft_criterion
 from repro.datasets.synthetic import make_synthetic_dataset
 from repro.exceptions import (
     ConfigurationError,
+    DataValidationError,
     DisconnectedGraphError,
     WorkspaceInvalidatedError,
 )
@@ -28,6 +29,7 @@ from repro.graph.components import require_labeled_reachability
 from repro.graph.similarity import full_kernel_graph, knn_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
 from repro.linalg import workspace as workspace_module
+from repro.linalg.coarsen import coarsen_weights
 from repro.linalg.solvers import SolveInfo, solve_spd
 from repro.linalg.workspace import MAX_FACTORIZATIONS, SolveWorkspace
 
@@ -443,6 +445,68 @@ class TestHardMultigrid:
         else:
             np.testing.assert_allclose(system @ inverse(r), r, atol=1e-10)
             assert ws.stats().factor_misses == 1
+
+
+class TestPermuted:
+    """``permuted(order)`` is the same workspace over the reordered graph;
+    on ``multigrid`` it reuses the hierarchy, reordering only ``P₀``."""
+
+    @staticmethod
+    def _order(n, total, seed):
+        """Labeled vertices stay first, each block shuffled."""
+        rng = np.random.default_rng(seed)
+        return np.concatenate([rng.permutation(n), n + rng.permutation(total - n)])
+
+    def test_shares_the_hierarchy_and_solves_the_reordered_graph(self, deep_problem):
+        data, graph = deep_problem
+        y, n, total = data.y_labeled, data.y_labeled.shape[0], graph.weights.shape[0]
+        ws = SolveWorkspace(graph.weights, backend="multigrid")
+        scores = ws.solve_soft(y, 0.3).scores
+        order = self._order(n, total, 0)
+        moved = ws.permuted(order)
+        assert moved.backend == "multigrid"
+        assert (moved.weights != graph.weights[order][:, order]).nnz == 0
+        shared, own = ws.hierarchy(), moved.hierarchy()
+        assert len(shared.levels) >= 2
+        assert own.levels[1:] == shared.levels[1:]
+        first = own.levels[0]
+        assert (first.prolongation != shared.levels[0].prolongation[order]).nnz == 0
+        np.testing.assert_allclose(
+            coarsen_weights(moved.weights, first.prolongation).toarray(),
+            first.weights.toarray(),
+            rtol=1e-12,
+            atol=1e-15,
+        )
+        np.testing.assert_allclose(
+            moved.solve_soft(y[order[:n]], 0.3).scores, scores[order], atol=1e-8, rtol=0
+        )
+        assert moved.stats().coarsen_builds == 0
+
+    def test_dense_workspace_and_unbuilt_hierarchy(self, problem):
+        data, graph = problem
+        y, n, total = data.y_labeled, data.y_labeled.shape[0], graph.weights.shape[0]
+        order = self._order(n, total, 1)
+        moved = SolveWorkspace(graph.weights).permuted(order)
+        assert moved.backend == "exact"
+        np.testing.assert_array_equal(moved.weights, graph.weights[np.ix_(order, order)])
+        np.testing.assert_allclose(
+            moved.solve_soft(y[order[:n]], 0.1).scores,
+            solve_soft_criterion(graph.weights, y, 0.1).scores[order],
+            atol=1e-10,
+            rtol=0,
+        )
+        sparse_moved = SolveWorkspace(
+            knn_graph(data.x_all, k=10, bandwidth=1.0).weights, backend="multigrid"
+        ).permuted(order)
+        assert sparse_moved._hierarchy is None
+
+    def test_rejects_an_order_that_is_no_permutation(self, problem):
+        _, graph = problem
+        ws = SolveWorkspace(graph.weights)
+        total = graph.weights.shape[0]
+        for order in (np.zeros(total, dtype=int), np.arange(total - 1), np.arange(1, total + 1)):
+            with pytest.raises(DataValidationError, match="permutation"):
+                ws.permuted(order)
 
 
 class TestTrueResidual:

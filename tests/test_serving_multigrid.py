@@ -12,7 +12,10 @@ once — and pin, for a hard and a λ = 0.5 model:
 * exact predictions and both credible-interval routes match the
   ``exact``-backend model and a rebuild-and-resolve at 1e-8;
 * each insertion stays stateless, so serving is deterministic;
-* dense models and sparse models at or below the floor still factorize.
+* dense models and sparse models at or below the floor still factorize;
+* insertion PCG, started from the fitted field with the query at its
+  harmonic value, takes no more iterations per query than the same PCG
+  started from the rank-1 border guess, and fewer in sum on a V-cycle.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ from repro import obs
 from repro.datasets.synthetic import make_regression_dataset, truncated_mvn_inputs
 from repro.linalg import solvers as solvers_module
 from repro.linalg import workspace as workspace_module
+from repro.linalg.advanced import preconditioned_conjugate_gradient
 from repro.linalg.workspace import _min_coarse_size
 from repro.serving import GraphSSLModel
+from repro.serving.insertion import INSERTION_MAX_ITER, INSERTION_TOL
 
 #: Floor used by these tests: below the fixture's 700 vertices.
 LOWERED_FLOOR = 600
@@ -49,6 +54,46 @@ def _fit(reference, lam: float, graph: str = "knn") -> GraphSSLModel:
     params = {"k": 10} if graph == "knn" else {}
     model = GraphSSLModel(lam=lam, graph=graph, graph_params=params)
     return model.fit(reference.x_labeled, reference.y_labeled, reference.x_unlabeled)
+
+
+def _rank1_start_insertion(inserter, row):
+    """One exact insertion by the inserter's bordered PCG, started from
+    the rank-1 border guess ``(f + g·t₀, t₀)`` with ``g = M⁻¹(scale·c)``.
+
+    This guess models the query's edges but not the ``scale·diag(c)`` the
+    query adds to its neighbours' degrees.  Same system, preconditioner
+    and stopping test as :meth:`ExactInserter.insert`; returns
+    ``(prediction, iterations)``.
+    """
+    if inserter.lam:
+        c = np.zeros(inserter.n_total)
+        c[row.indices] = row.weights
+        scale, tail, warm = inserter.lam, 0.0, inserter.scores
+    else:
+        tail, c = inserter._split(row)
+        scale, warm = 1.0, inserter.scores[inserter.n :]
+    s, k, border = row.total, c.shape[0], scale * c
+    g = inserter.precondition(border)
+    denom = scale * s - float(border @ g)
+    assert denom > 0
+    t0 = (tail + float(border @ warm)) / denom
+
+    def matvec(v):
+        top = inserter.system @ v[:k] + scale * (c * v[:k]) - border * v[k]
+        return np.concatenate([top, [scale * (s * v[k] - float(c @ v[:k]))]])
+
+    def precondition(r):
+        return np.concatenate([inserter.precondition(r[:k]), [r[k] / (scale * s)]])
+
+    result = preconditioned_conjugate_gradient(
+        matvec,
+        np.concatenate([inserter.rhs, [tail]]),
+        preconditioner=precondition,
+        x0=np.concatenate([warm + g * t0, [t0]]),
+        tol=INSERTION_TOL,
+        max_iter=INSERTION_MAX_ITER,
+    )
+    return float(result.x[k]), result.iterations
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +212,32 @@ class TestDeterminism:
             multigrid.predict(queries, method="exact"),
         )
         assert clone._workspace.backend == "multigrid"
+
+
+class TestStart:
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_fitted_field_start_beats_the_rank1_guess(self, models, data, lam):
+        """Query by query, the fitted-field start takes at most the
+        rank-1 start's iterations on both backends, strictly fewer in sum
+        on the V-cycle, and both reach the same prediction."""
+        _, queries = data
+        totals = {}
+        for backend, model in zip(("multigrid", "exact"), models[lam]):
+            inserter = model._ensure_inserter()
+            rows = model.query_weights(queries)
+            new = [inserter.insert(row) for row in rows]
+            old = [_rank1_start_insertion(inserter, row) for row in rows]
+            np.testing.assert_allclose(
+                [result.prediction for result in new],
+                [prediction for prediction, _ in old],
+                atol=1e-10,
+                rtol=0,
+            )
+            for result, (_, iterations) in zip(new, old):
+                assert result.iterations <= iterations, backend
+            totals[backend] = (
+                sum(result.iterations for result in new),
+                sum(iterations for _, iterations in old),
+            )
+        new_total, old_total = totals["multigrid"]
+        assert new_total < old_total, totals

@@ -27,6 +27,7 @@ This suite pins the contract from three directions:
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.hard import solve_hard_criterion
 from repro.core.soft import solve_soft_criterion
 from repro.datasets.splits import kfold_indices
@@ -272,6 +273,33 @@ class TestModelSelectionParity:
             assert scores == per_fold_exact
         else:
             np.testing.assert_allclose(scores, per_fold_exact, atol=1e-8, rtol=0)
+
+    def test_cv_folds_share_one_hierarchy(self):
+        """Above the floor each fold's workspace is the previous fold's
+        reordered, so one call builds one hierarchy; its losses stay within
+        1e-10 of folds that each build their own."""
+        rng = np.random.default_rng(11)
+        n_total = 3000
+        x = rng.normal(size=(n_total, 3))
+        n = n_total // 20
+        y = np.sin(x[:n, 0]) + 0.1 * rng.normal(size=n)
+        weights = knn_graph(x, k=10, bandwidth=0.5).weights
+        grid = (0.01, 0.1, 1.0)
+
+        losses = [[] for _ in grid]
+        for fold in kfold_indices(n, 5, seed=5):
+            keep = np.setdiff1d(np.arange(n), fold)
+            order = np.concatenate([keep, fold, np.arange(n, n_total)])
+            ws = SolveWorkspace(weights[order][:, order].tocsr(), backend="multigrid")
+            for j, lam in enumerate(grid):
+                held_out = ws.solve_soft(y[keep], lam).scores[len(keep) : n]
+                losses[j].append(np.mean((y[fold] - held_out) ** 2))
+        per_fold_builds = [float(np.mean(fold_losses)) for fold_losses in losses]
+
+        with obs.use_registry() as registry:
+            scores = cross_validate_lambda(weights, y, grid, n_folds=5, seed=5)
+            assert registry.counter("coarsen.hierarchies").value == 1
+        np.testing.assert_allclose(scores, per_fold_builds, atol=1e-10, rtol=0)
 
     def test_select_bandwidth_hoist_matches_rebuilt(self):
         """Hoisting sqrt(pairwise distances) out of the bandwidth loop
