@@ -84,15 +84,6 @@ def _naive_candidate_bytes(n: int) -> int:
     return DEFAULT_N_TREES * n * K * 24 * 2
 
 
-def _hierarchy_bytes(hierarchy) -> int:
-    """Bytes the assembled hierarchy retains: every level's CSR arrays."""
-    return sum(
-        m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-        for level in hierarchy.levels
-        for m in (level.prolongation, level.weights, level.laplacian)
-    )
-
-
 def test_bench_memory_budget(bench, results_dir):
     n = N_BUDGET
     x, y = _make_problem(n)
@@ -110,7 +101,7 @@ def test_bench_memory_budget(bench, results_dir):
     with gate.phase("sweep", budget_bytes=budget_bytes):
         fits = workspace.sweep_soft(y, BUDGET_GRID)
 
-    retained = _hierarchy_bytes(hierarchy)
+    retained = hierarchy.retained_bytes()
     stats = workspace.stats()
 
     from repro.obs.bench import BenchRecord

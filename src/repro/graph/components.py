@@ -63,14 +63,22 @@ def validated_components(weights) -> tuple[int, np.ndarray]:
         graph = sparse.csr_matrix(weights)
     count, labels = _cc(graph, directed=True, connection="strong")
     if count > 1:
-        _, first_vertex = np.unique(labels, return_index=True)
-        rank = np.empty(count, dtype=labels.dtype)
-        rank[np.argsort(first_vertex)] = np.arange(count, dtype=labels.dtype)
-        labels = rank[labels]
+        labels = _numbered_by_smallest_vertex(count, labels)
         row_labels = np.repeat(labels, np.diff(graph.indptr))
         if not np.array_equal(row_labels, labels[graph.indices]):
             count, labels = _cc(graph, directed=False)
     return int(count), labels
+
+
+def _numbered_by_smallest_vertex(count: int, labels: np.ndarray) -> np.ndarray:
+    """Component ``labels`` renumbered in order of each component's
+    smallest vertex, the numbering of scipy's undirected search."""
+    if count < 2:
+        return labels
+    _, first_vertex = np.unique(labels, return_index=True)
+    rank = np.empty(count, dtype=labels.dtype)
+    rank[np.argsort(first_vertex)] = np.arange(count, dtype=labels.dtype)
+    return rank[labels]
 
 
 def connected_components(weights) -> tuple[int, np.ndarray]:

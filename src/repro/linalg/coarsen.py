@@ -31,24 +31,26 @@ the standard algebraic-multigrid remedy from the *graph itself*:
    2.01 with pairwise levels to 1.36, so the coarse levels cost a V-cycle
    about a third of what they did.
 3. Repeating until the graph is small yields a
-   :class:`CoarseningHierarchy` (:func:`build_hierarchy`).  The hierarchy
-   depends only on the graph — **not** on λ or the labeled mask — so one
-   hierarchy serves a whole λ-sweep: at each level,
+   :class:`CoarseningHierarchy` (:func:`build_hierarchy`).  A level
+   keeps two things: its aggregate map (``P``'s one column index per
+   row) and its coarse Laplacian ``L(W_c)``.  A coarse graph ``W_c`` is
+   kept only until the next level has been matched on it.  The
+   hierarchy depends only on the graph — **not** on λ or the labeled
+   mask — so one hierarchy serves a whole λ-sweep: at each level,
    ``Pᵀ(V + λL)P = diag(PᵀvV) + λ L(W_c)`` re-assembles in O(nnz) from
    cached parts.
 4. A **V-cycle** with one damped-Jacobi pre-sweep and one post-sweep
    (weight :data:`OMEGA`) and an exact factorization at the coarsest
    level (:class:`MultigridPreconditioner`) is a symmetric positive
-   operator, hence a valid CG preconditioner.
-   :meth:`MultigridPreconditioner.from_hierarchy` is the one way to
-   build it: it assembles each coarse level as ``scale·L_l + diag(d_l)``
-   from a hierarchy's Laplacians and a coarsened diagonal, the Galerkin
+   operator, hence a valid CG preconditioner.  Its one constructor
+   assembles each coarse level as ``scale·L_l + diag(d_l)`` from a
+   hierarchy's Laplacians and a coarsened diagonal, the Galerkin
    product of a fine system ``scale·L + diag(d)``.  Both criteria have
    that form — the soft ``V + λL`` (Eq. 3) and the hard ``D₂₂ − W₂₂ =
-   L(W₂₂) + diag(W₂₁·1)`` (Eq. 5).  The cycle transfers through each
-   ``P``'s aggregate map alone: restriction ``Pᵀr`` is a ``bincount``
-   over the map and prolongation ``Pe`` a gather, so it stores no
-   restriction matrices and forms no transposes.
+   L(W₂₂) + diag(W₂₁·1)`` (Eq. 5).  The cycle transfers through the
+   aggregate maps alone: restriction ``Pᵀr`` is a ``bincount`` over a
+   map and prolongation ``Pe`` a gather, so the cycle stores no ``P``
+   and multiplies by none.
 
 The coarse Laplacians ``L(W_c)`` come from the same assembly as every
 fine-level system (:mod:`repro.graph.laplacian`).  The coarse level
@@ -90,13 +92,15 @@ __all__ = [
     "CoarseningHierarchy",
     "build_hierarchy",
     "MultigridPreconditioner",
-    "DEFAULT_MIN_COARSE_SIZE",
     "OMEGA",
 ]
 
-#: Coarsening stops once a level has at most this many vertices; the
-#: coarsest level is then solved exactly (one small factorization).
-DEFAULT_MIN_COARSE_SIZE = 1024
+#: By default coarsening stops once a level has at most ``size //
+#: MULTIGRID_COARSE_DIVISOR`` vertices, but never below 512, where
+#: ``size`` is the fine graph's vertex count — small enough that the
+#: coarsest factorization is trivial, large enough that the coarse grid
+#: still resolves the graph's cluster structure.
+MULTIGRID_COARSE_DIVISOR = 64
 
 #: Damped-Jacobi smoothing weight.  ω = 0.7 damps the oscillatory half
 #: of the spectrum on graph Laplacians without over-relaxing hubs.
@@ -265,39 +269,39 @@ class CoarseLevel:
 
     Attributes
     ----------
-    prolongation:
-        ``(n_fine, n_coarse)`` aggregation operator ``P`` mapping coarse
-        vectors up to the fine level.
-    weights:
-        Coarse similarity graph ``W_c = PᵀWP``.
+    aggregates:
+        ``(n_fine,)`` aggregate map: fine vertex ``i`` lies in coarse
+        vertex ``aggregates[i]``.  It is the prolongation ``P``'s one
+        column index per row (``P[i, aggregates[i]] = 1``), and
+        :func:`aggregation_operator` rebuilds ``P`` from it.
     laplacian:
-        Its Laplacian ``L(W_c)`` — equal to ``PᵀL(W)P`` by the Galerkin
-        identity, precomputed once because it is λ-independent.
+        ``L(W_c)`` of the coarse graph ``W_c = PᵀWP`` — equal to
+        ``PᵀL(W)P`` by the Galerkin identity, assembled once because it
+        is λ-independent.
     """
 
-    prolongation: sparse.csr_matrix
-    weights: sparse.csr_matrix
+    aggregates: np.ndarray
     laplacian: sparse.csr_matrix
 
     @property
     def n_fine(self) -> int:
-        return int(self.prolongation.shape[0])
+        return int(self.aggregates.shape[0])
 
     @property
     def n_coarse(self) -> int:
-        return int(self.prolongation.shape[1])
+        return int(self.laplacian.shape[0])
 
 
 @dataclass(frozen=True)
 class CoarseningHierarchy:
-    """A λ-independent stack of coarse graphs for one similarity graph.
+    """A λ-independent stack of coarse Laplacians for one similarity graph.
 
-    ``levels[0].prolongation`` maps level-1 (first coarse) vectors to
-    the fine graph; deeper levels continue the chain.  For a diagonal
-    fine-level term ``diag(v)`` (the labeled-mask ``V`` of the soft
-    criterion), :meth:`coarsen_diagonal` returns the per-level Galerkin
-    diagonals ``Pᵀ…Pᵀ v`` — diagonal again because ``P`` has orthogonal
-    columns of 0/1 entries.
+    ``levels[0].aggregates`` maps the fine graph's vertices to level 1
+    (the first coarse level); deeper levels continue the chain.  For a
+    diagonal fine-level term ``diag(v)`` (the labeled-mask ``V`` of the
+    soft criterion), :meth:`coarsen_diagonal` returns the per-level
+    Galerkin diagonals ``Pᵀ…Pᵀ v`` — diagonal again because ``P`` has
+    orthogonal columns of 0/1 entries.
     """
 
     n_vertices: int
@@ -308,11 +312,24 @@ class CoarseningHierarchy:
         """Vertex counts per level, finest first."""
         return (self.n_vertices,) + tuple(lvl.n_coarse for lvl in self.levels)
 
+    def retained_bytes(self) -> int:
+        """Bytes of every array the levels hold: each aggregate map and
+        each coarse Laplacian's CSR arrays."""
+        return sum(
+            level.aggregates.nbytes
+            + level.laplacian.data.nbytes
+            + level.laplacian.indices.nbytes
+            + level.laplacian.indptr.nbytes
+            for level in self.levels
+        )
+
     def coarsen_diagonal(self, values: np.ndarray) -> list[np.ndarray]:
         """Aggregate a fine-level diagonal through every level.
 
-        ``Pᵀ diag(v) P`` is diagonal with entries ``Σ_{i∈agg} v_i``;
-        returns one vector per coarse level (finest coarse first).
+        ``Pᵀ diag(v) P`` is diagonal with entries ``Σ_{i∈agg} v_i``: one
+        ``bincount`` over the aggregate map, the additions the V-cycle's
+        restriction makes.  Returns one vector per coarse level (finest
+        coarse first).
         """
         values = np.asarray(values, dtype=np.float64).ravel()
         if values.shape[0] != self.n_vertices:
@@ -323,7 +340,9 @@ class CoarseningHierarchy:
         out = []
         current = values
         for level in self.levels:
-            current = np.asarray(level.prolongation.T @ current).ravel()
+            current = np.bincount(
+                level.aggregates, weights=current, minlength=level.n_coarse
+            )
             out.append(current)
         return out
 
@@ -341,31 +360,41 @@ def _matching_pass(weights):
     return labels, coarsen_weights(weights, aggregation_operator(labels))
 
 
+def _coarsest_bound(n_vertices: int) -> int:
+    """The default ``min_coarse_size`` of an ``n_vertices``-vertex graph."""
+    return max(512, n_vertices // MULTIGRID_COARSE_DIVISOR)
+
+
 def build_hierarchy(
     weights,
     *,
-    min_coarse_size: int = DEFAULT_MIN_COARSE_SIZE,
+    min_coarse_size: int | None = None,
 ) -> CoarseningHierarchy:
     """Coarsen a similarity graph by repeated heavy-edge matching.
 
     Each level composes two :func:`heavy_edge_matching` passes, the
     second on the first's coarse graph, so every aggregate holds at most
-    4 vertices; the level keeps only the composed ``P``, the second
-    coarse graph and its Laplacian.  The second pass is skipped once the
-    first leaves at most ``min_coarse_size`` vertices, and a second pass
-    that stalls (keeps at least :data:`STALL_RATIO` of its vertices)
-    leaves the pairwise level.  Coarsening stops when the coarsest level
-    has at most ``min_coarse_size`` vertices, after :data:`MAX_LEVELS`
-    levels, or when a level's first pass stalls.  A graph already at or
-    below ``min_coarse_size`` yields an empty hierarchy — the V-cycle
-    then degenerates to one exact solve.
+    4 vertices; the level keeps only the composed aggregate map and the
+    second coarse graph's Laplacian.  That coarse graph is dropped once
+    the next level has been matched on it.  The second pass is skipped
+    once the first leaves at most ``min_coarse_size`` vertices, and a
+    second pass that stalls (keeps at least :data:`STALL_RATIO` of its
+    vertices) leaves the pairwise level.  Coarsening stops when the
+    coarsest level has at most ``min_coarse_size`` vertices, after
+    :data:`MAX_LEVELS` levels, or when a level's first pass stalls.
+    ``min_coarse_size`` defaults to ``max(512, n //
+    MULTIGRID_COARSE_DIVISOR)`` for an ``n``-vertex graph.  A graph
+    already at or below ``min_coarse_size`` yields an empty hierarchy —
+    the V-cycle then degenerates to one exact solve.
     """
+    current = _as_csr(weights)
+    n = int(current.shape[0])
+    if min_coarse_size is None:
+        min_coarse_size = _coarsest_bound(n)
     if min_coarse_size < 1:
         raise ConfigurationError(
             f"min_coarse_size must be >= 1, got {min_coarse_size}"
         )
-    current = _as_csr(weights)
-    n = int(current.shape[0])
     levels: list[CoarseLevel] = []
     with obs.span(
         "repro.coarsen.hierarchy",
@@ -382,11 +411,10 @@ def build_hierarchy(
                 if second is not None:
                     pair_labels, coarse = second
                     labels = pair_labels[labels]
-            prolongation = aggregation_operator(labels)
+            # int32 ids, the column indices aggregation_operator(labels) holds
             levels.append(
                 CoarseLevel(
-                    prolongation=prolongation,
-                    weights=coarse,
+                    aggregates=labels.astype(np.int32),
                     laplacian=_unchecked_laplacian(coarse),
                 )
             )
@@ -400,27 +428,27 @@ def build_hierarchy(
     return CoarseningHierarchy(n_vertices=n, levels=tuple(levels))
 
 
-def _matvec(matrix, vector: np.ndarray) -> np.ndarray:
-    product = matrix @ vector
-    if sparse.issparse(product):  # pragma: no cover - defensive
-        product = product.toarray().ravel()
-    return np.asarray(product).ravel()
-
-
 class MultigridPreconditioner:
-    """Symmetric V-cycle over a stack of SPD level systems.
+    """Symmetric V-cycle over a fine system and a coarsening hierarchy.
 
     Parameters
     ----------
-    systems:
-        Per-level system matrices, finest first; ``systems[-1]`` is
-        factorized exactly.  :meth:`from_hierarchy` assembles them from
-        a :class:`CoarseningHierarchy`; this constructor validates them.
-    prolongations:
-        ``len(systems) - 1`` aggregation operators linking consecutive
-        levels: CSR matrices with one unit entry per row, as
-        :func:`aggregation_operator` builds them.  Any other
-        prolongation raises :class:`~repro.exceptions.ConfigurationError`.
+    system:
+        The fine system ``scale·L + diag(d)``, sparse or dense.
+    hierarchy:
+        A :class:`CoarseningHierarchy` of the graph behind ``L``.
+    scale:
+        The factor ``L`` carries in ``system``: ``λ`` for the soft
+        criterion's ``V + λL``, ``1`` for the hard ``D₂₂ − W₂₂ =
+        L(W₂₂) + diag(W₂₁·1)``.
+    diagonals:
+        ``hierarchy.coarsen_diagonal(d)``, one vector per coarse level.
+
+    Each coarse level is assembled as ``scale·L_l + diag(d_l)`` from the
+    hierarchy's Laplacians, in O(nnz) with no triple products: the
+    Galerkin product ``PᵀAP`` of the level above.  The coarsest system
+    (``system`` itself when the hierarchy is empty) is factorized
+    exactly.
 
     Calling the instance applies one V-cycle to a residual: one
     damped-Jacobi pre-sweep (weight :data:`OMEGA`) from zero,
@@ -431,73 +459,23 @@ class MultigridPreconditioner:
     :func:`~repro.linalg.advanced.preconditioned_conjugate_gradient`.
     """
 
-    def __init__(self, systems, prolongations):
-        systems = list(systems)
-        prolongations = list(prolongations)
-        if not systems:
-            raise ConfigurationError("need at least one level system")
-        if len(prolongations) != len(systems) - 1:
-            raise ConfigurationError(
-                f"{len(systems)} level systems need {len(systems) - 1} "
-                f"prolongations, got {len(prolongations)}"
+    def __init__(self, system, hierarchy: CoarseningHierarchy, scale: float, diagonals):
+        self._systems = [system]
+        for level, diagonal in zip(hierarchy.levels, diagonals, strict=True):
+            self._systems.append(
+                (scale * level.laplacian + sparse.diags(diagonal, format="csr")).tocsr()
             )
-        self._systems = systems
-        self._prolongations = prolongations
-        # each P's aggregate map: P[i, labels[i]] = 1 is row i's only entry
-        self._labels = []
-        for level, p in enumerate(prolongations):
-            shape = (systems[level].shape[0], systems[level + 1].shape[0])
-            if not (
-                sparse.issparse(p)
-                and p.format == "csr"
-                and p.shape == shape
-                and np.array_equal(p.indptr, np.arange(shape[0] + 1))
-                and np.all(p.data == 1.0)
-            ):
-                raise ConfigurationError(
-                    f"prolongation {level} must be a {shape} aggregation "
-                    "operator: a CSR matrix with one unit entry per row"
-                )
-            self._labels.append(p.indices)
+        self._labels = [level.aggregates for level in hierarchy.levels]
         self._inv_diagonals: list[np.ndarray] = []
-        for level, system in enumerate(systems[:-1]):
-            diagonal = (
-                system.diagonal()
-                if sparse.issparse(system)
-                else np.diagonal(np.asarray(system)).copy()
-            )
-            diagonal = np.asarray(diagonal, dtype=np.float64)
+        for level, matrix in enumerate(self._systems[:-1]):
+            diagonal = np.asarray(matrix.diagonal(), dtype=np.float64)
             if diagonal.size and diagonal.min() <= 0:
                 raise DataValidationError(
                     f"level-{level} system has a non-positive diagonal; "
                     "the damped-Jacobi smoother requires SPD level systems"
                 )
             self._inv_diagonals.append(1.0 / diagonal)
-        self._coarse_factor: SPDFactorization = factorize_spd(systems[-1])
-
-    @classmethod
-    def from_hierarchy(
-        cls,
-        system,
-        hierarchy: CoarseningHierarchy,
-        scale: float,
-        diagonals,
-    ) -> "MultigridPreconditioner":
-        """V-cycle over ``system`` with coarse levels ``scale·L_l + diag(d_l)``.
-
-        ``L_l`` are the hierarchy's Laplacians and ``diagonals`` its
-        :meth:`~CoarseningHierarchy.coarsen_diagonal` of the fine
-        diagonal term, so each level is the Galerkin product of
-        ``system = scale·L + diag(d)``: ``V + λL`` for the soft
-        criterion, ``L(W22) + diag(W21·1)`` for the hard one.  Each level
-        assembles in O(nnz), with no triple products.
-        """
-        systems = [system]
-        for level, diagonal in zip(hierarchy.levels, diagonals):
-            systems.append(
-                (scale * level.laplacian + sparse.diags(diagonal, format="csr")).tocsr()
-            )
-        return cls(systems, [level.prolongation for level in hierarchy.levels])
+        self._coarse_factor: SPDFactorization = factorize_spd(self._systems[-1])
 
     @property
     def n_levels(self) -> int:
@@ -520,12 +498,12 @@ class MultigridPreconditioner:
         # Pe copies each aggregate's correction back to its vertices
         coarse_residual = np.bincount(
             labels,
-            weights=rhs - _matvec(system, x),
+            weights=rhs - system @ x,
             minlength=self._systems[level + 1].shape[0],
         )
         x += self._cycle(level + 1, coarse_residual)[labels]
         # damped-Jacobi post-sweep
-        correction = rhs - _matvec(system, x)
+        correction = rhs - system @ x
         correction *= inv_diag
         correction *= OMEGA
         x += correction

@@ -44,9 +44,9 @@ on some measured grid (docs/SCALING.md):
   has the same form: its V-cycle coarsens the unlabeled subgraph ``W22``
   with the same hierarchy builder and assembles each level as ``L_l +
   diag(Pᵀ…Pᵀ W21·1)`` through the same constructor
-  (:meth:`~repro.linalg.coarsen.MultigridPreconditioner.from_hierarchy`),
-  once per ``n_labeled``, and each hard solve runs cold-started PCG on
-  it.  This is the backend that scales past the splu fill-in wall
+  (:class:`~repro.linalg.coarsen.MultigridPreconditioner`), once per
+  ``n_labeled``, and each hard solve runs cold-started PCG on it.  This
+  is the backend that scales past the splu fill-in wall
   (N ≈ 10⁴ in d ≥ 3) to N = 10⁶, with an exact-factorization fallback
   if the V-cycle ever stalls.
 
@@ -71,6 +71,12 @@ of ``V + λL`` can amplify: multigrid scores were measured within 3e-8 of
 checks every backend against per-point reference solves at
 ``atol=1e-8`` on its small graphs.
 
+The workspace assembles ``D22 - W22`` once per ``n_labeled``
+(:meth:`SolveWorkspace.hard_system`).  That one matrix is the hard
+V-cycle's finest level, the system every hard PCG solve multiplies by,
+the matrix the ``exact`` and ``factored`` backends factorize, and the
+system exact serving borders.
+
 Well-posedness: the construction also computes the graph's connected
 components (one O(nnz) pass on the weights it has just validated), and
 every solve checks its labeled mask against them in O(N), cached per
@@ -80,8 +86,10 @@ any factorization, hierarchy build or PCG solve: ``D22 - W22`` and
 ``V + λL`` are singular there.
 
 A workspace fingerprints its weight matrix at construction and re-checks
-the fingerprint before serving any cached artifact: mutating the graph
-after caching raises :class:`~repro.exceptions.WorkspaceInvalidatedError`.
+the fingerprint once at the start of every public call that serves a
+cached artifact; the helpers such a call runs read the caches without
+checking again.  Mutating the graph after caching therefore raises
+:class:`~repro.exceptions.WorkspaceInvalidatedError` at the next call.
 The workspace keeps the caller's matrix, not a copy, whenever validation
 returns it unchanged (a float64 ndarray or canonical float64 CSR), so an
 edit made through the caller's handle raises too.
@@ -112,6 +120,7 @@ from repro.exceptions import (
 )
 from repro.graph.components import (
     ReachabilityReport,
+    _numbered_by_smallest_vertex,
     raise_if_unreachable,
     reachability_report,
     validated_components,
@@ -181,17 +190,6 @@ PCG_TOL = 1e-10
 #: refactorizes at the current λ and re-anchors.
 REANCHOR_BUDGET = 15
 
-#: The multigrid hierarchy coarsens until a level is at most this large
-#: (but never below 512 vertices) — small enough that the coarsest
-#: factorization is trivial, large enough that the coarse grid still
-#: resolves the graph's cluster structure.
-MULTIGRID_COARSE_DIVISOR = 64
-
-
-def _min_coarse_size(size: int) -> int:
-    """Coarsest-level bound for a V-cycle over a ``size``-vertex system."""
-    return max(512, size // MULTIGRID_COARSE_DIVISOR)
-
 
 def choose_backend(weights) -> str:
     """The backend a workspace over ``weights`` solves on.
@@ -235,7 +233,8 @@ class WorkspaceStats(NamedTuple):
         ``pcg_iterations``).
     hierarchy_mode:
         The multigrid hierarchy representation.  Always ``"assembled"``:
-        per-level Galerkin CSR matrices are the only representation.
+        each level's coarse Laplacian is an assembled CSR matrix, kept
+        with the level's aggregate map.
         The field stays because existing readers of :meth:`stats`
         report it.
     """
@@ -353,11 +352,23 @@ class SolveWorkspace:
                 f"backend must be one of {SWEEP_BACKENDS}, got {backend!r}"
             )
         self.backend = backend
-        self.weights = check_weight_matrix(weights)
-        self.n_total = int(self.weights.shape[0])
+        self._counters = {
+            field: 0 for field in WorkspaceStats._fields if field != "hierarchy_mode"
+        }
+        self._adopt(check_weight_matrix(weights))
 
-        self._fingerprint = _fingerprint(self.weights)
-        self._components = validated_components(self.weights)
+    def _adopt(self, weights, components=None) -> None:
+        """Take validated ``weights`` as the graph, with no cached artifact.
+
+        Fingerprints them, and computes their components unless
+        ``components`` already gives them.
+        """
+        self.weights = weights
+        self.n_total = int(weights.shape[0])
+        self._fingerprint = _fingerprint(weights)
+        self._components = (
+            validated_components(weights) if components is None else components
+        )
         self._reachability: dict[int, ReachabilityReport] = {}
         self._degrees: np.ndarray | None = None
         self._laplacian = None
@@ -366,10 +377,8 @@ class SolveWorkspace:
         self._woodbury: dict[int, _WoodburyState] = {}
         self._hierarchy: CoarseningHierarchy | None = None
         self._coarse_masks: dict[int, list[np.ndarray]] = {}
+        self._hard_systems: dict[int, object] = {}
         self._hard_vcycles: dict[int, MultigridPreconditioner] = {}
-        self._counters = {
-            field: 0 for field in WorkspaceStats._fields if field != "hierarchy_mode"
-        }
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -395,17 +404,7 @@ class SolveWorkspace:
         Re-fingerprints the weights and recomputes their connected
         components.
         """
-        self._fingerprint = _fingerprint(self.weights)
-        self._components = validated_components(self.weights)
-        self._reachability.clear()
-        self._degrees = None
-        self._laplacian = None
-        self._factors.clear()
-        self._continuations.clear()
-        self._woodbury.clear()
-        self._hierarchy = None
-        self._coarse_masks.clear()
-        self._hard_vcycles.clear()
+        self._adopt(self.weights)
 
     # ------------------------------------------------------------------
     # Shared assembly
@@ -430,8 +429,18 @@ class SolveWorkspace:
         return assemble_soft_system(self.laplacian, n, lam)
 
     def hard_system(self, n: int):
-        """The grounded system ``D22 - W22``, assembled as the per-point solve does."""
-        return grounded_system(self.weights, n, self.degrees)[0]
+        """The grounded system ``D22 - W22``, assembled as the per-point
+        solve does, once per ``n``: every hard solve, factorization,
+        V-cycle and exact insertion on this workspace uses this matrix."""
+        self.check_current()
+        return self._hard_system(n)
+
+    def _hard_system(self, n: int):
+        system = self._hard_systems.get(n)
+        if system is None:
+            system = grounded_system(self.weights, n, self.degrees)[0]
+            self._hard_systems[n] = system
+        return system
 
     def _rhs_soft(self, y: np.ndarray) -> np.ndarray:
         rhs = np.zeros(self.n_total)
@@ -445,6 +454,9 @@ class SolveWorkspace:
     def factorization(self, kind: str, lam: float, n: int) -> SPDFactorization:
         """A cached SPD factorization of the requested system (LRU)."""
         self.check_current()
+        return self._factorization(kind, lam, n)
+
+    def _factorization(self, kind: str, lam: float, n: int) -> SPDFactorization:
         key = (kind, float(lam), int(n))
         cached = self._factors.get(key)
         registry = obs.get_registry()
@@ -456,7 +468,7 @@ class SolveWorkspace:
         self._counters["factor_misses"] += 1
         registry.counter("workspace.factor.misses").inc()
         system = (
-            self.hard_system(n) if kind == "hard" else self.soft_system(lam, n)
+            self._hard_system(n) if kind == "hard" else self.soft_system(lam, n)
         )
         with obs.span(
             "repro.workspace.factorize", kind=kind, lam=float(lam), n=n
@@ -490,7 +502,7 @@ class SolveWorkspace:
         self.check_current()
         self._require_reachable(n)
         if self.backend != "multigrid":
-            return self.factorization(kind, lam, n).solve
+            return self._factorization(kind, lam, n).solve
         if kind == "hard":
             return self._hard_vcycle(n)
         return self._multigrid_preconditioner(self.soft_system(lam, n), lam, n)
@@ -508,7 +520,7 @@ class SolveWorkspace:
     def _woodbury_state(self, lam: float, n: int) -> _WoodburyState:
         state = self._woodbury.get(n)
         if state is None:
-            factor = self.factorization("soft", lam, n)
+            factor = self._factorization("soft", lam, n)
             selector = np.zeros((self.n_total, n))
             selector[:n, :n] = np.eye(n)
             with obs.span(
@@ -568,7 +580,7 @@ class SolveWorkspace:
             # like a PCG re-anchor would.
             self._counters["reanchors"] += 1
             obs.get_registry().counter("workspace.reanchors").inc()
-            factor = self.factorization("soft", lam, n)
+            factor = self._factorization("soft", lam, n)
             return factor.solve(rhs), factor.info(), {"anchored": True}
         self._counters["woodbury_solves"] += 1
         obs.get_registry().counter("workspace.woodbury_solves").inc()
@@ -587,7 +599,7 @@ class SolveWorkspace:
         registry = obs.get_registry()
 
         def anchor_here():
-            factor = self.factorization("soft", lam, n)
+            factor = self._factorization("soft", lam, n)
             state.anchor = factor
             state.anchor_lam = float(lam)
             scores = factor.solve(rhs)
@@ -644,10 +656,11 @@ class SolveWorkspace:
         hierarchy caches what one λ-sweep shares across its grid.
         """
         self.check_current()
+        return self._soft_hierarchy()
+
+    def _soft_hierarchy(self) -> CoarseningHierarchy:
         if self._hierarchy is None:
-            self._hierarchy = build_hierarchy(
-                self.weights, min_coarse_size=_min_coarse_size(self.n_total)
-            )
+            self._hierarchy = build_hierarchy(self.weights)
             self._count_coarsening()
         return self._hierarchy
 
@@ -655,12 +668,17 @@ class SolveWorkspace:
         """A workspace on the same backend over this graph, vertices reordered.
 
         Vertex ``i`` of the returned workspace is vertex ``order[i]`` of
-        this one.  A hierarchy this workspace has built is shared, not
-        rebuilt: with ``Q`` the permutation, ``(QP₀)ᵀ(QWQᵀ)(QP₀) =
-        P₀ᵀWP₀``, so only the first prolongation's rows are reordered
-        (``P₀[order]``) and every coarse level is reused as is.
-        Cross-validation folds, each one reordering of the same graph,
-        thereby build one hierarchy between them.
+        this one.  A permutation keeps the weights symmetric, finite and
+        non-negative, so they are not validated again, and it keeps the
+        components: vertex ``i``'s is this workspace's ``order[i]``'s,
+        renumbered by smallest vertex as a fresh computation numbers
+        them.  The reordered weights are fingerprinted.
+
+        A hierarchy this workspace has built is shared, not rebuilt:
+        with ``Q`` the permutation, ``(QP₀)ᵀ(QWQᵀ)(QP₀) = P₀ᵀWP₀``, so
+        only the first aggregate map is reordered and every coarse level
+        is reused as is.  Cross-validation folds, each one reordering of
+        the same graph, thereby build one hierarchy between them.
         """
         self.check_current()
         order = np.asarray(order, dtype=np.intp)
@@ -670,13 +688,20 @@ class SolveWorkspace:
             )
         if sparse.issparse(self.weights):
             weights = self.weights[order][:, order].tocsr()
+            weights.sum_duplicates()  # sorts the indices: the canonical CSR
         else:
             weights = self.weights[np.ix_(order, order)]
-        workspace = type(self)(weights, backend=self.backend)
+        count, labels = self._components
+        workspace = object.__new__(type(self))
+        workspace.backend = self.backend
+        workspace._counters = dict.fromkeys(self._counters, 0)
+        workspace._adopt(
+            weights, (count, _numbered_by_smallest_vertex(count, labels[order]))
+        )
         if self._hierarchy is not None:
             levels = list(self._hierarchy.levels)
             if levels:
-                levels[0] = replace(levels[0], prolongation=levels[0].prolongation[order])
+                levels[0] = replace(levels[0], aggregates=levels[0].aggregates[order])
             workspace._hierarchy = CoarseningHierarchy(self.n_total, tuple(levels))
         return workspace
 
@@ -686,14 +711,14 @@ class SolveWorkspace:
         if cached is None:
             indicator = np.zeros(self.n_total)
             indicator[:n] = 1.0
-            cached = self.hierarchy().coarsen_diagonal(indicator)
+            cached = self._soft_hierarchy().coarsen_diagonal(indicator)
             self._coarse_masks[n] = cached
         return cached
 
     def _multigrid_preconditioner(self, system, lam: float, n: int):
         """V-cycle over ``system`` (the assembled ``soft_system(lam, n)``)."""
-        return MultigridPreconditioner.from_hierarchy(
-            system, self.hierarchy(), lam, self._coarse_mask_diagonals(n)
+        return MultigridPreconditioner(
+            system, self._soft_hierarchy(), lam, self._coarse_mask_diagonals(n)
         )
 
     def _hard_vcycle(self, n: int) -> MultigridPreconditioner:
@@ -702,18 +727,16 @@ class SolveWorkspace:
         ``D22 - W22 = L(W22) + diag(W21·1)`` is λ-independent and has the
         soft system's form, so it coarsens the same way: one hierarchy of
         the unlabeled subgraph ``W22``, with the grounding ``W21·1``
-        aggregated into each level's diagonal.  It serves every hard
-        solve and insertion.
+        aggregated into each level's diagonal.  Its finest level is
+        :meth:`hard_system` itself.  It serves every hard solve and
+        insertion.
         """
         vcycle = self._hard_vcycles.get(n)
         if vcycle is None:
-            system, w21 = grounded_system(self.weights, n, self.degrees)
-            hierarchy = build_hierarchy(
-                self.weights[n:, n:],
-                min_coarse_size=_min_coarse_size(self.n_total - n),
-            )
-            vcycle = MultigridPreconditioner.from_hierarchy(
-                system, hierarchy, 1.0, hierarchy.coarsen_diagonal(_row_sums(w21))
+            hierarchy = build_hierarchy(self.weights[n:, n:])
+            grounding = _row_sums(self.weights[n:, :n])
+            vcycle = MultigridPreconditioner(
+                self._hard_system(n), hierarchy, 1.0, hierarchy.coarsen_diagonal(grounding)
             )
             self._hard_vcycles[n] = vcycle
             self._count_coarsening()
@@ -739,7 +762,7 @@ class SolveWorkspace:
         except ConvergenceError:
             self._counters["reanchors"] += 1
             registry.counter("workspace.reanchors").inc()
-            factor = self.factorization(kind, lam, n)
+            factor = self._factorization(kind, lam, n)
             return factor.solve(rhs), factor.info(), {"fallback": "exact"}
         self._counters["multigrid_solves"] += 1
         self._counters["pcg_iterations"] += result.iterations
@@ -829,7 +852,7 @@ class SolveWorkspace:
             m=m,
         ) as span:
             if self.backend == "exact":
-                factor = self.factorization("soft", lam, n)
+                factor = self._factorization("soft", lam, n)
                 scores = factor.solve(self._rhs_soft(y))
                 info, details = factor.info(), {}
             elif self.backend == "factored":
@@ -885,10 +908,10 @@ class SolveWorkspace:
             rhs = np.asarray(self.weights[n:, :n] @ y).ravel()
             if self.backend == "multigrid":
                 f_unlabeled, info, details = self._multigrid_pcg(
-                    "hard", 0.0, n, self.hard_system(n), rhs, self._hard_vcycle(n)
+                    "hard", 0.0, n, self._hard_system(n), rhs, self._hard_vcycle(n)
                 )
             else:
-                factor = self.factorization("hard", 0.0, n)
+                factor = self._factorization("hard", 0.0, n)
                 f_unlabeled, info, details = factor.solve(rhs), factor.info(), {}
             if span.recording:
                 span.set_attribute("solve_method", info.method)

@@ -39,9 +39,12 @@ system on ``V + lam (L + diag(c))``: the same matrix shape with ``A = V +
 lam L``, the border ``c`` over all vertices scaled by ``lam``, a zero
 tail and the right-hand side ``(y; 0)``.  Both criteria therefore share
 one bordered solve; :meth:`ExactInserter.insert` only picks its inputs.
-The cached systems and the hard right-hand side ``W21 y`` come from
-:mod:`repro.graph.laplacian`, the assembly the fit itself solved, once
-per inserter.
+The hard criterion borders the workspace's own ``D22 - W22``
+(:meth:`~repro.linalg.workspace.SolveWorkspace.hard_system`), the
+matrix the fit solved, so no second copy is assembled; the soft
+criterion borders ``V + lam L`` from
+:meth:`~repro.linalg.workspace.SolveWorkspace.soft_system`.  Each
+inserter forms the hard right-hand side ``W21 y`` once.
 
 Credible intervals come from the Gaussian-field view (the same model as
 :mod:`repro.core.uncertainty`): the query's posterior variance is
@@ -65,7 +68,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ConvergenceError, DataValidationError
-from repro.graph.laplacian import grounded_system
 from repro.linalg.advanced import preconditioned_conjugate_gradient
 from repro.serving.queries import QueryRow
 
@@ -130,9 +132,8 @@ class ExactInserter:
         self.workspace = workspace
         if self.lam == 0.0:
             if self.m > 0:
-                self.system, w21 = grounded_system(
-                    workspace.weights, self.n, workspace.degrees
-                )
+                self.system = workspace.hard_system(self.n)
+                w21 = workspace.weights[self.n :, : self.n]
                 self.rhs = np.asarray(w21 @ self.y).ravel()
                 self.precondition = workspace.preconditioner("hard", 0.0, self.n)
             else:

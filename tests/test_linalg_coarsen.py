@@ -7,11 +7,12 @@ joined by a positive edge), every hierarchy level composes two of them
 into connected aggregates of at most four vertices, the Galerkin triple
 product ``PᵀAP`` of an SPD system is SPD, and the coarse Laplacian
 identity ``PᵀL(W)P = L(PᵀWP)`` holds exactly.  The hierarchy is pinned
-against a pairwise chain built from the matching itself, and the
-V-cycle's aggregate-map transfers (a ``bincount`` restriction and a
-gather prolongation) against the sparse products ``Pᵀr`` and ``Pe``
-and against a cycle that transposes ``P`` on every call.  The
-vectorized mutual-proposal
+against a pairwise chain built from the matching itself; a level holds
+only its aggregate map and coarse Laplacian, and its retained bytes are
+theirs.  The V-cycle's aggregate-map transfers (a ``bincount``
+restriction and a gather prolongation) are pinned against the sparse
+products ``Pᵀr`` and ``Pe`` and against a cycle that rebuilds ``P``
+and transposes it on every call.  The vectorized mutual-proposal
 matching is pinned against a per-vertex loop of the same rounds, its
 hashed tie-break against unit-weight chains and grids, and its
 independence of vertex order against relabelled kNN graphs.  The
@@ -19,6 +20,8 @@ performance-shaped property — multigrid-preconditioned CG reaches a
 residual no worse than unpreconditioned CG on the same iteration
 budget — is what justifies shipping the backend at all.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -42,6 +45,8 @@ from repro.linalg.coarsen import (
     MATCHING_ROUNDS,
     OMEGA,
     STALL_RATIO,
+    CoarseLevel,
+    CoarseningHierarchy,
     MultigridPreconditioner,
     aggregation_operator,
     build_hierarchy,
@@ -87,7 +92,7 @@ def _soft_vcycle(weights, lam, n_labeled, min_coarse_size=16):
     hierarchy = build_hierarchy(weights, min_coarse_size=min_coarse_size)
     mask = np.zeros(weights.shape[0])
     mask[:n_labeled] = 1.0
-    return MultigridPreconditioner.from_hierarchy(
+    return MultigridPreconditioner(
         _soft_system(weights, lam, n_labeled),
         hierarchy,
         lam,
@@ -118,19 +123,21 @@ def _knn_3d(n, seed):
 
 
 def _pairwise_chain(weights, min_coarse_size):
-    """Sizes and graphs of one heavy-edge matching per level.
+    """Sizes, graphs and matchings of one heavy-edge matching per level.
 
     The chain a pairwise hierarchy would build: it stops at
     ``min_coarse_size`` vertices or at the first pass that stalls.
+    ``matchings[i]`` maps the vertices of ``graphs[i]`` to ``graphs[i + 1]``.
     """
-    sizes, graphs = [weights.shape[0]], [weights]
+    sizes, graphs, matchings = [weights.shape[0]], [weights], []
     while sizes[-1] > min_coarse_size:
         labels = heavy_edge_matching(graphs[-1])
         if labels.max() + 1 >= STALL_RATIO * sizes[-1]:
             break
         graphs.append(coarsen_weights(graphs[-1], aggregation_operator(labels)))
         sizes.append(graphs[-1].shape[0])
-    return sizes, graphs
+        matchings.append(labels)
+    return sizes, graphs, matchings
 
 
 def _grid(m):
@@ -390,6 +397,21 @@ class TestHierarchy:
         with pytest.raises(ConfigurationError, match="min_coarse_size"):
             build_hierarchy(weights, min_coarse_size=0)
 
+    def test_a_level_retains_its_aggregate_map_and_coarse_laplacian(self):
+        """Nothing else: no prolongation matrix and no coarse graph."""
+        hierarchy = build_hierarchy(_knn_3d(3000, 2), min_coarse_size=16)
+        assert len(hierarchy.levels) >= 3
+        assert [f.name for f in dataclasses.fields(CoarseLevel)] == ["aggregates", "laplacian"]
+        held = 0
+        for level in hierarchy.levels:
+            for value in (getattr(level, f.name) for f in dataclasses.fields(level)):
+                if sparse.issparse(value):
+                    held += value.data.nbytes + value.indices.nbytes + value.indptr.nbytes
+                else:
+                    held += value.nbytes
+        assert hierarchy.retained_bytes() == held
+        assert build_hierarchy(_random_graph(20, 1)).retained_bytes() == 0
+
     @settings(max_examples=25, deadline=None)
     @given(
         n=st.integers(min_value=2, max_value=300),
@@ -401,23 +423,23 @@ class TestHierarchy:
     ):
         weights = _random_graph(n, seed)
         hierarchy = build_hierarchy(weights, min_coarse_size=min_coarse_size)
-        matched_on = sparse.coo_matrix(weights)
+        graph = weights
         for level in hierarchy.levels:
-            p = level.prolongation
-            assert np.array_equal(np.diff(p.indptr), np.ones(p.shape[0], dtype=p.indptr.dtype))
-            np.testing.assert_array_equal(p.data, np.ones(p.shape[0]))
-            members = np.bincount(p.indices, minlength=p.shape[1])
+            labels = level.aggregates
+            assert labels.shape == (graph.shape[0],) == (level.n_fine,)
+            members = np.bincount(labels, minlength=level.n_coarse)
+            assert members.size == level.n_coarse
             assert members.min() >= 1 and members.max() <= 4
             # the positive edges inside the aggregates connect each of them
-            labels = p.indices
+            matched_on = sparse.coo_matrix(graph)
             row, col, w = matched_on.row, matched_on.col, matched_on.data
             inside = (labels[row] == labels[col]) & (row != col) & (w > 0)
             edges = sparse.coo_matrix(
                 (w[inside], (row[inside], col[inside])), shape=matched_on.shape
             )
             n_parts, _ = connected_components(edges, directed=False)
-            assert n_parts == p.shape[1]
-            matched_on = sparse.coo_matrix(level.weights)
+            assert n_parts == level.n_coarse
+            graph = coarsen_weights(graph, aggregation_operator(labels))
 
     @pytest.mark.parametrize("data", ["normal-3d", "truncated-mvn-5d"])
     def test_kept_levels_are_every_second_pairwise_level(self, data):
@@ -432,15 +454,26 @@ class TestHierarchy:
             )
             x = np.where((raw >= 0.0) & (raw <= 1.0), raw, 0.0)
             weights = knn_graph(x, k=10, bandwidth=0.82).weights
-        sizes, graphs = _pairwise_chain(weights, 16)
+        sizes, graphs, matchings = _pairwise_chain(weights, 16)
         hierarchy = build_hierarchy(weights, min_coarse_size=16)
         kept = list(range(0, len(sizes), 2))
         if kept[-1] != len(sizes) - 1:
             kept.append(len(sizes) - 1)  # a last pass left at most 16
         assert list(hierarchy.sizes) == [sizes[i] for i in kept]
         assert len(hierarchy.levels) >= 3
-        for level, index in zip(hierarchy.levels, kept[1:]):
-            assert (level.weights != graphs[index]).nnz == 0
+        for level, start, stop in zip(hierarchy.levels, kept, kept[1:]):
+            composed = np.arange(sizes[start])
+            for labels in matchings[start:stop]:
+                composed = labels[composed]
+            np.testing.assert_array_equal(level.aggregates, composed)
+            assert (level.laplacian != laplacian(graphs[stop])).nnz == 0
+            # the composed map's own Galerkin product is that coarse graph
+            np.testing.assert_allclose(
+                coarsen_weights(graphs[start], aggregation_operator(level.aggregates)).toarray(),
+                graphs[stop].toarray(),
+                rtol=1e-12,
+                atol=1e-15,
+            )
 
     def test_operator_complexity_of_a_knn_hierarchy(self):
         """Σ nnz(L_l) ÷ nnz(L): pairwise levels make it about 2."""
@@ -462,7 +495,7 @@ class TestHierarchy:
         weights = _path(n, edge)
         hierarchy = build_hierarchy(weights, min_coarse_size=16)
         assert hierarchy.sizes == (n, n // 2)
-        assert np.bincount(hierarchy.levels[0].prolongation.indices).max() == 2
+        assert np.bincount(hierarchy.levels[0].aggregates).max() == 2
         system = _soft_system(weights, 0.5, n // 20)
         rhs = np.random.default_rng(3).normal(size=n)
         np.testing.assert_allclose(
@@ -497,9 +530,10 @@ class TestMultigridPreconditioner:
     def test_from_hierarchy_levels_are_galerkin_products(self):
         """``λL_l + diag(v_l)`` equals ``PᵀA_{l-1}P`` at every level."""
         precond = _soft_vcycle(_knn_3d(2000, 6), 0.3, 100)
-        systems, prolongations = precond._systems, precond._prolongations
+        systems = precond._systems
+        prolongations = [aggregation_operator(labels) for labels in precond._labels]
         assert len(systems) >= 4
-        for fine, coarse, p in zip(systems, systems[1:], prolongations):
+        for fine, coarse, p in zip(systems[:-1], systems[1:], prolongations, strict=True):
             np.testing.assert_allclose(
                 coarse.toarray(), (p.T @ fine @ p).toarray(), rtol=1e-12, atol=1e-12
             )
@@ -535,11 +569,13 @@ class TestMultigridPreconditioner:
         assert final_residual(mg) <= 1.05 * final_residual(None) + 1e-12
 
     def test_cached_restrictions_change_no_output_bit(self):
-        """Against a cycle that transposes ``P`` on every call."""
+        """Against a cycle that rebuilds each ``P`` from its aggregate map
+        and transposes it on every call."""
         weights = _knn_3d(2000, 4)
         system = _soft_system(weights, 0.8, 100)
         precond = _soft_vcycle(weights, 0.8, 100)
-        systems, prolongations = precond._systems, precond._prolongations
+        systems = precond._systems
+        prolongations = [aggregation_operator(labels) for labels in precond._labels]
         coarsest = factorize_spd(systems[-1])
 
         def cycle(level, rhs):
@@ -583,37 +619,15 @@ class TestMultigridPreconditioner:
         assert restricted.tobytes() == (p.T @ r).tobytes()
         assert e[p.indices].tobytes() == (p @ e).tobytes()
 
-    @pytest.mark.parametrize(
-        "prolongation",
-        [
-            aggregation_operator(np.array([0, 0, 1, 1])) * 0.5,
-            sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])),
-            sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 1.0]])),
-            aggregation_operator(np.array([0, 0, 1, 1])).tocsc(),
-            aggregation_operator(np.array([0, 0, 1, 1])).toarray(),
-            aggregation_operator(np.array([0, 0, 1])),
-        ],
-        ids=["scaled", "two-entries", "empty-row", "csc", "dense", "wrong-shape"],
-    )
-    def test_rejects_a_prolongation_that_is_no_aggregation_operator(self, prolongation):
-        system = _soft_system(_random_graph(4, 2, k=2), 1.0, 2)
-        coarse = sparse.identity(2, format="csr")
-        with pytest.raises(ConfigurationError, match="aggregation operator"):
-            MultigridPreconditioner([system, coarse], [prolongation])
-
-    def test_validates_level_shapes_and_params(self):
-        weights = _random_graph(40, 4)
-        system = _soft_system(weights, 1.0, 10)
-        with pytest.raises(ConfigurationError, match="at least one"):
-            MultigridPreconditioner([], [])
-        with pytest.raises(ConfigurationError, match="prolongations"):
-            MultigridPreconditioner([system, system], [])
-
     def test_rejects_non_positive_diagonal(self):
         bad = sparse.diags([0.0, 1.0, 1.0, 1.0]).tocsr()
-        p = aggregation_operator(np.array([0, 0, 1, 1]))
+        level = CoarseLevel(
+            aggregates=np.array([0, 0, 1, 1], dtype=np.int32),
+            laplacian=sparse.csr_matrix((2, 2)),
+        )
+        hierarchy = CoarseningHierarchy(4, (level,))
         with pytest.raises(DataValidationError, match="diagonal"):
-            MultigridPreconditioner([bad, (p.T @ bad @ p).tocsr()], [p])
+            MultigridPreconditioner(bad, hierarchy, 1.0, hierarchy.coarsen_diagonal(np.ones(4)))
 
 
 class TestWorkspaceMultigridBackend:
@@ -683,7 +697,7 @@ class TestWorkspaceMultigridBackend:
         hierarchy = build_hierarchy(weights)
         mask = np.zeros(30)
         mask[:10] = 1.0
-        precond = MultigridPreconditioner.from_hierarchy(
+        precond = MultigridPreconditioner(
             system, hierarchy, 1.0, hierarchy.coarsen_diagonal(mask)
         )
         assert precond.n_levels == 1

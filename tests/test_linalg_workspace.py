@@ -3,9 +3,10 @@
 Covers the cache machinery (hits/misses/evictions), the continuation
 state (warm starts, re-anchoring), invalidation on graph mutation
 (including a hypothesis property test: a mutated workspace must raise,
-never serve stale answers), the labeled-reachability check made from the
-components computed at construction, the multigrid backend's hard
-V-cycle, the true residual every PCG path reports, and the ``x0``
+never serve stale answers) with one fingerprint per public call, the
+labeled-reachability check made from the components computed at
+construction or carried over by ``permuted``, the multigrid backend's
+hard V-cycle, the true residual every PCG path reports, and the ``x0``
 threading through ``solve_spd``.  Numerical parity against direct solves
 lives in ``tests/test_workspace_parity.py``.
 """
@@ -26,10 +27,11 @@ from repro.exceptions import (
     WorkspaceInvalidatedError,
 )
 from repro.graph.components import require_labeled_reachability
+from repro.graph.laplacian import laplacian
 from repro.graph.similarity import full_kernel_graph, knn_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
 from repro.linalg import workspace as workspace_module
-from repro.linalg.coarsen import coarsen_weights
+from repro.linalg.coarsen import aggregation_operator, coarsen_weights
 from repro.linalg.solvers import SolveInfo, solve_spd
 from repro.linalg.workspace import MAX_FACTORIZATIONS, SolveWorkspace
 
@@ -240,6 +242,38 @@ class TestInvalidation:
         with pytest.raises(WorkspaceInvalidatedError):
             ws.solve_soft(data.y_labeled, 0.1)
 
+    @pytest.mark.parametrize("backend", ["exact", "factored", "multigrid"])
+    def test_one_fingerprint_per_public_call(self, deep_problem, monkeypatch, backend):
+        """The helpers a solve runs read the caches without fingerprinting
+        the weights again; an edit between two calls still raises."""
+        data, graph = deep_problem
+        y = data.y_labeled
+        calls = []
+        original = workspace_module._fingerprint
+
+        def counting(weights):
+            calls.append(weights.shape)
+            return original(weights)
+
+        monkeypatch.setattr(workspace_module, "_fingerprint", counting)
+        ws = SolveWorkspace(graph.weights.copy(), backend=backend)
+        assert len(calls) == 1
+        for lam in (0.01, 0.1, 1.0, 10.0):
+            calls.clear()
+            ws.solve_soft(y, lam)
+            assert len(calls) == 1, lam
+        calls.clear()
+        ws.solve_hard(y)
+        assert len(calls) == 1
+        if backend == "multigrid":
+            assert ws.stats().multigrid_solves == 5
+        ws.weights.data[0] += 1.0
+        for call in (lambda: ws.solve_soft(y, 0.1), lambda: ws.solve_hard(y)):
+            with pytest.raises(WorkspaceInvalidatedError):
+                call()
+        with pytest.raises(WorkspaceInvalidatedError):
+            ws.hard_system(y.shape[0])
+
 
 class TestCoreDelegation:
     """The core solves are the per-point reference; they take no workspace."""
@@ -357,10 +391,13 @@ class TestHardMultigrid:
         equals the triple product ``PᵀAP`` of the level above."""
         data, graph = deep_problem
         ws = SolveWorkspace(graph.weights, backend="multigrid")
-        vcycle = ws.preconditioner("hard", 0.0, data.y_labeled.shape[0])
-        systems, prolongations = vcycle._systems, vcycle._prolongations
+        n = data.y_labeled.shape[0]
+        vcycle = ws.preconditioner("hard", 0.0, n)
+        systems = vcycle._systems
+        assert systems[0] is ws.hard_system(n)
+        prolongations = [aggregation_operator(labels) for labels in vcycle._labels]
         assert len(systems) >= 3
-        for fine, coarse, p in zip(systems, systems[1:], prolongations):
+        for fine, coarse, p in zip(systems[:-1], systems[1:], prolongations, strict=True):
             np.testing.assert_allclose(
                 coarse.toarray(), (p.T @ fine @ p).toarray(), rtol=1e-12, atol=0
             )
@@ -470,10 +507,12 @@ class TestPermuted:
         assert len(shared.levels) >= 2
         assert own.levels[1:] == shared.levels[1:]
         first = own.levels[0]
-        assert (first.prolongation != shared.levels[0].prolongation[order]).nnz == 0
+        np.testing.assert_array_equal(first.aggregates, shared.levels[0].aggregates[order])
         np.testing.assert_allclose(
-            coarsen_weights(moved.weights, first.prolongation).toarray(),
-            first.weights.toarray(),
+            laplacian(
+                coarsen_weights(moved.weights, aggregation_operator(first.aggregates))
+            ).toarray(),
+            first.laplacian.toarray(),
             rtol=1e-12,
             atol=1e-15,
         )
@@ -499,6 +538,52 @@ class TestPermuted:
             knn_graph(data.x_all, k=10, bandwidth=1.0).weights, backend="multigrid"
         ).permuted(order)
         assert sparse_moved._hierarchy is None
+
+    def test_adopts_the_components_without_validating(self, monkeypatch):
+        """Three clusters, shuffled: the reordered workspace's components
+        and reachability verdicts equal a fresh workspace's, although
+        ``permuted`` neither validates the weights nor searches for
+        components."""
+        rng = np.random.default_rng(2)
+        x = np.vstack([rng.normal(size=(150, 3)) + 40.0 * c for c in range(3)])
+        weights = knn_graph(x, k=8, bandwidth=1.0).weights
+        ws = SolveWorkspace(weights, backend="multigrid")
+        assert ws._components[0] == 3
+        order = rng.permutation(weights.shape[0])
+        calls = []
+        for name in ("check_weight_matrix", "validated_components"):
+            original = getattr(workspace_module, name)
+
+            def counting(matrix, name=name, original=original):
+                calls.append(name)
+                return original(matrix)
+
+            monkeypatch.setattr(workspace_module, name, counting)
+        moved = ws.permuted(order)
+        assert calls == []
+        fresh = SolveWorkspace(weights[order][:, order])
+        assert moved.weights.has_canonical_format
+        for got, want in (
+            (moved.weights.indptr, fresh.weights.indptr),
+            (moved.weights.indices, fresh.weights.indices),
+            (moved.weights.data, fresh.weights.data),
+        ):
+            np.testing.assert_array_equal(got, want)
+        assert moved._components[0] == fresh._components[0] == 3
+        np.testing.assert_array_equal(moved._components[1], fresh._components[1])
+        for n in range(0, weights.shape[0] + 1, 9):
+            outcomes = []
+            for workspace in (moved, fresh):
+                try:
+                    workspace._require_reachable(n)
+                    outcomes.append(None)
+                except DisconnectedGraphError as exc:
+                    outcomes.append((str(exc), exc.component_indices))
+            assert outcomes[0] == outcomes[1], n
+            assert moved._reachability[n] == fresh._reachability[n]
+        moved.weights.data[0] += 1.0
+        with pytest.raises(WorkspaceInvalidatedError):
+            moved.hierarchy()
 
     def test_rejects_an_order_that_is_no_permutation(self, problem):
         _, graph = problem

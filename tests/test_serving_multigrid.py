@@ -13,6 +13,8 @@ once — and pin, for a hard and a λ = 0.5 model:
   ``exact``-backend model and a rebuild-and-resolve at 1e-8;
 * each insertion stays stateless, so serving is deterministic;
 * dense models and sparse models at or below the floor still factorize;
+* a hard model's fit, exact insertions and later hard solves share one
+  assembled ``D22 - W22``;
 * insertion PCG, started from the fitted field with the query at its
   harmonic value, takes no more iterations per query than the same PCG
   started from the rank-1 border guess, and fewer in sum on a V-cycle.
@@ -32,7 +34,7 @@ from repro.datasets.synthetic import make_regression_dataset, truncated_mvn_inpu
 from repro.linalg import solvers as solvers_module
 from repro.linalg import workspace as workspace_module
 from repro.linalg.advanced import preconditioned_conjugate_gradient
-from repro.linalg.workspace import _min_coarse_size
+from repro.linalg.coarsen import _coarsest_bound
 from repro.serving import GraphSSLModel
 from repro.serving.insertion import INSERTION_MAX_ITER, INSERTION_TOL
 
@@ -156,7 +158,35 @@ class TestNoLargeFactorization:
             model.predict(queries, method="nw", return_interval=True)
         system_size = 700 if lam else 660
         assert sizes
-        assert max(sizes) <= _min_coarse_size(system_size) < system_size
+        assert max(sizes) <= _coarsest_bound(system_size) < system_size
+
+
+class TestOneHardSystem:
+    @pytest.mark.parametrize("backend", ["multigrid", "exact"])
+    def test_fit_serving_and_resolves_share_one_assembly(self, data, monkeypatch, backend):
+        """A hard model assembles ``D22 - W22`` once: the fit, 20 exact
+        insertions and two more hard solves all use that matrix."""
+        reference, _ = data
+        calls = []
+        original = workspace_module.grounded_system
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(workspace_module, "grounded_system", counting)
+        if backend == "multigrid":
+            monkeypatch.setattr(workspace_module, "FACTORIZE_MAX_VERTICES", LOWERED_FLOOR)
+        model = _fit(reference, 0.0)
+        workspace = model._workspace
+        assert workspace.backend == backend
+        model.predict(truncated_mvn_inputs(20, seed=np.random.default_rng(3)), method="exact")
+        for _ in range(2):
+            workspace.solve_hard(reference.y_labeled)
+        assert len(calls) == 1
+        n = reference.y_labeled.shape[0]
+        assert model._inserter.system is workspace.hard_system(n)
+        assert len(calls) == 1
 
 
 class TestParity:

@@ -265,6 +265,13 @@ class TestModelSelectionParity:
                 super().__init__(weights, **kwargs)
                 built.append(self.backend)
 
+            def permuted(self, order):
+                # a later fold's workspace adopts the reordered graph
+                # without running __init__
+                moved = super().permuted(order)
+                built.append(moved.backend)
+                return moved
+
         monkeypatch.setattr(search_module, "SolveWorkspace", RecordingWorkspace)
         scores = cross_validate_lambda(weights, y, grid, n_folds=4, seed=5)
         assert built == [backend] * 4
