@@ -17,10 +17,11 @@ first ``n`` vertices are labeled, and both are assembled here:
 They take weights that are already validated and keep the input's
 format: a CSR input gives CSR systems (the indicator is added as a
 diagonal matrix, never assigned into CSR), a dense input dense ones.
-The per-point solves in :mod:`repro.core`, the cached factorizations of
-:class:`~repro.linalg.workspace.SolveWorkspace` and the exact serving
-path all call them, so each system has one operation order and the
-cached paths reproduce the reference solves bit for bit.
+The per-point solves in :mod:`repro.core` and the operators of
+:class:`~repro.linalg.workspace.SolveWorkspace`, which the exact serving
+path borders, all assemble through them, so each system has one
+operation order and the cached paths reproduce the reference solves bit
+for bit.
 """
 
 from __future__ import annotations
@@ -86,9 +87,17 @@ def grounded_system(weights, n: int, degrees=None):
     count — so pass ``degrees`` when the full row sums are already at
     hand.  Both blocks keep the format of ``weights``.
     """
+    return _grounded_laplacian(weights, n, degrees)[0], weights[n:, :n]
+
+
+def _grounded_laplacian(weights, n: int, degrees=None):
+    """``(D22 - W22, W22)``: :func:`grounded_system`'s first block and the
+    ``W22`` slice it was assembled from, for a caller that also coarsens
+    ``W22`` and so slices it only once."""
     if degrees is None:
         degrees = _row_sums(weights)
-    return _unchecked_laplacian(weights[n:, n:], degrees[n:]), weights[n:, :n]
+    unlabeled = weights[n:, n:]
+    return _unchecked_laplacian(unlabeled, degrees[n:]), unlabeled
 
 
 def soft_system(laplacian, n: int, lam: float):

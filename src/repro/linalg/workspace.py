@@ -10,7 +10,7 @@ one knob is the backend, one of :data:`SWEEP_BACKENDS`, each the fastest
 on some measured grid (docs/SCALING.md):
 
 * **exact** (default) — an LRU cache of true SPD factorizations keyed
-  by ``(kind, λ, n_labeled)``; a cache hit returns bit-identical
+  by ``(λ, n_labeled)``; a cache hit returns bit-identical
   solutions to refactorizing, so strict/golden paths can reuse safely.
   Its systems come from :func:`~repro.graph.laplacian.soft_system` and
   :func:`~repro.graph.laplacian.grounded_system`, the same assembly the
@@ -55,11 +55,20 @@ from the graph through :func:`choose_backend`: ``multigrid`` for a
 sparse graph above :data:`FACTORIZE_MAX_VERTICES` vertices, ``exact``
 otherwise.  ``backend=`` pins one.
 
-:meth:`SolveWorkspace.preconditioner` hands out the cached ``r ↦ M⁻¹r``
-of either system — the factorization's back-substitution on ``exact``
-and ``factored``, the V-cycle on ``multigrid`` — so callers that solve a
-perturbed system (exact serving's bordered insertion) never branch on
-the backend.
+One operator per ``(λ, n_labeled)``, λ = 0 being the hard criterion
+(Proposition II.1 makes it the λ → 0 end of the soft one):
+:meth:`SolveWorkspace.operator` returns a :class:`CriterionOperator` —
+the assembled system (``D22 - W22`` or ``V + λL``), its right-hand side
+(``W21 y`` or ``(y; 0)``) and its cached ``r ↦ M⁻¹r`` (the
+factorization's back-substitution on ``exact`` and ``factored``, the
+V-cycle on ``multigrid``) — so callers that solve a perturbed system
+(exact serving's bordered insertion) never branch on the criterion or
+the backend.  The hard operator is built once per ``n_labeled``, from
+one slice each of ``W22`` and ``W21``, and kept: every hard solve, its
+fallback and exact serving read it.  A soft operator is kept only once
+:meth:`SolveWorkspace.operator` has asked for it; otherwise a solve
+builds its system and V-cycle for itself alone, so a λ-sweep holds one
+soft system at a time.
 
 Accuracy contract of the two approximate backends: every solve stops at
 relative residual ``‖b - A f‖ / ‖b‖ ≤`` :data:`PCG_TOL` (``1e-10``), and
@@ -70,12 +79,6 @@ of ``V + λL`` can amplify: multigrid scores were measured within 3e-8 of
 ``exact`` at N=2·10⁴ (d=3) and 8.6e-9 at N=4·10³ (d=2); the parity suite
 checks every backend against per-point reference solves at
 ``atol=1e-8`` on its small graphs.
-
-The workspace assembles ``D22 - W22`` once per ``n_labeled``
-(:meth:`SolveWorkspace.hard_system`).  That one matrix is the hard
-V-cycle's finest level, the system every hard PCG solve multiplies by,
-the matrix the ``exact`` and ``factored`` backends factorize, and the
-system exact serving borders.
 
 Well-posedness: the construction also computes the graph's connected
 components (one O(nnz) pass on the weights it has just validated), and
@@ -125,7 +128,7 @@ from repro.graph.components import (
     reachability_report,
     validated_components,
 )
-from repro.graph.laplacian import _row_sums, _unchecked_laplacian, grounded_system
+from repro.graph.laplacian import _grounded_laplacian, _row_sums, _unchecked_laplacian
 from repro.graph.laplacian import soft_system as assemble_soft_system
 from repro.linalg.advanced import preconditioned_conjugate_gradient
 from repro.linalg.coarsen import (
@@ -147,6 +150,7 @@ from repro.utils.validation import (
 
 __all__ = [
     "SolveWorkspace",
+    "CriterionOperator",
     "WorkspaceStats",
     "SWEEP_BACKENDS",
     "FACTORIZE_MAX_VERTICES",
@@ -289,6 +293,46 @@ def _fit_result(**kwargs):
     return FitResult(**kwargs)
 
 
+def _soft_rhs(y: np.ndarray, size: int) -> np.ndarray:
+    """The soft criterion's right-hand side ``(y; 0)`` of length ``size``."""
+    rhs = np.zeros(size)
+    rhs[: y.shape[0]] = y
+    return rhs
+
+
+class CriterionOperator(NamedTuple):
+    """One criterion's operator on a workspace, for one labeled count.
+
+    :meth:`SolveWorkspace.operator` returns it; λ = 0 is the hard
+    criterion (Eq. 5), λ > 0 the soft one (Eq. 3).
+
+    Attributes
+    ----------
+    system:
+        The assembled system: ``D22 - W22`` (``m × m``) at λ = 0,
+        ``V + λL`` (``N × N``) at λ > 0.
+    precondition:
+        The cached ``r ↦ M⁻¹r`` for ``system``: the factorization's
+        back-substitution on ``exact`` and ``factored`` (``M = A``), the
+        V-cycle on ``multigrid``.  Either is symmetric positive definite,
+        so it preconditions CG on ``system`` or on an SPD perturbation of
+        it.  ``None`` when every vertex is labeled (λ = 0, ``m = 0``):
+        there is nothing to solve.
+    coupling:
+        ``W21`` at λ = 0, which :meth:`rhs` multiplies; ``None`` at λ > 0.
+    """
+
+    system: object
+    precondition: object
+    coupling: object
+
+    def rhs(self, y: np.ndarray) -> np.ndarray:
+        """The right-hand side for labels ``y``: ``W21 y`` or ``(y; 0)``."""
+        if self.coupling is None:
+            return _soft_rhs(y, self.system.shape[0])
+        return np.asarray(self.coupling @ y).ravel()
+
+
 class _Continuation:
     """Warm-start / anchor state for one labeled-mask (one sweep)."""
 
@@ -373,12 +417,11 @@ class SolveWorkspace:
         self._degrees: np.ndarray | None = None
         self._laplacian = None
         self._factors: OrderedDict[tuple, SPDFactorization] = OrderedDict()
-        self._continuations: dict[tuple, _Continuation] = {}
+        self._continuations: dict[int, _Continuation] = {}
         self._woodbury: dict[int, _WoodburyState] = {}
         self._hierarchy: CoarseningHierarchy | None = None
         self._coarse_masks: dict[int, list[np.ndarray]] = {}
-        self._hard_systems: dict[int, object] = {}
-        self._hard_vcycles: dict[int, MultigridPreconditioner] = {}
+        self._operators: dict[tuple[float, int], CriterionOperator] = {}
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -413,6 +456,10 @@ class SolveWorkspace:
     @property
     def degrees(self) -> np.ndarray:
         """Row sums of the weights, self-weights included (computed once)."""
+        self.check_current()
+        return self._degree_vector()
+
+    def _degree_vector(self) -> np.ndarray:
         if self._degrees is None:
             self._degrees = _row_sums(self.weights)
         return self._degrees
@@ -420,44 +467,121 @@ class SolveWorkspace:
     @property
     def laplacian(self):
         """The unnormalized Laplacian ``L = D - W``, assembled once."""
+        self.check_current()
+        return self._laplacian_matrix()
+
+    def _laplacian_matrix(self):
         if self._laplacian is None:
-            self._laplacian = _unchecked_laplacian(self.weights, self.degrees)
+            self._laplacian = _unchecked_laplacian(self.weights, self._degree_vector())
         return self._laplacian
 
     def soft_system(self, lam: float, n: int):
-        """``V + λL``, assembled as the per-point solve does (bit-compatible)."""
-        return assemble_soft_system(self.laplacian, n, lam)
+        """``V + λL`` (λ > 0), assembled as the per-point solve does
+        (bit-compatible): the kept operator's system once
+        :meth:`operator` has been asked for ``(λ, n)``, else assembled
+        afresh and not kept."""
+        lam = check_positive_scalar(lam, "lam")
+        self.check_current()
+        return self._soft_system(lam, n)
 
     def hard_system(self, n: int):
         """The grounded system ``D22 - W22``, assembled as the per-point
-        solve does, once per ``n``: every hard solve, factorization,
-        V-cycle and exact insertion on this workspace uses this matrix."""
+        solve does, once per ``n``: the hard operator's system, which
+        every hard solve, factorization, V-cycle and exact insertion on
+        this workspace uses.  Raises
+        :class:`~repro.exceptions.DisconnectedGraphError` when the
+        labeled mask leaves a component unreachable."""
         self.check_current()
-        return self._hard_system(n)
+        self._require_reachable(n)
+        return self._kept_operator(0.0, n).system
 
-    def _hard_system(self, n: int):
-        system = self._hard_systems.get(n)
-        if system is None:
-            system = grounded_system(self.weights, n, self.degrees)[0]
-            self._hard_systems[n] = system
-        return system
+    def operator(self, lam: float, n: int) -> CriterionOperator:
+        """The ``(λ, n)`` criterion's :class:`CriterionOperator`, kept.
 
-    def _rhs_soft(self, y: np.ndarray) -> np.ndarray:
-        rhs = np.zeros(self.n_total)
-        rhs[: y.shape[0]] = y
-        return rhs
+        λ = 0 is the hard criterion ``D22 - W22``, λ > 0 the soft ``V +
+        λL``.  The operator is built once and kept until
+        :meth:`invalidate`: later solves at ``(λ, n)`` and later calls
+        read it instead of assembling again.  Its ``precondition`` is
+        the cached factorization's back-substitution on ``exact`` and
+        ``factored`` (``M = A``) and the operator's own V-cycle on
+        ``multigrid``.  Raises
+        :class:`~repro.exceptions.DisconnectedGraphError` before building
+        anything when the labeled mask leaves a component unreachable.
+        """
+        lam = check_positive_scalar(lam, "lam", allow_zero=True)
+        self.check_current()
+        self._require_reachable(n)
+        kept = self._kept_operator(lam, n)
+        if kept.precondition is None and kept.system.shape[0]:  # exact, factored
+            return kept._replace(precondition=self._factorization(lam, n, kept.system).solve)
+        return kept
+
+    def _kept_operator(self, lam: float, n: int) -> CriterionOperator:
+        """The ``(λ, n)`` operator, built on first use and kept."""
+        key = (lam, n)
+        kept = self._operators.get(key)
+        if kept is None:
+            kept = self._operators[key] = self._build_operator(lam, n)
+        return kept
+
+    def _build_operator(self, lam: float, n: int) -> CriterionOperator:
+        """Assemble the ``(λ, n)`` system and, on ``multigrid``, its V-cycle.
+
+        At λ = 0, ``W22`` and ``W21`` are sliced once each.  ``D22 - W22``
+        is assembled from the ``W22`` slice, which then feeds the hard
+        hierarchy and is dropped before ``W21`` is sliced, so the
+        hierarchy build, where the first hard solve peaks, holds no more
+        than it did with a slice of its own.  ``W21`` stays for the
+        right-hand side; its row sums ground every level of ``D22 - W22
+        = L(W22) + diag(W21·1)``.  On ``exact`` and ``factored`` the
+        preconditioner lives in the factorization cache, not in the
+        operator.
+        """
+        multigrid = self.backend == "multigrid"
+        kind = "hard" if lam == 0.0 else "soft"
+        with obs.span(
+            "repro.workspace.operator", kind=kind, backend=self.backend, lam=float(lam), n=n
+        ):
+            if lam != 0.0:
+                system = assemble_soft_system(self._laplacian_matrix(), n, lam)
+                vcycle = None
+                if multigrid:
+                    vcycle = MultigridPreconditioner(
+                        system, self._soft_hierarchy(), lam, self._coarse_mask_diagonals(n)
+                    )
+                return CriterionOperator(system, vcycle, None)
+            system, unlabeled = _grounded_laplacian(self.weights, n, self._degree_vector())
+            hierarchy = build_hierarchy(unlabeled) if multigrid and system.shape[0] else None
+            del unlabeled
+            coupling = self.weights[n:, :n]
+            vcycle = None
+            if hierarchy is not None:
+                vcycle = MultigridPreconditioner(
+                    system, hierarchy, 1.0, hierarchy.coarsen_diagonal(_row_sums(coupling))
+                )
+                self._count_coarsening()
+            return CriterionOperator(system, vcycle, coupling)
+
+    def _soft_system(self, lam: float, n: int):
+        """``V + λL`` (λ > 0): a kept operator's, else assembled afresh
+        and not kept."""
+        kept = self._operators.get((lam, n))
+        if kept is not None:
+            return kept.system
+        return assemble_soft_system(self._laplacian_matrix(), n, lam)
 
     # ------------------------------------------------------------------
     # Factorization cache
     # ------------------------------------------------------------------
 
-    def factorization(self, kind: str, lam: float, n: int) -> SPDFactorization:
-        """A cached SPD factorization of the requested system (LRU)."""
-        self.check_current()
-        return self._factorization(kind, lam, n)
+    def _factorization(self, lam: float, n: int, system=None) -> SPDFactorization:
+        """A cached SPD factorization of the ``(λ, n)`` system (LRU).
 
-    def _factorization(self, kind: str, lam: float, n: int) -> SPDFactorization:
-        key = (kind, float(lam), int(n))
+        ``system`` is that system when the caller holds it, as every
+        hard caller does; a soft miss without it takes
+        :meth:`_soft_system`.
+        """
+        key = (float(lam), int(n))
         cached = self._factors.get(key)
         registry = obs.get_registry()
         if cached is not None:
@@ -467,9 +591,9 @@ class SolveWorkspace:
             return cached
         self._counters["factor_misses"] += 1
         registry.counter("workspace.factor.misses").inc()
-        system = (
-            self._hard_system(n) if kind == "hard" else self.soft_system(lam, n)
-        )
+        if system is None:
+            system = self._soft_system(lam, n)
+        kind = "hard" if lam == 0.0 else "soft"
         with obs.span(
             "repro.workspace.factorize", kind=kind, lam=float(lam), n=n
         ) as span:
@@ -486,33 +610,12 @@ class SolveWorkspace:
             registry.counter("workspace.factor.evictions").inc()
         return factor
 
-    def preconditioner(self, kind: str, lam: float, n: int):
-        """The cached ``r ↦ M⁻¹r`` for the ``(kind, λ, n)`` system.
-
-        ``kind`` is ``"hard"`` (``D22 - W22``; ``lam`` is ignored) or
-        ``"soft"`` (``V + λL``).  On ``exact`` and ``factored`` this is
-        the cached factorization's back-substitution, so ``M = A``; on
-        ``multigrid`` it is a V-cycle — the hard one cached per ``n``,
-        the soft one assembled over the cached hierarchy.  Both are
-        symmetric positive definite, so either preconditions CG on the
-        system or on an SPD perturbation of it.  Raises
-        :class:`~repro.exceptions.DisconnectedGraphError` before building
-        anything when the labeled mask leaves a component unreachable.
-        """
-        self.check_current()
-        self._require_reachable(n)
-        if self.backend != "multigrid":
-            return self._factorization(kind, lam, n).solve
-        if kind == "hard":
-            return self._hard_vcycle(n)
-        return self._multigrid_preconditioner(self.soft_system(lam, n), lam, n)
-
     # ------------------------------------------------------------------
     # Factored (anchored PCG continuation)
     # ------------------------------------------------------------------
 
-    def _continuation(self, kind: str, n: int) -> _Continuation:
-        return self._continuations.setdefault((kind, n), _Continuation())
+    def _continuation(self, n: int) -> _Continuation:
+        return self._continuations.setdefault(n, _Continuation())
 
     def _woodbury_applicable(self, n: int) -> bool:
         return 0 < n <= WOODBURY_MAX_LABELED and 4 * n <= self.n_total
@@ -520,7 +623,7 @@ class SolveWorkspace:
     def _woodbury_state(self, lam: float, n: int) -> _WoodburyState:
         state = self._woodbury.get(n)
         if state is None:
-            factor = self._factorization("soft", lam, n)
+            factor = self._factorization(lam, n)
             selector = np.zeros((self.n_total, n))
             selector[:n, :n] = np.eye(n)
             with obs.span(
@@ -553,7 +656,7 @@ class SolveWorkspace:
 
     def _solve_woodbury(self, y: np.ndarray, lam: float, n: int):
         state = self._woodbury_state(lam, n)
-        rhs = self._rhs_soft(y)
+        rhs = _soft_rhs(y, self.n_total)
         if lam == state.anchor_lam:
             scores = state.factor.solve(rhs)
             return scores, state.factor.info(), {"anchored": True}
@@ -562,7 +665,7 @@ class SolveWorkspace:
         # Refine against the assembled operator: the capacitance solve
         # loses digits when c approaches -1 (λ >> λ₀) and 1 - s_max is
         # tiny; residuals measured with the true system restore them.
-        system = self.soft_system(lam, n)
+        system = self._soft_system(lam, n)
         best_norm = float(np.linalg.norm(rhs - system @ scores))
         rhs_norm = float(np.linalg.norm(rhs))
         tol = PCG_TOL * max(rhs_norm, 1.0)
@@ -580,7 +683,7 @@ class SolveWorkspace:
             # like a PCG re-anchor would.
             self._counters["reanchors"] += 1
             obs.get_registry().counter("workspace.reanchors").inc()
-            factor = self._factorization("soft", lam, n)
+            factor = self._factorization(lam, n, system)
             return factor.solve(rhs), factor.info(), {"anchored": True}
         self._counters["woodbury_solves"] += 1
         obs.get_registry().counter("workspace.woodbury_solves").inc()
@@ -594,12 +697,12 @@ class SolveWorkspace:
     def _solve_factored(self, y: np.ndarray, lam: float, n: int):
         if self._woodbury_applicable(n):
             return self._solve_woodbury(y, lam, n)
-        state = self._continuation("soft", n)
-        rhs = self._rhs_soft(y)
+        state = self._continuation(n)
+        rhs = _soft_rhs(y, self.n_total)
         registry = obs.get_registry()
 
         def anchor_here():
-            factor = self._factorization("soft", lam, n)
+            factor = self._factorization(lam, n)
             state.anchor = factor
             state.anchor_lam = float(lam)
             scores = factor.solve(rhs)
@@ -608,7 +711,7 @@ class SolveWorkspace:
         if state.anchor is None:
             return anchor_here()
 
-        system = self.soft_system(lam, n)
+        system = self._soft_system(lam, n)
         x0 = state.last_solution
         warm = x0 is not None
         try:
@@ -715,46 +818,18 @@ class SolveWorkspace:
             self._coarse_masks[n] = cached
         return cached
 
-    def _multigrid_preconditioner(self, system, lam: float, n: int):
-        """V-cycle over ``system`` (the assembled ``soft_system(lam, n)``)."""
-        return MultigridPreconditioner(
-            system, self._soft_hierarchy(), lam, self._coarse_mask_diagonals(n)
-        )
-
-    def _hard_vcycle(self, n: int) -> MultigridPreconditioner:
-        """Galerkin V-cycle over ``hard_system(n)``, built once per ``n``.
-
-        ``D22 - W22 = L(W22) + diag(W21·1)`` is λ-independent and has the
-        soft system's form, so it coarsens the same way: one hierarchy of
-        the unlabeled subgraph ``W22``, with the grounding ``W21·1``
-        aggregated into each level's diagonal.  Its finest level is
-        :meth:`hard_system` itself.  It serves every hard solve and
-        insertion.
-        """
-        vcycle = self._hard_vcycles.get(n)
-        if vcycle is None:
-            hierarchy = build_hierarchy(self.weights[n:, n:])
-            grounding = _row_sums(self.weights[n:, :n])
-            vcycle = MultigridPreconditioner(
-                self._hard_system(n), hierarchy, 1.0, hierarchy.coarsen_diagonal(grounding)
-            )
-            self._hard_vcycles[n] = vcycle
-            self._count_coarsening()
-        return vcycle
-
-    def _multigrid_pcg(self, kind, lam, n, system, rhs, preconditioner, x0=None):
-        """PCG on ``system`` with a V-cycle, to :data:`PCG_TOL`.
+    def _multigrid_pcg(self, lam, n, operator, rhs, x0=None):
+        """PCG on ``operator.system`` with its V-cycle, to :data:`PCG_TOL`.
 
         A stalled V-cycle (pathological graph) falls back to an exact
-        factorization of the ``(kind, lam, n)`` system, like a factored
-        re-anchor.
+        factorization of the same system, like a factored re-anchor.
         """
         registry = obs.get_registry()
         try:
             result = preconditioned_conjugate_gradient(
-                system,
+                operator.system,
                 rhs,
-                preconditioner=preconditioner,
+                preconditioner=operator.precondition,
                 x0=x0,
                 tol=PCG_TOL,
                 max_iter=MULTIGRID_MAX_ITER,
@@ -762,7 +837,7 @@ class SolveWorkspace:
         except ConvergenceError:
             self._counters["reanchors"] += 1
             registry.counter("workspace.reanchors").inc()
-            factor = self._factorization(kind, lam, n)
+            factor = self._factorization(lam, n, operator.system)
             return factor.solve(rhs), factor.info(), {"fallback": "exact"}
         self._counters["multigrid_solves"] += 1
         self._counters["pcg_iterations"] += result.iterations
@@ -776,22 +851,22 @@ class SolveWorkspace:
             method="multigrid_pcg",
             size=rhs.shape[0],
             iterations=result.iterations,
-            final_residual=_residual_norm(system, result.x, rhs),
+            final_residual=_residual_norm(operator.system, result.x, rhs),
             converged=result.converged,
             warm_started=warm,
         )
-        return result.x, info, {"n_levels": preconditioner.n_levels}
+        return result.x, info, {"n_levels": operator.precondition.n_levels}
 
     def _solve_soft_multigrid(self, y: np.ndarray, lam: float, n: int):
-        system = self.soft_system(lam, n)
+        operator = self._operators.get((lam, n))
+        if operator is None:  # nobody asked for it: built for this solve only
+            operator = self._build_operator(lam, n)
         return self._multigrid_pcg(
-            "soft",
             lam,
             n,
-            system,
-            self._rhs_soft(y),
-            self._multigrid_preconditioner(system, lam, n),
-            x0=self._continuation("soft", n).last_solution,
+            operator,
+            operator.rhs(y),
+            x0=self._continuation(n).last_solution,
         )
 
     # ------------------------------------------------------------------
@@ -852,14 +927,14 @@ class SolveWorkspace:
             m=m,
         ) as span:
             if self.backend == "exact":
-                factor = self._factorization("soft", lam, n)
-                scores = factor.solve(self._rhs_soft(y))
+                factor = self._factorization(lam, n)
+                scores = factor.solve(_soft_rhs(y, self.n_total))
                 info, details = factor.info(), {}
             elif self.backend == "factored":
                 scores, info, details = self._solve_factored(y, lam, n)
             else:
                 scores, info, details = self._solve_soft_multigrid(y, lam, n)
-            self._continuation("soft", n).last_solution = scores
+            self._continuation(n).last_solution = scores
             if span.recording:
                 span.set_attribute("solve_method", info.method)
                 span.set_attribute("iterations", info.iterations)
@@ -905,13 +980,12 @@ class SolveWorkspace:
         with obs.span(
             "repro.workspace.solve", kind="hard", backend=self.backend, n=n, m=m
         ) as span:
-            rhs = np.asarray(self.weights[n:, :n] @ y).ravel()
+            operator = self._kept_operator(0.0, n)
+            rhs = operator.rhs(y)
             if self.backend == "multigrid":
-                f_unlabeled, info, details = self._multigrid_pcg(
-                    "hard", 0.0, n, self._hard_system(n), rhs, self._hard_vcycle(n)
-                )
+                f_unlabeled, info, details = self._multigrid_pcg(0.0, n, operator, rhs)
             else:
-                factor = self._factorization("hard", 0.0, n)
+                factor = self._factorization(0.0, n, operator.system)
                 f_unlabeled, info, details = factor.solve(rhs), factor.info(), {}
             if span.recording:
                 span.set_attribute("solve_method", info.method)

@@ -17,8 +17,7 @@ to every touched vertex's degree, so no finite low-rank shortcut is
 exact.  This module therefore solves the bordered system with
 preconditioned CG (:func:`~repro.linalg.advanced.preconditioned_conjugate_gradient`
 on a callable operator), preconditioned block-diagonally by the
-workspace's cached ``r ↦ M⁻¹r`` for ``A``
-(:meth:`~repro.linalg.workspace.SolveWorkspace.preconditioner`) and
+workspace's cached ``r ↦ M⁻¹r`` for ``A`` and
 started from the fitted field: the reference vertices at their fitted
 scores and the query at the weighted mean of its neighbours' fitted
 scores and labels.  At the extended minimizer the query's score is
@@ -39,12 +38,10 @@ system on ``V + lam (L + diag(c))``: the same matrix shape with ``A = V +
 lam L``, the border ``c`` over all vertices scaled by ``lam``, a zero
 tail and the right-hand side ``(y; 0)``.  Both criteria therefore share
 one bordered solve; :meth:`ExactInserter.insert` only picks its inputs.
-The hard criterion borders the workspace's own ``D22 - W22``
-(:meth:`~repro.linalg.workspace.SolveWorkspace.hard_system`), the
-matrix the fit solved, so no second copy is assembled; the soft
-criterion borders ``V + lam L`` from
-:meth:`~repro.linalg.workspace.SolveWorkspace.soft_system`.  Each
-inserter forms the hard right-hand side ``W21 y`` once.
+The inserter takes ``A``, its right-hand side and ``M⁻¹`` from one
+:meth:`~repro.linalg.workspace.SolveWorkspace.operator` call at the
+model's λ: the operator the fit solved with, so no second system or
+V-cycle is built.  It forms that right-hand side once.
 
 Credible intervals come from the Gaussian-field view (the same model as
 :mod:`repro.core.uncertainty`): the query's posterior variance is
@@ -107,42 +104,33 @@ class ExactInserter:
 
     Parameters
     ----------
-    weights:
-        The fitted reference graph's ``(N, N)`` weight matrix.
+    workspace:
+        The model's :class:`~repro.linalg.workspace.SolveWorkspace` over
+        the fitted reference graph; its
+        :meth:`~repro.linalg.workspace.SolveWorkspace.operator` at
+        ``(lam, n)`` gives the system every insertion borders, its
+        right-hand side and the cached factorization or V-cycle that
+        preconditions every solve.
     y_labeled:
         Observed labels (length ``n``; labeled vertices first).
     scores:
         The fitted scores over all ``N`` reference vertices.
-    workspace:
-        The model's :class:`~repro.linalg.workspace.SolveWorkspace`; its
-        :meth:`~repro.linalg.workspace.SolveWorkspace.preconditioner`
-        (a cached factorization or V-cycle) preconditions every solve.
     lam:
         ``0.0`` for the hard criterion, else the soft criterion's
         tuning parameter.
     """
 
-    def __init__(self, weights, y_labeled, scores, workspace, *, lam: float = 0.0):
+    def __init__(self, workspace, y_labeled, scores, *, lam: float):
         self.lam = float(lam)
         self.y = np.asarray(y_labeled, dtype=np.float64)
         self.scores = np.asarray(scores, dtype=np.float64)
         self.n = int(self.y.shape[0])
-        self.n_total = int(weights.shape[0])
+        self.n_total = workspace.n_total
         self.m = self.n_total - self.n
         self.workspace = workspace
-        if self.lam == 0.0:
-            if self.m > 0:
-                self.system = workspace.hard_system(self.n)
-                w21 = workspace.weights[self.n :, : self.n]
-                self.rhs = np.asarray(w21 @ self.y).ravel()
-                self.precondition = workspace.preconditioner("hard", 0.0, self.n)
-            else:
-                self.system = self.rhs = self.precondition = None
-        else:
-            self.system = workspace.soft_system(self.lam, self.n)
-            self.rhs = np.zeros(self.n_total)
-            self.rhs[: self.n] = self.y
-            self.precondition = workspace.preconditioner("soft", self.lam, self.n)
+        operator = workspace.operator(self.lam, self.n)
+        self.system, self.precondition = operator.system, operator.precondition
+        self.rhs = operator.rhs(self.y)
 
     def _split(self, row: QueryRow):
         """Split a query row into labeled mass and a dense unlabeled vector."""

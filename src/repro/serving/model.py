@@ -218,6 +218,9 @@ class GraphSSLModel:
                 span.set_attribute("backend", backend)
                 span.set_attribute("sparse", sparse.issparse(self.graph_.weights))
             self._workspace = SolveWorkspace(self.graph_.weights, backend=backend)
+            # Kept for exact serving: the solve below and every insertion
+            # share this one system and preconditioner.
+            self._workspace.operator(self.lam, n)
             if self.lam == 0.0:
                 result = self._workspace.solve_hard(y_labeled)
             else:
@@ -317,11 +320,7 @@ class GraphSSLModel:
                     weights, backend=choose_backend(weights)
                 )
             self._inserter = ExactInserter(
-                self.graph_.weights,
-                self._y,
-                self.scores_,
-                self._workspace,
-                lam=self.lam,
+                self._workspace, self._y, self.scores_, lam=self.lam
             )
         return self._inserter
 

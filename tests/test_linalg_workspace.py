@@ -6,15 +6,19 @@ state (warm starts, re-anchoring), invalidation on graph mutation
 never serve stale answers) with one fingerprint per public call, the
 labeled-reachability check made from the components computed at
 construction or carried over by ``permuted``, the multigrid backend's
-hard V-cycle, the true residual every PCG path reports, and the ``x0``
-threading through ``solve_spd``.  Numerical parity against direct solves
+hard V-cycle, which operators a workspace keeps, the true residual
+every PCG path reports, and the ``x0`` threading through ``solve_spd``.  Numerical parity against direct solves
 lives in ``tests/test_workspace_parity.py``.
 """
+
+import gc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from repro import obs
 from repro.core.hard import solve_hard_criterion
@@ -31,7 +35,11 @@ from repro.graph.laplacian import laplacian
 from repro.graph.similarity import full_kernel_graph, knn_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
 from repro.linalg import workspace as workspace_module
-from repro.linalg.coarsen import aggregation_operator, coarsen_weights
+from repro.linalg.coarsen import (
+    MultigridPreconditioner,
+    aggregation_operator,
+    coarsen_weights,
+)
 from repro.linalg.solvers import SolveInfo, solve_spd
 from repro.linalg.workspace import MAX_FACTORIZATIONS, SolveWorkspace
 
@@ -209,13 +217,28 @@ class TestInvalidation:
         with pytest.raises(WorkspaceInvalidatedError):
             ws.solve_hard(data.y_labeled)
 
-    def test_explicit_invalidate_clears_caches(self, problem):
+    def test_explicit_invalidate_clears_caches(self, problem, multilevel_problem):
         data, graph = problem
         ws = SolveWorkspace(graph.weights, backend="exact")
         ws.solve_soft(data.y_labeled, 0.1)
         ws.invalidate()
         ws.solve_soft(data.y_labeled, 0.1)
         assert ws.stats().factor_misses == 2
+        # Every kept operator goes too: each (λ, n) is built again.
+        data, graph = multilevel_problem
+        n = data.y_labeled.shape[0]
+        ws = SolveWorkspace(graph.weights, backend="multigrid")
+        kept = [ws.operator(lam, n) for lam in (0.0, 0.5)]
+        for lam, operator in zip((0.0, 0.5), kept):
+            assert ws.operator(lam, n).precondition is operator.precondition
+        builds = ws.stats().coarsen_builds
+        ws.invalidate()
+        for lam, operator in zip((0.0, 0.5), kept):
+            rebuilt = ws.operator(lam, n)
+            assert rebuilt.system is not operator.system
+            assert rebuilt.precondition is not operator.precondition
+            assert (rebuilt.system != operator.system).nnz == 0
+        assert ws.stats().coarsen_builds == 2 * builds
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -267,12 +290,23 @@ class TestInvalidation:
         assert len(calls) == 1
         if backend == "multigrid":
             assert ws.stats().multigrid_solves == 5
+        n = y.shape[0]
+        accessors = (
+            lambda: ws.operator(0.0, n),
+            lambda: ws.operator(0.5, n),
+            lambda: ws.soft_system(0.5, n),
+            lambda: ws.hard_system(n),
+            lambda: ws.laplacian,
+            lambda: ws.degrees,
+        )
+        for call in accessors:
+            calls.clear()
+            call()
+            assert len(calls) == 1
         ws.weights.data[0] += 1.0
-        for call in (lambda: ws.solve_soft(y, 0.1), lambda: ws.solve_hard(y)):
+        for call in (lambda: ws.solve_soft(y, 0.1), lambda: ws.solve_hard(y), *accessors):
             with pytest.raises(WorkspaceInvalidatedError):
                 call()
-        with pytest.raises(WorkspaceInvalidatedError):
-            ws.hard_system(y.shape[0])
 
 
 class TestCoreDelegation:
@@ -392,7 +426,7 @@ class TestHardMultigrid:
         data, graph = deep_problem
         ws = SolveWorkspace(graph.weights, backend="multigrid")
         n = data.y_labeled.shape[0]
-        vcycle = ws.preconditioner("hard", 0.0, n)
+        vcycle = ws.operator(0.0, n).precondition
         systems = vcycle._systems
         assert systems[0] is ws.hard_system(n)
         prolongations = [aggregation_operator(labels) for labels in vcycle._labels]
@@ -444,6 +478,9 @@ class TestHardMultigrid:
         (span,) = [s for s in tracer.iter_spans() if s.name == "repro.workspace.solve"]
         assert span.attributes["backend"] == backend
         assert span.attributes["solve_method"] == solve_method
+        (built,) = [s for s in tracer.iter_spans() if s.name == "repro.workspace.operator"]
+        assert built.attributes["kind"] == "hard"
+        assert built.attributes["backend"] == backend
         assert fit.method == f"workspace[{backend}]"
         assert fit.details["backend"] == backend
         assert fit.solve_info.method == solve_method
@@ -463,16 +500,17 @@ class TestHardMultigrid:
 
     @pytest.mark.parametrize("backend", ["exact", "factored", "multigrid"])
     def test_preconditioner_accessor(self, multilevel_problem, backend):
-        """``preconditioner`` returns ``r ↦ M⁻¹r``: the factorization's
-        back-substitution (``M = A``) or the cached V-cycle."""
+        """``operator(0, n).precondition`` is ``r ↦ M⁻¹r``: the
+        factorization's back-substitution (``M = A``) or the cached
+        V-cycle."""
         data, graph = multilevel_problem
         n = data.y_labeled.shape[0]
         ws = SolveWorkspace(graph.weights, backend=backend)
         system = ws.hard_system(n)
         r = np.random.default_rng(0).normal(size=system.shape[0])
-        inverse = ws.preconditioner("hard", 0.0, n)
+        inverse = ws.operator(0.0, n).precondition
         if backend == "multigrid":
-            assert inverse is ws.preconditioner("hard", 0.0, n)
+            assert inverse is ws.operator(0.0, n).precondition
             assert inverse.n_levels >= 2
             assert ws.stats().factor_misses == 0
             # A V-cycle is an SPD approximation of A⁻¹, not A⁻¹ itself.
@@ -482,6 +520,40 @@ class TestHardMultigrid:
         else:
             np.testing.assert_allclose(system @ inverse(r), r, atol=1e-10)
             assert ws.stats().factor_misses == 1
+
+
+def _referenced(root):
+    """Every object reachable from ``root`` through references, classes,
+    functions and modules excepted."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return out
+
+
+class TestOperatorLifetime:
+    def test_a_sweep_keeps_no_soft_operator(self, multilevel_problem):
+        """A soft system and its V-cycle live for one solve unless
+        ``operator`` asked for them: after a 4-λ sweep the workspace
+        holds its weights, Laplacian and hierarchy, and no ``N × N``
+        system or V-cycle."""
+        data, graph = multilevel_problem
+        ws = SolveWorkspace(graph.weights, backend="multigrid")
+        ws.sweep_soft(data.y_labeled, (0.01, 0.1, 1.0, 10.0))
+        assert ws.stats().multigrid_solves == 4
+        held = _referenced(ws)
+        assert not [obj for obj in held if isinstance(obj, MultigridPreconditioner)]
+        square = [
+            obj for obj in held if sparse.issparse(obj) and obj.shape == graph.weights.shape
+        ]
+        assert len(square) == 2
+        assert any(obj is ws.weights for obj in square)
+        assert any(obj is ws.laplacian for obj in square)
 
 
 class TestPermuted:

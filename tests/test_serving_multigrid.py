@@ -13,8 +13,8 @@ once — and pin, for a hard and a λ = 0.5 model:
   ``exact``-backend model and a rebuild-and-resolve at 1e-8;
 * each insertion stays stateless, so serving is deterministic;
 * dense models and sparse models at or below the floor still factorize;
-* a hard model's fit, exact insertions and later hard solves share one
-  assembled ``D22 - W22``;
+* a model's fit, exact insertions and later solves at its λ share one
+  operator: one assembled system and, on ``multigrid``, one V-cycle;
 * insertion PCG, started from the fitted field with the query at its
   harmonic value, takes no more iterations per query than the same PCG
   started from the rank-1 border guess, and fewer in sum on a V-cycle.
@@ -26,11 +26,13 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from test_serving_parity import oracle_prediction
 
 from repro import obs
 from repro.datasets.synthetic import make_regression_dataset, truncated_mvn_inputs
+from repro.linalg import coarsen as coarsen_module
 from repro.linalg import solvers as solvers_module
 from repro.linalg import workspace as workspace_module
 from repro.linalg.advanced import preconditioned_conjugate_gradient
@@ -161,32 +163,57 @@ class TestNoLargeFactorization:
         assert max(sizes) <= _coarsest_bound(system_size) < system_size
 
 
-class TestOneHardSystem:
+class TestOneOperator:
+    @pytest.mark.parametrize("lam", LAMS)
     @pytest.mark.parametrize("backend", ["multigrid", "exact"])
-    def test_fit_serving_and_resolves_share_one_assembly(self, data, monkeypatch, backend):
-        """A hard model assembles ``D22 - W22`` once: the fit, 20 exact
-        insertions and two more hard solves all use that matrix."""
+    def test_shared_by_fit_serving_and_solves(self, data, monkeypatch, backend, lam):
+        """A model builds its criterion's operator once: the fit, 20 exact
+        insertions and two more solves at its λ share one assembled
+        system and, on ``multigrid``, one V-cycle.  A hard model slices
+        the weight matrix twice in all, ``W22`` once and ``W21`` once."""
         reference, _ = data
-        calls = []
-        original = workspace_module.grounded_system
+        assemblies, vcycles, slices = [], [], []
+        name = "assemble_soft_system" if lam else "_grounded_laplacian"
+        assemble = getattr(workspace_module, name)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting_assembly(*args, **kwargs):
+            assemblies.append(1)
+            return assemble(*args, **kwargs)
 
-        monkeypatch.setattr(workspace_module, "grounded_system", counting)
+        build = coarsen_module.MultigridPreconditioner.__init__
+
+        def counting_build(vcycle, *args, **kwargs):
+            vcycles.append(1)
+            build(vcycle, *args, **kwargs)
+
+        getitem = sparse.csr_matrix.__getitem__
+
+        def recording_slice(matrix, key):
+            slices.append(matrix)
+            return getitem(matrix, key)
+
+        monkeypatch.setattr(workspace_module, name, counting_assembly)
+        monkeypatch.setattr(coarsen_module.MultigridPreconditioner, "__init__", counting_build)
+        monkeypatch.setattr(sparse.csr_matrix, "__getitem__", recording_slice)
         if backend == "multigrid":
             monkeypatch.setattr(workspace_module, "FACTORIZE_MAX_VERTICES", LOWERED_FLOOR)
-        model = _fit(reference, 0.0)
+        model = _fit(reference, lam)
         workspace = model._workspace
         assert workspace.backend == backend
         model.predict(truncated_mvn_inputs(20, seed=np.random.default_rng(3)), method="exact")
+        y = reference.y_labeled
         for _ in range(2):
-            workspace.solve_hard(reference.y_labeled)
-        assert len(calls) == 1
-        n = reference.y_labeled.shape[0]
-        assert model._inserter.system is workspace.hard_system(n)
-        assert len(calls) == 1
+            if lam:
+                workspace.solve_soft(y, lam)
+            else:
+                workspace.solve_hard(y)
+        assert len(assemblies) == 1
+        assert len(vcycles) == (backend == "multigrid")
+        if not lam:
+            assert sum(matrix is workspace.weights for matrix in slices) == 2
+        n = y.shape[0]
+        assert model._inserter.system is workspace.operator(lam, n).system
+        assert len(assemblies) == 1
 
 
 class TestParity:
