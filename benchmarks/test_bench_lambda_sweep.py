@@ -127,7 +127,7 @@ def test_bench_lambda_sweep(bench, results_dir):
                 f"{rec_direct.min_s * 1e3:.1f}",
                 f"{rec_factored.min_s * 1e3:.1f}",
                 f"{speedups[n]:.2f}x",
-                stats.factor_misses,
+                stats.factorizations,
                 stats.reanchors,
             ]
         )

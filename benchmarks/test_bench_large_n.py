@@ -222,7 +222,7 @@ def test_bench_large_n(bench, results_dir):
         )
         rows.append(
             ["sweep exact", f"{rec_exact.min_s * 1e3:.0f}",
-             f"{len(GRID)}", f"{exact[1].factor_misses} factorizations"]
+             f"{len(GRID)}", f"{exact[1].factorizations} factorizations"]
         )
         rec_exact.write_json(results_dir / f"{rec_exact.name}.json")
 

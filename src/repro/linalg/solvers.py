@@ -192,6 +192,10 @@ class SPDFactorization:
         rhs = np.asarray(rhs, dtype=np.float64)
         return self._solve(rhs)
 
+    #: Calling a factorization back-substitutes, so it serves as the
+    #: ``r ↦ A⁻¹r`` preconditioner wherever a V-cycle would.
+    __call__ = solve
+
     def info(self, *, final_residual: float = math.nan) -> SolveInfo:
         """A :class:`SolveInfo` describing this factorization."""
         return SolveInfo(

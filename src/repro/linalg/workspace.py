@@ -9,9 +9,10 @@ shared across the sweep.  It is the only way a λ-sweep is solved; its
 one knob is the backend, one of :data:`SWEEP_BACKENDS`, each the fastest
 on some measured grid (docs/SCALING.md):
 
-* **exact** (default) — an LRU cache of true SPD factorizations keyed
-  by ``(λ, n_labeled)``; a cache hit returns bit-identical
-  solutions to refactorizing, so strict/golden paths can reuse safely.
+* **exact** (default) — true SPD factorizations: a solve factorizes its
+  ``(λ, n_labeled)`` system and back-substitutes, and an operator the
+  workspace keeps holds its factorization, so a repeated solve there is
+  one back-substitution, bit-identical to refactorizing.
   Its systems come from :func:`~repro.graph.laplacian.soft_system` and
   :func:`~repro.graph.laplacian.grounded_system`, the same assembly the
   per-point reference solves in :mod:`repro.core` use, so on sparse
@@ -59,16 +60,18 @@ One operator per ``(λ, n_labeled)``, λ = 0 being the hard criterion
 (Proposition II.1 makes it the λ → 0 end of the soft one):
 :meth:`SolveWorkspace.operator` returns a :class:`CriterionOperator` —
 the assembled system (``D22 - W22`` or ``V + λL``), its right-hand side
-(``W21 y`` or ``(y; 0)``) and its cached ``r ↦ M⁻¹r`` (the
-factorization's back-substitution on ``exact`` and ``factored``, the
-V-cycle on ``multigrid``) — so callers that solve a perturbed system
-(exact serving's bordered insertion) never branch on the criterion or
-the backend.  The hard operator is built once per ``n_labeled``, from
-one slice each of ``W22`` and ``W21``, and kept: every hard solve, its
-fallback and exact serving read it.  A soft operator is kept only once
-:meth:`SolveWorkspace.operator` has asked for it; otherwise a solve
-builds its system and V-cycle for itself alone, so a λ-sweep holds one
-soft system at a time.
+(``W21 y`` or ``(y; 0)``) and its own ``r ↦ M⁻¹r`` (its factorization
+on ``exact`` and ``factored``, its V-cycle on ``multigrid``) — so callers
+that solve a perturbed system (exact serving's bordered insertion) never
+branch on the criterion or the backend.  Kept operators are the
+workspace's one per-``(λ, n_labeled)`` store.  The hard operator is
+built once per ``n_labeled``, from one slice each of ``W22`` and ``W21``,
+and kept; a soft one is kept only once :meth:`SolveWorkspace.operator`
+has asked for it.  A kept operator's factorization is made by the first
+solve or ``operator`` call that needs it (``hard_system`` and
+``soft_system`` never factorize).  Any other solve builds its system and
+factorization or V-cycle for itself alone, so a λ-sweep holds one soft
+system at a time.
 
 Accuracy contract of the two approximate backends: every solve stops at
 relative residual ``‖b - A f‖ / ‖b‖ ≤`` :data:`PCG_TOL` (``1e-10``), and
@@ -99,15 +102,14 @@ edit made through the caller's handle raises too.
 :meth:`SolveWorkspace.invalidate` adopts edited weights explicitly.  A
 stale factorization is never served.
 
-Everything is observable: ``workspace.*`` spans and cache hit / miss /
-eviction counters flow through :mod:`repro.obs`, and
+Everything is observable: ``workspace.*`` spans and counters (solves,
+factorizations, re-anchors, …) flow through :mod:`repro.obs`, and
 :meth:`SolveWorkspace.stats` returns a :class:`WorkspaceStats` snapshot.
 """
 
 from __future__ import annotations
 
 import zlib
-from collections import OrderedDict
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -184,9 +186,6 @@ WOODBURY_MAX_LABELED = 512
 #: budget falls back to an exact factorization (counted as a reanchor).
 MULTIGRID_MAX_ITER = 300
 
-#: LRU capacity of the factorization cache.
-MAX_FACTORIZATIONS = 8
-
 #: Relative-residual tolerance every factored and multigrid solve stops at.
 PCG_TOL = 1e-10
 
@@ -208,20 +207,20 @@ def choose_backend(weights) -> str:
 
 
 class WorkspaceStats(NamedTuple):
-    """Cache and solver health counters for one :class:`SolveWorkspace`.
+    """Solver health counters for one :class:`SolveWorkspace`.
 
     Attributes
     ----------
-    factor_hits / factor_misses / factor_evictions:
-        Factorization-cache traffic: hits serve a previously computed
-        factorization, misses factorize, evictions drop the least
-        recently used entry when the cache is full.
+    factorizations:
+        SPD factorizations made, each traced as a
+        ``repro.workspace.factorize`` span.
     pcg_solves / pcg_iterations:
         Anchored-PCG solves on the factored path, and the total PCG
         iteration count of the factored and multigrid paths.
     reanchors:
         Times the factored path refactorized because the iteration
-        budget was exceeded (each also counts as a factor miss).
+        budget was exceeded, or a stalled V-cycle fell back to a
+        factorization.
     warm_starts:
         Solves that started from a previous solution.
     woodbury_solves:
@@ -243,9 +242,7 @@ class WorkspaceStats(NamedTuple):
         report it.
     """
 
-    factor_hits: int = 0
-    factor_misses: int = 0
-    factor_evictions: int = 0
+    factorizations: int = 0
     pcg_solves: int = 0
     pcg_iterations: int = 0
     reanchors: int = 0
@@ -312,9 +309,9 @@ class CriterionOperator(NamedTuple):
         The assembled system: ``D22 - W22`` (``m × m``) at λ = 0,
         ``V + λL`` (``N × N``) at λ > 0.
     precondition:
-        The cached ``r ↦ M⁻¹r`` for ``system``: the factorization's
-        back-substitution on ``exact`` and ``factored`` (``M = A``), the
-        V-cycle on ``multigrid``.  Either is symmetric positive definite,
+        The operator's own ``r ↦ M⁻¹r`` for ``system``: its
+        :class:`~repro.linalg.solvers.SPDFactorization` on ``exact`` and
+        ``factored`` (``M = A``), its V-cycle on ``multigrid``.  Either is symmetric positive definite,
         so it preconditions CG on ``system`` or on an SPD perturbation of
         it.  ``None`` when every vertex is labeled (λ = 0, ``m = 0``):
         there is nothing to solve.
@@ -349,8 +346,7 @@ class _WoodburyState:
 
     ``basis`` is ``Z = A(λ₀)⁻¹ E`` (``E`` the labeled-column selector)
     and ``gram`` its labeled block ``S = Eᵀ Z``; both are built once per
-    sweep from the anchor factorization (held here so LRU eviction
-    cannot orphan the continuation).
+    sweep from the anchor factorization, which is held here.
     """
 
     __slots__ = ("anchor_lam", "factor", "basis", "gram")
@@ -379,8 +375,8 @@ class SolveWorkspace:
         solve.
     backend:
         The solve backend, one of :data:`SWEEP_BACKENDS`: ``"exact"``
-        (default; cached true factorizations, bit-compatible with
-        per-point solves), ``"factored"`` (one anchor factorization
+        (default; true factorizations, bit-compatible with per-point
+        solves), ``"factored"`` (one anchor factorization
         continued along a λ grid), or ``"multigrid"`` (coarsening
         V-cycle preconditioned PCG — no large factorization, the large-N
         backend).  :func:`choose_backend` picks one from the graph.
@@ -416,7 +412,6 @@ class SolveWorkspace:
         self._reachability: dict[int, ReachabilityReport] = {}
         self._degrees: np.ndarray | None = None
         self._laplacian = None
-        self._factors: OrderedDict[tuple, SPDFactorization] = OrderedDict()
         self._continuations: dict[int, _Continuation] = {}
         self._woodbury: dict[int, _WoodburyState] = {}
         self._hierarchy: CoarseningHierarchy | None = None
@@ -479,18 +474,23 @@ class SolveWorkspace:
         """``V + λL`` (λ > 0), assembled as the per-point solve does
         (bit-compatible): the kept operator's system once
         :meth:`operator` has been asked for ``(λ, n)``, else assembled
-        afresh and not kept."""
+        afresh and not kept.  Never factorizes.  Raises
+        :class:`~repro.exceptions.DisconnectedGraphError` when the
+        labeled mask leaves a component unreachable."""
         lam = check_positive_scalar(lam, "lam")
+        n = self._check_count(n)
         self.check_current()
+        self._require_reachable(n)
         return self._soft_system(lam, n)
 
     def hard_system(self, n: int):
         """The grounded system ``D22 - W22``, assembled as the per-point
         solve does, once per ``n``: the hard operator's system, which
         every hard solve, factorization, V-cycle and exact insertion on
-        this workspace uses.  Raises
+        this workspace uses.  Never factorizes.  Raises
         :class:`~repro.exceptions.DisconnectedGraphError` when the
         labeled mask leaves a component unreachable."""
+        n = self._check_count(n)
         self.check_current()
         self._require_reachable(n)
         return self._kept_operator(0.0, n).system
@@ -502,27 +502,43 @@ class SolveWorkspace:
         λL``.  The operator is built once and kept until
         :meth:`invalidate`: later solves at ``(λ, n)`` and later calls
         read it instead of assembling again.  Its ``precondition`` is
-        the cached factorization's back-substitution on ``exact`` and
-        ``factored`` (``M = A``) and the operator's own V-cycle on
-        ``multigrid``.  Raises
-        :class:`~repro.exceptions.DisconnectedGraphError` before building
-        anything when the labeled mask leaves a component unreachable.
+        its own factorization on ``exact`` and ``factored`` (``M = A``)
+        and its own V-cycle on ``multigrid``.  Raises
+        :class:`~repro.exceptions.DataValidationError` unless ``n`` is an
+        integer in ``[0, N]``, and
+        :class:`~repro.exceptions.DisconnectedGraphError` when the
+        labeled mask leaves a component unreachable, before building
+        anything.
         """
         lam = check_positive_scalar(lam, "lam", allow_zero=True)
+        n = self._check_count(n)
         self.check_current()
         self._require_reachable(n)
-        kept = self._kept_operator(lam, n)
-        if kept.precondition is None and kept.system.shape[0]:  # exact, factored
-            return kept._replace(precondition=self._factorization(lam, n, kept.system).solve)
-        return kept
+        return self._operator(lam, n, keep=True)
 
     def _kept_operator(self, lam: float, n: int) -> CriterionOperator:
-        """The ``(λ, n)`` operator, built on first use and kept."""
+        """The kept ``(λ, n)`` operator, built on first use."""
         key = (lam, n)
         kept = self._operators.get(key)
         if kept is None:
             kept = self._operators[key] = self._build_operator(lam, n)
         return kept
+
+    def _operator(self, lam: float, n: int, *, keep: bool) -> CriterionOperator:
+        """The ``(λ, n)`` operator with its ``precondition``.
+
+        A kept operator is read, and on ``exact`` and ``factored`` its
+        factorization is made once and kept with it.  Otherwise the
+        operator is built, and kept only when ``keep``; else it and its
+        factorization live as long as the caller holds them.
+        """
+        keep = keep or (lam, n) in self._operators
+        operator = self._kept_operator(lam, n) if keep else self._build_operator(lam, n)
+        if operator.precondition is None and operator.system.shape[0]:  # exact, factored
+            operator = operator._replace(precondition=self._factorize(operator.system, lam, n))
+            if keep:
+                self._operators[(lam, n)] = operator
+        return operator
 
     def _build_operator(self, lam: float, n: int) -> CriterionOperator:
         """Assemble the ``(λ, n)`` system and, on ``multigrid``, its V-cycle.
@@ -534,8 +550,8 @@ class SolveWorkspace:
         than it did with a slice of its own.  ``W21`` stays for the
         right-hand side; its row sums ground every level of ``D22 - W22
         = L(W22) + diag(W21·1)``.  On ``exact`` and ``factored`` the
-        preconditioner lives in the factorization cache, not in the
-        operator.
+        ``precondition`` is left ``None`` for :meth:`_operator` to
+        factorize when a solve needs it.
         """
         multigrid = self.backend == "multigrid"
         kind = "hard" if lam == 0.0 else "soft"
@@ -570,29 +586,11 @@ class SolveWorkspace:
             return kept.system
         return assemble_soft_system(self._laplacian_matrix(), n, lam)
 
-    # ------------------------------------------------------------------
-    # Factorization cache
-    # ------------------------------------------------------------------
-
-    def _factorization(self, lam: float, n: int, system=None) -> SPDFactorization:
-        """A cached SPD factorization of the ``(λ, n)`` system (LRU).
-
-        ``system`` is that system when the caller holds it, as every
-        hard caller does; a soft miss without it takes
-        :meth:`_soft_system`.
-        """
-        key = (float(lam), int(n))
-        cached = self._factors.get(key)
-        registry = obs.get_registry()
-        if cached is not None:
-            self._factors.move_to_end(key)
-            self._counters["factor_hits"] += 1
-            registry.counter("workspace.factor.hits").inc()
-            return cached
-        self._counters["factor_misses"] += 1
-        registry.counter("workspace.factor.misses").inc()
-        if system is None:
-            system = self._soft_system(lam, n)
+    def _factorize(self, system, lam: float, n: int) -> SPDFactorization:
+        """Factorize the ``(λ, n)`` ``system``, counted and traced; the
+        caller keeps the result or drops it."""
+        self._counters["factorizations"] += 1
+        obs.get_registry().counter("workspace.factorizations").inc()
         kind = "hard" if lam == 0.0 else "soft"
         with obs.span(
             "repro.workspace.factorize", kind=kind, lam=float(lam), n=n
@@ -603,11 +601,6 @@ class SolveWorkspace:
                 if factor.nnz is not None:
                     span.set_attribute("nnz", factor.nnz)
                     span.set_attribute("fill_nnz", factor.fill_nnz)
-        self._factors[key] = factor
-        while len(self._factors) > MAX_FACTORIZATIONS:
-            self._factors.popitem(last=False)
-            self._counters["factor_evictions"] += 1
-            registry.counter("workspace.factor.evictions").inc()
         return factor
 
     # ------------------------------------------------------------------
@@ -623,7 +616,7 @@ class SolveWorkspace:
     def _woodbury_state(self, lam: float, n: int) -> _WoodburyState:
         state = self._woodbury.get(n)
         if state is None:
-            factor = self._factorization(lam, n)
+            factor = self._operator(lam, n, keep=False).precondition
             selector = np.zeros((self.n_total, n))
             selector[:n, :n] = np.eye(n)
             with obs.span(
@@ -679,11 +672,11 @@ class SolveWorkspace:
                 break
             scores, best_norm = candidate, candidate_norm
         if best_norm > tol:
-            # Continuation too far gone — refactorize at this λ exactly
-            # like a PCG re-anchor would.
+            # Continuation too far gone — factorize the system refined
+            # against, exactly like a PCG re-anchor would.
             self._counters["reanchors"] += 1
             obs.get_registry().counter("workspace.reanchors").inc()
-            factor = self._factorization(lam, n, system)
+            factor = self._factorize(system, lam, n)
             return factor.solve(rhs), factor.info(), {"anchored": True}
         self._counters["woodbury_solves"] += 1
         obs.get_registry().counter("workspace.woodbury_solves").inc()
@@ -702,7 +695,7 @@ class SolveWorkspace:
         registry = obs.get_registry()
 
         def anchor_here():
-            factor = self._factorization(lam, n)
+            factor = self._operator(lam, n, keep=False).precondition
             state.anchor = factor
             state.anchor_lam = float(lam)
             scores = factor.solve(rhs)
@@ -818,18 +811,58 @@ class SolveWorkspace:
             self._coarse_masks[n] = cached
         return cached
 
-    def _multigrid_pcg(self, lam, n, operator, rhs, x0=None):
-        """PCG on ``operator.system`` with its V-cycle, to :data:`PCG_TOL`.
+    # ------------------------------------------------------------------
+    # Public solves
+    # ------------------------------------------------------------------
 
-        A stalled V-cycle (pathological graph) falls back to an exact
-        factorization of the same system, like a factored re-anchor.
+    def _check_labels(self, y) -> np.ndarray:
+        y = check_labels(y, name="y_labeled")
+        if y.shape[0] > self.n_total:
+            raise DataValidationError(
+                f"y_labeled has length {y.shape[0]} but the graph has only "
+                f"{self.n_total} vertices"
+            )
+        return y
+
+    def _check_count(self, n) -> int:
+        """``n`` as a labeled count: an integer in ``[0, N]``."""
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= self.n_total:
+            raise DataValidationError(f"n must be an integer in [0, {self.n_total}], got {n!r}")
+        return int(n)
+
+    def _require_reachable(self, n: int) -> None:
+        """Raise :class:`DisconnectedGraphError` when some unlabeled
+        component holds none of the first ``n`` vertices (O(N), cached
+        per ``n``)."""
+        report = self._reachability.get(n)
+        if report is None:
+            report = reachability_report(*self._components, n)
+            self._reachability[n] = report
+        raise_if_unreachable(report)
+
+    def _solve(self, y: np.ndarray, lam: float, n: int, x0=None):
+        """The one solve body of both criteria, at ``(λ, n)`` for labels ``y``.
+
+        Reads the operator (kept at λ = 0 or once :meth:`operator` asked
+        for it, else built for this solve alone), forms ``rhs(y)``, then
+        back-substitutes through its factorization or runs PCG on its
+        V-cycle from ``x0`` to :data:`PCG_TOL`.  A stalled V-cycle
+        (pathological graph) falls back to a factorization of the same
+        system, which is not kept.  Returns the solution, its
+        :class:`~repro.linalg.solvers.SolveInfo` and the ``details`` it
+        adds.
         """
+        operator = self._operator(lam, n, keep=lam == 0.0)
+        rhs = operator.rhs(y)
+        inverse = operator.precondition
+        if isinstance(inverse, SPDFactorization):
+            return inverse.solve(rhs), inverse.info(), {}
         registry = obs.get_registry()
         try:
             result = preconditioned_conjugate_gradient(
                 operator.system,
                 rhs,
-                preconditioner=operator.precondition,
+                preconditioner=inverse,
                 x0=x0,
                 tol=PCG_TOL,
                 max_iter=MULTIGRID_MAX_ITER,
@@ -837,7 +870,7 @@ class SolveWorkspace:
         except ConvergenceError:
             self._counters["reanchors"] += 1
             registry.counter("workspace.reanchors").inc()
-            factor = self._factorization(lam, n, operator.system)
+            factor = self._factorize(operator.system, lam, n)
             return factor.solve(rhs), factor.info(), {"fallback": "exact"}
         self._counters["multigrid_solves"] += 1
         self._counters["pcg_iterations"] += result.iterations
@@ -855,42 +888,7 @@ class SolveWorkspace:
             converged=result.converged,
             warm_started=warm,
         )
-        return result.x, info, {"n_levels": operator.precondition.n_levels}
-
-    def _solve_soft_multigrid(self, y: np.ndarray, lam: float, n: int):
-        operator = self._operators.get((lam, n))
-        if operator is None:  # nobody asked for it: built for this solve only
-            operator = self._build_operator(lam, n)
-        return self._multigrid_pcg(
-            lam,
-            n,
-            operator,
-            operator.rhs(y),
-            x0=self._continuation(n).last_solution,
-        )
-
-    # ------------------------------------------------------------------
-    # Public solves
-    # ------------------------------------------------------------------
-
-    def _check_labels(self, y) -> np.ndarray:
-        y = check_labels(y, name="y_labeled")
-        if y.shape[0] > self.n_total:
-            raise DataValidationError(
-                f"y_labeled has length {y.shape[0]} but the graph has only "
-                f"{self.n_total} vertices"
-            )
-        return y
-
-    def _require_reachable(self, n: int) -> None:
-        """Raise :class:`DisconnectedGraphError` when some unlabeled
-        component holds none of the first ``n`` vertices (O(N), cached
-        per ``n``)."""
-        report = self._reachability.get(n)
-        if report is None:
-            report = reachability_report(*self._components, n)
-            self._reachability[n] = report
-        raise_if_unreachable(report)
+        return result.x, info, {"n_levels": inverse.n_levels}
 
     def solve_soft(self, y_labeled, lam: float):
         """Solve the soft criterion at one λ through the workspace.
@@ -926,15 +924,12 @@ class SolveWorkspace:
             n=n,
             m=m,
         ) as span:
-            if self.backend == "exact":
-                factor = self._factorization(lam, n)
-                scores = factor.solve(_soft_rhs(y, self.n_total))
-                info, details = factor.info(), {}
-            elif self.backend == "factored":
+            continuation = self._continuation(n)
+            if self.backend == "factored":
                 scores, info, details = self._solve_factored(y, lam, n)
             else:
-                scores, info, details = self._solve_soft_multigrid(y, lam, n)
-            self._continuation(n).last_solution = scores
+                scores, info, details = self._solve(y, lam, n, continuation.last_solution)
+            continuation.last_solution = scores
             if span.recording:
                 span.set_attribute("solve_method", info.method)
                 span.set_attribute("iterations", info.iterations)
@@ -980,13 +975,7 @@ class SolveWorkspace:
         with obs.span(
             "repro.workspace.solve", kind="hard", backend=self.backend, n=n, m=m
         ) as span:
-            operator = self._kept_operator(0.0, n)
-            rhs = operator.rhs(y)
-            if self.backend == "multigrid":
-                f_unlabeled, info, details = self._multigrid_pcg(0.0, n, operator, rhs)
-            else:
-                factor = self._factorization(0.0, n, operator.system)
-                f_unlabeled, info, details = factor.solve(rhs), factor.info(), {}
+            f_unlabeled, info, details = self._solve(y, 0.0, n)
             if span.recording:
                 span.set_attribute("solve_method", info.method)
                 span.set_attribute("iterations", info.iterations)
@@ -1026,7 +1015,7 @@ class SolveWorkspace:
     # ------------------------------------------------------------------
 
     def stats(self) -> WorkspaceStats:
-        """A snapshot of the workspace's cache/solver counters."""
+        """A snapshot of the workspace's solver counters."""
         return WorkspaceStats(**self._counters)
 
     def __repr__(self) -> str:
@@ -1034,5 +1023,5 @@ class SolveWorkspace:
         return (
             f"SolveWorkspace(n_total={self.n_total}, {kind}, "
             f"backend={self.backend!r}, "
-            f"cached_factors={len(self._factors)})"
+            f"kept_operators={len(self._operators)})"
         )

@@ -8,7 +8,7 @@ on an interval (no sockets, no threads, no dependencies) and renders
 
 * one progress bar per task: completion, replicate rate, elapsed, ETA;
 * a workspace panel when the dump carries ``workspace.*`` counters:
-  solve counts (and how many were multigrid) and factor-cache hit rate;
+  solve counts (and how many were multigrid) and factorizations made;
 * a serving panel when the metrics dump carries ``serving.*`` series:
   request throughput, latency quantiles from the log-bucket histogram,
   queue wait, outcome counts, and the drift watchdog's flag fraction.
@@ -204,15 +204,9 @@ def _render_workspace(metrics: dict, lines: list[str]) -> None:
         if multigrid is not None:
             line += f" ({int(multigrid)} multigrid)"
         lines.append(line)
-    hits = _metric(metrics, "workspace.factor.hits")
-    misses = _metric(metrics, "workspace.factor.misses")
-    if hits is not None or misses is not None:
-        traffic = (hits or 0.0) + (misses or 0.0)
-        rate = (hits or 0.0) / traffic if traffic else 0.0
-        lines.append(
-            f"  factor cache    {int(hits or 0)} hit / {int(misses or 0)} "
-            f"miss ({100.0 * rate:.0f}%)"
-        )
+    factorizations = _metric(metrics, "workspace.factorizations")
+    if factorizations is not None:
+        lines.append(f"  factorizations  {int(factorizations)}")
 
 
 def render_top(

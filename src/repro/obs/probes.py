@@ -162,10 +162,9 @@ def record_solve_info(span, info) -> None:
 def record_workspace_stats(span, stats) -> None:
     """Attach a :class:`~repro.linalg.workspace.WorkspaceStats` snapshot.
 
-    Every counter lands under a ``workspace.*`` key, plus a derived
-    ``workspace.factor_hit_rate`` when any factorization traffic
-    occurred, so traces show how much amortization a sweep achieved.
-    String-valued fields (``hierarchy_mode``) are attached verbatim.
+    Every counter lands under a ``workspace.*`` key, so traces show how
+    much work a sweep did.  String-valued fields (``hierarchy_mode``)
+    are attached verbatim.
     """
     if not span.recording or stats is None:
         return
@@ -173,11 +172,6 @@ def record_workspace_stats(span, stats) -> None:
         span.set_attribute(
             f"workspace.{key}",
             value if isinstance(value, str) else int(value),
-        )
-    traffic = stats.factor_hits + stats.factor_misses
-    if traffic:
-        span.set_attribute(
-            "workspace.factor_hit_rate", stats.factor_hits / traffic
         )
 
 

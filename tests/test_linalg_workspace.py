@@ -1,6 +1,7 @@
 """Unit tests for the cross-solve amortization workspace.
 
-Covers the cache machinery (hits/misses/evictions), the continuation
+Covers which factorizations a workspace makes and keeps, the labeled
+count every accessor validates, the continuation
 state (warm starts, re-anchoring), invalidation on graph mutation
 (including a hypothesis property test: a mutated workspace must raise,
 never serve stale answers) with one fingerprint per public call, the
@@ -40,8 +41,8 @@ from repro.linalg.coarsen import (
     aggregation_operator,
     coarsen_weights,
 )
-from repro.linalg.solvers import SolveInfo, solve_spd
-from repro.linalg.workspace import MAX_FACTORIZATIONS, SolveWorkspace
+from repro.linalg.solvers import SolveInfo, SPDFactorization, solve_spd
+from repro.linalg.workspace import SolveWorkspace
 
 
 @pytest.fixture(scope="module")
@@ -61,47 +62,50 @@ def sparse_problem():
 
 
 class TestFactorizationCache:
-    def test_exact_repeat_solve_hits_cache(self, problem):
+    """A factorization lives in its operator: kept with a kept operator,
+    made and dropped by a solve at a ``(λ, n)`` nobody kept."""
+
+    def test_unkept_soft_solve_factorizes_each_time(self, problem):
         data, graph = problem
         ws = SolveWorkspace(graph.weights, backend="exact")
         a = ws.solve_soft(data.y_labeled, 0.1)
         b = ws.solve_soft(data.y_labeled, 0.1)
-        stats = ws.stats()
-        assert stats.factor_misses == 1
-        assert stats.factor_hits == 1
+        assert ws.stats().factorizations == 2
         assert np.array_equal(a.scores, b.scores)
 
-    def test_lru_eviction(self, problem):
+    def test_kept_operator_factorizes_once(self, problem):
         data, graph = problem
+        y, n = data.y_labeled, data.y_labeled.shape[0]
         ws = SolveWorkspace(graph.weights, backend="exact")
-        grid = [0.1 * (k + 1) for k in range(MAX_FACTORIZATIONS + 1)]
-        for lam in grid:
-            ws.solve_soft(data.y_labeled, lam)
-        stats = ws.stats()
-        assert stats.factor_evictions == 1
-        # The first λ was evicted: solving it again must miss, the last
-        # must hit.
-        ws.solve_soft(data.y_labeled, grid[-1])
-        assert ws.stats().factor_hits == 1
-        ws.solve_soft(data.y_labeled, grid[0])
-        assert ws.stats().factor_misses == len(grid) + 1
+        unkept = ws.solve_soft(y, 0.1).scores
+        operator = ws.operator(0.1, n)
+        assert isinstance(operator.precondition, SPDFactorization)
+        assert ws.stats().factorizations == 2
+        for _ in range(2):
+            np.testing.assert_array_equal(ws.solve_soft(y, 0.1).scores, unkept)
+            assert ws.operator(0.1, n).precondition is operator.precondition
+        assert ws.stats().factorizations == 2
 
     def test_hard_factorization_reused_across_calls(self, problem):
         data, graph = problem
         ws = SolveWorkspace(graph.weights)
+        ws.hard_system(data.y_labeled.shape[0])  # assembles, never factorizes
+        assert ws.stats().factorizations == 0
         ws.solve_hard(data.y_labeled)
         ws.solve_hard(data.y_labeled)
         ws.solve_soft(data.y_labeled, 0.0)  # delegates to hard
-        stats = ws.stats()
-        assert stats.factor_misses == 1
-        assert stats.factor_hits == 2
+        assert ws.stats().factorizations == 1
 
     def test_distinct_masks_get_distinct_factorizations(self, problem):
         data, graph = problem
         ws = SolveWorkspace(graph.weights, backend="exact")
         ws.solve_soft(data.y_labeled, 0.1)
         ws.solve_soft(data.y_labeled[:50], 0.1)
-        assert ws.stats().factor_misses == 2
+        assert ws.stats().factorizations == 2
+        for _ in range(2):
+            ws.solve_hard(data.y_labeled)
+            ws.solve_hard(data.y_labeled[:50])
+        assert ws.stats().factorizations == 4
 
     def test_invalid_configuration_rejected(self, problem):
         _, graph = problem
@@ -155,7 +159,7 @@ class TestContinuation:
         # First grid point anchors; later points run warm-started PCG.
         assert stats.pcg_solves >= 1
         assert stats.warm_starts >= 1
-        assert stats.factor_misses < 5
+        assert stats.factorizations < 5
 
     def test_classic_iterative_backends_rejected(self, problem):
         _, graph = problem
@@ -173,7 +177,7 @@ class TestContinuation:
         ws = SolveWorkspace(graph.weights, backend="factored")
         fits = ws.sweep_soft(data.y_labeled, (1e-3, 1e-2, 0.1, 1.0, 10.0))
         stats = ws.stats()
-        assert stats.factor_misses == 1
+        assert stats.factorizations == 1
         assert stats.woodbury_solves == 4  # all but the anchor point
         assert stats.pcg_solves == 0
         assert stats.reanchors == 0
@@ -223,7 +227,12 @@ class TestInvalidation:
         ws.solve_soft(data.y_labeled, 0.1)
         ws.invalidate()
         ws.solve_soft(data.y_labeled, 0.1)
-        assert ws.stats().factor_misses == 2
+        assert ws.stats().factorizations == 2
+        # The kept hard operator goes with its factorization.
+        ws.solve_hard(data.y_labeled)
+        ws.invalidate()
+        ws.solve_hard(data.y_labeled)
+        assert ws.stats().factorizations == 4
         # Every kept operator goes too: each (λ, n) is built again.
         data, graph = multilevel_problem
         n = data.y_labeled.shape[0]
@@ -317,14 +326,14 @@ class TestCoreDelegation:
         ws = SolveWorkspace(graph.weights, backend="exact")
         with pytest.raises(TypeError):
             solve_soft_criterion(graph.weights, data.y_labeled, 0.1, workspace=ws)
-        assert ws.stats().factor_misses == 0
+        assert ws.stats().factorizations == 0
 
     def test_hard_workspace_kwarg(self, problem):
         data, graph = problem
         ws = SolveWorkspace(graph.weights)
         with pytest.raises(TypeError):
             solve_hard_criterion(graph.weights, data.y_labeled, workspace=ws)
-        assert ws.stats().factor_misses == 0
+        assert ws.stats().factorizations == 0
 
 
 @pytest.fixture(scope="module")
@@ -348,7 +357,7 @@ class TestReachability:
         assert str(caught.value) == str(reference.value)
         assert caught.value.component_indices == tuple(range(3700, 4000))
         stats = ws.stats()
-        assert stats.factor_misses == 0
+        assert stats.factorizations == 0
         assert stats.coarsen_builds == 0
         assert stats.pcg_solves == stats.multigrid_solves == 0
 
@@ -457,7 +466,7 @@ class TestHardMultigrid:
         stats = ws.stats()
         assert stats.coarsen_builds == 2
         assert stats.multigrid_solves == 3
-        assert stats.factor_misses == 0
+        assert stats.factorizations == 0
         assert stats.warm_starts == 0
         assert stats.pcg_iterations == sum(
             fit.solve_info.iterations for fit in (first, second, third)
@@ -492,7 +501,7 @@ class TestHardMultigrid:
         fit = ws.solve_hard(data.y_labeled)
         stats = ws.stats()
         assert fit.details["fallback"] == "exact"
-        assert stats.reanchors == 1 and stats.factor_misses == 1
+        assert stats.reanchors == 1 and stats.factorizations == 1
         assert stats.multigrid_solves == 0
         np.testing.assert_array_equal(
             fit.scores, SolveWorkspace(graph.weights).solve_hard(data.y_labeled).scores
@@ -509,17 +518,17 @@ class TestHardMultigrid:
         system = ws.hard_system(n)
         r = np.random.default_rng(0).normal(size=system.shape[0])
         inverse = ws.operator(0.0, n).precondition
+        assert inverse is ws.operator(0.0, n).precondition
         if backend == "multigrid":
-            assert inverse is ws.operator(0.0, n).precondition
             assert inverse.n_levels >= 2
-            assert ws.stats().factor_misses == 0
+            assert ws.stats().factorizations == 0
             # A V-cycle is an SPD approximation of A⁻¹, not A⁻¹ itself.
             z = inverse(r)
             assert float(r @ z) > 0
             assert np.linalg.norm(system @ z - r) < np.linalg.norm(r)
         else:
             np.testing.assert_allclose(system @ inverse(r), r, atol=1e-10)
-            assert ws.stats().factor_misses == 1
+            assert ws.stats().factorizations == 1
 
 
 def _referenced(root):
@@ -554,6 +563,62 @@ class TestOperatorLifetime:
         assert len(square) == 2
         assert any(obj is ws.weights for obj in square)
         assert any(obj is ws.laplacian for obj in square)
+
+
+    def test_an_exact_sweep_keeps_no_factorization(self, multilevel_problem):
+        """An ``exact`` solve's factorization lives for that solve unless
+        ``operator`` asked for its ``(λ, n)``: after a 30-λ sweep the
+        workspace holds no factorization and no ``N × N`` system."""
+        data, graph = multilevel_problem
+        ws = SolveWorkspace(graph.weights, backend="exact")
+        ws.sweep_soft(data.y_labeled, np.logspace(-3, 2, 30))
+        assert ws.stats().factorizations == 30
+        held = _referenced(ws)
+        assert not [obj for obj in held if isinstance(obj, SPDFactorization)]
+        square = [
+            obj for obj in held if sparse.issparse(obj) and obj.shape == graph.weights.shape
+        ]
+        assert len(square) == 2
+
+
+class TestLabeledCount:
+    """``operator``, ``hard_system`` and ``soft_system`` take a labeled
+    count ``n``: an integer in ``[0, N]``, checked before anything is
+    built or kept."""
+
+    ACCESSORS = {
+        "operator": (lambda ws, n: ws.operator(0.0, n), lambda ws, n: ws.operator(0.5, n)),
+        "hard_system": (lambda ws, n: ws.hard_system(n),),
+        "soft_system": (lambda ws, n: ws.soft_system(0.5, n),),
+    }
+
+    @pytest.mark.parametrize("backend", ["exact", "multigrid"])
+    @pytest.mark.parametrize("bad", ["-3", "N+50", "2.5"])
+    @pytest.mark.parametrize("accessor", list(ACCESSORS))
+    def test_rejects_a_count_outside_the_graph(self, sparse_problem, accessor, bad, backend):
+        data, graph = sparse_problem
+        total = graph.weights.shape[0]
+        n = {"-3": -3, "N+50": total + 50, "2.5": 2.5}[bad]
+        ws = SolveWorkspace(graph.weights, backend=backend)
+        tracer = obs.RecordingTracer()
+        with obs.use_tracer(tracer):
+            for call in self.ACCESSORS[accessor]:
+                with pytest.raises(DataValidationError, match=rf"integer in \[0, {total}\]"):
+                    call(ws, n)
+            assert ws.stats().coarsen_builds == ws.stats().factorizations == 0
+            # Nothing was kept: a valid operator is built exactly once.
+            for _ in range(2):
+                ws.operator(0.5, data.y_labeled.shape[0])
+        built = [s for s in tracer.iter_spans() if s.name == "repro.workspace.operator"]
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("accessor", list(ACCESSORS))
+    def test_no_labels_leave_every_vertex_unreachable(self, sparse_problem, accessor):
+        _, graph = sparse_problem
+        ws = SolveWorkspace(graph.weights)
+        for call in self.ACCESSORS[accessor]:
+            with pytest.raises(DisconnectedGraphError):
+                call(ws, 0)
 
 
 class TestPermuted:

@@ -183,8 +183,7 @@ def workspace_metrics() -> dict:
     reg = MetricsRegistry()
     reg.counter("workspace.solves").inc(20)
     reg.counter("workspace.multigrid_solves").inc(20)
-    reg.counter("workspace.factor.hits").inc(3)
-    reg.counter("workspace.factor.misses").inc(1)
+    reg.counter("workspace.factorizations").inc(1)
     return reg.snapshot()
 
 
@@ -194,7 +193,7 @@ class TestWorkspacePanel:
         assert "workspace" in frame
         assert "solve path" not in frame
         assert "solves          20 (20 multigrid)" in frame
-        assert "3 hit / 1 miss (75%)" in frame
+        assert "factorizations  1" in frame
 
     def test_no_workspace_metrics_no_panel(self):
         frame = render_top(progress_events(), serving_metrics())
@@ -221,3 +220,17 @@ class TestWorkspacePanel:
         metrics = read_metrics_dump(dump)
         frame = render_top(progress_events(), metrics)
         assert "solves          2 (2 multigrid)" in frame
+
+    def test_live_exact_factorizations(self):
+        # the counter a real exact solve writes is the one the panel reads
+        from repro.linalg.workspace import SolveWorkspace
+        from repro.obs.metrics import use_registry
+
+        x = np.random.default_rng(4).normal(size=(60, 2))
+        weights = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            SolveWorkspace(weights, backend="exact").solve_hard(np.sign(x[:20, 0]))
+        frame = render_top(progress_events(), registry.snapshot())
+        assert "solves          1\n" in frame
+        assert "factorizations  1\n" in frame

@@ -169,7 +169,8 @@ class TestOneOperator:
     def test_shared_by_fit_serving_and_solves(self, data, monkeypatch, backend, lam):
         """A model builds its criterion's operator once: the fit, 20 exact
         insertions and two more solves at its λ share one assembled
-        system and, on ``multigrid``, one V-cycle.  A hard model slices
+        system and one preconditioner: a V-cycle on ``multigrid``, one
+        factorization on ``exact``.  A hard model slices
         the weight matrix twice in all, ``W22`` once and ``W21`` once."""
         reference, _ = data
         assemblies, vcycles, slices = [], [], []
@@ -214,6 +215,7 @@ class TestOneOperator:
         n = y.shape[0]
         assert model._inserter.system is workspace.operator(lam, n).system
         assert len(assemblies) == 1
+        assert workspace.stats().factorizations == (backend == "exact")
 
 
 class TestParity:
