@@ -1,10 +1,5 @@
 """Linear-algebra substrate: block inversion, Neumann series, iterative solvers."""
 
-from repro.linalg.advanced import (
-    jacobi_preconditioner,
-    preconditioned_conjugate_gradient,
-    sor,
-)
 from repro.linalg.block import BlockMatrix, block_inverse, schur_complement
 from repro.linalg.coarsen import (
     CoarseningHierarchy,
@@ -18,6 +13,9 @@ from repro.linalg.iterative import (
     conjugate_gradient,
     gauss_seidel,
     jacobi,
+    jacobi_preconditioner,
+    preconditioned_conjugate_gradient,
+    sor,
 )
 from repro.linalg.neumann import NeumannDiagnostics, neumann_inverse, neumann_partial_sums
 from repro.linalg.solvers import (

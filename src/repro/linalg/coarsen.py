@@ -456,7 +456,7 @@ class MultigridPreconditioner:
     coarse-grid correction, one damped-Jacobi post-sweep.  The operator
     is symmetric positive definite whenever every level system is, so it
     can be passed directly as the ``preconditioner`` of
-    :func:`~repro.linalg.advanced.preconditioned_conjugate_gradient`.
+    :func:`~repro.linalg.iterative.preconditioned_conjugate_gradient`.
     """
 
     def __init__(self, system, hierarchy: CoarseningHierarchy, scale: float, diagonals):

@@ -257,7 +257,8 @@ def solve_spd(
     matrix:
         SPD matrix, dense or scipy sparse.  Sparse matrices are *never*
         densified: ``method="direct"`` routes them to the sparse
-        factorization.
+        factorization, and the iterative backends multiply and sweep
+        in CSR.
     rhs:
         Right-hand-side vector.
     method:

@@ -28,9 +28,11 @@ on some measured grid (docs/SCALING.md):
   ``n_labeled``-sized capacitance solve — no iterations, refined
   against the assembled operator until the relative residual is at
   most :data:`PCG_TOL`.  Otherwise each new λ is solved by preconditioned
-  CG with the anchor as preconditioner, warm-started from the previous
-  grid point's solution (continuation).  The generalized Rayleigh quotient of ``(V + λL)``
-  against ``(V + λ₀L)`` lies in ``[min(1, λ/λ₀), max(1, λ/λ₀)]``, so
+  CG (:func:`~repro.linalg.iterative.preconditioned_conjugate_gradient`,
+  the library's one CG loop) with the anchor as preconditioner,
+  warm-started from the previous grid point's solution (continuation).
+  The generalized Rayleigh quotient of ``(V + λL)`` against
+  ``(V + λ₀L)`` lies in ``[min(1, λ/λ₀), max(1, λ/λ₀)]``, so
   nearby grid points converge in a handful of back-substitutions; when
   the iteration budget is exceeded the workspace refactorizes at the
   current λ and re-anchors.
@@ -132,12 +134,12 @@ from repro.graph.components import (
 )
 from repro.graph.laplacian import _grounded_laplacian, _row_sums, _unchecked_laplacian
 from repro.graph.laplacian import soft_system as assemble_soft_system
-from repro.linalg.advanced import preconditioned_conjugate_gradient
 from repro.linalg.coarsen import (
     CoarseningHierarchy,
     MultigridPreconditioner,
     build_hierarchy,
 )
+from repro.linalg.iterative import preconditioned_conjugate_gradient
 from repro.linalg.solvers import (
     SolveInfo,
     SPDFactorization,
@@ -687,12 +689,47 @@ class SolveWorkspace:
         )
         return scores, info, {"anchor_lam": state.anchor_lam, "rank": n}
 
+    def _pcg(self, system, rhs: np.ndarray, preconditioner, *, x0, max_iter: int, method: str):
+        """PCG on ``system`` from ``x0`` to :data:`PCG_TOL`, booked once.
+
+        Adds the iterations to ``pcg_iterations``, counts a warm start,
+        observes ``workspace.pcg.iterations`` and returns the solution
+        with a :class:`~repro.linalg.solvers.SolveInfo` of ``method``
+        that reports the true residual ``‖b - A f‖``.  A
+        :class:`~repro.exceptions.ConvergenceError` propagates before
+        anything is booked: the caller counts its own solves and owns
+        its fallback.
+        """
+        result = preconditioned_conjugate_gradient(
+            system,
+            rhs,
+            preconditioner=preconditioner,
+            x0=x0,
+            tol=PCG_TOL,
+            max_iter=max_iter,
+        )
+        registry = obs.get_registry()
+        self._counters["pcg_iterations"] += result.iterations
+        warm = x0 is not None
+        if warm:
+            self._counters["warm_starts"] += 1
+            registry.counter("workspace.warm_starts").inc()
+        registry.log_histogram("workspace.pcg.iterations").observe(result.iterations)
+        info = SolveInfo(
+            method=method,
+            size=rhs.shape[0],
+            iterations=result.iterations,
+            final_residual=_residual_norm(system, result.x, rhs),
+            converged=result.converged,
+            warm_started=warm,
+        )
+        return result.x, info
+
     def _solve_factored(self, y: np.ndarray, lam: float, n: int):
         if self._woodbury_applicable(n):
             return self._solve_woodbury(y, lam, n)
         state = self._continuation(n)
         rhs = _soft_rhs(y, self.n_total)
-        registry = obs.get_registry()
 
         def anchor_here():
             factor = self._operator(lam, n, keep=False).precondition
@@ -704,37 +741,21 @@ class SolveWorkspace:
         if state.anchor is None:
             return anchor_here()
 
-        system = self._soft_system(lam, n)
-        x0 = state.last_solution
-        warm = x0 is not None
         try:
-            result = preconditioned_conjugate_gradient(
-                system,
+            scores, info = self._pcg(
+                self._soft_system(lam, n),
                 rhs,
-                preconditioner=state.anchor.solve,
-                x0=x0,
-                tol=PCG_TOL,
+                state.anchor.solve,
+                x0=state.last_solution,
                 max_iter=REANCHOR_BUDGET,
+                method="pcg",
             )
         except ConvergenceError:
             self._counters["reanchors"] += 1
-            registry.counter("workspace.reanchors").inc()
+            obs.get_registry().counter("workspace.reanchors").inc()
             return anchor_here()
         self._counters["pcg_solves"] += 1
-        self._counters["pcg_iterations"] += result.iterations
-        if warm:
-            self._counters["warm_starts"] += 1
-            registry.counter("workspace.warm_starts").inc()
-        registry.log_histogram("workspace.pcg.iterations").observe(result.iterations)
-        info = SolveInfo(
-            method="pcg",
-            size=self.n_total,
-            iterations=result.iterations,
-            final_residual=_residual_norm(system, result.x, rhs),
-            converged=result.converged,
-            warm_started=warm,
-        )
-        return result.x, info, {"anchor_lam": state.anchor_lam}
+        return scores, info, {"anchor_lam": state.anchor_lam}
 
     # ------------------------------------------------------------------
     # Multigrid (coarsening V-cycle preconditioned PCG)
@@ -859,13 +880,13 @@ class SolveWorkspace:
             return inverse.solve(rhs), inverse.info(), {}
         registry = obs.get_registry()
         try:
-            result = preconditioned_conjugate_gradient(
+            scores, info = self._pcg(
                 operator.system,
                 rhs,
-                preconditioner=inverse,
+                inverse,
                 x0=x0,
-                tol=PCG_TOL,
                 max_iter=MULTIGRID_MAX_ITER,
+                method="multigrid_pcg",
             )
         except ConvergenceError:
             self._counters["reanchors"] += 1
@@ -873,22 +894,8 @@ class SolveWorkspace:
             factor = self._factorize(operator.system, lam, n)
             return factor.solve(rhs), factor.info(), {"fallback": "exact"}
         self._counters["multigrid_solves"] += 1
-        self._counters["pcg_iterations"] += result.iterations
         registry.counter("workspace.multigrid_solves").inc()
-        warm = x0 is not None
-        if warm:
-            self._counters["warm_starts"] += 1
-            registry.counter("workspace.warm_starts").inc()
-        registry.log_histogram("workspace.pcg.iterations").observe(result.iterations)
-        info = SolveInfo(
-            method="multigrid_pcg",
-            size=rhs.shape[0],
-            iterations=result.iterations,
-            final_residual=_residual_norm(operator.system, result.x, rhs),
-            converged=result.converged,
-            warm_started=warm,
-        )
-        return result.x, info, {"n_levels": inverse.n_levels}
+        return scores, info, {"n_levels": inverse.n_levels}
 
     def solve_soft(self, y_labeled, lam: float):
         """Solve the soft criterion at one λ through the workspace.

@@ -15,7 +15,7 @@ system — the same Gaussian-conditioning algebra as
 :mod:`repro.core.incremental` — but the insertion also adds ``diag(c_u)``
 to every touched vertex's degree, so no finite low-rank shortcut is
 exact.  This module therefore solves the bordered system with
-preconditioned CG (:func:`~repro.linalg.advanced.preconditioned_conjugate_gradient`
+preconditioned CG (:func:`~repro.linalg.iterative.preconditioned_conjugate_gradient`
 on a callable operator), preconditioned block-diagonally by the
 workspace's cached ``r ↦ M⁻¹r`` for ``A`` and
 started from the fitted field: the reference vertices at their fitted
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ConvergenceError, DataValidationError
-from repro.linalg.advanced import preconditioned_conjugate_gradient
+from repro.linalg.iterative import preconditioned_conjugate_gradient
 from repro.serving.queries import QueryRow
 
 __all__ = ["InsertionResult", "ExactInserter"]

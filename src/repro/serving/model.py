@@ -30,8 +30,8 @@ V-cycle (``"multigrid"``).
 
 Determinism contract: every per-query quantity is computed from that
 query's own arrays only (see :mod:`repro.serving.queries`), so
-``predict_batch`` is bit-identical to a loop of ``predict`` and to any
-``n_jobs`` fan-out of the same queries.
+``predict_batch`` is bit-identical to a loop of ``predict`` at every
+``batch_size``.
 
 Serving boundary: malformed query input (wrong dimensionality, wrong
 feature count, non-numeric dtype, empty batch, non-finite values) raises
@@ -46,7 +46,6 @@ library.
 from __future__ import annotations
 
 import time
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -84,12 +83,6 @@ class ServingStats(NamedTuple):
     exact_iterations: int
 
 
-def _predict_chunk(model: "GraphSSLModel", queries: np.ndarray, method: str) -> np.ndarray:
-    """Worker entry point for ``predict_batch(n_jobs > 1)`` fan-out."""
-    rows = model._extractor.extract(queries)
-    return model._predict_rows(rows, method)
-
-
 class GraphSSLModel:
     """Inductive graph-SSL model: ``fit()`` once, then ``predict(X_new)``.
 
@@ -114,7 +107,7 @@ class GraphSSLModel:
     telemetry:
         ``True`` (default) records per-batch phase timings
         (``serving.phase.*``) and query-drift statistics
-        (``serving.drift.*``) on the serial serving paths; ``False`` is
+        (``serving.drift.*``) on every serving path; ``False`` is
         the low-overhead mode — no clocks, no drift math (the serving
         bench gates full-mode overhead at <5% of batched throughput).
     """
@@ -314,7 +307,7 @@ class GraphSSLModel:
     def _ensure_inserter(self) -> ExactInserter:
         if self._inserter is None:
             if self._workspace is None:
-                # A worker-side copy (see __getstate__) rebuilds lazily.
+                # An unpickled copy (see __getstate__) rebuilds lazily.
                 weights = self.graph_.weights
                 self._workspace = SolveWorkspace(
                     weights, backend=choose_backend(weights)
@@ -359,7 +352,7 @@ class GraphSSLModel:
         self.drift_watchdog_.observe(degrees)
 
     def _serve_chunk(self, chunk: np.ndarray, method: str):
-        """Extract + predict one chunk on the serial path, instrumented.
+        """Extract + predict one chunk, instrumented.
 
         Returns ``(rows, predictions)``.  The telemetry cost is
         batch-granular — two clock reads, two histogram observations,
@@ -448,32 +441,20 @@ class GraphSSLModel:
         *,
         method: str = "nw",
         batch_size: int | None = None,
-        n_jobs: int | None = 1,
         return_interval: bool = False,
         z: float = 1.96,
     ):
-        """Serve a workload in micro-batches, optionally across processes.
+        """Serve a workload in micro-batches.
 
         ``batch_size`` bounds the memory of each extraction (default:
-        one shot); ``n_jobs`` fans micro-batches over a process pool
-        (``-1`` = one worker per CPU) for the NW method —
-        results are bit-identical at every ``batch_size`` and ``n_jobs``
-        setting, including to a plain loop of :meth:`predict`.
+        one shot); results are bit-identical at every ``batch_size``,
+        including to a plain loop of :meth:`predict`.
         """
-        from repro.experiments.executor import resolve_n_jobs
-
         method = self._validate_method(method)
         queries = self._validate_queries(x)
         self._check_interval_request(return_interval, z)
         if batch_size is not None and batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-        workers = resolve_n_jobs(n_jobs)
-        if workers > 1 and method == "exact":
-            raise ConfigurationError(
-                "method='exact' serves against the workspace's cached "
-                "preconditioner (a factorization or V-cycle), which does not "
-                "ship across processes; use n_jobs=1"
-            )
         total = queries.shape[0]
         size = total if batch_size is None else min(batch_size, total)
         starts = list(range(0, total, size))
@@ -483,21 +464,13 @@ class GraphSSLModel:
             method=method,
             n_queries=total,
             n_batches=len(chunks),
-            n_jobs=workers,
         ) as span:
-            if workers > 1 and len(chunks) > 1:
-                # Phase timings and drift are serial-path features: the
-                # workers' registries are private and their chunk rows
-                # never return to this process.
-                parts = self._predict_parallel(chunks, method, workers)
-                kept_rows = None
-            else:
-                parts, kept_rows = [], []
-                for chunk in chunks:
-                    rows, predicted = self._serve_chunk(chunk, method)
-                    parts.append(predicted)
-                    if return_interval:  # the variances reuse them
-                        kept_rows.append(rows)
+            parts, kept_rows = [], []
+            for chunk in chunks:
+                rows, predicted = self._serve_chunk(chunk, method)
+                parts.append(predicted)
+                if return_interval:  # the variances reuse them
+                    kept_rows.append(rows)
             predictions = np.concatenate(parts)
             self._count(
                 method, total, batches=len(chunks), intervals=return_interval
@@ -505,51 +478,11 @@ class GraphSSLModel:
             self._record_stats(span)
             if not return_interval:
                 return predictions
-            if kept_rows is None:  # extract again, one chunk at a time
-                kept_rows = (self._extractor.extract(chunk) for chunk in chunks)
             variances = np.concatenate(
                 [self._timed_variances(rows, method) for rows in kept_rows]
             )
             sd = np.sqrt(variances)
             return predictions, predictions - z * sd, predictions + z * sd
-
-    def _predict_parallel(self, chunks, method: str, workers: int):
-        """Fan micro-batches over a process pool; degrade serially on failure."""
-        import pickle
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.experiments.executor import ParallelFallbackWarning
-
-        try:
-            pickle.dumps(self)
-        except Exception as exc:  # pragma: no cover - depends on payload
-            warnings.warn(
-                f"serving state is not picklable ({exc!r}); running the "
-                f"batch serially (results are identical)",
-                ParallelFallbackWarning,
-                stacklevel=3,
-            )
-            return [
-                self._predict_rows(self._extractor.extract(chunk), method)
-                for chunk in chunks
-            ]
-        try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-                return list(
-                    pool.map(_predict_chunk, [self] * len(chunks), chunks, [method] * len(chunks))
-                )
-        except BrokenProcessPool:
-            warnings.warn(
-                "worker pool died mid-batch; re-running serially "
-                "(results are identical)",
-                ParallelFallbackWarning,
-                stacklevel=3,
-            )
-            return [
-                self._predict_rows(self._extractor.extract(chunk), method)
-                for chunk in chunks
-            ]
 
     # ------------------------------------------------------------------
     # Introspection & pickling
@@ -568,8 +501,8 @@ class GraphSSLModel:
         return ServingStats(**self._counters)
 
     def __getstate__(self):
-        # Cached preconditioners (splu handles, V-cycles) don't ship;
-        # workers rebuild lazily if they ever need the exact path.
+        # Cached preconditioners (splu handles, V-cycles) don't pickle;
+        # a copy rebuilds them lazily if it ever serves the exact path.
         state = self.__dict__.copy()
         state["_workspace"] = None
         state["_inserter"] = None

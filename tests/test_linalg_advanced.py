@@ -1,16 +1,22 @@
-"""Unit tests for SOR and preconditioned CG."""
+"""Unit tests for SOR and preconditioned CG.
+
+Gauss-Seidel is SOR at ``omega = 1`` and plain CG is preconditioned CG
+with ``M = I``: each pair runs one loop, so the checks relating them
+are exact.
+"""
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 from repro.exceptions import ConfigurationError, ConvergenceError, DataValidationError
-from repro.linalg.advanced import (
+from repro.linalg.iterative import (
+    conjugate_gradient,
+    gauss_seidel,
     jacobi_preconditioner,
     preconditioned_conjugate_gradient,
     sor,
 )
-from repro.linalg.iterative import conjugate_gradient, gauss_seidel
 
 
 def _spd(rng, n, condition=10.0):
@@ -33,6 +39,8 @@ class TestSor:
         via_gs = gauss_seidel(a, b, tol=1e-11, max_iter=50_000)
         assert via_sor.iterations == via_gs.iterations
         np.testing.assert_allclose(via_sor.x, via_gs.x, atol=1e-9)
+        np.testing.assert_array_equal(via_sor.x, via_gs.x)
+        assert via_sor.residual_norms == via_gs.residual_norms
 
     def test_over_relaxation_can_accelerate(self, rng):
         """On an ill-conditioned SPD system a good omega beats omega=1."""
@@ -87,6 +95,8 @@ class TestPreconditionedCg:
         plain = conjugate_gradient(a, b, tol=1e-12)
         # Identity preconditioner IS plain CG.
         assert identity_pre.iterations == plain.iterations
+        np.testing.assert_array_equal(identity_pre.x, plain.x)
+        assert identity_pre.residual_norms == plain.residual_norms
 
     def test_sparse_input(self, rng):
         a = _spd(rng, 12)

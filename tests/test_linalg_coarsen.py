@@ -40,7 +40,6 @@ from repro.graph.laplacian import laplacian
 from repro.graph.similarity import knn_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
 from repro.kernels.base import pairwise_sq_distances
-from repro.linalg.advanced import preconditioned_conjugate_gradient
 from repro.linalg.coarsen import (
     MATCHING_ROUNDS,
     OMEGA,
@@ -53,6 +52,7 @@ from repro.linalg.coarsen import (
     coarsen_weights,
     heavy_edge_matching,
 )
+from repro.linalg.iterative import preconditioned_conjugate_gradient
 from repro.linalg.solvers import factorize_spd, solve_spd
 from repro.linalg.workspace import SolveWorkspace
 

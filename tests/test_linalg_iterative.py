@@ -1,11 +1,20 @@
 """Unit tests for the from-scratch iterative solvers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
+from scipy.linalg import solve_triangular
+from scipy.sparse.linalg import spsolve
 
+from repro.core.hard import solve_hard_criterion
 from repro.exceptions import ConvergenceError, DataValidationError
-from repro.linalg.iterative import conjugate_gradient, gauss_seidel, jacobi
+from repro.graph.laplacian import grounded_system
+from repro.graph.similarity import knn_graph
+from repro.linalg.iterative import IterativeResult, conjugate_gradient, gauss_seidel, jacobi, sor
 
 SOLVERS = [jacobi, gauss_seidel, conjugate_gradient]
 
@@ -117,3 +126,152 @@ class TestConjugateGradient:
         a = _spd_diag_dominant(rng, 30)
         with pytest.raises(ConvergenceError):
             conjugate_gradient(a, rng.normal(size=30), tol=1e-14, max_iter=2)
+
+
+# ----------------------------------------------------------------------
+# One loop per method: CG is PCG with M = I, Gauss-Seidel is SOR at
+# omega = 1.  The references below are the standalone loops those two
+# replaced, kept verbatim so the bits they produced stay pinned.
+# ----------------------------------------------------------------------
+
+
+def _reference_cg(matrix, rhs, x0, tol):
+    """Hestenes-Stiefel CG with residual-norm tracking."""
+    n = rhs.shape[0]
+    x = np.zeros(n) if x0 is None else x0.copy()
+    max_iter = max(10 * n, 50)
+    norm = float(np.linalg.norm(rhs))
+    scale = norm if norm > 0 else 1.0
+    residual = rhs - matrix @ x
+    direction = residual.copy()
+    res_sq = float(residual @ residual)
+    residuals = [float(np.sqrt(res_sq))]
+    if residuals[-1] <= tol * scale:
+        return IterativeResult(x, 0, tuple(residuals), True)
+    for iteration in range(1, max_iter + 1):
+        a_direction = matrix @ direction
+        step = res_sq / float(direction @ a_direction)
+        x = x + step * direction
+        residual = residual - step * a_direction
+        new_res_sq = float(residual @ residual)
+        residuals.append(float(np.sqrt(new_res_sq)))
+        if residuals[-1] <= tol * scale:
+            return IterativeResult(x, iteration, tuple(residuals), True)
+        direction = residual + (new_res_sq / res_sq) * direction
+        res_sq = new_res_sq
+    raise AssertionError("reference CG did not converge")
+
+
+def _reference_gauss_seidel(dense, rhs, x0, tol):
+    """Forward Gauss-Seidel sweeps as dense triangular solves."""
+    n = rhs.shape[0]
+    x = np.zeros(n) if x0 is None else x0.copy()
+    norm = float(np.linalg.norm(rhs))
+    scale = norm if norm > 0 else 1.0
+    strict_lower = np.tril(dense, k=-1)
+    upper = np.triu(dense, k=1)
+    lower_with_diag = strict_lower + np.diag(np.diagonal(dense).copy())
+    residuals = []
+    for iteration in range(1, 10_001):
+        res_norm = float(np.linalg.norm(rhs - dense @ x))
+        residuals.append(res_norm)
+        if res_norm <= tol * scale:
+            return IterativeResult(x, iteration - 1, tuple(residuals), True)
+        x = solve_triangular(lower_with_diag, rhs - upper @ x, lower=True)
+    raise AssertionError("reference Gauss-Seidel did not converge")
+
+
+@st.composite
+def spd_systems(draw):
+    """A strictly diagonally dominant SPD system, its rhs and maybe an x0.
+
+    The off-diagonal pattern is random (dense to quite sparse) and the
+    diagonal margin sets the conditioning; half the draws warm-start.
+    """
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**31 - 1))
+    density = draw(st.sampled_from([0.1, 0.4, 1.0]))
+    margin = draw(st.sampled_from([0.05, 1.0, 10.0]))
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, size=(n, n)) * (rng.uniform(size=(n, n)) < density)
+    a = np.triu(a, k=1)
+    a = a + a.T
+    np.fill_diagonal(a, np.abs(a).sum(axis=1) + margin)
+    rhs = rng.normal(size=n)
+    x0 = rng.normal(size=n) if draw(st.booleans()) else None
+    return a, rhs, x0
+
+
+def _assert_same_bits(got: IterativeResult, want: IterativeResult) -> None:
+    np.testing.assert_array_equal(got.x, want.x)
+    assert got.iterations == want.iterations
+    assert got.residual_norms == want.residual_norms
+
+
+class TestOneLoopPerMethod:
+    @given(system=spd_systems())
+    @settings(max_examples=40, deadline=None)
+    def test_cg_is_the_hestenes_stiefel_loop(self, system):
+        a, rhs, x0 = system
+        for matrix in (a, sparse.csr_matrix(a)):
+            _assert_same_bits(
+                conjugate_gradient(matrix, rhs, x0=x0, tol=1e-10),
+                _reference_cg(matrix, rhs, x0, tol=1e-10),
+            )
+
+    @given(system=spd_systems())
+    @settings(max_examples=40, deadline=None)
+    def test_dense_gauss_seidel_is_the_forward_sweep(self, system):
+        a, rhs, x0 = system
+        reference = _reference_gauss_seidel(a, rhs, x0, tol=1e-10)
+        _assert_same_bits(gauss_seidel(a, rhs, x0=x0, tol=1e-10), reference)
+        _assert_same_bits(sor(a, rhs, omega=1.0, x0=x0, tol=1e-10), reference)
+
+    @given(system=spd_systems())
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_gauss_seidel_agrees_with_the_forward_sweep(self, system):
+        """The CSR sweep is its own triangular solve: equal to tolerance."""
+        a, rhs, x0 = system
+        reference = _reference_gauss_seidel(a, rhs, x0, tol=1e-10)
+        result = gauss_seidel(sparse.csr_matrix(a), rhs, x0=x0, tol=1e-10)
+        assert result.converged
+        assert abs(result.iterations - reference.iterations) <= 1
+        # margin >= 0.05 bounds ||A^-1|| by 20, so both are within
+        # 2e-9 ||b|| of the solution.
+        atol = 1e-8 * max(1.0, float(np.linalg.norm(rhs)))
+        np.testing.assert_allclose(result.x, reference.x, rtol=0, atol=atol)
+
+
+class TestSparseSweepsStaySparse:
+    """On CSR input the sweeps never form an ``(m, m)`` array."""
+
+    @pytest.fixture(scope="class")
+    def grounded(self):
+        rng = np.random.default_rng(3)
+        n = 60
+        weights = knn_graph(rng.normal(size=(1200, 3)), k=10, bandwidth=0.5).weights
+        y = rng.normal(size=n)
+        system, w21 = grounded_system(weights, n)
+        rhs = np.asarray(w21 @ y).ravel()
+        direct = spsolve(system.tocsc(), rhs)
+        return weights, y, system.tocsr(), rhs, direct
+
+    @pytest.mark.parametrize(
+        "route", ["gauss_seidel", "sor", "solve_hard_criterion"]
+    )
+    def test_peak_memory_stays_below_one_dense_copy(self, grounded, route):
+        weights, y, system, rhs, direct = grounded
+        m = system.shape[0]
+        tracemalloc.start()
+        try:
+            if route == "gauss_seidel":
+                x = gauss_seidel(system, rhs).x
+            elif route == "sor":
+                x = sor(system, rhs, omega=1.5).x
+            else:
+                x = solve_hard_criterion(weights, y, method="gauss_seidel").unlabeled_scores
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8, f"peak {peak / 1e6:.1f} MB: an (m, m) float64 copy was made"
+        np.testing.assert_allclose(x, direct, rtol=0, atol=1e-7)

@@ -2,7 +2,7 @@
 
 The serving layer promises that batching is *only* a throughput trade:
 ``predict_batch`` must be bit-identical to a loop of ``predict``, at
-every ``batch_size``, at every ``n_jobs`` setting, and through the
+every ``batch_size``, and through the
 :class:`~repro.serving.server.ModelServer` micro-batcher.  These tests
 use exact equality (``==``, never ``allclose``) on purpose — a single
 ULP of drift means some per-query quantity leaked across queries.
@@ -10,13 +10,10 @@ ULP of drift means some per-query quantity leaked across queries.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
 from repro.datasets.synthetic import make_regression_dataset, truncated_mvn_inputs
-from repro.experiments.executor import ParallelFallbackWarning
 from repro.serving import GraphSSLModel, ModelServer
 
 METHODS = ("nw", "exact")
@@ -72,29 +69,6 @@ class TestBatchEqualsLoop:
         )
         for a, b in zip(whole, split):
             assert np.array_equal(a, b)
-
-
-class TestJobsInvariance:
-    @pytest.mark.parametrize("method", ["nw"])
-    def test_process_fanout_bitwise_identical(self, fitted, method):
-        models, queries = fitted
-        model = models["knn"]
-        serial = model.predict_batch(queries, method=method, batch_size=4)
-        with warnings.catch_warnings():
-            # A pool that cannot start degrades serially — results are
-            # the point here, not the transport.
-            warnings.simplefilter("ignore", ParallelFallbackWarning)
-            fanned = model.predict_batch(
-                queries, method=method, batch_size=4, n_jobs=2
-            )
-        assert np.array_equal(serial, fanned)
-
-    def test_exact_method_rejects_fanout(self, fitted):
-        from repro.exceptions import ConfigurationError
-
-        models, queries = fitted
-        with pytest.raises(ConfigurationError, match="exact"):
-            models["full"].predict_batch(queries, method="exact", n_jobs=2)
 
 
 class TestServerDeterminism:

@@ -35,8 +35,8 @@ from repro.datasets.synthetic import make_regression_dataset, truncated_mvn_inpu
 from repro.linalg import coarsen as coarsen_module
 from repro.linalg import solvers as solvers_module
 from repro.linalg import workspace as workspace_module
-from repro.linalg.advanced import preconditioned_conjugate_gradient
 from repro.linalg.coarsen import _coarsest_bound
+from repro.linalg.iterative import preconditioned_conjugate_gradient
 from repro.serving import GraphSSLModel
 from repro.serving.insertion import INSERTION_MAX_ITER, INSERTION_TOL
 
