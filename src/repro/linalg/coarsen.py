@@ -40,9 +40,14 @@ the standard algebraic-multigrid remedy from the *graph itself*:
    ``Pᵀ(V + λL)P = diag(PᵀvV) + λ L(W_c)`` re-assembles in O(nnz) from
    cached parts.
 4. A **V-cycle** with one damped-Jacobi pre-sweep and one post-sweep
-   (weight :data:`OMEGA`) and an exact factorization at the coarsest
-   level (:class:`MultigridPreconditioner`) is a symmetric positive
-   operator, hence a valid CG preconditioner.  Its one constructor
+   (weight :data:`OMEGA`), each coarse correction scaled by
+   :data:`COARSE_FACTOR` on its way back up, and an exact factorization
+   at the coarsest level (:class:`MultigridPreconditioner`) is a
+   symmetric positive-definite operator, hence a valid CG
+   preconditioner.  Both constants were read off a measured table
+   (docs/SCALING.md): at ω = 0.95 and factor 1.2 the ``pipeline-lowd``
+   sweep takes 72 PCG iterations where ω = 0.7 without the factor took
+   97.  Its one constructor
    assembles each coarse level as ``scale·L_l + diag(d_l)`` from a
    hierarchy's Laplacians and a coarsened diagonal, the Galerkin
    product of a fine system ``scale·L + diag(d)``.  Both criteria have
@@ -50,7 +55,10 @@ the standard algebraic-multigrid remedy from the *graph itself*:
    L(W₂₂) + diag(W₂₁·1)`` (Eq. 5).  The cycle transfers through the
    aggregate maps alone: restriction ``Pᵀr`` is a ``bincount`` over a
    map and prolongation ``Pe`` a gather, so the cycle stores no ``P``
-   and multiplies by none.
+   and multiplies by none.  A cycle allocates per level only its
+   output and its two products ``A_l x``; the residual, the prolongated
+   correction and the post-sweep's update overwrite the product before
+   them.
 
 The coarse Laplacians ``L(W_c)`` come from the same assembly as every
 fine-level system (:mod:`repro.graph.laplacian`).  The coarse level
@@ -93,6 +101,7 @@ __all__ = [
     "build_hierarchy",
     "MultigridPreconditioner",
     "OMEGA",
+    "COARSE_FACTOR",
 ]
 
 #: By default coarsening stops once a level has at most ``size //
@@ -102,9 +111,23 @@ __all__ = [
 #: still resolves the graph's cluster structure.
 MULTIGRID_COARSE_DIVISOR = 64
 
-#: Damped-Jacobi smoothing weight.  ω = 0.7 damps the oscillatory half
-#: of the spectrum on graph Laplacians without over-relaxing hubs.
-OMEGA = 0.7
+#: Damped-Jacobi smoothing weight.  Every level system is weakly
+#: diagonally dominant, so ``2D/ω − A`` is positive definite for any
+#: ω < 1 and the smoother contracts in the ``A``-norm.  At ω = 1 that
+#: bound is only semidefinite on bipartite graphs such as lattices.
+#: At every measured coarse factor, 0.95 took the fewest soft-sweep and
+#: insertion iterations of the weights below 1 (docs/SCALING.md,
+#: "Tuning the V-cycle").
+OMEGA = 0.95
+
+#: Factor on each prolongated coarse-grid correction.  A piecewise-
+#: constant prolongation under-corrects; scaling its correction by 1.2
+#: is the over-correction used with unsmoothed aggregation (Braess;
+#: Notay's AGMG), and any factor > 0 keeps the cycle symmetric positive
+#: definite.  At :data:`OMEGA`, 1.2 took the fewest soft-sweep, hard and
+#: fit iterations summed, tied with 1.3, which takes more per insertion
+#: (docs/SCALING.md, "Tuning the V-cycle").
+COARSE_FACTOR = 1.2
 
 #: Coarsening stalls (stop adding levels) when a matching pass removes
 #: fewer than ``1 - STALL_RATIO`` of the vertices — star-like graphs can
@@ -448,15 +471,27 @@ class MultigridPreconditioner:
     hierarchy's Laplacians, in O(nnz) with no triple products: the
     Galerkin product ``PᵀAP`` of the level above.  The coarsest system
     (``system`` itself when the hierarchy is empty) is factorized
-    exactly.
+    exactly.  Each other level keeps its smoother ``S_l = ω·D_l⁻¹``
+    (ω = :data:`OMEGA`).
 
     Calling the instance applies one V-cycle to a residual: one
-    damped-Jacobi pre-sweep (weight :data:`OMEGA`) from zero,
-    restriction of the remaining residual, recursion, prolongated
-    coarse-grid correction, one damped-Jacobi post-sweep.  The operator
-    is symmetric positive definite whenever every level system is, so it
-    can be passed directly as the ``preconditioner`` of
-    :func:`~repro.linalg.iterative.preconditioned_conjugate_gradient`.
+    damped-Jacobi pre-sweep ``x = S r`` from zero, restriction of the
+    remaining residual, recursion, the prolongated coarse correction
+    scaled by ``α`` = :data:`COARSE_FACTOR`, one damped-Jacobi
+    post-sweep.  As an operator that is
+
+        ``M⁻¹ = S(2S⁻¹ − A)S + α (I − SA) P M_c⁻¹ Pᵀ (I − AS)``,
+
+    symmetric because ``S`` is.  Every level system is weakly diagonally
+    dominant with a positive diagonal, so ``D⁻¹A`` has its eigenvalues
+    in ``[0, 2]`` and ``2S⁻¹ − A = 2D/ω − A`` is positive definite for
+    ω < 1; the coarse term is semidefinite for any ``α > 0`` once the
+    coarse ``M_c⁻¹`` is definite, which holds by induction from the
+    exact coarsest solve.  So the cycle is symmetric positive definite
+    and can be passed directly as the ``preconditioner`` of
+    :func:`~repro.linalg.iterative.preconditioned_conjugate_gradient`;
+    a constant ``α`` keeps it one fixed operator, so CG needs no
+    flexible variant.
     """
 
     def __init__(self, system, hierarchy: CoarseningHierarchy, scale: float, diagonals):
@@ -466,7 +501,7 @@ class MultigridPreconditioner:
                 (scale * level.laplacian + sparse.diags(diagonal, format="csr")).tocsr()
             )
         self._labels = [level.aggregates for level in hierarchy.levels]
-        self._inv_diagonals: list[np.ndarray] = []
+        self._smoothers: list[np.ndarray] = []
         for level, matrix in enumerate(self._systems[:-1]):
             diagonal = np.asarray(matrix.diagonal(), dtype=np.float64)
             if diagonal.size and diagonal.min() <= 0:
@@ -474,7 +509,7 @@ class MultigridPreconditioner:
                     f"level-{level} system has a non-positive diagonal; "
                     "the damped-Jacobi smoother requires SPD level systems"
                 )
-            self._inv_diagonals.append(1.0 / diagonal)
+            self._smoothers.append(OMEGA / diagonal)
         self._coarse_factor: SPDFactorization = factorize_spd(self._systems[-1])
 
     @property
@@ -488,23 +523,27 @@ class MultigridPreconditioner:
         if level == len(self._systems) - 1:
             return np.asarray(self._coarse_factor.solve(rhs)).ravel()
         system = self._systems[level]
-        inv_diag = self._inv_diagonals[level]
+        smoother = self._smoothers[level]
         labels = self._labels[level]
-        # damped-Jacobi pre-sweep from x = 0
-        x = inv_diag * rhs
-        x *= OMEGA
+        # damped-Jacobi pre-sweep from x = 0; the residual, the
+        # prolongated correction and the post-sweep's update each
+        # overwrite the product before them
+        x = smoother * rhs
+        work = system @ x
+        np.subtract(rhs, work, out=work)
         # restriction Pᵀr sums the residual over each aggregate in vertex
         # order, the additions a CSR product with Pᵀ makes; prolongation
         # Pe copies each aggregate's correction back to its vertices
-        coarse_residual = np.bincount(
-            labels,
-            weights=rhs - system @ x,
-            minlength=self._systems[level + 1].shape[0],
+        correction = self._cycle(
+            level + 1,
+            np.bincount(labels, weights=work, minlength=self._systems[level + 1].shape[0]),
         )
-        x += self._cycle(level + 1, coarse_residual)[labels]
+        correction *= COARSE_FACTOR
+        np.take(correction, labels, out=work, mode="clip")
+        x += work
         # damped-Jacobi post-sweep
-        correction = rhs - system @ x
-        correction *= inv_diag
-        correction *= OMEGA
-        x += correction
+        work = system @ x
+        np.subtract(rhs, work, out=work)
+        work *= smoother
+        x += work
         return x

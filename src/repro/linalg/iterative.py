@@ -202,7 +202,8 @@ def sor(
     is Gauss-Seidel exactly; ``omega`` must lie in (0, 2) for
     convergence on SPD systems.  A sparse system is swept through its
     CSR triangles (``spsolve_triangular``) and never densified; a dense
-    one through LAPACK's triangular solve.
+    one through LAPACK's triangular solve; its matrix is checked finite
+    once, before the first sweep, so the sweeps skip LAPACK's scan.
     """
     if not 0.0 < omega < 2.0:
         raise ConfigurationError(f"omega must be in (0, 2), got {omega}")
@@ -213,10 +214,12 @@ def sor(
         upper = (omega * sparse.triu(mat, k=1, format="csr") + (omega - 1.0) * d).tocsr()
         solve_lower = lambda b: spsolve_triangular(lower, b, lower=True)
     else:
+        if not np.isfinite(mat).all():
+            raise DataValidationError("sor requires a finite matrix")
         d = np.diag(diag)
         lower = d + omega * np.tril(mat, k=-1)
         upper = omega * np.triu(mat, k=1) + (omega - 1.0) * d
-        solve_lower = lambda b: solve_triangular(lower, b, lower=True)
+        solve_lower = lambda b: solve_triangular(lower, b, lower=True, check_finite=False)
     target = omega * rhs
     return _stationary(
         f"sor(omega={omega})",
@@ -271,6 +274,13 @@ def preconditioned_conjugate_gradient(
     the matrix diagonal, so a callable operator needs an explicit one.
     ``max_iter`` defaults to ``10 n`` (CG terminates in at most ``n``
     exact-arithmetic steps; the slack absorbs floating-point drift).
+
+    The iterate, residual and search direction are updated in place
+    through one scratch vector, with the bits of the out-of-place
+    recurrence.  Each product and each preconditioned residual is read
+    before the operator or the preconditioner is called again, so
+    either may return a buffer that it overwrites on its next call.
+    The caller's ``rhs`` and ``x0`` are not written.
     """
     if preconditioner is None and callable(matrix):
         raise ConfigurationError(
@@ -292,6 +302,7 @@ def preconditioned_conjugate_gradient(
     z = preconditioner(residual)
     direction = z.copy()
     rz = float(residual @ z)
+    scratch = np.empty_like(x)
     for iteration in range(1, max_iter + 1):
         a_direction = matvec(direction)
         curvature = float(direction @ a_direction)
@@ -303,14 +314,15 @@ def preconditioned_conjugate_gradient(
                 residual=residuals[-1],
             )
         step = rz / curvature
-        x = x + step * direction
-        residual = residual - step * a_direction
+        x += np.multiply(direction, step, out=scratch)
+        residual -= np.multiply(a_direction, step, out=scratch)
         residuals.append(float(np.linalg.norm(residual)))
         if residuals[-1] <= tol * scale:
             return IterativeResult(x, iteration, tuple(residuals), True)
         z = preconditioner(residual)
         new_rz = float(residual @ z)
-        direction = z + (new_rz / rz) * direction
+        direction *= new_rz / rz
+        direction += z
         rz = new_rz
     raise ConvergenceError(
         f"CG did not converge in {max_iter} iterations "

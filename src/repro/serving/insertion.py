@@ -27,11 +27,14 @@ query's neighbours.  When the workspace factorizes ``A`` (``M = A``),
 the preconditioned operator is ``I`` plus the ``diag(c_u)`` perturbation
 and a handful of back-substitutions converge — typically 2-10
 iterations.  When it runs the ``multigrid`` backend, ``M⁻¹`` is one
-cached V-cycle and a query takes about 17 iterations, each far cheaper
+cached V-cycle and a query takes about 14 iterations, each far cheaper
 than a back-substitution through a high-fill LU factor.  Either way the
 solve stops at :data:`INSERTION_TOL`, so the prediction does not depend
-on the preconditioner beyond that tolerance.  Each insertion is
-stateless: nothing carries over from one query to the next.
+on the preconditioner beyond that tolerance.  Beyond ``A``'s own
+product, the bordered product and the block preconditioner work on the
+query's neighbours alone and write into buffers allocated once per
+query (:func:`_bordered_operators`).  Each insertion is stateless:
+nothing carries over from one query to the next.
 
 The soft criterion (``lam > 0``) inserts through the analogous bordered
 system on ``V + lam (L + diag(c))``: the same matrix shape with ``A = V +
@@ -99,6 +102,42 @@ def _require_support(row: QueryRow) -> float:
     return total
 
 
+def _bordered_operators(system, inverse, c, scale: float, s: float):
+    """The product and block preconditioner of one query's bordered system.
+
+    ``v ↦ [[A + scale·diag(c), -scale·c], [-scale·cᵀ, scale·s]] v`` with
+    ``A = system``, and ``r ↦ (inverse(r_top); r_q / (scale·s))``.  The
+    border touches only the query's neighbours (``c``'s nonzeros), so
+    beyond ``A``'s product each call works on those entries alone.  Each
+    writes into its own buffer of length ``len(c) + 1`` and overwrites
+    it on its next call; PCG reads every product and preconditioned
+    residual before its next call.
+    """
+    k = c.shape[0]
+    touched = np.flatnonzero(c)
+    weights = c[touched]
+    border = scale * weights
+    product = np.empty(k + 1)
+    preconditioned = np.empty(k + 1)
+
+    def matvec(v):
+        vu, t = v[:k], v[k]
+        near = vu[touched]
+        top = system @ vu
+        top[touched] += scale * (weights * near)
+        top[touched] -= border * t
+        product[:k] = top
+        product[k] = scale * (s * t - float(weights @ near))
+        return product
+
+    def precondition(r):
+        preconditioned[:k] = inverse(r[:k])
+        preconditioned[k] = r[k] / (scale * s)
+        return preconditioned
+
+    return matvec, precondition
+
+
 class ExactInserter:
     """Per-model machinery for exact insertions against a cached preconditioner.
 
@@ -163,17 +202,9 @@ class ExactInserter:
         f_q0 = (tail + float(border @ warm)) / (scale * s)
         x0 = np.concatenate([warm, [f_q0]])
         rhs = np.concatenate([self.rhs, [tail]])
-        system, inverse, k = self.system, self.precondition, c.shape[0]
-
-        def matvec(v):
-            vu, t = v[:k], v[k]
-            top = system @ vu + scale * (c * vu) - border * t
-            bottom = scale * (s * t - float(c @ vu))
-            return np.concatenate([top, [bottom]])
-
-        def precondition(r):
-            return np.concatenate([inverse(r[:k]), [r[k] / (scale * s)]])
-
+        matvec, precondition = _bordered_operators(
+            self.system, self.precondition, c, scale, s
+        )
         result = preconditioned_conjugate_gradient(
             matvec,
             rhs,
@@ -182,7 +213,7 @@ class ExactInserter:
             tol=INSERTION_TOL,
             max_iter=INSERTION_MAX_ITER,
         )
-        return InsertionResult(float(result.x[k]), result.iterations)
+        return InsertionResult(float(result.x[-1]), result.iterations)
 
     # ------------------------------------------------------------------
     # Public API

@@ -11,8 +11,10 @@ against a pairwise chain built from the matching itself; a level holds
 only its aggregate map and coarse Laplacian, and its retained bytes are
 theirs.  The V-cycle's aggregate-map transfers (a ``bincount``
 restriction and a gather prolongation) are pinned against the sparse
-products ``Pᵀr`` and ``Pe`` and against a cycle that rebuilds ``P``
-and transposes it on every call.  The vectorized mutual-proposal
+products ``Pᵀr`` and ``Pe`` and against an out-of-place cycle that
+rebuilds ``P`` and transposes it on every call, and the cycle is pinned
+symmetric positive definite on soft and hard kNN systems and on a
+bipartite lattice.  The vectorized mutual-proposal
 matching is pinned against a per-vertex loop of the same rounds, its
 hashed tie-break against unit-weight chains and grids, and its
 independence of vertex order against relabelled kNN graphs.  The
@@ -36,11 +38,12 @@ from repro.exceptions import (
     ConvergenceError,
     DataValidationError,
 )
-from repro.graph.laplacian import laplacian
+from repro.graph.laplacian import grounded_system, laplacian
 from repro.graph.similarity import knn_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
 from repro.kernels.base import pairwise_sq_distances
 from repro.linalg.coarsen import (
+    COARSE_FACTOR,
     MATCHING_ROUNDS,
     OMEGA,
     STALL_RATIO,
@@ -569,8 +572,11 @@ class TestMultigridPreconditioner:
         assert final_residual(mg) <= 1.05 * final_residual(None) + 1e-12
 
     def test_cached_restrictions_change_no_output_bit(self):
-        """Against a cycle that rebuilds each ``P`` from its aggregate map
-        and transposes it on every call."""
+        """Against an out-of-place cycle that rebuilds each ``P`` from its
+        aggregate map and transposes it on every call: smoother ``S =
+        ω·D⁻¹``, coarse correction ``α·P e`` with ``α`` =
+        :data:`COARSE_FACTOR`.  The in-place cycle makes the same
+        roundings in the same order."""
         weights = _knn_3d(2000, 4)
         system = _soft_system(weights, 0.8, 100)
         precond = _soft_vcycle(weights, 0.8, 100)
@@ -582,16 +588,52 @@ class TestMultigridPreconditioner:
             if level == len(systems) - 1:
                 return np.asarray(coarsest.solve(rhs)).ravel()
             a, p = systems[level], prolongations[level]
-            inv_diag = 1.0 / a.diagonal()
-            x = OMEGA * (inv_diag * rhs)
+            smoother = OMEGA / a.diagonal()
+            x = smoother * rhs
             coarse_residual = np.asarray(p.T @ (rhs - a @ x)).ravel()
-            x = x + np.asarray(p @ cycle(level + 1, coarse_residual)).ravel()
-            return x + OMEGA * (inv_diag * (rhs - a @ x))
+            correction = COARSE_FACTOR * cycle(level + 1, coarse_residual)
+            x = x + np.asarray(p @ correction).ravel()
+            return x + smoother * (rhs - a @ x)
 
         assert precond.n_levels >= 4
         for seed in range(3):
             r = np.random.default_rng(seed).normal(size=system.shape[0])
             assert np.array_equal(precond(r), cycle(0, r))
+
+    @pytest.mark.parametrize("case", ["soft 3-d kNN", "hard 3-d kNN", "soft lattice"])
+    def test_vcycle_is_symmetric_positive_definite(self, case):
+        """``uᵀM⁻¹v = vᵀM⁻¹u`` to 1e-12 relative to ``√(uᵀM⁻¹u·vᵀM⁻¹v)``
+        and ``uᵀM⁻¹u > 0``, at the module's ω < 1 and coarse factor.  The
+        unit-weight lattice is bipartite, so its ``D⁻¹A`` comes closest
+        to the Gershgorin bound 2 that keeps ``2D/ω − A`` definite only
+        for ω < 1; its checkerboard vector is that extreme mode."""
+        if case == "soft 3-d kNN":
+            precond = _soft_vcycle(_knn_3d(2000, 5), 2.0, 100)
+        elif case == "hard 3-d kNN":
+            weights, n = _knn_3d(2000, 5), 100
+            system, coupling = grounded_system(weights, n)
+            hierarchy = build_hierarchy(weights[n:, n:], min_coarse_size=16)
+            grounding = np.asarray(coupling.sum(axis=1)).ravel()
+            precond = MultigridPreconditioner(
+                system, hierarchy, 1.0, hierarchy.coarsen_diagonal(grounding)
+            )
+        else:
+            precond = _soft_vcycle(_grid(40), 10.0, 40)
+        assert precond.n_levels >= 3
+        size = precond._systems[0].shape[0]
+        rng = np.random.default_rng(11)
+        vectors = list(rng.normal(size=(6, size)))
+        if case == "soft lattice":
+            rows, cols = np.divmod(np.arange(size), 40)
+            vectors.append((-1.0) ** (rows + cols))
+        images = [precond(v) for v in vectors]
+        energies = [float(v @ image) for v, image in zip(vectors, images)]
+        assert min(energies) > 0
+        for i, (u, mu) in enumerate(zip(vectors, images)):
+            for j in range(i + 1, len(vectors)):
+                v, mv = vectors[j], images[j]
+                scale = np.sqrt(energies[i] * energies[j])
+                assert abs(float(u @ mv) - float(v @ mu)) <= 1e-12 * scale
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -14,7 +14,15 @@ from repro.core.hard import solve_hard_criterion
 from repro.exceptions import ConvergenceError, DataValidationError
 from repro.graph.laplacian import grounded_system
 from repro.graph.similarity import knn_graph
-from repro.linalg.iterative import IterativeResult, conjugate_gradient, gauss_seidel, jacobi, sor
+from repro.linalg import iterative as iterative_module
+from repro.linalg.iterative import (
+    IterativeResult,
+    conjugate_gradient,
+    gauss_seidel,
+    jacobi,
+    preconditioned_conjugate_gradient,
+    sor,
+)
 
 SOLVERS = [jacobi, gauss_seidel, conjugate_gradient]
 
@@ -275,3 +283,133 @@ class TestSparseSweepsStaySparse:
             tracemalloc.stop()
         assert peak < m * m * 8, f"peak {peak / 1e6:.1f} MB: an (m, m) float64 copy was made"
         np.testing.assert_allclose(x, direct, rtol=0, atol=1e-7)
+
+
+# ----------------------------------------------------------------------
+# PCG updates x, r and p in place; the reference below is the
+# out-of-place recurrence, which allocates all three every iteration.
+# ----------------------------------------------------------------------
+
+
+def _reference_pcg(matvec, rhs, precondition, x0, tol):
+    """Preconditioned CG with new ``x``, ``r`` and ``p`` every iteration."""
+    n = rhs.shape[0]
+    x = np.zeros(n) if x0 is None else x0.copy()
+    norm = float(np.linalg.norm(rhs))
+    scale = norm if norm > 0 else 1.0
+    residual = rhs - matvec(x)
+    residuals = [float(np.linalg.norm(residual))]
+    if residuals[-1] <= tol * scale:
+        return IterativeResult(x, 0, tuple(residuals), True)
+    z = precondition(residual)
+    direction = z.copy()
+    rz = float(residual @ z)
+    for iteration in range(1, max(10 * n, 50) + 1):
+        a_direction = matvec(direction)
+        step = rz / float(direction @ a_direction)
+        x = x + step * direction
+        residual = residual - step * a_direction
+        residuals.append(float(np.linalg.norm(residual)))
+        if residuals[-1] <= tol * scale:
+            return IterativeResult(x, iteration, tuple(residuals), True)
+        z = precondition(residual)
+        new_rz = float(residual @ z)
+        direction = z + (new_rz / rz) * direction
+        rz = new_rz
+    raise AssertionError("reference PCG did not converge")
+
+
+def _reusing(function, n):
+    """``function`` writing every output into one buffer it overwrites."""
+    out = np.empty(n)
+
+    def wrapped(v):
+        out[:] = function(v)
+        return out
+
+    return wrapped
+
+
+class TestInPlacePCG:
+    @given(system=spd_systems())
+    @settings(max_examples=40, deadline=None)
+    def test_bit_equal_to_the_out_of_place_recurrence(self, system):
+        """Dense, CSR and callable operators, with and without an ``x0``:
+        the same ``x``, iteration count and residual history as the
+        out-of-place loop, and the caller's ``rhs`` and ``x0`` unchanged."""
+        a, rhs, x0 = system
+        diag = np.diagonal(a).copy()
+        precondition = lambda v: v / diag
+        rhs_before = rhs.copy()
+        x0_before = None if x0 is None else x0.copy()
+        csr = sparse.csr_matrix(a)
+        for matrix, product in ((a, a), (csr, csr), (lambda v: a @ v, a)):
+            reference = _reference_pcg(lambda v: product @ v, rhs, precondition, x0, tol=1e-10)
+            result = preconditioned_conjugate_gradient(
+                matrix, rhs, preconditioner=precondition, x0=x0, tol=1e-10
+            )
+            _assert_same_bits(result, reference)
+            np.testing.assert_array_equal(rhs, rhs_before)
+            if x0 is not None:
+                np.testing.assert_array_equal(x0, x0_before)
+                assert result.x is not x0
+
+    @given(system=spd_systems())
+    @settings(max_examples=20, deadline=None)
+    def test_operators_may_reuse_their_output_buffers(self, system):
+        """An operator and a preconditioner that overwrite one buffer on
+        every call give the bits of ones that allocate."""
+        a, rhs, x0 = system
+        n = rhs.shape[0]
+        diag = np.diagonal(a).copy()
+        precondition = lambda v: v / diag
+        fresh = preconditioned_conjugate_gradient(
+            lambda v: a @ v, rhs, preconditioner=precondition, x0=x0, tol=1e-10
+        )
+        reused = preconditioned_conjugate_gradient(
+            _reusing(lambda v: a @ v, n),
+            rhs,
+            preconditioner=_reusing(precondition, n),
+            x0=x0,
+            tol=1e-10,
+        )
+        _assert_same_bits(reused, fresh)
+
+
+class TestDenseSorChecksFiniteOnce:
+    """Dense SOR checks its matrix finite on entry, then sweeps with
+    LAPACK's own finite scan switched off."""
+
+    @pytest.mark.parametrize("where", ["lower", "diagonal", "upper"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_fails_before_any_sweep(self, monkeypatch, where, bad):
+        a = _spd_diag_dominant(np.random.default_rng(4), 6)
+        a[{"lower": (4, 1), "diagonal": (2, 2), "upper": (1, 4)}[where]] = bad
+        calls = []
+        monkeypatch.setattr(
+            iterative_module, "solve_triangular", lambda *args, **kw: calls.append(1)
+        )
+        with pytest.raises(DataValidationError, match="finite") as excinfo:
+            sor(a, np.ones(6), omega=1.2)
+        assert isinstance(excinfo.value, ValueError)
+        assert calls == []
+
+    @pytest.mark.parametrize("omega", [0.6, 1.0, 1.5])
+    def test_sweeps_keep_their_bits(self, omega):
+        """The same ``x`` and residual history as sweeps that let
+        ``solve_triangular`` check its inputs."""
+        rng = np.random.default_rng(5)
+        a = _spd_diag_dominant(rng, 30)
+        rhs = rng.normal(size=30)
+        d = np.diag(np.diagonal(a).copy())
+        lower = d + omega * np.tril(a, k=-1)
+        upper = omega * np.triu(a, k=1) + (omega - 1.0) * d
+        x, residuals = np.zeros(30), []
+        while True:
+            residuals.append(float(np.linalg.norm(rhs - a @ x)))
+            if residuals[-1] <= 1e-10 * np.linalg.norm(rhs):
+                break
+            x = solve_triangular(lower, omega * rhs - upper @ x, lower=True, check_finite=True)
+        result = sor(a, rhs, omega=omega, tol=1e-10)
+        np.testing.assert_array_equal(result.x, x)
+        assert result.residual_norms == tuple(residuals)

@@ -17,7 +17,10 @@ once — and pin, for a hard and a λ = 0.5 model:
   operator: one assembled system and, on ``multigrid``, one V-cycle;
 * insertion PCG, started from the fitted field with the query at its
   harmonic value, takes no more iterations per query than the same PCG
-  started from the rank-1 border guess, and fewer in sum on a V-cycle.
+  started from the rank-1 border guess, and fewer in sum on a V-cycle;
+* the bordered product, which works on the query's neighbours alone
+  beyond ``A``'s own product, is the explicitly assembled bordered
+  matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from repro.linalg import workspace as workspace_module
 from repro.linalg.coarsen import _coarsest_bound
 from repro.linalg.iterative import preconditioned_conjugate_gradient
 from repro.serving import GraphSSLModel
-from repro.serving.insertion import INSERTION_MAX_ITER, INSERTION_TOL
+from repro.serving.insertion import INSERTION_MAX_ITER, INSERTION_TOL, _bordered_operators
 
 #: Floor used by these tests: below the fixture's 700 vertices.
 LOWERED_FLOOR = 600
@@ -300,3 +303,41 @@ class TestStart:
             )
         new_total, old_total = totals["multigrid"]
         assert new_total < old_total, totals
+
+
+class TestBorderedOperator:
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_sparse_border_product_is_the_assembled_matrix(self, models, data, lam):
+        """``[[A + scale·diag(c), -scale·c], [-scale·cᵀ, scale·s]] v``
+        assembled as one CSR matrix and applied by the inserter's
+        product agree to 1e-14 relative to the absolute row sums ``|B||v|``;
+        the block preconditioner applies ``M⁻¹`` and ``1/(scale·s)``."""
+        _, queries = data
+        model, _ = models[lam]
+        inserter = model._ensure_inserter()
+        rng = np.random.default_rng(2)
+        for row in model.query_weights(queries):
+            if lam:
+                scale, c = lam, np.zeros(inserter.n_total)
+                c[row.indices] = row.weights
+            else:
+                scale, (_, c) = 1.0, inserter._split(row)
+            s = row.total
+            matvec, precondition = _bordered_operators(
+                inserter.system, inserter.precondition, c, scale, s
+            )
+            border = sparse.csr_matrix(-scale * c[:, None])
+            bordered = sparse.bmat(
+                [
+                    [inserter.system + sparse.diags(scale * c), border],
+                    [border.T, sparse.csr_matrix([[scale * s]])],
+                ],
+                format="csr",
+            )
+            for v in rng.normal(size=(3, c.size + 1)):
+                got, want = matvec(v).copy(), bordered @ v
+                assert np.all(np.abs(got - want) <= 1e-14 * (abs(bordered) @ np.abs(v)))
+            r = rng.normal(size=c.size + 1)
+            z = precondition(r)
+            np.testing.assert_array_equal(z[:-1], inserter.precondition(r[:-1]))
+            assert z[-1] == r[-1] / (scale * s)
