@@ -56,12 +56,42 @@ def _unchecked_laplacian(weights, degrees=None):
 
     ``degrees`` default to the row sums, which gives ``L = D - W``; the
     unlabeled block's weights with the full degrees give ``D22 - W22``.
+    A sparse result stores every diagonal entry.  The sparse difference
+    drops the entries that come out exactly zero, which on the diagonal
+    happens to a vertex whose only edge is its self-loop (an aggregate
+    with no edge out of it, say); such a row gets an explicit zero, so
+    the systems written into a Laplacian's own pattern
+    (:class:`~repro.linalg.coarsen.SystemPattern`) find every row's
+    diagonal in it.
     """
     if degrees is None:
         degrees = _row_sums(weights)
     if sparse.issparse(weights):
-        return sparse.diags(degrees, format="csr") - weights
+        return _with_full_diagonal(sparse.diags(degrees, format="csr") - weights)
     return np.diag(degrees) - weights
+
+
+def _with_full_diagonal(matrix):
+    """Canonical CSR ``matrix`` with an explicit zero on each diagonal
+    entry it does not store; ``matrix`` itself when it stores them all."""
+    n = matrix.shape[0]
+    rows = np.repeat(np.arange(n, dtype=matrix.indices.dtype), np.diff(matrix.indptr))
+    missing = np.ones(n, dtype=bool)
+    missing[rows[matrix.indices == rows]] = False
+    if not missing.any():
+        return matrix
+    # a row's diagonal goes after its entries left of the diagonal
+    left = np.bincount(rows[matrix.indices < rows], minlength=n)
+    rows_missing = np.flatnonzero(missing)
+    at = matrix.indptr[rows_missing] + left[rows_missing]
+    return sparse.csr_matrix(
+        (
+            np.insert(matrix.data, at, 0.0),
+            np.insert(matrix.indices, at, rows_missing.astype(matrix.indices.dtype)),
+            matrix.indptr + np.concatenate(([0], np.cumsum(missing))).astype(matrix.indptr.dtype),
+        ),
+        shape=matrix.shape,
+    )
 
 
 def degree_vector(weights) -> np.ndarray:

@@ -52,7 +52,11 @@ the standard algebraic-multigrid remedy from the *graph itself*:
    hierarchy's Laplacians and a coarsened diagonal, the Galerkin
    product of a fine system ``scale·L + diag(d)``.  Both criteria have
    that form — the soft ``V + λL`` (Eq. 3) and the hard ``D₂₂ − W₂₂ =
-   L(W₂₂) + diag(W₂₁·1)`` (Eq. 5).  The cycle transfers through the
+   L(W₂₂) + diag(W₂₁·1)`` (Eq. 5).  Each level system is written into
+   its Laplacian's own pattern (:class:`SystemPattern`): a new data
+   array on the Laplacian's indices and indptr, whose diagonal
+   positions and row blocks are worked out once per Laplacian, so a λ
+   step re-assembles no sparse sum.  The cycle transfers through the
    aggregate maps alone: restriction ``Pᵀr`` is a ``bincount`` over a
    map and prolongation ``Pe`` a gather, so the cycle stores no ``P``
    and multiplies by none.  A cycle allocates per level only its
@@ -83,6 +87,7 @@ exact splu factorization costs ~80 s.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -91,6 +96,7 @@ from repro import obs
 from repro.exceptions import ConfigurationError, DataValidationError
 from repro.graph.laplacian import _unchecked_laplacian
 from repro.linalg.solvers import SPDFactorization, factorize_spd
+from repro.linalg.threads import RowBlocks, row_blocks
 
 __all__ = [
     "heavy_edge_matching",
@@ -100,6 +106,7 @@ __all__ = [
     "CoarseningHierarchy",
     "build_hierarchy",
     "MultigridPreconditioner",
+    "SystemPattern",
     "OMEGA",
     "COARSE_FACTOR",
 ]
@@ -286,6 +293,87 @@ def coarsen_weights(weights, prolongation: sparse.csr_matrix) -> sparse.csr_matr
     return coarse
 
 
+class SystemPattern:
+    """One kept Laplacian and what every system in its pattern shares.
+
+    Each λ writes ``scale·L + diag(d)`` into ``L``'s own pattern
+    (:meth:`system`): a new data array on ``L``'s indices and indptr,
+    with no sparse addition.  So the position of each row's diagonal
+    entry, which the assembly adds to and each damped-Jacobi smoother
+    reads (:meth:`diagonal_of`), and the row blocks of the system's
+    products (:meth:`product`) are worked out once per Laplacian, here.
+
+    Attributes
+    ----------
+    laplacian:
+        The Laplacian, sparse or dense.  A sparse one must store every
+        diagonal entry, as :func:`~repro.graph.laplacian.laplacian`'s
+        assembly does; one that does not raises
+        :class:`~repro.exceptions.DataValidationError`.
+    diagonal:
+        Position of row ``i``'s diagonal entry in the values: the CSR
+        ``data`` or the dense matrix's flattened array.
+    blocks:
+        The :class:`~repro.linalg.threads.RowBlocks` of a CSR pattern
+        with at least :data:`~repro.linalg.threads.BLOCKED_MIN_NNZ`
+        entries on a multi-CPU host, else ``None``.
+    """
+
+    __slots__ = ("laplacian", "diagonal", "blocks")
+
+    def __init__(self, laplacian):
+        self.laplacian = laplacian
+        n = laplacian.shape[0]
+        if not sparse.issparse(laplacian):
+            self.diagonal = np.arange(n) * (n + 1)
+            self.blocks: RowBlocks | None = None
+            return
+        indptr, indices = laplacian.indptr, laplacian.indices
+        rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+        self.diagonal = np.flatnonzero(indices == rows).astype(indptr.dtype)
+        if not np.array_equal(rows[self.diagonal], np.arange(n)):
+            raise DataValidationError(
+                "a system pattern must store one diagonal entry in every row"
+            )
+        self.blocks = row_blocks(indptr)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the cached diagonal positions."""
+        return self.diagonal.nbytes
+
+    def system(self, scale: float, diagonal: np.ndarray):
+        """``scale·L + diag(diagonal)``, with the bits of the sparse sum.
+
+        Each entry is ``scale·L_ij``, plus ``d_i`` on the diagonal: the
+        roundings ``scale * L + sparse.diags(d)`` makes, which also drops
+        an entry that comes out zero.  Here that entry stays an explicit
+        zero.  A sparse result shares ``L``'s indices and indptr.
+        """
+        laplacian = self.laplacian
+        if not sparse.issparse(laplacian):
+            system = laplacian * scale
+            system.flat[self.diagonal] += diagonal
+            return system
+        data = laplacian.data * scale
+        data[self.diagonal] += diagonal
+        return sparse.csr_matrix(
+            (data, laplacian.indices, laplacian.indptr), shape=laplacian.shape
+        )
+
+    def diagonal_of(self, system) -> np.ndarray:
+        """The diagonal of a ``system`` in this pattern."""
+        values = system.data if sparse.issparse(system) else system.reshape(-1)
+        return values[self.diagonal]
+
+    def product(self, system):
+        """``x ↦ system @ x`` for a ``system`` in this pattern: row-blocked
+        over :attr:`blocks` when there are any."""
+        if self.blocks is None:
+            return system.__matmul__
+        return self.blocks.product(system)
+
+
 @dataclass(frozen=True)
 class CoarseLevel:
     """One level of a coarsening hierarchy.
@@ -300,11 +388,19 @@ class CoarseLevel:
     laplacian:
         ``L(W_c)`` of the coarse graph ``W_c = PᵀWP`` — equal to
         ``PᵀL(W)P`` by the Galerkin identity, assembled once because it
-        is λ-independent.
+        is λ-independent.  It stores every diagonal entry.
+
+    The level's :attr:`pattern`, which each V-cycle reads, is worked out
+    on first use and kept with the level.
     """
 
     aggregates: np.ndarray
     laplacian: sparse.csr_matrix
+
+    @cached_property
+    def pattern(self) -> SystemPattern:
+        """The :class:`SystemPattern` of :attr:`laplacian`."""
+        return SystemPattern(self.laplacian)
 
     @property
     def n_fine(self) -> int:
@@ -336,13 +432,16 @@ class CoarseningHierarchy:
         return (self.n_vertices,) + tuple(lvl.n_coarse for lvl in self.levels)
 
     def retained_bytes(self) -> int:
-        """Bytes of every array the levels hold: each aggregate map and
-        each coarse Laplacian's CSR arrays."""
+        """Bytes of every array the levels hold: each aggregate map, each
+        coarse Laplacian's CSR arrays and, once a V-cycle has read them,
+        its pattern's diagonal positions."""
         return sum(
             level.aggregates.nbytes
             + level.laplacian.data.nbytes
             + level.laplacian.indices.nbytes
             + level.laplacian.indptr.nbytes
+            # a cached_property lives in the instance dict once computed
+            + (level.pattern.nbytes if "pattern" in vars(level) else 0)
             for level in self.levels
         )
 
@@ -458,6 +557,9 @@ class MultigridPreconditioner:
     ----------
     system:
         The fine system ``scale·L + diag(d)``, sparse or dense.
+    pattern:
+        The :class:`SystemPattern` ``system`` was written into: its
+        diagonal positions and row blocks.
     hierarchy:
         A :class:`CoarseningHierarchy` of the graph behind ``L``.
     scale:
@@ -467,12 +569,14 @@ class MultigridPreconditioner:
     diagonals:
         ``hierarchy.coarsen_diagonal(d)``, one vector per coarse level.
 
-    Each coarse level is assembled as ``scale·L_l + diag(d_l)`` from the
-    hierarchy's Laplacians, in O(nnz) with no triple products: the
-    Galerkin product ``PᵀAP`` of the level above.  The coarsest system
-    (``system`` itself when the hierarchy is empty) is factorized
-    exactly.  Each other level keeps its smoother ``S_l = ω·D_l⁻¹``
-    (ω = :data:`OMEGA`).
+    Each coarse level is assembled as ``scale·L_l + diag(d_l)`` into its
+    Laplacian's pattern (:meth:`SystemPattern.system`), in O(nnz) with
+    no triple products: the Galerkin product ``PᵀAP`` of the level
+    above.  The coarsest system (``system`` itself when the hierarchy is
+    empty) is factorized exactly.  Each other level keeps its smoother
+    ``S_l = ω·D_l⁻¹`` (ω = :data:`OMEGA`), its diagonal read through
+    the pattern's cached positions, and its product, row-blocked where
+    the pattern has blocks (:mod:`repro.linalg.threads`).
 
     Calling the instance applies one V-cycle to a residual: one
     damped-Jacobi pre-sweep ``x = S r`` from zero, restriction of the
@@ -494,16 +598,27 @@ class MultigridPreconditioner:
     flexible variant.
     """
 
-    def __init__(self, system, hierarchy: CoarseningHierarchy, scale: float, diagonals):
-        self._systems = [system]
-        for level, diagonal in zip(hierarchy.levels, diagonals, strict=True):
-            self._systems.append(
-                (scale * level.laplacian + sparse.diags(diagonal, format="csr")).tocsr()
-            )
+    def __init__(
+        self,
+        system,
+        pattern: SystemPattern,
+        hierarchy: CoarseningHierarchy,
+        scale: float,
+        diagonals,
+    ):
+        patterns = [pattern] + [level.pattern for level in hierarchy.levels]
+        self._systems = [system] + [
+            level_pattern.system(scale, diagonal)
+            for level_pattern, diagonal in zip(patterns[1:], diagonals, strict=True)
+        ]
         self._labels = [level.aggregates for level in hierarchy.levels]
+        self._products = [
+            level_pattern.product(matrix)
+            for level_pattern, matrix in zip(patterns, self._systems)
+        ]
         self._smoothers: list[np.ndarray] = []
-        for level, matrix in enumerate(self._systems[:-1]):
-            diagonal = np.asarray(matrix.diagonal(), dtype=np.float64)
+        for level, (level_pattern, matrix) in enumerate(zip(patterns[:-1], self._systems)):
+            diagonal = level_pattern.diagonal_of(matrix)
             if diagonal.size and diagonal.min() <= 0:
                 raise DataValidationError(
                     f"level-{level} system has a non-positive diagonal; "
@@ -511,6 +626,12 @@ class MultigridPreconditioner:
                 )
             self._smoothers.append(OMEGA / diagonal)
         self._coarse_factor: SPDFactorization = factorize_spd(self._systems[-1])
+
+    @property
+    def product(self):
+        """``x ↦ A x`` for the fine system, made as the cycle's own fine
+        products are: row-blocked where its pattern has blocks."""
+        return self._products[0]
 
     @property
     def n_levels(self) -> int:
@@ -522,14 +643,14 @@ class MultigridPreconditioner:
     def _cycle(self, level: int, rhs: np.ndarray) -> np.ndarray:
         if level == len(self._systems) - 1:
             return np.asarray(self._coarse_factor.solve(rhs)).ravel()
-        system = self._systems[level]
+        product = self._products[level]
         smoother = self._smoothers[level]
         labels = self._labels[level]
         # damped-Jacobi pre-sweep from x = 0; the residual, the
         # prolongated correction and the post-sweep's update each
         # overwrite the product before them
         x = smoother * rhs
-        work = system @ x
+        work = product(x)
         np.subtract(rhs, work, out=work)
         # restriction Pᵀr sums the residual over each aggregate in vertex
         # order, the additions a CSR product with Pᵀ makes; prolongation
@@ -542,7 +663,7 @@ class MultigridPreconditioner:
         np.take(correction, labels, out=work, mode="clip")
         x += work
         # damped-Jacobi post-sweep
-        work = system @ x
+        work = product(x)
         np.subtract(rhs, work, out=work)
         work *= smoother
         x += work

@@ -139,21 +139,30 @@ def _observe_iterative(solver: str, span, result: IterativeResult) -> IterativeR
 
 
 def _stationary(name: str, matvec, rhs, x, update, *, tol: float, max_iter: int) -> IterativeResult:
-    """Iterate ``x <- update(x, b - A x)`` until ``‖b - A x‖ <= tol ‖b‖``."""
+    """Iterate ``x <- update(x, b - A x)`` until ``‖b - A x‖ <= tol ‖b‖``.
+
+    A diverging iteration stops at the first residual that is not
+    finite, with a :class:`~repro.exceptions.ConvergenceError` whose
+    ``iterations`` counts the sweeps made.  The overflow that leads
+    there raises no floating-point warning: the error reports it.
+    """
     scale = _tolerance_scale(rhs)
     residuals: list[float] = []
-    for iteration in range(1, max_iter + 1):
-        residual = rhs - matvec(x)
-        res_norm = float(np.linalg.norm(residual))
-        residuals.append(res_norm)
-        if res_norm <= tol * scale:
-            return IterativeResult(x, iteration - 1, tuple(residuals), True)
-        x = update(x, residual)
-    residual = rhs - matvec(x)
-    res_norm = float(np.linalg.norm(residual))
-    residuals.append(res_norm)
-    if res_norm <= tol * scale:
-        return IterativeResult(x, max_iter, tuple(residuals), True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweeps in range(max_iter + 1):
+            residual = rhs - matvec(x)
+            res_norm = float(np.linalg.norm(residual))
+            residuals.append(res_norm)
+            if res_norm <= tol * scale:
+                return IterativeResult(x, sweeps, tuple(residuals), True)
+            if not np.isfinite(res_norm):
+                raise ConvergenceError(
+                    f"{name} diverged: the residual is not finite after {sweeps} sweeps",
+                    iterations=sweeps,
+                    residual=res_norm,
+                )
+            if sweeps < max_iter:
+                x = update(x, residual)
     raise ConvergenceError(
         f"{name} did not converge in {max_iter} iterations "
         f"(relative residual {res_norm / scale:.3e} > tol {tol:.1e})",

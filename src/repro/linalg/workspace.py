@@ -13,8 +13,8 @@ on some measured grid (docs/SCALING.md):
   ``(λ, n_labeled)`` system and back-substitutes, and an operator the
   workspace keeps holds its factorization, so a repeated solve there is
   one back-substitution, bit-identical to refactorizing.
-  Its systems come from :func:`~repro.graph.laplacian.soft_system` and
-  :func:`~repro.graph.laplacian.grounded_system`, the same assembly the
+  Its systems have the bits of :func:`~repro.graph.laplacian.soft_system`
+  and :func:`~repro.graph.laplacian.grounded_system`, the assembly the
   per-point reference solves in :mod:`repro.core` use, so on sparse
   graphs (and dense ``method="full"`` / hard solves) its scores equal
   theirs bit for bit.  It is the default: a one-off solve such as a
@@ -104,6 +104,18 @@ edit made through the caller's handle raises too.
 :meth:`SolveWorkspace.invalidate` adopts edited weights explicitly.  A
 stale factorization is never served.
 
+Threads: every public solve (:meth:`SolveWorkspace.solve_soft`,
+:meth:`~SolveWorkspace.solve_hard`, :meth:`~SolveWorkspace.sweep_soft`)
+runs with numpy's and SciPy's OpenBLAS pools at one thread
+(:func:`~repro.linalg.threads.one_blas_thread`), so the PCG dot
+products wake no BLAS thread to compete for the cores.  Each soft system
+is written into the Laplacian's own pattern
+(:class:`~repro.linalg.coarsen.SystemPattern`), and the products of the
+fine PCG, its initial and true residuals and every V-cycle level with
+at least :data:`~repro.linalg.threads.BLOCKED_MIN_NNZ` stored entries
+are row-blocked over the host's CPUs, with the bits of the plain
+product, so scores do not depend on the CPU count.
+
 Everything is observable: ``workspace.*`` spans and counters (solves,
 factorizations, re-anchors, …) flow through :mod:`repro.obs`, and
 :meth:`SolveWorkspace.stats` returns a :class:`WorkspaceStats` snapshot.
@@ -133,19 +145,19 @@ from repro.graph.components import (
     validated_components,
 )
 from repro.graph.laplacian import _grounded_laplacian, _row_sums, _unchecked_laplacian
-from repro.graph.laplacian import soft_system as assemble_soft_system
 from repro.linalg.coarsen import (
     CoarseningHierarchy,
     MultigridPreconditioner,
+    SystemPattern,
     build_hierarchy,
 )
 from repro.linalg.iterative import preconditioned_conjugate_gradient
 from repro.linalg.solvers import (
     SolveInfo,
     SPDFactorization,
-    _residual_norm,
     factorize_spd,
 )
+from repro.linalg.threads import one_blas_thread
 from repro.utils.validation import (
     check_labels,
     check_positive_scalar,
@@ -261,7 +273,8 @@ def _fingerprint(weights):
     Sparse matrices hash their full data/indices arrays (O(nnz)); dense
     matrices hash full content up to
     :data:`FULL_FINGERPRINT_MAX_ELEMENTS` elements and a strided sample
-    plus the matrix sum beyond it.
+    plus the matrix sum beyond it.  ``zlib.crc32`` reads a contiguous
+    array's buffer in place, so no array is copied to bytes first.
     """
     if sparse.issparse(weights):
         mat = weights
@@ -269,18 +282,18 @@ def _fingerprint(weights):
             "sparse",
             mat.shape,
             int(mat.nnz),
-            zlib.crc32(np.ascontiguousarray(mat.data).tobytes()),
-            zlib.crc32(np.ascontiguousarray(mat.indices).tobytes()),
+            zlib.crc32(np.ascontiguousarray(mat.data)),
+            zlib.crc32(np.ascontiguousarray(mat.indices)),
         )
     arr = np.ascontiguousarray(weights)
     if arr.size <= FULL_FINGERPRINT_MAX_ELEMENTS:
-        return ("dense", arr.shape, zlib.crc32(arr.tobytes()))
+        return ("dense", arr.shape, zlib.crc32(arr))
     flat = arr.reshape(-1)
     idx = np.linspace(0, flat.size - 1, 4096).astype(np.intp)
     return (
         "dense-sampled",
         arr.shape,
-        zlib.crc32(np.ascontiguousarray(flat[idx]).tobytes()),
+        zlib.crc32(flat[idx]),
         float(flat.sum()),
     )
 
@@ -414,6 +427,7 @@ class SolveWorkspace:
         self._reachability: dict[int, ReachabilityReport] = {}
         self._degrees: np.ndarray | None = None
         self._laplacian = None
+        self._pattern: SystemPattern | None = None
         self._continuations: dict[int, _Continuation] = {}
         self._woodbury: dict[int, _WoodburyState] = {}
         self._hierarchy: CoarseningHierarchy | None = None
@@ -471,6 +485,20 @@ class SolveWorkspace:
         if self._laplacian is None:
             self._laplacian = _unchecked_laplacian(self.weights, self._degree_vector())
         return self._laplacian
+
+    def _laplacian_pattern(self) -> SystemPattern:
+        """The Laplacian's :class:`~repro.linalg.coarsen.SystemPattern`,
+        which every soft system of every λ and ``n`` is written into."""
+        if self._pattern is None:
+            self._pattern = SystemPattern(self._laplacian_matrix())
+        return self._pattern
+
+    def _assemble_soft(self, lam: float, n: int):
+        """``V + λL`` written into the Laplacian's pattern, with the bits
+        of :func:`~repro.graph.laplacian.soft_system`."""
+        indicator = np.zeros(self.n_total)
+        indicator[:n] = 1.0
+        return self._laplacian_pattern().system(lam, indicator)
 
     def soft_system(self, lam: float, n: int):
         """``V + λL`` (λ > 0), assembled as the per-point solve does
@@ -561,11 +589,15 @@ class SolveWorkspace:
             "repro.workspace.operator", kind=kind, backend=self.backend, lam=float(lam), n=n
         ):
             if lam != 0.0:
-                system = assemble_soft_system(self._laplacian_matrix(), n, lam)
+                system = self._assemble_soft(lam, n)
                 vcycle = None
                 if multigrid:
                     vcycle = MultigridPreconditioner(
-                        system, self._soft_hierarchy(), lam, self._coarse_mask_diagonals(n)
+                        system,
+                        self._laplacian_pattern(),
+                        self._soft_hierarchy(),
+                        lam,
+                        self._coarse_mask_diagonals(n),
                     )
                 return CriterionOperator(system, vcycle, None)
             system, unlabeled = _grounded_laplacian(self.weights, n, self._degree_vector())
@@ -575,7 +607,11 @@ class SolveWorkspace:
             vcycle = None
             if hierarchy is not None:
                 vcycle = MultigridPreconditioner(
-                    system, hierarchy, 1.0, hierarchy.coarsen_diagonal(_row_sums(coupling))
+                    system,
+                    SystemPattern(system),
+                    hierarchy,
+                    1.0,
+                    hierarchy.coarsen_diagonal(_row_sums(coupling)),
                 )
                 self._count_coarsening()
             return CriterionOperator(system, vcycle, coupling)
@@ -586,7 +622,7 @@ class SolveWorkspace:
         kept = self._operators.get((lam, n))
         if kept is not None:
             return kept.system
-        return assemble_soft_system(self._laplacian_matrix(), n, lam)
+        return self._assemble_soft(lam, n)
 
     def _factorize(self, system, lam: float, n: int) -> SPDFactorization:
         """Factorize the ``(λ, n)`` ``system``, counted and traced; the
@@ -689,19 +725,20 @@ class SolveWorkspace:
         )
         return scores, info, {"anchor_lam": state.anchor_lam, "rank": n}
 
-    def _pcg(self, system, rhs: np.ndarray, preconditioner, *, x0, max_iter: int, method: str):
-        """PCG on ``system`` from ``x0`` to :data:`PCG_TOL`, booked once.
+    def _pcg(self, product, rhs: np.ndarray, preconditioner, *, x0, max_iter: int, method: str):
+        """PCG on the system ``product`` applies (``x ↦ A x``) from ``x0``
+        to :data:`PCG_TOL`, booked once.
 
         Adds the iterations to ``pcg_iterations``, counts a warm start,
         observes ``workspace.pcg.iterations`` and returns the solution
         with a :class:`~repro.linalg.solvers.SolveInfo` of ``method``
-        that reports the true residual ``‖b - A f‖``.  A
-        :class:`~repro.exceptions.ConvergenceError` propagates before
-        anything is booked: the caller counts its own solves and owns
-        its fallback.
+        that reports the true residual ``‖b - A f‖``, through the same
+        product.  A :class:`~repro.exceptions.ConvergenceError`
+        propagates before anything is booked: the caller counts its own
+        solves and owns its fallback.
         """
         result = preconditioned_conjugate_gradient(
-            system,
+            product,
             rhs,
             preconditioner=preconditioner,
             x0=x0,
@@ -719,7 +756,7 @@ class SolveWorkspace:
             method=method,
             size=rhs.shape[0],
             iterations=result.iterations,
-            final_residual=_residual_norm(system, result.x, rhs),
+            final_residual=float(np.linalg.norm(rhs - product(result.x))),
             converged=result.converged,
             warm_started=warm,
         )
@@ -743,7 +780,7 @@ class SolveWorkspace:
 
         try:
             scores, info = self._pcg(
-                self._soft_system(lam, n),
+                self._laplacian_pattern().product(self._soft_system(lam, n)),
                 rhs,
                 state.anchor.solve,
                 x0=state.last_solution,
@@ -881,7 +918,7 @@ class SolveWorkspace:
         registry = obs.get_registry()
         try:
             scores, info = self._pcg(
-                operator.system,
+                inverse.product,
                 rhs,
                 inverse,
                 x0=x0,
@@ -897,6 +934,7 @@ class SolveWorkspace:
         registry.counter("workspace.multigrid_solves").inc()
         return scores, info, {"n_levels": inverse.n_levels}
 
+    @one_blas_thread()
     def solve_soft(self, y_labeled, lam: float):
         """Solve the soft criterion at one λ through the workspace.
 
@@ -957,6 +995,7 @@ class SolveWorkspace:
                 solve_info=info,
             )
 
+    @one_blas_thread()
     def solve_hard(self, y_labeled):
         """Solve the hard criterion ``(D22 - W22) f_u = W21 y`` once.
 
@@ -997,6 +1036,7 @@ class SolveWorkspace:
                 solve_info=info,
             )
 
+    @one_blas_thread()
     def sweep_soft(self, y_labeled, lambdas) -> list:
         """Solve the soft criterion along a λ grid with continuation.
 

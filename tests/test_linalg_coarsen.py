@@ -50,6 +50,7 @@ from repro.linalg.coarsen import (
     CoarseLevel,
     CoarseningHierarchy,
     MultigridPreconditioner,
+    SystemPattern,
     aggregation_operator,
     build_hierarchy,
     coarsen_weights,
@@ -95,8 +96,10 @@ def _soft_vcycle(weights, lam, n_labeled, min_coarse_size=16):
     hierarchy = build_hierarchy(weights, min_coarse_size=min_coarse_size)
     mask = np.zeros(weights.shape[0])
     mask[:n_labeled] = 1.0
+    system = _soft_system(weights, lam, n_labeled)
     return MultigridPreconditioner(
-        _soft_system(weights, lam, n_labeled),
+        system,
+        SystemPattern(system),
         hierarchy,
         lam,
         hierarchy.coarsen_diagonal(mask),
@@ -615,7 +618,7 @@ class TestMultigridPreconditioner:
             hierarchy = build_hierarchy(weights[n:, n:], min_coarse_size=16)
             grounding = np.asarray(coupling.sum(axis=1)).ravel()
             precond = MultigridPreconditioner(
-                system, hierarchy, 1.0, hierarchy.coarsen_diagonal(grounding)
+                system, SystemPattern(system), hierarchy, 1.0, hierarchy.coarsen_diagonal(grounding)
             )
         else:
             precond = _soft_vcycle(_grid(40), 10.0, 40)
@@ -669,7 +672,120 @@ class TestMultigridPreconditioner:
         )
         hierarchy = CoarseningHierarchy(4, (level,))
         with pytest.raises(DataValidationError, match="diagonal"):
-            MultigridPreconditioner(bad, hierarchy, 1.0, hierarchy.coarsen_diagonal(np.ones(4)))
+            MultigridPreconditioner(
+                bad, SystemPattern(bad), hierarchy, 1.0, hierarchy.coarsen_diagonal(np.ones(4))
+            )
+
+
+def _csr_bytes(matrix):
+    """The bytes of a CSR matrix's data, indices and indptr."""
+    return matrix.data.tobytes(), matrix.indices.tobytes(), matrix.indptr.tobytes()
+
+
+def _sparse_sum(laplacian, scale, diagonal):
+    """The assembly a system pattern replaces: a scaled Laplacian plus a
+    diagonal matrix, as one sparse sum."""
+    return (scale * laplacian + sparse.diags(diagonal, format="csr")).tocsr()
+
+
+def _pair_and_grid():
+    """A 10 × 10 unit lattice plus a pair of vertices joined only to each
+    other, weighing 5: the pair's aggregate has no edge out of it, so its
+    coarse Laplacian row has an exactly zero diagonal."""
+    pair = sparse.csr_matrix(np.array([[0.0, 5.0], [5.0, 0.0]]))
+    return sparse.block_diag([_grid(10), pair], format="csr")
+
+
+class TestSystemPattern:
+    """``scale·L + diag(d)`` written into ``L``'s pattern keeps the bits
+    of the sparse sum it replaces, for the fine soft system and for every
+    coarse level of both criteria."""
+
+    def test_soft_systems_keep_the_sparse_sum_bits(self):
+        weights = _knn_3d(3000, 3)
+        workspace = SolveWorkspace(weights, backend="multigrid")
+        n = 150
+        mask = np.zeros(3000)
+        mask[:n] = 1.0
+        hierarchy = build_hierarchy(weights, min_coarse_size=16)
+        assert len(hierarchy.levels) >= 3
+        for lam in (0.01, 0.1, 1.0, 10.0):
+            system = workspace.soft_system(lam, n)
+            assert np.shares_memory(system.indices, workspace.laplacian.indices)
+            assert np.shares_memory(system.indptr, workspace.laplacian.indptr)
+            assert _csr_bytes(system) == _csr_bytes(_sparse_sum(laplacian(weights), lam, mask))
+            for level, diagonal in zip(hierarchy.levels, hierarchy.coarsen_diagonal(mask)):
+                assert _csr_bytes(level.pattern.system(lam, diagonal)) == _csr_bytes(
+                    _sparse_sum(level.laplacian, lam, diagonal)
+                )
+
+    def test_hard_levels_keep_the_sparse_sum_bits(self):
+        weights, n = _knn_3d(2000, 5), 100
+        system, coupling = grounded_system(weights, n)
+        hierarchy = build_hierarchy(weights[n:, n:], min_coarse_size=16)
+        grounding = np.asarray(coupling.sum(axis=1)).ravel()
+        vcycle = MultigridPreconditioner(
+            system, SystemPattern(system), hierarchy, 1.0, hierarchy.coarsen_diagonal(grounding)
+        )
+        assert vcycle.n_levels >= 3
+        for level, diagonal, built in zip(
+            hierarchy.levels, hierarchy.coarsen_diagonal(grounding), vcycle._systems[1:]
+        ):
+            assert _csr_bytes(built) == _csr_bytes(_sparse_sum(level.laplacian, 1.0, diagonal))
+
+    def test_every_kept_laplacian_stores_its_whole_diagonal(self):
+        """The pair's aggregate keeps an explicit zero where the sparse
+        difference ``D - W`` stores nothing, so the hard level system
+        ``L_l + diag(d_l)`` finds its diagonal in the pattern, and a soft
+        level with nothing to add keeps that zero as an explicit entry."""
+        weights = _pair_and_grid()
+        hierarchy = build_hierarchy(weights, min_coarse_size=8)
+        assert len(hierarchy.levels) >= 2
+        zeros = 0
+        for level in hierarchy.levels:
+            diagonal = level.pattern.diagonal_of(level.laplacian)
+            np.testing.assert_array_equal(diagonal, level.laplacian.diagonal())
+            zeros += int(np.count_nonzero(diagonal == 0.0))
+            grounding = np.ones(level.n_coarse)
+            assert _csr_bytes(level.pattern.system(2.0, grounding)) == _csr_bytes(
+                _sparse_sum(level.laplacian, 2.0, grounding)
+            )
+            soft = level.pattern.system(2.0, np.zeros(level.n_coarse))
+            reference = _sparse_sum(level.laplacian, 2.0, np.zeros(level.n_coarse))
+            soft.eliminate_zeros()
+            assert _csr_bytes(soft) == _csr_bytes(reference)
+        assert zeros == len(hierarchy.levels)
+        # a fine vertex whose only edge is its self-loop, likewise
+        loop_only = laplacian(
+            sparse.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))
+        )
+        assert loop_only[2].indices.tolist() == [2]
+        assert loop_only[2, 2] == 0.0
+
+    def test_a_pattern_reads_no_missing_diagonal(self):
+        with pytest.raises(DataValidationError, match="diagonal entry in every row"):
+            SystemPattern(sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]])))
+
+    def test_retained_bytes_count_a_read_pattern(self):
+        hierarchy = build_hierarchy(_knn_3d(3000, 2), min_coarse_size=16)
+        before = hierarchy.retained_bytes()
+        positions = sum(level.pattern.diagonal.nbytes for level in hierarchy.levels)
+        assert hierarchy.retained_bytes() == before + positions
+
+    def test_rejects_a_stored_zero_diagonal(self):
+        """A stored zero on a level's diagonal reaches the smoother check."""
+        weights = _pair_and_grid()
+        hierarchy = build_hierarchy(weights, min_coarse_size=8)
+        system = laplacian(weights) + sparse.identity(weights.shape[0], format="csr")
+        system = system.tocsr()
+        with pytest.raises(DataValidationError, match="level-1 system has a non-positive"):
+            MultigridPreconditioner(
+                system,
+                SystemPattern(system),
+                hierarchy,
+                1.0,
+                hierarchy.coarsen_diagonal(np.zeros(weights.shape[0])),
+            )
 
 
 class TestWorkspaceMultigridBackend:
@@ -740,7 +856,7 @@ class TestWorkspaceMultigridBackend:
         mask = np.zeros(30)
         mask[:10] = 1.0
         precond = MultigridPreconditioner(
-            system, hierarchy, 1.0, hierarchy.coarsen_diagonal(mask)
+            system, SystemPattern(system), hierarchy, 1.0, hierarchy.coarsen_diagonal(mask)
         )
         assert precond.n_levels == 1
         rng = np.random.default_rng(2)

@@ -1,6 +1,7 @@
 """Unit tests for the from-scratch iterative solvers."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,27 @@ class TestJacobi:
         with pytest.raises(ConvergenceError) as excinfo:
             jacobi(a, np.ones(2), max_iter=100)
         assert excinfo.value.iterations == 100
+
+    @pytest.mark.parametrize("solver", [jacobi, gauss_seidel, sor])
+    def test_divergence_stops_at_the_first_non_finite_residual(self, solver):
+        """On this matrix every stationary sweep multiplies the error by
+        a factor above 1, so the iterate overflows within a few hundred
+        sweeps.  The solver stops there with the sweeps made, not after
+        ``max_iter`` sweeps on NaNs, and raises no floating-point
+        warning on the way; one sweep fewer still has a finite
+        residual."""
+        a = np.array([[1.0, 3.0], [3.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="not finite") as excinfo:
+                solver(a, np.ones(2), max_iter=10_000)
+            sweeps = excinfo.value.iterations
+            assert 0 < sweeps < 10_000
+            assert not np.isfinite(excinfo.value.residual)
+            with pytest.raises(ConvergenceError, match="did not converge") as before:
+                solver(a, np.ones(2), max_iter=sweeps - 1)
+        assert before.value.iterations == sweeps - 1
+        assert np.isfinite(before.value.residual)
 
 
 class TestGaussSeidel:

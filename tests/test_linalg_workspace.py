@@ -221,6 +221,41 @@ class TestInvalidation:
         with pytest.raises(WorkspaceInvalidatedError):
             ws.solve_hard(data.y_labeled)
 
+    def test_fingerprint_values_equal_the_byte_copy_hashes(self, sparse_problem):
+        """The fingerprint hashes each array's buffer in place, with the
+        values that hashing a ``tobytes()`` copy of it gave: sparse, dense
+        (C and Fortran order) and dense past the full-content limit."""
+        import zlib
+
+        def by_copy(weights):
+            if sparse.issparse(weights):
+                return (
+                    "sparse",
+                    weights.shape,
+                    int(weights.nnz),
+                    zlib.crc32(np.ascontiguousarray(weights.data).tobytes()),
+                    zlib.crc32(np.ascontiguousarray(weights.indices).tobytes()),
+                )
+            arr = np.ascontiguousarray(weights)
+            if arr.size <= workspace_module.FULL_FINGERPRINT_MAX_ELEMENTS:
+                return ("dense", arr.shape, zlib.crc32(arr.tobytes()))
+            flat = arr.reshape(-1)
+            idx = np.linspace(0, flat.size - 1, 4096).astype(np.intp)
+            return (
+                "dense-sampled",
+                arr.shape,
+                zlib.crc32(np.ascontiguousarray(flat[idx]).tobytes()),
+                float(flat.sum()),
+            )
+
+        _, graph = sparse_problem
+        rng = np.random.default_rng(4)
+        dense = rng.random((40, 40))
+        large = rng.random((1001, 1001))
+        assert large.size > workspace_module.FULL_FINGERPRINT_MAX_ELEMENTS
+        for weights in (graph.weights, dense, np.asfortranarray(dense), large):
+            assert workspace_module._fingerprint(weights) == by_copy(weights)
+
     def test_explicit_invalidate_clears_caches(self, problem, multilevel_problem):
         data, graph = problem
         ws = SolveWorkspace(graph.weights, backend="exact")

@@ -177,8 +177,11 @@ class TestOneOperator:
         the weight matrix twice in all, ``W22`` once and ``W21`` once."""
         reference, _ = data
         assemblies, vcycles, slices = [], [], []
-        name = "assemble_soft_system" if lam else "_grounded_laplacian"
-        assemble = getattr(workspace_module, name)
+        # the soft system is written into the Laplacian's pattern by a
+        # workspace method; the hard one is assembled by a module function
+        owner = workspace_module.SolveWorkspace if lam else workspace_module
+        name = "_assemble_soft" if lam else "_grounded_laplacian"
+        assemble = getattr(owner, name)
 
         def counting_assembly(*args, **kwargs):
             assemblies.append(1)
@@ -196,7 +199,7 @@ class TestOneOperator:
             slices.append(matrix)
             return getitem(matrix, key)
 
-        monkeypatch.setattr(workspace_module, name, counting_assembly)
+        monkeypatch.setattr(owner, name, counting_assembly)
         monkeypatch.setattr(coarsen_module.MultigridPreconditioner, "__init__", counting_build)
         monkeypatch.setattr(sparse.csr_matrix, "__getitem__", recording_slice)
         if backend == "multigrid":
