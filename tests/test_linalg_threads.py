@@ -243,12 +243,15 @@ def _blocked_product_in_child(connection):
     connection.close()
 
 
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_forked_child_completes_a_blocked_product():
     """A ``fork`` child of a process whose pool has run (as the
     experiment executor's process pool makes) runs a blocked product on a
-    pool of its own instead of waiting on the parent's workers, which did
-    not survive the fork."""
+    pool of its own: the parent's workers did not survive the fork, and
+    jobs put on their queues would never be taken."""
     matrix, x = _problem(400, 400, 6)
     RowBlocks(matrix.indptr, 8).product(matrix)(x)
     assert threads._POOL is not None
