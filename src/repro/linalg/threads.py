@@ -25,7 +25,7 @@ how such a solve uses a host's cores.
 
 Below :data:`BLOCKED_MIN_NNZ` stored entries, or on one CPU,
 :func:`row_blocks` returns ``None`` and products stay the plain ``@``:
-there, waking a worker costs more than half a product saves
+there, a split saves less than one late worker wake-up can cost
 (docs/SCALING.md, "Threads").
 
 Both pools are per process, because the BLAS thread counts and the CPUs

@@ -9,7 +9,10 @@ product ``PᵀAP`` of an SPD system is SPD, and the coarse Laplacian
 identity ``PᵀL(W)P = L(PᵀWP)`` holds exactly.  The hierarchy is pinned
 against a pairwise chain built from the matching itself; a level holds
 only its aggregate map and coarse Laplacian, and its retained bytes are
-theirs.  The V-cycle's aggregate-map transfers (a ``bincount``
+theirs plus, once a V-cycle has read it, its pattern's diagonal
+positions.  Systems written into a Laplacian's pattern keep the bits of
+the sparse sums they replace, and every kept Laplacian stores its whole
+diagonal.  The V-cycle's aggregate-map transfers (a ``bincount``
 restriction and a gather prolongation) are pinned against the sparse
 products ``Pᵀr`` and ``Pe`` and against an out-of-place cycle that
 rebuilds ``P`` and transposes it on every call, and the cycle is pinned
