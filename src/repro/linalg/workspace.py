@@ -18,28 +18,14 @@ on some measured grid (docs/SCALING.md):
   per-point reference solves in :mod:`repro.core` use, so on sparse
   graphs (and dense ``method="full"`` / hard solves) its scores equal
   theirs bit for bit.  It is the default: a one-off solve such as a
-  model fit costs one factorization and one back-substitution, where
-  ``factored`` would first build its continuation basis.
-* **factored** — one *anchor* factorization serves the whole
-  λ grid.  When the labeled block is small (``n_labeled ≤ min(512,
-  N/4)``) this is *direct*: ``A(λ) = (λ/λ₀)A(λ₀) + (1-λ/λ₀)EEᵀ`` is a
-  rank-``n_labeled`` update of the anchor, so Sherman–Morrison–Woodbury
-  turns every further grid point into one back-substitution plus an
-  ``n_labeled``-sized capacitance solve — no iterations, refined
-  against the assembled operator until the relative residual is at
-  most :data:`PCG_TOL`.  Otherwise each new λ is solved by preconditioned
-  CG (:func:`~repro.linalg.iterative.preconditioned_conjugate_gradient`,
-  the library's one CG loop) with the anchor as preconditioner,
-  warm-started from the previous grid point's solution (continuation).
-  The generalized Rayleigh quotient of ``(V + λL)`` against
-  ``(V + λ₀L)`` lies in ``[min(1, λ/λ₀), max(1, λ/λ₀)]``, so
-  nearby grid points converge in a handful of back-substitutions; when
-  the iteration budget is exceeded the workspace refactorizes at the
-  current λ and re-anchors.
+  model fit costs one factorization and one back-substitution.
 * **multigrid** — no large factorization at any point: a λ-independent
   graph-coarsening hierarchy (:mod:`repro.linalg.coarsen`, heavy-edge
   matching) is built once per workspace, and each λ is solved by
-  warm-started PCG preconditioned with a damped-Jacobi V-cycle whose
+  preconditioned CG
+  (:func:`~repro.linalg.iterative.preconditioned_conjugate_gradient`,
+  the library's one CG loop), warm-started from the previous grid
+  point's solution and preconditioned with a damped-Jacobi V-cycle whose
   level systems ``diag(v_l) + λ L_l`` re-assemble in O(nnz) per grid
   point (the Galerkin coarse operator of a graph Laplacian is the
   Laplacian of the coarsened graph, and aggregation keeps ``V``
@@ -63,7 +49,7 @@ One operator per ``(λ, n_labeled)``, λ = 0 being the hard criterion
 :meth:`SolveWorkspace.operator` returns a :class:`CriterionOperator` —
 the assembled system (``D22 - W22`` or ``V + λL``), its right-hand side
 (``W21 y`` or ``(y; 0)``) and its own ``r ↦ M⁻¹r`` (its factorization
-on ``exact`` and ``factored``, its V-cycle on ``multigrid``) — so callers
+on ``exact``, its V-cycle on ``multigrid``) — so callers
 that solve a perturbed system (exact serving's bordered insertion) never
 branch on the criterion or the backend.  Kept operators are the
 workspace's one per-``(λ, n_labeled)`` store.  The hard operator is
@@ -75,10 +61,11 @@ solve or ``operator`` call that needs it (``hard_system`` and
 factorization or V-cycle for itself alone, so a λ-sweep holds one soft
 system at a time.
 
-Accuracy contract of the two approximate backends: every solve stops at
-relative residual ``‖b - A f‖ / ‖b‖ ≤`` :data:`PCG_TOL` (``1e-10``), and
-its :class:`~repro.linalg.solvers.SolveInfo` reports the true residual
-``‖b - A f‖``, recomputed with one matvec after PCG returns.
+Accuracy contract of the approximate backend: every ``multigrid`` solve
+stops at relative residual ``‖b - A f‖ / ‖b‖ ≤`` :data:`PCG_TOL`
+(``1e-10``), and its :class:`~repro.linalg.solvers.SolveInfo` reports
+the true residual ``‖b - A f‖``, recomputed with one matvec after PCG
+returns.
 That bounds the residual, not the score error, which the conditioning
 of ``V + λL`` can amplify: multigrid scores were measured within 3e-8 of
 ``exact`` at N=2·10⁴ (d=3) and 8.6e-9 at N=4·10³ (d=2); the parity suite
@@ -117,7 +104,7 @@ are row-blocked over the host's CPUs, with the bits of the plain
 product, so scores do not depend on the CPU count.
 
 Everything is observable: ``workspace.*`` spans and counters (solves,
-factorizations, re-anchors, …) flow through :mod:`repro.obs`, and
+factorizations, fallbacks, …) flow through :mod:`repro.obs`, and
 :meth:`SolveWorkspace.stats` returns a :class:`WorkspaceStats` snapshot.
 """
 
@@ -174,7 +161,7 @@ __all__ = [
 ]
 
 #: Sweep backends a workspace can solve through (its ``backend=``).
-SWEEP_BACKENDS = ("exact", "factored", "multigrid")
+SWEEP_BACKENDS = ("exact", "multigrid")
 
 #: Sparse graphs with more vertices than this solve on the ``multigrid``
 #: backend; smaller ones, and every dense graph, on ``exact``.  The
@@ -189,23 +176,13 @@ FACTORIZE_MAX_VERTICES = 1000
 #: probabilistic — documented in docs/SCALING.md).
 FULL_FINGERPRINT_MAX_ELEMENTS = 1_000_000
 
-#: The factored backend switches from anchored PCG to the rank-n_labeled
-#: Woodbury continuation when the labeled block is small enough that the
-#: capacitance solve (O(n_labeled^3) per λ) and the ``N x n_labeled``
-#: basis stay cheap: n_labeled at most this cap AND at most N/4.
-WOODBURY_MAX_LABELED = 512
-
 #: V-cycle-preconditioned PCG budget per grid point.  A healthy V-cycle
 #: converges in tens of iterations even at λ = 10²; exceeding this
-#: budget falls back to an exact factorization (counted as a reanchor).
+#: budget falls back to an exact factorization (counted as a fallback).
 MULTIGRID_MAX_ITER = 300
 
-#: Relative-residual tolerance every factored and multigrid solve stops at.
+#: Relative-residual tolerance every multigrid solve stops at.
 PCG_TOL = 1e-10
-
-#: Anchored-PCG iteration budget on the factored path; exceeding it
-#: refactorizes at the current λ and re-anchors.
-REANCHOR_BUDGET = 15
 
 
 def choose_backend(weights) -> str:
@@ -228,18 +205,13 @@ class WorkspaceStats(NamedTuple):
     factorizations:
         SPD factorizations made, each traced as a
         ``repro.workspace.factorize`` span.
-    pcg_solves / pcg_iterations:
-        Anchored-PCG solves on the factored path, and the total PCG
-        iteration count of the factored and multigrid paths.
-    reanchors:
-        Times the factored path refactorized because the iteration
-        budget was exceeded, or a stalled V-cycle fell back to a
-        factorization.
+    pcg_iterations:
+        The total PCG iteration count of the multigrid path.
+    fallbacks:
+        Times a stalled V-cycle fell back to a factorization (the
+        solve's ``details["fallback"]``).
     warm_starts:
         Solves that started from a previous solution.
-    woodbury_solves:
-        Direct low-rank continuation solves on the factored path (each
-        λ after the anchor costs one capacitance solve, no iterations).
     coarsen_builds:
         Coarsenings built on the multigrid path: the soft criterion's
         hierarchy (at most one per workspace until invalidation) plus
@@ -257,11 +229,9 @@ class WorkspaceStats(NamedTuple):
     """
 
     factorizations: int = 0
-    pcg_solves: int = 0
     pcg_iterations: int = 0
-    reanchors: int = 0
+    fallbacks: int = 0
     warm_starts: int = 0
-    woodbury_solves: int = 0
     coarsen_builds: int = 0
     multigrid_solves: int = 0
     hierarchy_mode: str = "assembled"
@@ -325,11 +295,11 @@ class CriterionOperator(NamedTuple):
         ``V + λL`` (``N × N``) at λ > 0.
     precondition:
         The operator's own ``r ↦ M⁻¹r`` for ``system``: its
-        :class:`~repro.linalg.solvers.SPDFactorization` on ``exact`` and
-        ``factored`` (``M = A``), its V-cycle on ``multigrid``.  Either is symmetric positive definite,
-        so it preconditions CG on ``system`` or on an SPD perturbation of
-        it.  ``None`` when every vertex is labeled (λ = 0, ``m = 0``):
-        there is nothing to solve.
+        :class:`~repro.linalg.solvers.SPDFactorization` on ``exact``
+        (``M = A``), its V-cycle on ``multigrid``.  Either is symmetric
+        positive definite, so it preconditions CG on ``system`` or on an
+        SPD perturbation of it.  ``None`` when every vertex is labeled
+        (λ = 0, ``m = 0``): there is nothing to solve.
     coupling:
         ``W21`` at λ = 0, which :meth:`rhs` multiplies; ``None`` at λ > 0.
     """
@@ -343,34 +313,6 @@ class CriterionOperator(NamedTuple):
         if self.coupling is None:
             return _soft_rhs(y, self.system.shape[0])
         return np.asarray(self.coupling @ y).ravel()
-
-
-class _Continuation:
-    """Warm-start / anchor state for one labeled-mask (one sweep)."""
-
-    __slots__ = ("anchor", "anchor_lam", "last_solution")
-
-    def __init__(self):
-        self.anchor: SPDFactorization | None = None
-        self.anchor_lam: float | None = None
-        self.last_solution: np.ndarray | None = None
-
-
-class _WoodburyState:
-    """Low-rank continuation state for one labeled-mask.
-
-    ``basis`` is ``Z = A(λ₀)⁻¹ E`` (``E`` the labeled-column selector)
-    and ``gram`` its labeled block ``S = Eᵀ Z``; both are built once per
-    sweep from the anchor factorization, which is held here.
-    """
-
-    __slots__ = ("anchor_lam", "factor", "basis", "gram")
-
-    def __init__(self, anchor_lam, factor, basis, gram):
-        self.anchor_lam: float = anchor_lam
-        self.factor: SPDFactorization = factor
-        self.basis: np.ndarray = basis
-        self.gram: np.ndarray = gram
 
 
 class SolveWorkspace:
@@ -391,10 +333,9 @@ class SolveWorkspace:
     backend:
         The solve backend, one of :data:`SWEEP_BACKENDS`: ``"exact"``
         (default; true factorizations, bit-compatible with per-point
-        solves), ``"factored"`` (one anchor factorization
-        continued along a λ grid), or ``"multigrid"`` (coarsening
-        V-cycle preconditioned PCG — no large factorization, the large-N
-        backend).  :func:`choose_backend` picks one from the graph.
+        solves) or ``"multigrid"`` (coarsening V-cycle preconditioned
+        PCG — no large factorization, the large-N backend).
+        :func:`choose_backend` picks one from the graph.
     """
 
     def __init__(self, weights, *, backend: str = "exact"):
@@ -428,8 +369,7 @@ class SolveWorkspace:
         self._degrees: np.ndarray | None = None
         self._laplacian = None
         self._pattern: SystemPattern | None = None
-        self._continuations: dict[int, _Continuation] = {}
-        self._woodbury: dict[int, _WoodburyState] = {}
+        self._last_solutions: dict[int, np.ndarray] = {}  # warm starts, per n
         self._hierarchy: CoarseningHierarchy | None = None
         self._coarse_masks: dict[int, list[np.ndarray]] = {}
         self._operators: dict[tuple[float, int], CriterionOperator] = {}
@@ -511,7 +451,8 @@ class SolveWorkspace:
         n = self._check_count(n)
         self.check_current()
         self._require_reachable(n)
-        return self._soft_system(lam, n)
+        kept = self._operators.get((lam, n))
+        return kept.system if kept is not None else self._assemble_soft(lam, n)
 
     def hard_system(self, n: int):
         """The grounded system ``D22 - W22``, assembled as the per-point
@@ -532,8 +473,8 @@ class SolveWorkspace:
         λL``.  The operator is built once and kept until
         :meth:`invalidate`: later solves at ``(λ, n)`` and later calls
         read it instead of assembling again.  Its ``precondition`` is
-        its own factorization on ``exact`` and ``factored`` (``M = A``)
-        and its own V-cycle on ``multigrid``.  Raises
+        its own factorization on ``exact`` (``M = A``) and its own
+        V-cycle on ``multigrid``.  Raises
         :class:`~repro.exceptions.DataValidationError` unless ``n`` is an
         integer in ``[0, N]``, and
         :class:`~repro.exceptions.DisconnectedGraphError` when the
@@ -557,14 +498,14 @@ class SolveWorkspace:
     def _operator(self, lam: float, n: int, *, keep: bool) -> CriterionOperator:
         """The ``(λ, n)`` operator with its ``precondition``.
 
-        A kept operator is read, and on ``exact`` and ``factored`` its
-        factorization is made once and kept with it.  Otherwise the
-        operator is built, and kept only when ``keep``; else it and its
-        factorization live as long as the caller holds them.
+        A kept operator is read, and on ``exact`` its factorization is
+        made once and kept with it.  Otherwise the operator is built, and
+        kept only when ``keep``; else it and its factorization live as
+        long as the caller holds them.
         """
         keep = keep or (lam, n) in self._operators
         operator = self._kept_operator(lam, n) if keep else self._build_operator(lam, n)
-        if operator.precondition is None and operator.system.shape[0]:  # exact, factored
+        if operator.precondition is None and operator.system.shape[0]:  # exact
             operator = operator._replace(precondition=self._factorize(operator.system, lam, n))
             if keep:
                 self._operators[(lam, n)] = operator
@@ -579,9 +520,9 @@ class SolveWorkspace:
         hierarchy build, where the first hard solve peaks, holds no more
         than it did with a slice of its own.  ``W21`` stays for the
         right-hand side; its row sums ground every level of ``D22 - W22
-        = L(W22) + diag(W21·1)``.  On ``exact`` and ``factored`` the
-        ``precondition`` is left ``None`` for :meth:`_operator` to
-        factorize when a solve needs it.
+        = L(W22) + diag(W21·1)``.  On ``exact`` the ``precondition`` is
+        left ``None`` for :meth:`_operator` to factorize when a solve
+        needs it.
         """
         multigrid = self.backend == "multigrid"
         kind = "hard" if lam == 0.0 else "soft"
@@ -616,14 +557,6 @@ class SolveWorkspace:
                 self._count_coarsening()
             return CriterionOperator(system, vcycle, coupling)
 
-    def _soft_system(self, lam: float, n: int):
-        """``V + λL`` (λ > 0): a kept operator's, else assembled afresh
-        and not kept."""
-        kept = self._operators.get((lam, n))
-        if kept is not None:
-            return kept.system
-        return self._assemble_soft(lam, n)
-
     def _factorize(self, system, lam: float, n: int) -> SPDFactorization:
         """Factorize the ``(λ, n)`` ``system``, counted and traced; the
         caller keeps the result or drops it."""
@@ -640,159 +573,6 @@ class SolveWorkspace:
                     span.set_attribute("nnz", factor.nnz)
                     span.set_attribute("fill_nnz", factor.fill_nnz)
         return factor
-
-    # ------------------------------------------------------------------
-    # Factored (anchored PCG continuation)
-    # ------------------------------------------------------------------
-
-    def _continuation(self, n: int) -> _Continuation:
-        return self._continuations.setdefault(n, _Continuation())
-
-    def _woodbury_applicable(self, n: int) -> bool:
-        return 0 < n <= WOODBURY_MAX_LABELED and 4 * n <= self.n_total
-
-    def _woodbury_state(self, lam: float, n: int) -> _WoodburyState:
-        state = self._woodbury.get(n)
-        if state is None:
-            factor = self._operator(lam, n, keep=False).precondition
-            selector = np.zeros((self.n_total, n))
-            selector[:n, :n] = np.eye(n)
-            with obs.span(
-                "repro.workspace.woodbury_basis", lam=float(lam), n=n
-            ):
-                basis = factor.solve(selector)
-            state = _WoodburyState(
-                float(lam), factor, basis, np.ascontiguousarray(basis[:n])
-            )
-            self._woodbury[n] = state
-        return state
-
-    def _woodbury_apply(self, state: _WoodburyState, lam: float, rhs):
-        """Apply ``A(λ)⁻¹`` via the anchor's rank-n update.
-
-        ``A(λ) = t·A(λ₀) + (1-t)·EEᵀ`` with ``t = λ/λ₀``, so by
-        Sherman–Morrison–Woodbury with ``c = (1-t)/t``::
-
-            A(λ)⁻¹ r = (1/t) [z - c·Z (I + cS)⁻¹ z_labeled],  z = A(λ₀)⁻¹ r
-
-        ``I + cS`` is nonsingular for every λ > 0: the eigenvalues of
-        ``S = Eᵀ A(λ₀)⁻¹ E`` lie in (0, 1) and ``c > -1``.
-        """
-        t = lam / state.anchor_lam
-        c = (1.0 - t) / t
-        z = state.factor.solve(rhs)
-        capacitance = np.eye(state.gram.shape[0]) + c * state.gram
-        u = np.linalg.solve(capacitance, z[: state.gram.shape[0]])
-        return (z - c * (state.basis @ u)) / t
-
-    def _solve_woodbury(self, y: np.ndarray, lam: float, n: int):
-        state = self._woodbury_state(lam, n)
-        rhs = _soft_rhs(y, self.n_total)
-        if lam == state.anchor_lam:
-            scores = state.factor.solve(rhs)
-            return scores, state.factor.info(), {"anchored": True}
-
-        scores = self._woodbury_apply(state, lam, rhs)
-        # Refine against the assembled operator: the capacitance solve
-        # loses digits when c approaches -1 (λ >> λ₀) and 1 - s_max is
-        # tiny; residuals measured with the true system restore them.
-        system = self._soft_system(lam, n)
-        best_norm = float(np.linalg.norm(rhs - system @ scores))
-        rhs_norm = float(np.linalg.norm(rhs))
-        tol = PCG_TOL * max(rhs_norm, 1.0)
-        for _ in range(2):
-            if best_norm <= tol:
-                break
-            delta = self._woodbury_apply(state, lam, rhs - system @ scores)
-            candidate = scores + delta
-            candidate_norm = float(np.linalg.norm(rhs - system @ candidate))
-            if candidate_norm >= best_norm:
-                break
-            scores, best_norm = candidate, candidate_norm
-        if best_norm > tol:
-            # Continuation too far gone — factorize the system refined
-            # against, exactly like a PCG re-anchor would.
-            self._counters["reanchors"] += 1
-            obs.get_registry().counter("workspace.reanchors").inc()
-            factor = self._factorize(system, lam, n)
-            return factor.solve(rhs), factor.info(), {"anchored": True}
-        self._counters["woodbury_solves"] += 1
-        obs.get_registry().counter("workspace.woodbury_solves").inc()
-        info = SolveInfo(
-            method="woodbury",
-            size=self.n_total,
-            final_residual=best_norm,
-        )
-        return scores, info, {"anchor_lam": state.anchor_lam, "rank": n}
-
-    def _pcg(self, product, rhs: np.ndarray, preconditioner, *, x0, max_iter: int, method: str):
-        """PCG on the system ``product`` applies (``x ↦ A x``) from ``x0``
-        to :data:`PCG_TOL`, booked once.
-
-        Adds the iterations to ``pcg_iterations``, counts a warm start,
-        observes ``workspace.pcg.iterations`` and returns the solution
-        with a :class:`~repro.linalg.solvers.SolveInfo` of ``method``
-        that reports the true residual ``‖b - A f‖``, through the same
-        product.  A :class:`~repro.exceptions.ConvergenceError`
-        propagates before anything is booked: the caller counts its own
-        solves and owns its fallback.
-        """
-        result = preconditioned_conjugate_gradient(
-            product,
-            rhs,
-            preconditioner=preconditioner,
-            x0=x0,
-            tol=PCG_TOL,
-            max_iter=max_iter,
-        )
-        registry = obs.get_registry()
-        self._counters["pcg_iterations"] += result.iterations
-        warm = x0 is not None
-        if warm:
-            self._counters["warm_starts"] += 1
-            registry.counter("workspace.warm_starts").inc()
-        registry.log_histogram("workspace.pcg.iterations").observe(result.iterations)
-        info = SolveInfo(
-            method=method,
-            size=rhs.shape[0],
-            iterations=result.iterations,
-            final_residual=float(np.linalg.norm(rhs - product(result.x))),
-            converged=result.converged,
-            warm_started=warm,
-        )
-        return result.x, info
-
-    def _solve_factored(self, y: np.ndarray, lam: float, n: int):
-        if self._woodbury_applicable(n):
-            return self._solve_woodbury(y, lam, n)
-        state = self._continuation(n)
-        rhs = _soft_rhs(y, self.n_total)
-
-        def anchor_here():
-            factor = self._operator(lam, n, keep=False).precondition
-            state.anchor = factor
-            state.anchor_lam = float(lam)
-            scores = factor.solve(rhs)
-            return scores, factor.info(), {"anchored": True}
-
-        if state.anchor is None:
-            return anchor_here()
-
-        try:
-            scores, info = self._pcg(
-                self._laplacian_pattern().product(self._soft_system(lam, n)),
-                rhs,
-                state.anchor.solve,
-                x0=state.last_solution,
-                max_iter=REANCHOR_BUDGET,
-                method="pcg",
-            )
-        except ConvergenceError:
-            self._counters["reanchors"] += 1
-            obs.get_registry().counter("workspace.reanchors").inc()
-            return anchor_here()
-        self._counters["pcg_solves"] += 1
-        return scores, info, {"anchor_lam": state.anchor_lam}
 
     # ------------------------------------------------------------------
     # Multigrid (coarsening V-cycle preconditioned PCG)
@@ -904,11 +684,13 @@ class SolveWorkspace:
         Reads the operator (kept at λ = 0 or once :meth:`operator` asked
         for it, else built for this solve alone), forms ``rhs(y)``, then
         back-substitutes through its factorization or runs PCG on its
-        V-cycle from ``x0`` to :data:`PCG_TOL`.  A stalled V-cycle
-        (pathological graph) falls back to a factorization of the same
-        system, which is not kept.  Returns the solution, its
-        :class:`~repro.linalg.solvers.SolveInfo` and the ``details`` it
-        adds.
+        V-cycle from ``x0`` to :data:`PCG_TOL`.  The PCG solve's
+        :class:`~repro.linalg.solvers.SolveInfo` reports the true
+        residual ``‖b - A f‖``, through the V-cycle's fine product.  A
+        stalled V-cycle (pathological graph) falls back to a
+        factorization of the same system, which is not kept.  Returns the
+        solution, its :class:`~repro.linalg.solvers.SolveInfo` and the
+        ``details`` it adds.
         """
         operator = self._operator(lam, n, keep=lam == 0.0)
         rhs = operator.rhs(y)
@@ -917,22 +699,36 @@ class SolveWorkspace:
             return inverse.solve(rhs), inverse.info(), {}
         registry = obs.get_registry()
         try:
-            scores, info = self._pcg(
+            result = preconditioned_conjugate_gradient(
                 inverse.product,
                 rhs,
-                inverse,
+                preconditioner=inverse,
                 x0=x0,
+                tol=PCG_TOL,
                 max_iter=MULTIGRID_MAX_ITER,
-                method="multigrid_pcg",
             )
         except ConvergenceError:
-            self._counters["reanchors"] += 1
-            registry.counter("workspace.reanchors").inc()
+            self._counters["fallbacks"] += 1
+            registry.counter("workspace.fallbacks").inc()
             factor = self._factorize(operator.system, lam, n)
             return factor.solve(rhs), factor.info(), {"fallback": "exact"}
+        self._counters["pcg_iterations"] += result.iterations
+        warm = x0 is not None
+        if warm:
+            self._counters["warm_starts"] += 1
+            registry.counter("workspace.warm_starts").inc()
+        registry.log_histogram("workspace.pcg.iterations").observe(result.iterations)
         self._counters["multigrid_solves"] += 1
         registry.counter("workspace.multigrid_solves").inc()
-        return scores, info, {"n_levels": inverse.n_levels}
+        info = SolveInfo(
+            method="multigrid_pcg",
+            size=rhs.shape[0],
+            iterations=result.iterations,
+            final_residual=float(np.linalg.norm(rhs - inverse.product(result.x))),
+            converged=result.converged,
+            warm_started=warm,
+        )
+        return result.x, info, {"n_levels": inverse.n_levels}
 
     @one_blas_thread()
     def solve_soft(self, y_labeled, lam: float):
@@ -969,12 +765,8 @@ class SolveWorkspace:
             n=n,
             m=m,
         ) as span:
-            continuation = self._continuation(n)
-            if self.backend == "factored":
-                scores, info, details = self._solve_factored(y, lam, n)
-            else:
-                scores, info, details = self._solve(y, lam, n, continuation.last_solution)
-            continuation.last_solution = scores
+            scores, info, details = self._solve(y, lam, n, self._last_solutions.get(n))
+            self._last_solutions[n] = scores
             if span.recording:
                 span.set_attribute("solve_method", info.method)
                 span.set_attribute("iterations", info.iterations)
@@ -999,11 +791,11 @@ class SolveWorkspace:
     def solve_hard(self, y_labeled):
         """Solve the hard criterion ``(D22 - W22) f_u = W21 y`` once.
 
-        ``D22 - W22`` is λ-independent.  On ``exact`` and ``factored`` the
-        first solve factorizes it and every later one is a
-        back-substitution; on ``multigrid`` the first solve builds its
-        V-cycle and every solve runs cold-started PCG to
-        :data:`PCG_TOL`, so repeated solves return the same floats.
+        ``D22 - W22`` is λ-independent.  On ``exact`` the first solve
+        factorizes it and every later one is a back-substitution; on
+        ``multigrid`` the first solve builds its V-cycle and every solve
+        runs cold-started PCG to :data:`PCG_TOL`, so repeated solves
+        return the same floats.
         Raises :class:`~repro.exceptions.DisconnectedGraphError` when the
         labeled mask leaves a component unreachable.
         """
@@ -1040,9 +832,9 @@ class SolveWorkspace:
     def sweep_soft(self, y_labeled, lambdas) -> list:
         """Solve the soft criterion along a λ grid with continuation.
 
-        Grid points are solved in the given order so warm starts and the
-        anchored preconditioner track the continuation path; pass an
-        increasing grid for the best amortization.
+        Grid points are solved in the given order; on ``multigrid`` each
+        PCG solve starts from the previous grid point's solution, so a
+        sorted grid amortizes best.
         """
         grid = tuple(lambdas)
         with obs.span(

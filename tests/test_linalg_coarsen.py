@@ -840,7 +840,7 @@ class TestWorkspaceMultigridBackend:
         np.testing.assert_allclose(
             fit.scores, exact.solve_soft(data.y_labeled, 5.0).scores, atol=1e-8
         )
-        assert ws.stats().reanchors == 1
+        assert ws.stats().fallbacks == 1
 
     def test_invalidate_clears_hierarchy(self, problem):
         data, graph = problem

@@ -1,8 +1,8 @@
 """Unit tests for the cross-solve amortization workspace.
 
 Covers which factorizations a workspace makes and keeps, the labeled
-count every accessor validates, the continuation
-state (warm starts, re-anchoring), invalidation on graph mutation
+count every accessor validates, the backend names a workspace rejects,
+invalidation on graph mutation
 (including a hypothesis property test: a mutated workspace must raise,
 never serve stale answers) with one fingerprint per public call, the
 labeled-reachability check made from the components computed at
@@ -151,43 +151,14 @@ class TestFactorizationCache:
 
 
 class TestContinuation:
-    def test_factored_sweep_warm_starts(self, problem):
-        data, graph = problem
-        ws = SolveWorkspace(graph.weights, backend="factored")
-        ws.sweep_soft(data.y_labeled, (1e-3, 3e-3, 1e-2, 3e-2, 0.1))
-        stats = ws.stats()
-        # First grid point anchors; later points run warm-started PCG.
-        assert stats.pcg_solves >= 1
-        assert stats.warm_starts >= 1
-        assert stats.factorizations < 5
-
     def test_classic_iterative_backends_rejected(self, problem):
+        """Only ``exact`` and ``multigrid`` are backends; every other
+        name, ``factored`` included, is rejected."""
         _, graph = problem
-        for backend in ("cg", "jacobi", "gauss_seidel"):
-            with pytest.raises(ConfigurationError, match="backend must be one of"):
+        for backend in ("cg", "jacobi", "gauss_seidel", "factored"):
+            with pytest.raises(ConfigurationError, match="backend must be one of") as caught:
                 SolveWorkspace(graph.weights, backend=backend)
-
-    def test_small_labeled_fraction_uses_woodbury(self):
-        """With n_labeled <= min(512, N/4) the factored path solves the
-        whole sweep off ONE factorization via the rank-n_labeled
-        Woodbury update — no PCG, no re-anchoring."""
-        data = make_synthetic_dataset(20, 100, seed=5)
-        bandwidth = paper_bandwidth_rule(20, 5)
-        graph = full_kernel_graph(data.x_all, bandwidth=bandwidth)
-        ws = SolveWorkspace(graph.weights, backend="factored")
-        fits = ws.sweep_soft(data.y_labeled, (1e-3, 1e-2, 0.1, 1.0, 10.0))
-        stats = ws.stats()
-        assert stats.factorizations == 1
-        assert stats.woodbury_solves == 4  # all but the anchor point
-        assert stats.pcg_solves == 0
-        assert stats.reanchors == 0
-        for lam, fit in zip((1e-3, 1e-2, 0.1, 1.0, 10.0), fits):
-            reference = solve_soft_criterion(
-                graph.weights, data.y_labeled, lam, check_reachability=False
-            )
-            np.testing.assert_allclose(
-                fit.scores, reference.scores, atol=1e-8, rtol=0
-            )
+            assert "('exact', 'multigrid')" in str(caught.value)
 
 
 class TestInvalidation:
@@ -309,7 +280,7 @@ class TestInvalidation:
         with pytest.raises(WorkspaceInvalidatedError):
             ws.solve_soft(data.y_labeled, 0.1)
 
-    @pytest.mark.parametrize("backend", ["exact", "factored", "multigrid"])
+    @pytest.mark.parametrize("backend", ["exact", "multigrid"])
     def test_one_fingerprint_per_public_call(self, deep_problem, monkeypatch, backend):
         """The helpers a solve runs read the caches without fingerprinting
         the weights again; an edit between two calls still raises."""
@@ -394,9 +365,9 @@ class TestReachability:
         stats = ws.stats()
         assert stats.factorizations == 0
         assert stats.coarsen_builds == 0
-        assert stats.pcg_solves == stats.multigrid_solves == 0
+        assert stats.multigrid_solves == stats.pcg_iterations == stats.fallbacks == 0
 
-    @pytest.mark.parametrize("backend", ["exact", "factored", "multigrid"])
+    @pytest.mark.parametrize("backend", ["exact", "multigrid"])
     def test_solve_soft_raises_on_orphaned_component(self, orphaned_problem, backend):
         graph, y = orphaned_problem
         ws = SolveWorkspace(graph.weights, backend=backend)
@@ -413,7 +384,7 @@ class TestReachability:
 
     def test_solve_hard_raises_on_orphaned_component(self, orphaned_problem):
         graph, y = orphaned_problem
-        for backend in ("exact", "factored", "multigrid"):
+        for backend in ("exact", "multigrid"):
             ws = SolveWorkspace(graph.weights, backend=backend)
             self._assert_raises_cheaply(
                 ws, lambda: ws.solve_hard(y), graph.weights, y.shape[0]
@@ -429,7 +400,7 @@ class TestReachability:
             return original(weights)
 
         monkeypatch.setattr(workspace_module, "validated_components", counting)
-        ws = SolveWorkspace(graph.weights, backend="factored")
+        ws = SolveWorkspace(graph.weights, backend="exact")
         ws.sweep_soft(data.y_labeled, (0.01, 0.1, 1.0, 10.0))
         ws.solve_hard(data.y_labeled)
         ws.solve_soft(data.y_labeled[:40], 0.1)
@@ -511,7 +482,7 @@ class TestHardMultigrid:
 
     @pytest.mark.parametrize(
         "backend, solve_method",
-        [("exact", "sparse_lu"), ("factored", "sparse_lu"), ("multigrid", "multigrid_pcg")],
+        [("exact", "sparse_lu"), ("multigrid", "multigrid_pcg")],
     )
     def test_route_is_reported(self, sparse_problem, backend, solve_method):
         data, graph = sparse_problem
@@ -533,16 +504,18 @@ class TestHardMultigrid:
         data, graph = sparse_problem
         monkeypatch.setattr(workspace_module, "MULTIGRID_MAX_ITER", 0)
         ws = SolveWorkspace(graph.weights, backend="multigrid")
-        fit = ws.solve_hard(data.y_labeled)
+        with obs.use_registry() as registry:
+            fit = ws.solve_hard(data.y_labeled)
         stats = ws.stats()
         assert fit.details["fallback"] == "exact"
-        assert stats.reanchors == 1 and stats.factorizations == 1
+        assert stats.fallbacks == 1 and stats.factorizations == 1
+        assert registry.counter("workspace.fallbacks").value == 1
         assert stats.multigrid_solves == 0
         np.testing.assert_array_equal(
             fit.scores, SolveWorkspace(graph.weights).solve_hard(data.y_labeled).scores
         )
 
-    @pytest.mark.parametrize("backend", ["exact", "factored", "multigrid"])
+    @pytest.mark.parametrize("backend", ["exact", "multigrid"])
     def test_preconditioner_accessor(self, multilevel_problem, backend):
         """``operator(0, n).precondition`` is ``r ↦ M⁻¹r``: the
         factorization's back-substitution (``M = A``) or the cached
@@ -768,17 +741,6 @@ class TestPermuted:
 
 class TestTrueResidual:
     """Every PCG path reports ``‖b − A f‖`` of the answer it returns."""
-
-    def test_factored_anchored_pcg(self, problem):
-        data, graph = problem
-        y = data.y_labeled
-        ws = SolveWorkspace(graph.weights, backend="factored")
-        ws.solve_soft(y, 0.1)  # anchors
-        fit = ws.solve_soft(y, 0.2)
-        assert fit.solve_info.method == "pcg"
-        b = np.concatenate([y, np.zeros(ws.n_total - y.shape[0])])
-        expected = np.linalg.norm(b - ws.soft_system(0.2, y.shape[0]) @ fit.scores)
-        assert fit.solve_info.final_residual == expected
 
     def test_multigrid_soft(self, multilevel_problem):
         data, graph = multilevel_problem

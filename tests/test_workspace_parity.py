@@ -5,11 +5,11 @@ so the workspace is only admissible if it does not move results.  The
 per-point reference is :func:`~repro.core.soft.solve_soft_criterion`.
 This suite pins the contract from three directions:
 
-* every workspace backend matches per-point reference solves at
-  ``atol=1e-8`` across a lambda grid (on dense graphs, where the
-  reference takes the Schur route, for exact/factored/multigrid; on
-  sparse graphs for exact/factored), and the multigrid backend's hard
-  solve matches :func:`~repro.core.hard.solve_hard_criterion` on both;
+* both workspace backends match per-point reference solves at
+  ``atol=1e-8`` across a lambda grid, on dense graphs (where the
+  reference takes the Schur route) and on sparse ones, and the
+  multigrid backend's hard solve matches
+  :func:`~repro.core.hard.solve_hard_criterion` on both;
 * the exact backend is *bitwise* identical to the reference solves
   that assemble the same system — soft on sparse graphs, dense
   ``method="full"``, and the hard criterion on both — because both
@@ -61,7 +61,7 @@ def sparse_problem():
 
 
 class TestBackendParity:
-    @pytest.mark.parametrize("backend", ["exact", "factored", "multigrid"])
+    @pytest.mark.parametrize("backend", ["exact", "multigrid"])
     def test_dense_backend_matches_direct(self, dense_problem, backend):
         data, graph = dense_problem
         ws = SolveWorkspace(graph.weights, backend=backend)
@@ -78,7 +78,7 @@ class TestBackendParity:
                 err_msg=f"backend={backend} lam={lam}",
             )
 
-    @pytest.mark.parametrize("backend", ["exact", "factored"])
+    @pytest.mark.parametrize("backend", ["exact", "multigrid"])
     def test_sparse_backend_matches_direct(self, sparse_problem, backend):
         data, graph = sparse_problem
         ws = SolveWorkspace(graph.weights, backend=backend)
@@ -144,28 +144,9 @@ class TestBackendParity:
                 amortized.scores, direct.scores, err_msg=f"lam={lam}"
             )
 
-    def test_sparse_woodbury_matches_direct(self):
-        """Small labeled fraction routes the factored backend through the
-        rank-n_labeled Woodbury continuation; it must still track direct
-        per-point solves at 1e-8 across the whole grid."""
-        data = make_synthetic_dataset(30, 170, seed=19)
-        bandwidth = paper_bandwidth_rule(30, 5)
-        graph = knn_graph(data.x_all, k=12, bandwidth=bandwidth)
-        ws = SolveWorkspace(graph.weights, backend="factored")
-        for lam in LAMBDA_GRID:
-            direct = solve_soft_criterion(
-                graph.weights, data.y_labeled, lam, check_reachability=False
-            )
-            amortized = ws.solve_soft(data.y_labeled, lam)
-            np.testing.assert_allclose(
-                amortized.scores, direct.scores, atol=1e-8, rtol=0,
-                err_msg=f"lam={lam}",
-            )
-        assert ws.stats().woodbury_solves >= len(LAMBDA_GRID) - 1
-
     def test_lambda_zero_matches_hard_everywhere(self, dense_problem):
         data, graph = dense_problem
-        for backend in ("exact", "factored", "multigrid"):
+        for backend in ("exact", "multigrid"):
             ws = SolveWorkspace(graph.weights, backend=backend)
             via_soft = ws.solve_soft(data.y_labeled, 0.0)
             via_hard = ws.solve_hard(data.y_labeled)
@@ -190,7 +171,7 @@ class TestModelSelectionParity:
         )
         assert batched == looped
 
-    @pytest.mark.parametrize("backend", ["exact", "factored", "multigrid"])
+    @pytest.mark.parametrize("backend", ["exact", "multigrid"])
     def test_cv_workspace_backend_matches_direct(
         self, dense_problem, backend, monkeypatch
     ):
@@ -358,7 +339,7 @@ class TestExperimentParity:
         )
         assert curve.interpolates_anchors
 
-    @pytest.mark.parametrize("backend", ["exact", "factored", "multigrid"])
+    @pytest.mark.parametrize("backend", ["exact", "multigrid"])
     def test_prop21_still_converges(self, backend, monkeypatch):
         monkeypatch.setattr(
             "repro.experiments.figures.prop21.choose_backend", lambda weights: backend
@@ -366,7 +347,7 @@ class TestExperimentParity:
         result = run_prop21_experiment(n_labeled=40, n_unlabeled=12, seed=1)
         assert result.converges
 
-    @pytest.mark.parametrize("backend", ["exact", "factored", "multigrid"])
+    @pytest.mark.parametrize("backend", ["exact", "multigrid"])
     def test_prop22_still_collapses(self, backend, monkeypatch):
         monkeypatch.setattr(
             "repro.experiments.figures.prop22.choose_backend", lambda weights: backend
