@@ -12,12 +12,16 @@ machine-readable trajectory ``BENCH_<runid>.json`` into
 ``benchmarks/results/``; ``python -m repro bench-compare OLD.json
 NEW.json`` turns two or more of those into a perf regression gate, and
 ``python -m repro obs ingest benchmarks/results/BENCH_*.json`` folds
-them into the run ledger for ``obs history`` / ``obs trend``.
+them into the run ledger for ``obs history`` / ``obs trend``.  Both
+gates apply one rule (:func:`repro.obs.trend.trend_runs`, sustain 1 for
+``bench-compare``): a benchmark's newest measurement against its best
+earlier one, among the measurements from the newest one's environment
+only.
 
 Fast benches time ``REPRO_BENCH_REPEATS`` passes (default 3) so the
 regression gate has real minima to compare; heavy figure regenerations
-pass ``repeats=1`` and are reported informationally only (the compare's
-minimum-repeat rule exempts them from gating).
+pass ``repeats=1`` and are reported informationally only (the rule's
+minimum-repeat requirement exempts them from gating).
 """
 
 from __future__ import annotations

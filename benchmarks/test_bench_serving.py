@@ -153,11 +153,12 @@ def test_bench_serving_telemetry_overhead(bench, results_dir):
     histograms, phase timings, drift watchdog) must stay under
     ``MAX_TELEMETRY_OVERHEAD`` of batched throughput at N=10^4.
 
-    Two identical workloads, one with ``telemetry="full"`` (the default)
-    and one with the opt-out (``telemetry="off"`` server + untelemetered
-    model), timed in :data:`TELEMETRY_PAIRS` alternating pairs; the gate
-    reads the median of the per-pair overheads, so load that shifts both
-    passes of a pair cancels.  A negative control runs the same
+    Two identical workloads, one on a model with telemetry on (the
+    default) and one on the opt-out (``telemetry=False``; each server
+    records through its model's telemetry), timed in
+    :data:`TELEMETRY_PAIRS` alternating pairs; the gate reads the median
+    of the per-pair overheads, so load that shifts both passes of a pair
+    cancels.  A negative control runs the same
     comparison against a "full" leg delayed by :data:`CONTROL_DELAY` of
     an off pass and must fail the gate.  Predictions are asserted
     bitwise identical — telemetry is observation, never behavior.
@@ -178,7 +179,7 @@ def test_bench_serving_telemetry_overhead(bench, results_dir):
         return server.predict_many(queries)
 
     def off_pass() -> np.ndarray:
-        server = ModelServer(bare, max_batch_size=BATCH_SIZE, telemetry="off")
+        server = ModelServer(bare, max_batch_size=BATCH_SIZE)
         return server.predict_many(queries)
 
     assert np.array_equal(full_pass(), off_pass())

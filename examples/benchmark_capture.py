@@ -4,8 +4,8 @@ Walks the performance-observability layer end to end: measures two
 solver configurations with a ``BenchRecorder`` (repeated timings, a
 tracemalloc-profiled pass, solver health from the span trace), records
 per-span memory peaks with an opt-in memory tracer, writes the session
-trajectory ``BENCH_<runid>.json``, and runs the noise-aware comparison
-that backs ``python -m repro bench-compare`` against itself.
+trajectory ``BENCH_<runid>.json``, and runs the regression rule that
+backs ``python -m repro bench-compare`` and ``obs trend`` against itself.
 
 Run from the repo root::
 
@@ -23,13 +23,8 @@ from repro.core.soft import solve_soft_criterion
 from repro.datasets.synthetic import make_synthetic_dataset
 from repro.graph.similarity import full_kernel_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
-from repro.obs.bench import (
-    BenchRecorder,
-    compare_runs,
-    load_bench_run,
-    render_bench_compare,
-    render_bench_report,
-)
+from repro.obs.bench import BenchRecorder, load_bench_run, render_bench_report
+from repro.obs.trend import render_trend_report, trend_runs
 
 
 def main() -> None:
@@ -83,12 +78,13 @@ def main() -> None:
     run = load_bench_run(path)
     print(render_bench_report(run))
 
-    # 4. The regression gate, against itself: identical inputs always
-    #    compare clean and deterministically.
-    comparison = compare_runs(run, run, threshold=0.15)
+    # 4. The regression rule at sustain 1 (what bench-compare runs),
+    #    against itself: identical inputs always compare clean and
+    #    deterministically.
+    report = trend_runs([run, run], threshold=0.15, sustain=1)
     print()
-    print(render_bench_compare(comparison))
-    print(f"\nself-comparison ok: {comparison.ok}")
+    print(render_trend_report(report))
+    print(f"\nself-comparison ok: {report.ok}")
 
 
 if __name__ == "__main__":

@@ -39,8 +39,10 @@ benchmark harness; see docs/BENCHMARKING.md) have two verbs::
     python -m repro bench-compare OLD.json [MID.json ...] NEW.json
 
 ``bench-compare`` takes two or more runs (shell globs welcome), orders
-them by creation time, judges each benchmark oldest-vs-newest, and exits
-non-zero when one regressed beyond the threshold — the CI perf gate.
+them by creation time, judges each benchmark's newest measurement
+against its best earlier one from the same environment, and exits
+non-zero when it regressed beyond the threshold.  It applies the rule of
+``obs trend`` (:func:`repro.obs.trend.trend_runs`) at sustain 1.
 
 The run ledger (``repro obs``; see docs/OBSERVABILITY.md) turns loose
 artifacts into a persistent, queryable history::
@@ -49,7 +51,7 @@ artifacts into a persistent, queryable history::
     python -m repro obs runs
     python -m repro obs show <run-id>
     python -m repro obs history <bench-name>
-    python -m repro obs trend            # exit 1 on sustained regression
+    python -m repro obs trend            # exit 1 on a regression sustained over 2 runs
     python -m repro obs span-tree <run-id>
 """
 
@@ -412,7 +414,7 @@ def _expand_globs(patterns) -> list[str]:
 
 
 def _cmd_bench_compare(args) -> int:
-    from repro.obs.bench import compare_run_sequence, render_bench_compare
+    from repro.obs.trend import render_trend_report, trend_runs
 
     paths = _expand_globs(args.runs)
     if len(paths) < 2:
@@ -428,13 +430,15 @@ def _cmd_bench_compare(args) -> int:
             print(error, file=sys.stderr)
             return 2
         runs.append(run)
-    comparison = compare_run_sequence(
-        runs, threshold=args.threshold, min_repeats=args.min_repeats
+    report = trend_runs(
+        runs, threshold=args.threshold, min_repeats=args.min_repeats, sustain=1
     )
-    if len(paths) > 2:
-        print(f"comparing {len(paths)} runs, oldest -> newest per benchmark")
-    print(render_bench_compare(comparison))
-    return 0 if comparison.ok else 1
+    print(
+        f"comparing {len(paths)} runs: each benchmark's newest measurement "
+        f"against its best earlier one"
+    )
+    print(render_trend_report(report))
+    return 0 if report.ok else 1
 
 
 def _open_ledger(args):
@@ -972,14 +976,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench-compare",
-        help="compare two or more bench trajectories (oldest vs newest "
-        "per benchmark); exit 1 on timing regression",
+        help="compare two or more bench trajectories (newest vs best "
+        "earlier per benchmark, same environment only); exit 1 on timing "
+        "regression",
     )
     p.add_argument(
         "runs", nargs="+", metavar="RUN.json",
         help="two or more bench runs (BENCH_*.json; globs welcome) — "
-        "ordered by creation time, each benchmark is judged oldest "
-        "appearance vs newest",
+        "ordered by creation time, each benchmark's newest measurement is "
+        "judged against its best earlier one from the same environment",
     )
     p.add_argument(
         "--threshold", type=float, default=0.15,
@@ -988,8 +993,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--min-repeats", type=int, default=3,
-        help="benchmarks with fewer timing repeats on either side are "
-        "reported but never gate (default 3)",
+        help="measurements with fewer timing repeats are reported but "
+        "never gate (default 3)",
     )
     p.set_defaults(handler=_cmd_bench_compare)
 
@@ -1037,7 +1042,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = obs_sub.add_parser(
         "trend",
-        help="multi-run regression gate; exit 1 on sustained regression",
+        help="multi-run regression gate over each benchmark's newest "
+        "environment; exit 1 on sustained regression",
     )
     ledger_flag(p)
     p.add_argument(

@@ -10,8 +10,8 @@ the block-inverse formula
 where ``S22 = A11 - A12 A22^{-1} A21`` and ``S11 = A22 - A21 A11^{-1} A12``
 are the two Schur complements.  :func:`block_inverse` implements exactly
 this formula (it is tested against ``np.linalg.inv``), and
-:class:`BlockMatrix` provides the labeled/unlabeled partition used
-throughout :mod:`repro.core`.
+:class:`BlockMatrix` names the paper's labeled/unlabeled partition.
+The solvers in :mod:`repro.core` slice their blocks directly.
 """
 
 from __future__ import annotations

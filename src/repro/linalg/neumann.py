@@ -7,9 +7,11 @@ The consistency proof (Section IV) expands
 and shows every partial sum ``S_l`` has "tiny elements": its max-norm is
 bounded by ``M/(n h^d) * (1 + r + ... + r^{l-1})`` with ``r = mM/(n h^d)``.
 :func:`neumann_partial_sums` computes the partial sums together with their
-max-norms so :mod:`repro.validation.proof_constructs` can verify the bound
-numerically, and :func:`neumann_inverse` uses the series as an actual
-solver (valid whenever the spectral radius of ``D22^{-1} W22`` is < 1).
+max-norms, so the bound can be checked term by term, and
+:func:`neumann_inverse` uses the series as an actual solver (valid
+whenever the spectral radius of ``D22^{-1} W22`` is < 1).
+:mod:`repro.validation.proof_constructs` checks the limit ``S`` itself,
+inverting ``I - D22^{-1} W22`` directly.
 """
 
 from __future__ import annotations

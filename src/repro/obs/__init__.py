@@ -16,16 +16,17 @@ Layered so each piece is independently usable:
   provenance-carrying artifact (trace header, bench record, metrics
   dump) embeds.
 * :mod:`repro.obs.bench` — structured benchmark capture
-  (:class:`~repro.obs.bench.BenchRecorder`) and the noise-aware
-  regression comparison behind ``python -m repro bench-compare``.
+  (:class:`~repro.obs.bench.BenchRecorder`), bench trajectories and
+  the per-phase memory budget.
 * :mod:`repro.obs.progress` — live progress telemetry: heartbeat and
   per-replicate-completion events streamed to stderr and/or an fsynced
   JSONL sink while experiments run.
 * :mod:`repro.obs.ledger` — the SQLite run ledger ingesting every
   provenance-carrying artifact into one queryable history (``repro obs``
   CLI family).
-* :mod:`repro.obs.trend` — multi-run history series and the sustained
-  regression gate behind ``repro obs trend``.
+* :mod:`repro.obs.trend` — multi-run history series and the one
+  regression rule behind ``repro bench-compare`` and ``repro obs trend``,
+  which judges each benchmark within one environment.
 * :mod:`repro.obs.serving_telemetry` — per-request serving telemetry:
   vectorized latency recording and the query-drift watchdog.
 * :mod:`repro.obs.slo` — declarative service-level objectives evaluated

@@ -1,4 +1,4 @@
-"""Structured benchmark capture and noise-aware regression comparison.
+"""Structured benchmark capture: records, trajectories and memory budgets.
 
 The benchmark harness used to emit free-text tables only; this module is
 the machine-readable twin.  A :class:`BenchRecorder` captures, per
@@ -16,11 +16,9 @@ benchmark:
   runs can be checked for comparability before their numbers are.
 
 Records serialize as one JSON document per benchmark plus a session
-trajectory file ``BENCH_<run_id>.json``; :func:`compare_runs` implements
-the regression gate behind ``python -m repro bench-compare``:
-relative-to-min comparison with a configurable tolerance and a
-minimum-repeat requirement (single-shot timings are reported but never
-gate — one sample cannot distinguish a regression from scheduler noise).
+trajectory file ``BENCH_<run_id>.json``.  Trajectories are judged by
+the one regression rule in :mod:`repro.obs.trend`, behind both
+``python -m repro bench-compare`` and ``python -m repro obs trend``.
 
 The module also hosts the *memory budget* gate the out-of-core pipeline
 is held to: a :class:`MemoryBudget` wraps named phases of a run in
@@ -50,17 +48,12 @@ from repro.obs.trace import RecordingTracer, use_tracer
 __all__ = [
     "BenchRecord",
     "BenchRecorder",
-    "BenchComparison",
-    "BenchDelta",
     "MemoryBudget",
     "MemoryBudgetExceeded",
     "PhaseUsage",
-    "compare_runs",
-    "compare_run_sequence",
     "load_bench_run",
     "prune_bench_runs",
     "render_bench_report",
-    "render_bench_compare",
     "solver_health_from_trace",
 ]
 
@@ -202,30 +195,18 @@ def solver_health_from_trace(trace) -> dict:
 
 
 def _profiled_pass(fn):
-    """Run ``fn`` once under tracemalloc + a recording tracer.
+    """Run ``fn`` once in an unbudgeted :class:`MemoryBudget` phase under
+    a recording tracer.
 
-    Returns ``(result, memory, solver_health)``.  Tracemalloc is only
-    stopped afterwards if this pass started it, so a caller already
-    profiling is left undisturbed.
+    Returns ``(result, memory, solver_health)``.  The phase's tracemalloc
+    rule applies: a caller already profiling is left undisturbed.
     """
-    import tracemalloc
-
     tracer = RecordingTracer()
-    owns_tracemalloc = not tracemalloc.is_tracing()
-    if owns_tracemalloc:
-        tracemalloc.start()
-    baseline, _ = tracemalloc.get_traced_memory()
-    tracemalloc.reset_peak()
-    try:
-        with use_tracer(tracer):
-            result = fn()
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        if owns_tracemalloc:
-            tracemalloc.stop()
+    with use_tracer(tracer):
+        result, usage = MemoryBudget().measure("profiled_pass", fn)
     memory = {
-        "peak_bytes": max(0, int(peak - baseline)),
-        "net_bytes": int(current - baseline),
+        "peak_bytes": usage.peak_traced_bytes,
+        "net_bytes": usage.net_traced_bytes,
     }
     return result, memory, solver_health_from_trace(tracer)
 
@@ -328,12 +309,12 @@ class MemoryBudget:
     :meth:`to_dict` serializes them for a bench record's ``memory``
     field.
 
-    The tracemalloc ownership rule matches :func:`_profiled_pass`:
-    tracing already active (an enclosing profiler) is left running and
-    undisturbed, otherwise it is started and stopped per phase.  Do not
-    nest budget phases inside ``BenchRecorder.measure(profile=True)``
-    timing passes — both reset the shared tracemalloc peak; time the
-    phase with ``profile=False`` instead.
+    Tracing already active (an enclosing profiler) is left running and
+    undisturbed, otherwise it is started and stopped per phase.
+    ``BenchRecorder``'s profiled pass is one unbudgeted phase, so do not
+    nest budget phases inside ``BenchRecorder.measure(profile=True)`` —
+    both reset the shared tracemalloc peak; time the phase with
+    ``profile=False`` instead.
     """
 
     def __init__(self, *, rss_factor: float = 3.0, enforce: bool = True):
@@ -603,128 +584,6 @@ def load_bench_run(path) -> dict:
     )
 
 
-@dataclass
-class BenchDelta:
-    """One benchmark's old-vs-new timing verdict."""
-
-    name: str
-    old_min_s: float
-    new_min_s: float
-    ratio: float
-    old_repeats: int
-    new_repeats: int
-    status: str  # "ok" | "regression" | "improvement" | "informational"
-
-
-@dataclass
-class BenchComparison:
-    """The full old-vs-new verdict :func:`compare_runs` produces."""
-
-    threshold: float
-    min_repeats: int
-    entries: list[BenchDelta] = field(default_factory=list)
-    added: list[str] = field(default_factory=list)
-    removed: list[str] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> list[BenchDelta]:
-        return [entry for entry in self.entries if entry.status == "regression"]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-
-def compare_runs(old_run: dict, new_run: dict, *, threshold: float = 0.15,
-                 min_repeats: int = 3) -> BenchComparison:
-    """Noise-aware comparison of two bench runs (loaded trajectory dicts).
-
-    A benchmark *regresses* when ``new_min / old_min > 1 + threshold``
-    **and** both sides took at least ``min_repeats`` timing samples; with
-    fewer repeats the delta is reported as ``informational`` only — a
-    single sample cannot separate a regression from scheduler noise.
-    Symmetrically, ``new_min / old_min < 1 / (1 + threshold)`` reports an
-    ``improvement``.  Deterministic: a pure function of its inputs.
-    """
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    if min_repeats < 1:
-        raise ValueError(f"min_repeats must be >= 1, got {min_repeats}")
-    old_records = {r["name"]: BenchRecord.from_dict(r) for r in old_run.get("benchmarks", ())}
-    new_records = {r["name"]: BenchRecord.from_dict(r) for r in new_run.get("benchmarks", ())}
-
-    comparison = BenchComparison(
-        threshold=threshold,
-        min_repeats=min_repeats,
-        added=sorted(set(new_records) - set(old_records)),
-        removed=sorted(set(old_records) - set(new_records)),
-    )
-    for name in sorted(set(old_records) & set(new_records)):
-        old, new = old_records[name], new_records[name]
-        if not (old.min_s > 0 and math.isfinite(old.min_s) and math.isfinite(new.min_s)):
-            ratio, status = math.nan, "informational"
-        else:
-            ratio = new.min_s / old.min_s
-            if old.repeats < min_repeats or new.repeats < min_repeats:
-                status = "informational"
-            elif ratio > 1.0 + threshold:
-                status = "regression"
-            elif ratio < 1.0 / (1.0 + threshold):
-                status = "improvement"
-            else:
-                status = "ok"
-        comparison.entries.append(
-            BenchDelta(
-                name=name,
-                old_min_s=old.min_s,
-                new_min_s=new.min_s,
-                ratio=ratio,
-                old_repeats=old.repeats,
-                new_repeats=new.repeats,
-                status=status,
-            )
-        )
-    return comparison
-
-
-def compare_run_sequence(runs, *, threshold: float = 0.15,
-                         min_repeats: int = 3) -> BenchComparison:
-    """Compare ``>= 2`` bench runs, oldest against newest per benchmark.
-
-    Runs are ordered by ``created_unix``.  For every benchmark the delta
-    is judged between its *earliest* and *latest* appearance in the
-    sequence (intermediate runs contribute nothing to the verdict — use
-    ``repro obs trend`` for sustained-regression analysis over the full
-    series).  Benchmarks seen in only one run are listed as ``added``
-    when that run is the newest overall and ``removed`` otherwise.  With
-    exactly two runs this reduces to :func:`compare_runs`.
-    """
-    runs = sorted(runs, key=lambda run: float(run.get("created_unix", 0.0)))
-    if len(runs) < 2:
-        raise ValueError(f"need at least 2 bench runs to compare, got {len(runs)}")
-    earliest: dict[str, dict] = {}
-    latest: dict[str, dict] = {}
-    seen_in: dict[str, int] = {}
-    for run in runs:
-        for record in run.get("benchmarks", ()):
-            name = record["name"]
-            earliest.setdefault(name, record)
-            latest[name] = record
-            seen_in[name] = seen_in.get(name, 0) + 1
-    newest_names = {r["name"] for r in runs[-1].get("benchmarks", ())}
-    shared = {name for name, count in seen_in.items() if count >= 2}
-    comparison = compare_runs(
-        {"benchmarks": [earliest[name] for name in shared]},
-        {"benchmarks": [latest[name] for name in shared]},
-        threshold=threshold,
-        min_repeats=min_repeats,
-    )
-    singles = set(seen_in) - shared
-    comparison.added = sorted(singles & newest_names)
-    comparison.removed = sorted(singles - newest_names)
-    return comparison
-
-
 def _fmt_ms(seconds: float) -> str:
     if seconds != seconds:
         return "-"
@@ -773,39 +632,5 @@ def render_bench_report(run: dict) -> str:
             ["benchmark", "repeats", "min", "median", "mean", "peak MB", "solves", "methods"],
             rows,
         )
-    )
-    return "\n".join(lines)
-
-
-def render_bench_compare(comparison: BenchComparison) -> str:
-    """Human-readable verdict table for ``repro bench-compare``."""
-    from repro.experiments.report import ascii_table
-
-    rows = []
-    for entry in comparison.entries:
-        delta = "-" if entry.ratio != entry.ratio else f"{(entry.ratio - 1.0) * 100:+.1f}%"
-        rows.append(
-            [
-                entry.name,
-                _fmt_ms(entry.old_min_s),
-                _fmt_ms(entry.new_min_s),
-                delta,
-                f"{entry.old_repeats}/{entry.new_repeats}",
-                entry.status,
-            ]
-        )
-    lines = [
-        ascii_table(
-            ["benchmark", "old min", "new min", "delta", "repeats", "status"], rows
-        )
-    ]
-    if comparison.added:
-        lines.append(f"added: {', '.join(comparison.added)}")
-    if comparison.removed:
-        lines.append(f"removed: {', '.join(comparison.removed)}")
-    regressions = comparison.regressions
-    lines.append(
-        f"{len(regressions)} regression(s) at threshold {comparison.threshold:.0%} "
-        f"(min {comparison.min_repeats} repeats to gate)"
     )
     return "\n".join(lines)

@@ -1,28 +1,34 @@
-"""Multi-run benchmark trend analysis: history series and a sustained gate.
+"""The one benchmark regression rule, and per-benchmark history series.
 
-Pairwise :func:`~repro.obs.bench.compare_runs` answers "did this commit
-regress against that one"; this module answers the longitudinal
-questions once the run ledger holds N runs:
+Both gates, ``python -m repro bench-compare FILE...`` (``sustain=1``) and
+``python -m repro obs trend`` (``--sustain``, default 2), judge run dicts
+with :func:`trend_runs`:
 
 * :func:`history_series` — one benchmark's time-ordered trajectory
   across every run that measured it, each point carrying the noise-aware
   stats a :class:`~repro.obs.bench.BenchRecord` stores (min / median /
   mean over repeats, peak memory, solver health) plus run provenance
   (git sha, environment digest).
-* :func:`trend_runs` — the generalized regression gate behind
-  ``python -m repro obs trend``.  A benchmark is in **sustained
-  regression** when its last ``sustain`` gate-eligible measurements
-  *all* exceed ``(1 + threshold) ×`` the best earlier measurement: one
-  noisy run cannot trip the gate (that is what ``sustain >= 2`` buys
-  over pairwise comparison), and the baseline being the *best* prior
-  min makes the gate monotone — a slow creep across many runs is caught
-  even though no adjacent pair regresses.
+* :func:`trend_runs` — the regression rule.  A benchmark's *home
+  environment* is the ``env_digest`` of its newest measurement; only
+  measurements from that environment are judged, and the others are
+  counted as set aside, because a timing from another machine or
+  toolchain says nothing about the code.  Among the home measurements,
+  the benchmark **regresses** when its last ``sustain`` gate-eligible
+  measurements *all* exceed ``(1 + threshold) ×`` the best earlier one,
+  and **improves** when the newest is below ``1 / (1 + threshold) ×``
+  it.  With ``sustain=1`` and two runs this is the pairwise old-vs-new
+  verdict; ``sustain >= 2`` keeps one noisy run from tripping the gate.
+  Taking the *best* prior min as the baseline makes the gate monotone:
+  a slow creep across many runs is caught even though no adjacent pair
+  regresses.
 
-Gate eligibility follows the same rule as the pairwise compare: a
-measurement with fewer than ``min_repeats`` timing samples is shown but
-never gates, because a single sample cannot separate a regression from
-scheduler noise.  Everything here is a pure function of the loaded run
-dicts, so the gate is reproducible from the ledger alone.
+A measurement with fewer than ``min_repeats`` timing samples, or a
+non-finite or zero min, is shown but never gates: a single sample cannot
+separate a regression from scheduler noise, and a benchmark seen in only
+one run has nothing to be judged against.  Everything here is a pure
+function of the loaded run dicts, so a verdict is reproducible from the
+files or the ledger alone.
 """
 
 from __future__ import annotations
@@ -58,14 +64,19 @@ class HistoryPoint:
 class TrendEntry:
     """One benchmark's verdict over the run series.
 
-    ``status`` is ``"regression"`` (sustained), ``"ok"``, or
-    ``"informational"`` (not enough gate-eligible history, or non-finite
-    timings).  ``ratio`` is latest-vs-baseline.
+    ``status`` is ``"regression"`` (sustained), ``"improvement"``,
+    ``"ok"``, or ``"informational"`` (not enough gate-eligible history in
+    the home environment).  ``ratio`` is latest-vs-baseline; an
+    informational entry shows it ungated when the home environment holds
+    two finite measurements.  ``n_runs`` counts the home environment's
+    measurements and ``n_set_aside`` the others, which never enter the
+    verdict.
     """
 
     name: str
     n_runs: int
     n_gating: int
+    n_set_aside: int
     baseline_min_s: float
     latest_min_s: float
     ratio: float
@@ -88,6 +99,10 @@ class TrendReport:
     @property
     def ok(self) -> bool:
         return not self.regressions
+
+    @property
+    def set_aside(self) -> int:
+        return sum(entry.n_set_aside for entry in self.entries)
 
 
 def _ordered_runs(runs) -> list[dict]:
@@ -122,13 +137,14 @@ def history_series(runs, name: str) -> list[HistoryPoint]:
 
 def trend_runs(runs, *, threshold: float = 0.15, min_repeats: int = 3,
                sustain: int = 2) -> TrendReport:
-    """Judge every benchmark's series for sustained regression.
+    """Judge every benchmark's series by the one rule (module docstring).
 
-    Parameters mirror :func:`~repro.obs.bench.compare_runs`; ``sustain``
-    is how many consecutive latest measurements must all regress against
-    the best earlier one before the gate trips.  A benchmark needs at
-    least ``sustain + 1`` gate-eligible measurements to be judged at all;
-    with fewer its entry is ``informational``.
+    ``threshold`` is the relative min-timing tolerance, ``min_repeats``
+    the timing samples a measurement needs to gate, and ``sustain`` how
+    many consecutive latest measurements must all regress against the
+    best earlier one before the gate trips.  A benchmark needs at least
+    ``sustain + 1`` gate-eligible measurements in its home environment
+    to be judged at all; with fewer its entry is ``informational``.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
@@ -144,40 +160,37 @@ def trend_runs(runs, *, threshold: float = 0.15, min_repeats: int = 3,
     report = TrendReport(threshold=threshold, min_repeats=min_repeats, sustain=sustain)
     for name in names:
         points = history_series(ordered, name)
-        eligible = [
-            p for p in points
-            if p.record.repeats >= min_repeats
-            and math.isfinite(p.record.min_s)
-            and p.record.min_s > 0
+        home = [p for p in points if p.env_digest == points[-1].env_digest]
+        usable = [
+            p for p in home
+            if math.isfinite(p.record.min_s) and p.record.min_s > 0
         ]
-        latest_min = points[-1].record.min_s if points else math.nan
-        if len(eligible) < sustain + 1:
-            report.entries.append(
-                TrendEntry(
-                    name=name,
-                    n_runs=len(points),
-                    n_gating=len(eligible),
-                    baseline_min_s=math.nan,
-                    latest_min_s=latest_min,
-                    ratio=math.nan,
-                    status="informational",
-                )
-            )
-            continue
-        window = eligible[-sustain:]
-        baseline = min(p.record.min_s for p in eligible[:-sustain])
-        ratio = window[-1].record.min_s / baseline
-        limit = baseline * (1.0 + threshold)
-        sustained = all(p.record.min_s > limit for p in window)
+        eligible = [p for p in usable if p.record.repeats >= min_repeats]
+        gated = len(eligible) > sustain
+        # An ungated series still shows its newest usable measurement
+        # against the best earlier one.
+        series, window = (eligible, sustain) if gated else (usable, 1)
+        baseline = min((p.record.min_s for p in series[:-window]), default=math.nan)
+        latest = series[-1].record.min_s if series else points[-1].record.min_s
+        ratio = latest / baseline
+        if not gated:
+            status = "informational"
+        elif all(p.record.min_s > baseline * (1.0 + threshold) for p in series[-window:]):
+            status = "regression"
+        elif ratio < 1.0 / (1.0 + threshold):
+            status = "improvement"
+        else:
+            status = "ok"
         report.entries.append(
             TrendEntry(
                 name=name,
-                n_runs=len(points),
+                n_runs=len(home),
                 n_gating=len(eligible),
+                n_set_aside=len(points) - len(home),
                 baseline_min_s=baseline,
-                latest_min_s=window[-1].record.min_s,
+                latest_min_s=latest,
                 ratio=ratio,
-                status="regression" if sustained else "ok",
+                status=status,
             )
         )
     return report
@@ -223,7 +236,7 @@ def render_history(name: str, points) -> str:
 
 
 def render_trend_report(report: TrendReport) -> str:
-    """Aligned verdict table for ``repro obs trend``."""
+    """Aligned verdict table for ``repro bench-compare`` and ``repro obs trend``."""
     from repro.experiments.report import ascii_table
 
     rows = []
@@ -233,6 +246,7 @@ def render_trend_report(report: TrendReport) -> str:
             [
                 entry.name,
                 f"{entry.n_gating}/{entry.n_runs}",
+                entry.n_set_aside,
                 _fmt_ms(entry.baseline_min_s),
                 _fmt_ms(entry.latest_min_s),
                 delta,
@@ -241,11 +255,19 @@ def render_trend_report(report: TrendReport) -> str:
         )
     lines = [
         ascii_table(
-            ["benchmark", "gating/runs", "baseline min", "latest min", "delta", "status"],
+            ["benchmark", "gating/runs", "set aside", "baseline min", "latest min",
+             "delta", "status"],
             rows,
-        ),
-        f"{len(report.regressions)} sustained regression(s) at threshold "
-        f"{report.threshold:.0%} (sustain {report.sustain}, "
-        f"min {report.min_repeats} repeats to gate)",
+        )
     ]
+    if report.set_aside:
+        lines.append(
+            f"{report.set_aside} measurement(s) set aside: recorded in another "
+            f"environment than their benchmark's newest"
+        )
+    lines.append(
+        f"{len(report.regressions)} regression(s) at threshold "
+        f"{report.threshold:.0%} (sustain {report.sustain}, "
+        f"min {report.min_repeats} repeats to gate)"
+    )
     return "\n".join(lines)

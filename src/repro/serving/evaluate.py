@@ -222,10 +222,7 @@ def run_serve_eval(
                 # Batched path: the same workload through the
                 # micro-batching server.
                 server = ModelServer(
-                    model,
-                    method=method,
-                    max_batch_size=batch_size,
-                    telemetry="full" if telemetry else "off",
+                    model, method=method, max_batch_size=batch_size
                 )
                 t0 = time.perf_counter()
                 batched = server.predict_many(queries)

@@ -24,12 +24,9 @@ import numpy as np
 
 from repro import obs
 from repro.exceptions import ConfigurationError
-from repro.obs.serving_telemetry import ServingTelemetry
 from repro.serving.model import GraphSSLModel
 
-__all__ = ["ModelServer", "PredictionTicket", "ServerStats", "TELEMETRY_MODES"]
-
-TELEMETRY_MODES = ("full", "off")
+__all__ = ["ModelServer", "PredictionTicket", "ServerStats"]
 
 
 class ServerStats(NamedTuple):
@@ -105,12 +102,15 @@ class ModelServer:
     max_batch_size:
         Auto-flush threshold: submitting the point that fills the queue
         to this size triggers a flush.
-    telemetry:
-        ``"full"`` (default) records per-request latency/queue-wait
-        distributions, flush-reason counters, and a throughput gauge
-        under ``serving.request.*``; ``"off"`` is the low-overhead mode
-        — the only per-request cost left is the queue append itself
-        (the serving bench gates full-mode overhead at <5%).
+
+    The server records through its model's
+    :class:`~repro.obs.serving_telemetry.ServingTelemetry`.
+    With telemetry on (``GraphSSLModel(telemetry=True)``, the default)
+    it records per-request latency/queue-wait distributions,
+    flush-reason counters, and a throughput gauge under
+    ``serving.request.*``; a ``telemetry=False`` model is the
+    low-overhead mode — the only per-request cost left is the queue
+    append itself (the serving bench gates full-mode overhead at <5%).
     """
 
     #: Maps a flush trigger to its ServerStats counter key.
@@ -126,21 +126,16 @@ class ModelServer:
         *,
         method: str = "nw",
         max_batch_size: int = 64,
-        telemetry: str = "full",
     ) -> None:
         if max_batch_size < 1:
             raise ConfigurationError(
                 f"max_batch_size must be >= 1, got {max_batch_size}"
             )
-        if telemetry not in TELEMETRY_MODES:
-            raise ConfigurationError(
-                f"unknown telemetry mode {telemetry!r}; known: {TELEMETRY_MODES}"
-            )
         model._require_fitted()
         self.model = model
         self.method = model._validate_method(method)
         self.max_batch_size = int(max_batch_size)
-        self.telemetry = ServingTelemetry(enabled=telemetry == "full")
+        self.telemetry = model.telemetry
         self._queue: list[np.ndarray] = []
         self._tickets: list[PredictionTicket] = []
         self._submit_times: list[float] = []

@@ -261,10 +261,12 @@ class TestTraceReportRobustness:
         assert "Traceback" not in out
 
 
-def _write_run(tmp_path, run_id, samples_by_name):
-    recorder = BenchRecorder(scale="quick", run_id=run_id)
+def _write_run(tmp_path, run_id, samples_by_name, environment=None):
+    recorder = BenchRecorder(scale="quick", run_id=run_id, environment=environment)
     for name, samples in samples_by_name.items():
-        recorder.add(BenchRecord.from_samples(name, samples))
+        recorder.add(
+            BenchRecord.from_samples(name, samples, environment=recorder.environment)
+        )
     return recorder.write_run(tmp_path)
 
 
@@ -305,6 +307,36 @@ class TestBenchVerbs:
     def test_compare_missing_file_exits_two(self, capsys, tmp_path):
         path = _write_run(tmp_path, "r1", {"solve": [0.1]})
         assert main(["bench-compare", str(path), str(tmp_path / "gone.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "old_cpus, code, set_aside", [(1, 0, "1 measurement(s) set aside"), (2, 1, None)]
+    )
+    def test_only_runs_from_one_environment_gate(
+        self, capsys, tmp_path, old_cpus, code, set_aside
+    ):
+        # solve 100 -> 150 ms at 3 repeats: a regression when both runs
+        # come from one environment, set aside when the older came from
+        # another host.
+        from repro.obs.environment import environment_fingerprint
+
+        def environment(cpus):
+            return dict(environment_fingerprint(), cpu_count=cpus)
+
+        old = _write_run(
+            tmp_path / "old", "r1", {"solve": [0.100, 0.101, 0.102]},
+            environment=environment(old_cpus),
+        )
+        new = _write_run(
+            tmp_path / "new", "r2", {"solve": [0.150, 0.151, 0.152]},
+            environment=environment(2),
+        )
+        assert main(["bench-compare", str(old), str(new)]) == code
+        out = capsys.readouterr().out
+        assert f"{code} regression(s) at threshold 15%" in out
+        if set_aside is not None:
+            assert set_aside in out
+        else:
+            assert "set aside:" not in out
 
 
 class TestMetricsFlag:

@@ -1,5 +1,6 @@
-"""Tests for repro.obs.bench — structured benchmark capture and the
-noise-aware regression comparison behind ``repro bench-compare``."""
+"""Tests for repro.obs.bench — structured benchmark capture — and for the
+regression rule at sustain 1, the pairwise verdict behind
+``repro bench-compare``."""
 
 import json
 import math
@@ -16,14 +17,13 @@ from repro.obs.bench import (
     BenchRecorder,
     MemoryBudget,
     MemoryBudgetExceeded,
-    compare_runs,
     load_bench_run,
     prune_bench_runs,
-    render_bench_compare,
     render_bench_report,
     solver_health_from_trace,
 )
 from repro.obs.environment import environment_fingerprint
+from repro.obs.trend import render_trend_report, trend_runs
 
 
 def _record(name, samples, *, repeats=None, **kwargs):
@@ -35,6 +35,11 @@ def _run(*records, run_id="test-run"):
     for record in records:
         recorder.add(record)
     return recorder.to_run()
+
+
+def _pair_verdict(old, new, **kwargs):
+    """The pairwise verdict: the one rule over two runs at sustain 1."""
+    return trend_runs([old, new], sustain=1, **kwargs)
 
 
 class TestEnvironmentFingerprint:
@@ -198,14 +203,14 @@ class TestSolverHealthFromTrace:
 class TestCompareRuns:
     def test_self_comparison_is_clean(self):
         run = _run(_record("a", [0.1, 0.1, 0.1]), _record("b", [0.2, 0.2, 0.2]))
-        comparison = compare_runs(run, run)
+        comparison = _pair_verdict(run, run)
         assert comparison.ok
         assert {e.status for e in comparison.entries} == {"ok"}
 
     def test_regression_detected_over_threshold(self):
         old = _run(_record("a", [0.100, 0.101, 0.102]))
         new = _run(_record("a", [0.130, 0.131, 0.132]))
-        comparison = compare_runs(old, new, threshold=0.15)
+        comparison = _pair_verdict(old, new, threshold=0.15)
         (entry,) = comparison.entries
         assert entry.status == "regression"
         assert not comparison.ok
@@ -213,45 +218,52 @@ class TestCompareRuns:
     def test_within_threshold_is_ok(self):
         old = _run(_record("a", [0.100] * 3))
         new = _run(_record("a", [0.110] * 3))
-        assert compare_runs(old, new, threshold=0.15).ok
+        assert _pair_verdict(old, new, threshold=0.15).ok
 
     def test_improvement_reported(self):
         old = _run(_record("a", [0.200] * 3))
         new = _run(_record("a", [0.100] * 3))
-        (entry,) = compare_runs(old, new).entries
+        (entry,) = _pair_verdict(old, new).entries
         assert entry.status == "improvement"
 
     def test_single_shot_never_gates(self):
-        # 3x slower but only one repeat on each side: informational only.
+        # 3x slower but only one repeat on each side: informational only,
+        # with the ungated delta still shown.
         old = _run(_record("a", [0.1]))
         new = _run(_record("a", [0.3]))
-        comparison = compare_runs(old, new, threshold=0.15, min_repeats=3)
+        comparison = _pair_verdict(old, new, threshold=0.15, min_repeats=3)
         (entry,) = comparison.entries
         assert entry.status == "informational"
+        assert entry.ratio == pytest.approx(3.0)
         assert comparison.ok
 
     def test_added_and_removed_tracked(self):
-        old = _run(_record("gone", [0.1]))
-        new = _run(_record("fresh", [0.1]))
-        comparison = compare_runs(old, new)
-        assert comparison.added == ["fresh"]
-        assert comparison.removed == ["gone"]
-        assert comparison.entries == []
+        # A benchmark seen in only one run is reported and never gates.
+        old = _run(_record("gone", [0.1] * 3))
+        new = _run(_record("fresh", [0.5] * 3))
+        comparison = _pair_verdict(old, new)
+        assert [(e.name, e.n_runs, e.status) for e in comparison.entries] == [
+            ("fresh", 1, "informational"),
+            ("gone", 1, "informational"),
+        ]
+        assert comparison.ok
+        text = render_trend_report(comparison)
+        assert "fresh" in text and "gone" in text
 
     def test_nonfinite_old_min_is_informational(self):
-        old_run = _run(_record("a", [0.1]))
+        old_run = _run(_record("a", [0.1] * 3))
         old_run["benchmarks"][0]["timings_s"]["min"] = 0.0
-        new = _run(_record("a", [0.1]))
-        (entry,) = compare_runs(old_run, new).entries
+        new = _run(_record("a", [0.1] * 3))
+        (entry,) = _pair_verdict(old_run, new).entries
         assert entry.status == "informational"
         assert math.isnan(entry.ratio)
 
     def test_validates_parameters(self):
         run = _run(_record("a", [0.1]))
         with pytest.raises(ValueError):
-            compare_runs(run, run, threshold=0.0)
+            _pair_verdict(run, run, threshold=0.0)
         with pytest.raises(ValueError):
-            compare_runs(run, run, min_repeats=0)
+            _pair_verdict(run, run, min_repeats=0)
 
     def test_comparison_is_deterministic(self):
         old = _run(
@@ -264,11 +276,24 @@ class TestCompareRuns:
             _record("b", [0.049, 0.050, 0.048]),
             _record("d", [0.2]),
         )
-        first = compare_runs(old, new, threshold=0.15)
-        second = compare_runs(old, new, threshold=0.15)
-        assert [vars(e) for e in first.entries] == [vars(e) for e in second.entries]
-        assert first.added == second.added and first.removed == second.removed
-        assert render_bench_compare(first) == render_bench_compare(second)
+        first = _pair_verdict(old, new, threshold=0.15)
+        second = _pair_verdict(old, new, threshold=0.15)
+        # repr, not ==: the one-run entries carry NaN baselines
+        assert repr(first.entries) == repr(second.entries)
+        assert render_trend_report(first) == render_trend_report(second)
+
+    def test_other_environment_is_set_aside(self):
+        # The same 100 -> 150 ms pair gates from one host and is set
+        # aside when the older run came from another.
+        here = environment_fingerprint()
+        elsewhere = dict(here, cpu_count=here["cpu_count"] + 1)
+        old_elsewhere = _run(_record("a", [0.100] * 3, environment=elsewhere))
+        old_here = _run(_record("a", [0.100] * 3, environment=here))
+        new = _run(_record("a", [0.150] * 3, environment=here))
+        (entry,) = _pair_verdict(old_elsewhere, new).entries
+        assert (entry.status, entry.n_runs, entry.n_set_aside) == ("informational", 1, 1)
+        (entry,) = _pair_verdict(old_here, new).entries
+        assert (entry.status, entry.n_runs, entry.n_set_aside) == ("regression", 2, 0)
 
 
 class TestRenderers:
@@ -289,9 +314,9 @@ class TestRenderers:
     def test_compare_render_mentions_verdict(self):
         old = _run(_record("a", [0.1] * 3))
         new = _run(_record("a", [0.2] * 3))
-        text = render_bench_compare(compare_runs(old, new))
+        text = render_trend_report(_pair_verdict(old, new))
         assert "regression" in text
-        assert "threshold 15%" in text
+        assert "1 regression(s) at threshold 15% (sustain 1" in text
 
 
 class TestMemoryBudget:

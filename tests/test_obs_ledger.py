@@ -26,11 +26,13 @@ def _write_bench_run(directory, run_id, samples_by_name, created=None):
     return path
 
 
-def _bench_run_dict(run_id, created, samples_by_name):
+def _bench_run_dict(run_id, created, samples_by_name, environment=None):
     """An in-memory bench-run dict (for trend unit tests)."""
     records = []
     for name, samples in samples_by_name.items():
         record = BenchRecord.from_samples(name, samples).to_dict()
+        if environment is not None:
+            record["environment"] = environment
         record["created_unix"] = created
         records.append(record)
     return {
@@ -224,6 +226,35 @@ class TestTrendGate:
         (entry,) = report.entries
         assert entry.status == "informational"
         assert report.ok
+
+    def test_improvement_reported(self):
+        report = trend_runs(self._runs([0.10, 0.10, 0.08, 0.07]))
+        (entry,) = report.entries
+        assert entry.status == "improvement"
+        assert entry.ratio == pytest.approx(0.7)
+        assert report.ok
+
+    def test_only_the_newest_environment_gates(self):
+        # A faster host's measurement in the middle of the series would
+        # set a baseline this host can never meet; it is set aside.
+        from repro.obs.environment import environment_fingerprint
+
+        here = environment_fingerprint()
+        elsewhere = dict(here, cpu_count=here["cpu_count"] + 1)
+        series = [(0.10, here), (0.05, elsewhere), (0.10, here), (0.105, here)]
+        runs = [
+            _bench_run_dict(f"r{i}", 100.0 * (i + 1), {"solve": [m] * 3}, env)
+            for i, (m, env) in enumerate(series)
+        ]
+        (entry,) = trend_runs(runs).entries
+        assert (entry.status, entry.n_runs, entry.n_set_aside) == ("ok", 3, 1)
+        assert entry.baseline_min_s == pytest.approx(0.10)
+        # Once the other host measures last, it is the home environment
+        # and this host's runs are the ones set aside.
+        runs.append(_bench_run_dict("r4", 500.0, {"solve": [0.05] * 3}, elsewhere))
+        (entry,) = trend_runs(runs).entries
+        assert (entry.status, entry.n_runs, entry.n_set_aside) == ("informational", 2, 3)
+        assert "3 measurement(s) set aside" in render_trend_report(trend_runs(runs))
 
     def test_needs_sustain_plus_one_eligible_runs(self):
         report = trend_runs(self._runs([0.10, 0.20]))

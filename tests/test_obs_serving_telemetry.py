@@ -289,15 +289,15 @@ class TestModelServerTelemetry:
         assert snap["serving.request.outcome.error"]["value"] == 3
         assert "serving.request.outcome.ok" not in snap
 
-    def test_telemetry_mode_validated(self, fitted):
-        model, _ = fitted
-        with pytest.raises(ConfigurationError, match="telemetry"):
-            ModelServer(model, telemetry="loud")
-
     def test_off_mode_skips_request_series(self, fitted):
-        model, queries = fitted
+        _, queries = fitted
+        rng = np.random.default_rng(12)
+        data = make_regression_dataset(20, 60, seed=rng)
+        model = GraphSSLModel(graph="full", telemetry=False)
+        model.fit(data.x_labeled, data.y_labeled, data.x_unlabeled)
         registry = MetricsRegistry()
-        server = ModelServer(model, max_batch_size=8, telemetry="off")
+        server = ModelServer(model, max_batch_size=8)
+        assert server.telemetry is model.telemetry
         with obs.use_registry(registry):
             tickets = [server.submit(q) for q in queries[:4]]
             server.flush()
