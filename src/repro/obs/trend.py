@@ -100,10 +100,6 @@ class TrendReport:
     def ok(self) -> bool:
         return not self.regressions
 
-    @property
-    def set_aside(self) -> int:
-        return sum(entry.n_set_aside for entry in self.entries)
-
 
 def _ordered_runs(runs) -> list[dict]:
     return sorted(runs, key=lambda run: float(run.get("created_unix", 0.0)))
@@ -260,9 +256,10 @@ def render_trend_report(report: TrendReport) -> str:
             rows,
         )
     ]
-    if report.set_aside:
+    set_aside = sum(entry.n_set_aside for entry in report.entries)
+    if set_aside:
         lines.append(
-            f"{report.set_aside} measurement(s) set aside: recorded in another "
+            f"{set_aside} measurement(s) set aside: recorded in another "
             f"environment than their benchmark's newest"
         )
     lines.append(

@@ -315,6 +315,25 @@ class TestServeEvalDriver:
         assert len(result.to_rows()) == len(SERVING_METHODS)
         assert len(result.headers()) == 5
 
+    @pytest.mark.parametrize("flags, recorded", [([], True), (["--no-telemetry"], False)])
+    def test_no_telemetry_reaches_the_server(self, capsys, tmp_path, flags, recorded):
+        # The server records through its model's telemetry, so
+        # --no-telemetry silences the request series along with the
+        # model's phase and drift series.
+        import json
+
+        path = tmp_path / "metrics.json"
+        code = main([
+            "serve-eval", "--n-ref", "80", "--n-labeled", "20", "--queries", "12",
+            "--batch-size", "4", "--parity-sample", "4", "--seed", "0",
+            "--metrics", str(path), *flags,
+        ])
+        capsys.readouterr()
+        assert code == 0
+        names = json.loads(path.read_text())["metrics"]
+        for prefix in ("serving.request.", "serving.phase.", "serving.drift."):
+            assert any(name.startswith(prefix) for name in names) is recorded, prefix
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ConfigurationError, match="n_labeled"):
             run_serve_eval(n_reference=10, n_labeled=10)
