@@ -11,12 +11,13 @@ builds a λ-independent coarsening hierarchy in ~0.4 s at N=10⁵ (2-CPU
 host) and solves each grid point in a handful of
 V-cycle-preconditioned CG iterations.
 
-Scales: ``quick`` (default) runs N=2·10⁴ and solves the whole grid on
-``exact``; ``REPRO_BENCH_SCALE=paper`` runs N=10⁵, where ``exact``
-solves only the grid's two endpoints (2 × ~80 s factorizations instead
-of 20).  The d=3 data is deliberate: in d=2 sparse factorization
-fill-in stays nearly linear and the comparison would flatter nobody —
-see docs/SCALING.md.
+Scales: ``quick`` (default) runs N=2·10⁴, ``REPRO_BENCH_SCALE=paper``
+runs N=10⁵.  At both, ``exact`` solves only the grid's two endpoints,
+which is all the parity check compares (2 factorizations instead of 20,
+each ~80 s at N=10⁵), and the speedup floor compares time per grid
+point.  The d=3 data is deliberate: in d=2 sparse factorization fill-in
+stays nearly linear and the comparison would flatter nobody — see
+docs/SCALING.md.
 
 Acceptance guards: the multigrid sweep's time per grid point beats the
 ``exact`` backend's ≥ 3x, its endpoint scores match ``exact``'s within
@@ -57,12 +58,6 @@ GRID = tuple(float(lam) for lam in np.logspace(-3, 2, 20))
 #: sweep vs the ``exact`` backend's (one splu factorization per point).
 MIN_MULTIGRID_SPEEDUP = 3.0
 
-#: The grid points the ``exact`` leg solves: the whole grid at quick
-#: scale, its two endpoints at paper scale (each splu costs ~80 s there).
-EXACT_GRID = (GRID[0], GRID[-1]) if SCALE == "paper" else GRID
-EXACT_RECORD = (
-    f"large_n_sweep_exact_endpoints_n{N}" if SCALE == "paper" else f"large_n_sweep_exact_n{N}"
-)
 
 #: Acceptance floors for the approximate construction.
 MIN_APPROX_RECALL = 0.95
@@ -206,9 +201,12 @@ def test_bench_large_n(bench, results_dir):
         repeats=1,
         profile=False,
     )
+    # ``exact`` solves only the grid's endpoints, the points the parity
+    # check below compares.
+    endpoints = (GRID[0], GRID[-1])
     exact, rec_exact = bench.measure(
-        EXACT_RECORD,
-        lambda: _sweep(weights, y, "exact", EXACT_GRID),
+        f"large_n_sweep_exact_endpoints_n{N}",
+        lambda: _sweep(weights, y, "exact", endpoints),
         repeats=1,
         profile=False,
     )
@@ -221,13 +219,13 @@ def test_bench_large_n(bench, results_dir):
          f"{multigrid[1].pcg_iterations} PCG iters, "
          f"{multigrid[1].coarsen_builds} hierarchy build"],
         ["sweep exact", f"{rec_exact.min_s * 1e3:.0f}",
-         f"{len(EXACT_GRID)}", f"{exact[1].factorizations} factorizations"],
+         f"{len(endpoints)}", f"{exact[1].factorizations} factorizations"],
     ]
 
     for rec in (rec_knn, rec_approx, rec_multigrid, rec_exact):
         rec.write_json(results_dir / f"{rec.name}.json")
 
-    speedup = (rec_exact.min_s / len(EXACT_GRID)) / (rec_multigrid.min_s / len(GRID))
+    speedup = (rec_exact.min_s / len(endpoints)) / (rec_multigrid.min_s / len(GRID))
     table = ascii_table(["leg", "time (ms)", "grid", "notes"], rows)
     summary = (
         f"large-N pipeline at N={N}, d={D}, k={K} "

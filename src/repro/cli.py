@@ -58,6 +58,7 @@ artifacts into a persistent, queryable history::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -76,6 +77,17 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0 (NaN would switch a gate off)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}")
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
@@ -322,9 +334,9 @@ def _cmd_diagnose(args) -> int:
             return 2
         params["radius"] = args.radius
     if args.graph in ("knn", "epsilon"):
-        params["construction_method"] = args.construction
+        params["construction"] = args.construction
     graph = build_similarity_graph(
-        problem.x_all, construction=args.graph, bandwidth=bandwidth, **params
+        problem.x_all, graph=args.graph, bandwidth=bandwidth, **params
     )
     if graph.is_sparse:
         n = graph.n_vertices
@@ -987,12 +999,12 @@ def build_parser() -> argparse.ArgumentParser:
         "judged against its best earlier one from the same environment",
     )
     p.add_argument(
-        "--threshold", type=float, default=0.15,
+        "--threshold", type=_positive_float, default=0.15,
         help="relative min-timing tolerance before a delta counts as a "
         "regression (default 0.15 = 15%%)",
     )
     p.add_argument(
-        "--min-repeats", type=int, default=3,
+        "--min-repeats", type=_positive_int, default=3,
         help="measurements with fewer timing repeats are reported but "
         "never gate (default 3)",
     )
@@ -1047,15 +1059,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ledger_flag(p)
     p.add_argument(
-        "--threshold", type=float, default=0.15,
+        "--threshold", type=_positive_float, default=0.15,
         help="relative min-timing tolerance (default 0.15 = 15%%)",
     )
     p.add_argument(
-        "--min-repeats", type=int, default=3,
+        "--min-repeats", type=_positive_int, default=3,
         help="benchmarks with fewer repeats never gate (default 3)",
     )
     p.add_argument(
-        "--sustain", type=int, default=2,
+        "--sustain", type=_positive_int, default=2,
         help="consecutive regressed runs required before gating "
         "(default 2 — one noisy run never trips the gate)",
     )

@@ -184,7 +184,7 @@ class MulticlassLabelPropagation:
         self.bandwidth_ = _resolve_bandwidth(self.bandwidth, x_all, x_labeled.shape[0])
         graph = build_similarity_graph(
             x_all,
-            construction=self.graph,
+            graph=self.graph,
             kernel=self.kernel,
             bandwidth=self.bandwidth_,
             **self.graph_params,

@@ -232,7 +232,7 @@ def _graph_ablation_replicate(
             elif construction == "epsilon":
                 params["radius"] = epsilon_scale * bandwidth
             graph = build_similarity_graph(
-                data.x_all, construction=construction,
+                data.x_all, graph=construction,
                 bandwidth=bandwidth, **params,
             )
         fit = solve_hard_criterion(graph.weights, data.y_labeled)

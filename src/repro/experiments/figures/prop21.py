@@ -5,9 +5,9 @@ The experiment solves the soft criterion along a decreasing lambda grid
 on one synthetic problem and records the max-norm deviation from the
 hard solution on the unlabeled block.  The deviations must decrease
 monotonically and vanish in the limit.  The grid is solved through one
-:class:`~repro.linalg.workspace.SolveWorkspace`, whose backend
-:func:`~repro.linalg.workspace.choose_backend` reads off the graph; the
-hard solution is the per-point reference solve.
+:class:`~repro.linalg.workspace.SolveWorkspace`, which picks its own
+backend from the graph; the hard solution is the per-point reference
+solve.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.datasets.synthetic import make_synthetic_dataset
 from repro.exceptions import ConfigurationError
 from repro.graph.similarity import full_kernel_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
-from repro.linalg.workspace import SolveWorkspace, choose_backend
+from repro.linalg.workspace import SolveWorkspace
 
 __all__ = ["Prop21Result", "run_prop21_experiment"]
 
@@ -77,7 +77,7 @@ def run_prop21_experiment(
     data = make_synthetic_dataset(n_labeled, n_unlabeled, seed=seed)
     bandwidth = paper_bandwidth_rule(n_labeled, data.x_labeled.shape[1])
     graph = full_kernel_graph(data.x_all, bandwidth=bandwidth)
-    workspace = SolveWorkspace(graph.weights, backend=choose_backend(graph.weights))
+    workspace = SolveWorkspace(graph.weights)
     hard = solve_hard_criterion(graph.weights, data.y_labeled, check_reachability=False)
     deviations = []
     for lam in lambdas:

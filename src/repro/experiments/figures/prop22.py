@@ -9,8 +9,8 @@ Two measurements on a connected synthetic graph:
   gap) for large lambda.
 
 The grid is solved through one :class:`~repro.linalg.workspace.SolveWorkspace`,
-whose backend :func:`~repro.linalg.workspace.choose_backend` reads off
-the graph; the hard solution is the per-point reference solve.
+which picks its own backend from the graph; the hard solution is the
+per-point reference solve.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.datasets.synthetic import make_synthetic_dataset
 from repro.exceptions import ConfigurationError
 from repro.graph.similarity import full_kernel_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
-from repro.linalg.workspace import SolveWorkspace, choose_backend
+from repro.linalg.workspace import SolveWorkspace
 from repro.metrics.regression import root_mean_squared_error
 
 __all__ = ["Prop22Result", "run_prop22_experiment"]
@@ -94,7 +94,7 @@ def run_prop22_experiment(
     data = make_synthetic_dataset(n_labeled, n_unlabeled, seed=seed)
     bandwidth = paper_bandwidth_rule(n_labeled, data.x_labeled.shape[1])
     graph = full_kernel_graph(data.x_all, bandwidth=bandwidth)
-    workspace = SolveWorkspace(graph.weights, backend=choose_backend(graph.weights))
+    workspace = SolveWorkspace(graph.weights)
 
     hard = solve_hard_criterion(graph.weights, data.y_labeled, check_reachability=False)
     hard_rmse = root_mean_squared_error(data.q_unlabeled, hard.unlabeled_scores)

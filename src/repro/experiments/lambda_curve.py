@@ -14,9 +14,8 @@ monotone-ish interpolation between the anchors, which is exactly what
 the curve shows.
 
 Each replicate solves its whole grid, and the hard anchor, through one
-:class:`~repro.linalg.workspace.SolveWorkspace` on its graph, whose
-backend :func:`~repro.linalg.workspace.choose_backend` reads off the
-graph.
+:class:`~repro.linalg.workspace.SolveWorkspace` on its graph, which
+picks its own backend from the graph.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.runner import run_replicates
 from repro.graph.similarity import full_kernel_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
-from repro.linalg.workspace import SolveWorkspace, choose_backend
+from repro.linalg.workspace import SolveWorkspace
 from repro.metrics.regression import root_mean_squared_error
 
 __all__ = ["LambdaCurve", "run_lambda_curve"]
@@ -95,7 +94,7 @@ def _lambda_curve_replicate(
     data = make_synthetic_dataset(n_labeled, n_unlabeled, model=model, seed=rng)
     bandwidth = paper_bandwidth_rule(n_labeled, data.x_labeled.shape[1])
     graph = full_kernel_graph(data.x_all, bandwidth=bandwidth)
-    workspace = SolveWorkspace(graph.weights, backend=choose_backend(graph.weights))
+    workspace = SolveWorkspace(graph.weights)
     out = {}
     for lam in lambdas:
         fit = workspace.solve_soft(data.y_labeled, lam)

@@ -47,17 +47,9 @@ import numpy as np
 
 from repro import obs
 from repro.exceptions import ConfigurationError
-from repro.graph.similarity import (
-    SimilarityGraph,
-    _assemble_knn_csr,
-    _knn_neighbor_lists,
-    _resolve_knn_mode,
-    _validate_knn_rows,
-)
+from repro.graph.similarity import SimilarityGraph, _knn_graph, _knn_neighbor_lists
 from repro.kernels.base import pairwise_sq_distances
-from repro.kernels.library import GaussianKernel
-from repro.obs import probes
-from repro.utils.validation import check_matrix_2d, check_positive_scalar
+from repro.utils.validation import check_matrix_2d
 
 __all__ = [
     "rp_tree_knn",
@@ -321,48 +313,20 @@ def approx_knn_graph(
 ) -> SimilarityGraph:
     """Approximate kNN similarity graph with the exact routes' contract.
 
-    Identical to :func:`~repro.graph.similarity.knn_graph` except the
-    neighbour lists come from :func:`rp_tree_knn`: same kernel weights,
-    same union/intersection symmetrization, same self-weight diagonal,
-    same degeneracy validation.  ``n_trees`` is the recall knob; at the
-    default the graph differs from the exact one only in a few percent
-    of the longest (smallest-weight) edges, and downstream estimator
-    scores match within 1e-2 (pinned by ``tests/test_graph_approx.py``).
+    :func:`~repro.graph.similarity.knn_graph` with
+    ``construction="approx"`` and the RP-tree knobs exposed: the
+    neighbour lists come from :func:`rp_tree_knn`, and the kernel
+    weights, union/intersection symmetrization, self-weight diagonal,
+    degeneracy validation, span and ``params`` are ``knn_graph``'s own.
+    ``n_trees`` is the recall knob; at the default the graph differs
+    from the exact one only in a few percent of the longest
+    (smallest-weight) edges, and downstream estimator scores match
+    within 1e-2 (pinned by ``tests/test_graph_approx.py``).
     """
-    x = check_matrix_2d(x, "x")
-    n = x.shape[0]
-    kernel = kernel or GaussianKernel()
-    bandwidth = check_positive_scalar(bandwidth, "bandwidth")
-    mode = _resolve_knn_mode(mode)
-    with obs.span(
-        "repro.graph.knn",
-        n_vertices=n,
-        k=k,
-        mode=mode,
-        bandwidth=float(bandwidth),
-        construction="approx",
-    ) as span:
-        neighbour_dist, neighbour_idx = rp_tree_knn(
-            x, k, n_trees=n_trees, leaf_size=leaf_size, seed=seed
-        )
-        weights = _assemble_knn_csr(
-            n, neighbour_idx, neighbour_dist, kernel, bandwidth, mode
-        )
-        _validate_knn_rows(weights, k, mode=mode)
-        probes.record_graph_stats(span, weights)
-        return SimilarityGraph(
-            weights=weights,
-            kernel_name=kernel.name,
-            bandwidth=float(bandwidth),
-            construction="knn",
-            params={
-                "k": k,
-                "mode": mode,
-                "construction": "approx",
-                "n_trees": int(n_trees),
-                "seed": int(seed),
-            },
-        )
+    return _knn_graph(
+        x, k, kernel, bandwidth, mode, "approx",
+        n_trees=n_trees, leaf_size=leaf_size, seed=seed,
+    )
 
 
 def knn_recall(x: np.ndarray, k: int, approx_idx: np.ndarray) -> float:

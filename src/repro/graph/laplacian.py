@@ -17,11 +17,14 @@ first ``n`` vertices are labeled, and both are assembled here:
 They take weights that are already validated and keep the input's
 format: a CSR input gives CSR systems (the indicator is added as a
 diagonal matrix, never assigned into CSR), a dense input dense ones.
-The per-point solves in :mod:`repro.core` and the operators of
-:class:`~repro.linalg.workspace.SolveWorkspace`, which the exact serving
-path borders, all assemble through them, so each system has one
-operation order and the cached paths reproduce the reference solves bit
-for bit.
+The per-point solves in :mod:`repro.core` assemble through them.  The
+operators of :class:`~repro.linalg.workspace.SolveWorkspace`, which the
+exact serving path borders, keep their bits without calling them: the
+grounded system comes from the same helper as :func:`grounded_system`,
+and each ``V + λL`` is written into the Laplacian's own pattern
+(:class:`~repro.linalg.coarsen.SystemPattern`) with the bits of
+:func:`soft_system`.  So the cached paths reproduce the reference solves
+bit for bit.
 """
 
 from __future__ import annotations

@@ -25,6 +25,13 @@ Both sparsifiers support two construction routes:
   knobs; call :func:`repro.graph.approx.approx_knn_graph` directly to
   tune the recall/speed trade-off.
 
+The kNN routes that find neighbour lists (``"neighbors"`` and
+``"approx"``) share two steps: :func:`_knn_lists` finds a route's lists
+and :func:`_knn_weights` turns them into validated kernel weights.
+:func:`knn_graph`, :func:`~repro.graph.approx.approx_knn_graph` and
+:func:`knn_weights_by_bandwidth` (the bandwidth search's kNN route) all
+end in these two, so one route builds one graph whoever asks for it.
+
 The exact routes produce the same graph (verified to floating-point
 agreement by the parity and property suites in
 ``tests/test_sparse_dense_parity.py`` and
@@ -59,6 +66,7 @@ __all__ = [
     "epsilon_graph",
     "local_scaling_graph",
     "build_similarity_graph",
+    "knn_weights_by_bandwidth",
     "DENSE_CONSTRUCTION_MAX",
 ]
 
@@ -405,34 +413,6 @@ def _knn_neighbor_lists(x, k) -> tuple[np.ndarray, np.ndarray]:
     return neighbour_dist, neighbour_idx
 
 
-def _assemble_knn_csr(
-    n, neighbour_idx, neighbour_dist, kernel, bandwidth, mode
-) -> sparse.csr_matrix:
-    """CSR weight matrix from directed neighbour lists (shared by the
-    exact kd-tree route, the approximate route, and the bandwidth
-    search's sparse path)."""
-    k = neighbour_idx.shape[1]
-    data = kernel.profile(neighbour_dist.ravel() / bandwidth)
-    rows = np.repeat(np.arange(n), k)
-    directed = sparse.csr_matrix(
-        (data, (rows, neighbour_idx.ravel())), shape=(n, n)
-    )
-    # Kernel weights are symmetric functions of the (symmetric) distance,
-    # so w_ij == w_ji wherever both directed edges exist: the elementwise
-    # maximum keeps an edge selected by either endpoint (union) and the
-    # minimum keeps only mutually-selected edges (intersection).
-    if mode == "union":
-        symmetric = directed.maximum(directed.T)
-    else:
-        symmetric = directed.minimum(directed.T)
-    diagonal = sparse.diags(
-        np.full(n, float(kernel.profile(np.zeros(1))[0])), format="csr"
-    )
-    out = (symmetric + diagonal).tocsr()
-    out.eliminate_zeros()
-    return out
-
-
 def _validate_knn_rows(
     weights: sparse.csr_matrix, k: int, *, mode: str = "union"
 ) -> None:
@@ -477,12 +457,52 @@ def _validate_knn_rows(
         )
 
 
-def _knn_neighbors(x, k, kernel, bandwidth, mode) -> sparse.csr_matrix:
-    """Densification-free route: kd-tree neighbour queries straight to CSR."""
-    neighbour_dist, neighbour_idx = _knn_neighbor_lists(x, k)
-    return _assemble_knn_csr(
-        x.shape[0], neighbour_idx, neighbour_dist, kernel, bandwidth, mode
+def _knn_lists(x, k, route, **knobs) -> tuple[np.ndarray, np.ndarray]:
+    """The directed neighbour lists ``(dist, idx)`` one kNN route finds.
+
+    ``route="neighbors"`` queries the kd-tree (:func:`_knn_neighbor_lists`,
+    exact); ``route="approx"`` queries the random-projection forest of
+    :func:`~repro.graph.approx.rp_tree_knn`, the only route that reads
+    ``knobs`` (``n_trees``, ``leaf_size``, ``seed``).  Either way each row
+    is sorted by ``(distance, index)`` and excludes the vertex itself.
+    """
+    if route == "approx":
+        from repro.graph.approx import rp_tree_knn
+
+        return rp_tree_knn(x, k, **knobs)
+    if route == "neighbors":
+        return _knn_neighbor_lists(x, k)
+    raise ConfigurationError(
+        f"construction must be 'neighbors' or 'approx' to find neighbour "
+        f"lists, got {route!r}"
     )
+
+
+def _knn_weights(lists, kernel, bandwidth, mode) -> sparse.csr_matrix:
+    """Validated CSR kernel weights from the directed neighbour lists
+    ``(dist, idx)`` of :func:`_knn_lists`."""
+    neighbour_dist, neighbour_idx = lists
+    n, k = neighbour_idx.shape
+    data = kernel.profile(neighbour_dist.ravel() / bandwidth)
+    rows = np.repeat(np.arange(n), k)
+    directed = sparse.csr_matrix(
+        (data, (rows, neighbour_idx.ravel())), shape=(n, n)
+    )
+    # Kernel weights are symmetric functions of the (symmetric) distance,
+    # so w_ij == w_ji wherever both directed edges exist: the elementwise
+    # maximum keeps an edge selected by either endpoint (union) and the
+    # minimum keeps only mutually-selected edges (intersection).
+    if mode == "union":
+        symmetric = directed.maximum(directed.T)
+    else:
+        symmetric = directed.minimum(directed.T)
+    diagonal = sparse.diags(
+        np.full(n, float(kernel.profile(np.zeros(1))[0])), format="csr"
+    )
+    out = (symmetric + diagonal).tocsr()
+    out.eliminate_zeros()
+    _validate_knn_rows(out, k, mode=mode)
+    return out
 
 
 def knn_graph(
@@ -522,6 +542,17 @@ def knn_graph(
     default recall knob — see :func:`~repro.graph.approx.approx_knn_graph`
     to tune it.
     """
+    return _knn_graph(x, k, kernel, bandwidth, mode, construction)
+
+
+def _knn_graph(x, k, kernel, bandwidth, mode, construction, **knobs) -> SimilarityGraph:
+    """The body of :func:`knn_graph`, which
+    :func:`~repro.graph.approx.approx_knn_graph` enters with
+    ``construction="approx"`` and its RP-tree ``knobs``.
+
+    The approximate route records the ``n_trees`` and ``seed`` it ran
+    with in ``params``, so both entry points name the same graph alike.
+    """
     x = check_matrix_2d(x, "x")
     n = x.shape[0]
     if not 1 <= k < n:
@@ -532,6 +563,12 @@ def knn_graph(
     route = _resolve_construction(
         construction, n, allowed=("dense", "neighbors", "approx")
     )
+    params = {"k": k, "mode": mode, "construction": route}
+    if route == "approx":
+        from repro.graph.approx import DEFAULT_N_TREES
+
+        knobs = {"n_trees": DEFAULT_N_TREES, "seed": 0, **knobs}
+        params.update(n_trees=int(knobs["n_trees"]), seed=int(knobs["seed"]))
 
     with obs.span(
         "repro.graph.knn",
@@ -542,25 +579,48 @@ def knn_graph(
         construction=route,
     ) as span:
         if route == "dense":
-            sparse_weights = _knn_dense(x, k, kernel, bandwidth, mode)
-        elif route == "approx":
-            from repro.graph.approx import rp_tree_knn
-
-            neighbour_dist, neighbour_idx = rp_tree_knn(x, k)
-            sparse_weights = _assemble_knn_csr(
-                n, neighbour_idx, neighbour_dist, kernel, bandwidth, mode
-            )
+            weights = _knn_dense(x, k, kernel, bandwidth, mode)
+            _validate_knn_rows(weights, k, mode=mode)
         else:
-            sparse_weights = _knn_neighbors(x, k, kernel, bandwidth, mode)
-        _validate_knn_rows(sparse_weights, k, mode=mode)
-        probes.record_graph_stats(span, sparse_weights)
+            lists = _knn_lists(x, k, route, **knobs)
+            weights = _knn_weights(lists, kernel, bandwidth, mode)
+        probes.record_graph_stats(span, weights)
         return SimilarityGraph(
-            weights=sparse_weights,
+            weights=weights,
             kernel_name=kernel.name,
             bandwidth=float(bandwidth),
             construction="knn",
-            params={"k": k, "mode": mode, "construction": route},
+            params=params,
         )
+
+
+def knn_weights_by_bandwidth(
+    x: np.ndarray,
+    *,
+    k: int,
+    kernel: RadialKernel | None = None,
+    mode: Literal["union", "intersection", "mutual"] = "union",
+    construction: Literal["neighbors", "approx"] = "neighbors",
+):
+    """kNN weight matrices of ``x`` at any bandwidth, from one neighbour search.
+
+    Returns ``weights(bandwidth)``: the validated CSR weights that
+    :func:`knn_graph` builds at that bandwidth on the same route,
+    ``"neighbors"`` (the kd-tree) or ``"approx"`` (the RP-tree at its
+    default knobs).  Distances do not depend on the bandwidth, so the
+    neighbour lists are found once, here, and each call pays only a
+    kernel profile on ``N k`` entries and a CSR assembly, never an
+    ``(N, N)`` allocation.  This is the kNN route of
+    :func:`~repro.model_selection.search.select_bandwidth`.
+    """
+    x = check_matrix_2d(x, "x")
+    n = x.shape[0]
+    if not 1 <= k < n:
+        raise ConfigurationError(f"k must satisfy 1 <= k < n; got k={k}, n={n}")
+    kernel = kernel or GaussianKernel()
+    mode = _resolve_knn_mode(mode)
+    lists = _knn_lists(x, k, construction)
+    return lambda bandwidth: _knn_weights(lists, kernel, bandwidth, mode)
 
 
 def _epsilon_dense(x, radius, kernel, bandwidth) -> sparse.csr_matrix:
@@ -685,22 +745,19 @@ def local_scaling_graph(
 def build_similarity_graph(
     x: np.ndarray,
     *,
-    construction: Literal["full", "knn", "epsilon"] = "full",
+    graph: Literal["full", "knn", "epsilon"] = "full",
     kernel: RadialKernel | None = None,
     bandwidth: float,
-    construction_method: Literal["auto", "dense", "neighbors", "approx"] | None = None,
     **params,
 ) -> SimilarityGraph:
-    """Dispatch to one of the graph constructions by name.
+    """Dispatch to one of the graph families by name.
 
-    ``params`` are forwarded (``k``/``mode`` for knn, ``radius`` for
-    epsilon).  ``construction_method`` forwards to the sparsifiers'
-    ``construction=`` switch (``"dense"``/``"neighbors"``/``"auto"``,
-    plus ``"approx"`` for knn graphs) — the name differs only because
-    ``construction`` here already selects the graph *family* — so
-    estimator ``graph_params`` can pin a route, e.g.
-    ``graph_params={"k": 10, "construction_method": "neighbors"}``.
-    This is the single entry point the estimators use.
+    ``graph`` names the family, as ``graph=`` does on the estimators and
+    the CLI.  ``params`` are forwarded (``k``/``mode`` for knn,
+    ``radius`` for epsilon, and ``construction`` for either sparsifier's
+    route), so estimator ``graph_params`` can pin a route, e.g.
+    ``graph_params={"k": 10, "construction": "approx"}``.  This is the
+    single entry point the estimators use.
     """
     builders = {
         "full": full_kernel_graph,
@@ -708,22 +765,15 @@ def build_similarity_graph(
         "epsilon": epsilon_graph,
     }
     try:
-        builder = builders[construction]
+        builder = builders[graph]
     except KeyError:
         known = ", ".join(sorted(builders))
         raise ConfigurationError(
-            f"unknown graph construction {construction!r}; known: {known}"
+            f"unknown graph construction {graph!r}; known: {known}"
         ) from None
-    if construction_method is not None:
-        if construction == "full":
-            raise ConfigurationError(
-                "construction_method only applies to the 'knn' and "
-                "'epsilon' sparsifiers; the 'full' graph is always dense"
-            )
-        params["construction"] = construction_method
     try:
         return builder(x, kernel=kernel, bandwidth=bandwidth, **params)
     except TypeError as exc:
         raise ConfigurationError(
-            f"invalid parameters for {construction!r} graph: {exc}"
+            f"invalid parameters for {graph!r} graph: {exc}"
         ) from exc

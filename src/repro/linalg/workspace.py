@@ -9,7 +9,7 @@ shared across the sweep.  It is the only way a λ-sweep is solved; its
 one knob is the backend, one of :data:`SWEEP_BACKENDS`, each the fastest
 on some measured grid (docs/SCALING.md):
 
-* **exact** (default) — true SPD factorizations: a solve factorizes its
+* **exact** — true SPD factorizations: a solve factorizes its
   ``(λ, n_labeled)`` system and back-substitutes, and an operator the
   workspace keeps holds its factorization, so a repeated solve there is
   one back-substitution, bit-identical to refactorizing.
@@ -17,8 +17,8 @@ on some measured grid (docs/SCALING.md):
   and :func:`~repro.graph.laplacian.grounded_system`, the assembly the
   per-point reference solves in :mod:`repro.core` use, so on sparse
   graphs (and dense ``method="full"`` / hard solves) its scores equal
-  theirs bit for bit.  It is the default: a one-off solve such as a
-  model fit costs one factorization and one back-substitution.
+  theirs bit for bit.  A one-off solve such as a model fit costs one
+  factorization and one back-substitution.
 * **multigrid** — no large factorization at any point: a λ-independent
   graph-coarsening hierarchy (:mod:`repro.linalg.coarsen`, heavy-edge
   matching) is built once per workspace, and each λ is solved by
@@ -39,10 +39,11 @@ on some measured grid (docs/SCALING.md):
   (N ≈ 10⁴ in d ≥ 3) to N = 10⁶, with an exact-factorization fallback
   if the V-cycle ever stalls.
 
-The library's own sweeps, CV folds and model fits take their backend
-from the graph through :func:`choose_backend`: ``multigrid`` for a
-sparse graph above :data:`FACTORIZE_MAX_VERTICES` vertices, ``exact``
-otherwise.  ``backend=`` pins one.
+A workspace built without ``backend=`` picks its own through
+:func:`choose_backend`: ``multigrid`` for a sparse graph above
+:data:`FACTORIZE_MAX_VERTICES` vertices, ``exact`` otherwise.  Every
+sweep, CV fold and model fit in the library takes that choice;
+``backend=`` pins one.
 
 One operator per ``(λ, n_labeled)``, λ = 0 being the hard criterion
 (Proposition II.1 makes it the λ → 0 end of the soft one):
@@ -332,26 +333,26 @@ class SolveWorkspace:
         solve.
     backend:
         The solve backend, one of :data:`SWEEP_BACKENDS`: ``"exact"``
-        (default; true factorizations, bit-compatible with per-point
-        solves) or ``"multigrid"`` (coarsening V-cycle preconditioned
-        PCG — no large factorization, the large-N backend).
-        :func:`choose_backend` picks one from the graph.
+        (true factorizations, bit-compatible with per-point solves) or
+        ``"multigrid"`` (coarsening V-cycle preconditioned PCG — no
+        large factorization, the large-N backend).  Left out,
+        :func:`choose_backend` picks one from the validated graph.
     """
 
-    def __init__(self, weights, *, backend: str = "exact"):
+    def __init__(self, weights, *, backend: str | None = None):
         from repro.graph.similarity import SimilarityGraph
 
         if isinstance(weights, SimilarityGraph):
             weights = weights.weights
-        if backend not in SWEEP_BACKENDS:
+        if backend is not None and backend not in SWEEP_BACKENDS:
             raise ConfigurationError(
                 f"backend must be one of {SWEEP_BACKENDS}, got {backend!r}"
             )
-        self.backend = backend
         self._counters = {
             field: 0 for field in WorkspaceStats._fields if field != "hierarchy_mode"
         }
         self._adopt(check_weight_matrix(weights))
+        self.backend = choose_backend(self.weights) if backend is None else backend
 
     def _adopt(self, weights, components=None) -> None:
         """Take validated ``weights`` as the graph, with no cached artifact.

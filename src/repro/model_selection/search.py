@@ -38,7 +38,7 @@ from scipy import sparse
 
 from repro.datasets.splits import kfold_indices
 from repro.exceptions import ConfigurationError, DataValidationError, ReproError
-from repro.linalg.workspace import SolveWorkspace, choose_backend
+from repro.linalg.workspace import SolveWorkspace
 from repro.metrics.regression import mean_squared_error
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_labels, check_weight_matrix
@@ -115,8 +115,8 @@ def cross_validate_lambda(
     seed:
         Fold-shuffle seed.
 
-    Each fold's :class:`~repro.linalg.workspace.SolveWorkspace` takes its
-    backend from :func:`~repro.linalg.workspace.choose_backend`.
+    Each fold's :class:`~repro.linalg.workspace.SolveWorkspace` picks its
+    own backend from the graph.
 
     Returns
     -------
@@ -153,7 +153,7 @@ def cross_validate_lambda(
                 w_perm = weights[order][:, order].tocsr()
             else:
                 w_perm = weights[np.ix_(order, order)]
-            workspace = SolveWorkspace(w_perm, backend=choose_backend(weights))
+            workspace = SolveWorkspace(w_perm)
         else:
             # the previous fold's graph reordered, sharing its hierarchy
             workspace = workspace.permuted(position[order])
@@ -225,61 +225,6 @@ def select_lambda(
     )
 
 
-def _knn_candidate_weights(x_all, kernel, graph_params):
-    """One neighbour-list computation, one sparse reweighting per bandwidth.
-
-    Distances don't depend on the bandwidth, so the (exact or
-    approximate) kNN lists are computed once and each candidate only
-    pays a ``profile``-on-``nk``-entries rescale plus a CSR assembly —
-    never an ``(N, N)`` allocation.
-    """
-    from repro.graph.similarity import (
-        _assemble_knn_csr,
-        _knn_neighbor_lists,
-        _resolve_knn_mode,
-        _validate_knn_rows,
-    )
-
-    params = dict(graph_params or {})
-    k = int(params.pop("k", 10))
-    mode = _resolve_knn_mode(params.pop("mode", "union"))
-    construction = params.pop("construction", "neighbors")
-    if construction == "approx":
-        from repro.graph.approx import rp_tree_knn
-
-        approx_kwargs = {
-            key: params.pop(key)
-            for key in ("n_trees", "leaf_size", "seed")
-            if key in params
-        }
-        if params:
-            raise ConfigurationError(
-                f"unknown graph_params keys: {sorted(params)}"
-            )
-        neighbour_dist, neighbour_idx = rp_tree_knn(x_all, k, **approx_kwargs)
-    elif construction == "neighbors":
-        if params:
-            raise ConfigurationError(
-                f"unknown graph_params keys: {sorted(params)}"
-            )
-        neighbour_dist, neighbour_idx = _knn_neighbor_lists(x_all, k)
-    else:
-        raise ConfigurationError(
-            f"graph_params construction must be 'neighbors' or 'approx', "
-            f"got {construction!r}"
-        )
-    n = x_all.shape[0]
-
-    def candidate_weights(bandwidth):
-        weights = _assemble_knn_csr(
-            n, neighbour_idx, neighbour_dist, kernel, bandwidth, mode
-        )
-        _validate_knn_rows(weights, k, mode=mode)
-        return weights
-
-    return candidate_weights
-
-
 def select_bandwidth(
     x_labeled,
     y_labeled,
@@ -303,18 +248,20 @@ def select_bandwidth(
     way) without the repeated ``O(N^2 d)`` distance computations.
 
     With ``graph="knn"`` the ``(N, N)`` matrix is never materialised:
-    the k-nearest-neighbour lists are computed once (exact kd-tree, or
-    RP-tree approximate via ``graph_params={"construction": "approx"}``)
-    and reweighted per candidate into a sparse CSR graph — this is the
-    large-N route.  ``graph_params`` accepts ``k`` (default 10), ``mode``
-    (``"union"``/``"intersection"``, default ``"union"``),
-    ``construction`` (``"neighbors"`` exact, default, or ``"approx"``),
-    and for the approximate route ``n_trees``/``leaf_size``/``seed``.
-    The sparse graphs stay sparse through every CV fold.
+    the k-nearest-neighbour lists are computed once and reweighted per
+    candidate into a sparse CSR graph
+    (:func:`~repro.graph.similarity.knn_weights_by_bandwidth`) — this is
+    the large-N route.  ``graph_params`` accepts ``k`` (default 10),
+    ``mode`` (``"union"``/``"intersection"``, default ``"union"``) and
+    ``construction``, the route: ``"neighbors"`` (the exact kd-tree,
+    default) or ``"approx"`` (the RP-tree at its default knobs).  Each
+    candidate's weights are those ``knn_graph`` builds on that route at
+    that bandwidth.  The sparse graphs stay sparse through every CV fold.
 
     Each candidate is scored with :func:`cross_validate_lambda` at a
     fixed ``lam``.
     """
+    from repro.graph.similarity import knn_weights_by_bandwidth
     from repro.kernels.base import pairwise_sq_distances
     from repro.kernels.library import GaussianKernel
     from repro.utils.validation import check_matrix_2d
@@ -335,7 +282,11 @@ def select_bandwidth(
     x_all = np.vstack([x_labeled, x_unlabeled])
 
     if graph == "knn":
-        candidate_weights = _knn_candidate_weights(x_all, kernel, graph_params)
+        params = {"k": 10, **(graph_params or {})}
+        unknown = sorted(set(params) - {"k", "mode", "construction"})
+        if unknown:
+            raise ConfigurationError(f"unknown graph_params keys: {unknown}")
+        candidate_weights = knn_weights_by_bandwidth(x_all, kernel=kernel, **params)
     else:
         base_radii = np.sqrt(pairwise_sq_distances(x_all))
 

@@ -20,9 +20,8 @@ methods:
     the ground-truth slow path, matching a from-scratch
     rebuild-and-resolve to solver tolerance.
 
-The workspace backend follows the measured crossover of
-:func:`repro.linalg.workspace.choose_backend` (docs/SCALING.md): dense
-graphs and sparse graphs up to
+The workspace picks its own backend at the measured crossover
+(docs/SCALING.md): dense graphs and sparse graphs up to
 :data:`~repro.linalg.workspace.FACTORIZE_MAX_VERTICES` vertices
 factorize (``"exact"``); larger sparse graphs, whose sparse LU fills in
 past the point where it pays, fit and serve through a cached Galerkin
@@ -31,7 +30,7 @@ V-cycle (``"multigrid"``).
 Determinism contract: every per-query quantity is computed from that
 query's own arrays only (see :mod:`repro.serving.queries`), so
 ``predict_batch`` is bit-identical to a loop of ``predict`` at every
-``batch_size``.
+``batch_size``; ``predict`` is ``predict_batch`` in one chunk.
 
 Serving boundary: malformed query input (wrong dimensionality, wrong
 feature count, non-numeric dtype, empty batch, non-finite values) raises
@@ -57,7 +56,7 @@ from repro.exceptions import ConfigurationError, NotFittedError
 from repro.graph.similarity import build_similarity_graph
 from repro.kernels.base import RadialKernel
 from repro.kernels.library import GaussianKernel
-from repro.linalg.workspace import SolveWorkspace, choose_backend
+from repro.linalg.workspace import SolveWorkspace
 from repro.obs.serving_telemetry import (
     DriftWatchdog,
     ServingTelemetry,
@@ -100,8 +99,8 @@ class GraphSSLModel:
         or ``"epsilon"``.
     graph_params:
         Extra construction parameters (``k``/``mode`` for knn,
-        ``radius`` for epsilon, ``construction_method`` to pin the
-        dense/kd-tree route).
+        ``radius`` for epsilon, ``construction`` to pin the dense,
+        kd-tree or, for knn, RP-tree route).
     field_scale:
         Gaussian-field sigma used by credible intervals.
     telemetry:
@@ -200,17 +199,16 @@ class GraphSSLModel:
             self.bandwidth_ = _resolve_bandwidth(self.bandwidth, x_all, n)
             self.graph_ = build_similarity_graph(
                 x_all,
-                construction=self.graph,
+                graph=self.graph,
                 kernel=self.kernel,
                 bandwidth=self.bandwidth_,
                 **self.graph_params,
             )
-            backend = choose_backend(self.graph_.weights)
+            self._workspace = SolveWorkspace(self.graph_.weights)
             if span.recording:
                 # The choice and what it read: sparsity and N (n_reference).
-                span.set_attribute("backend", backend)
+                span.set_attribute("backend", self._workspace.backend)
                 span.set_attribute("sparse", sparse.issparse(self.graph_.weights))
-            self._workspace = SolveWorkspace(self.graph_.weights, backend=backend)
             # Kept for exact serving: the solve below and every insertion
             # share this one system and preconditioner.
             self._workspace.operator(self.lam, n)
@@ -308,10 +306,7 @@ class GraphSSLModel:
         if self._inserter is None:
             if self._workspace is None:
                 # An unpickled copy (see __getstate__) rebuilds lazily.
-                weights = self.graph_.weights
-                self._workspace = SolveWorkspace(
-                    weights, backend=choose_backend(weights)
-                )
+                self._workspace = SolveWorkspace(self.graph_.weights)
             self._inserter = ExactInserter(
                 self._workspace, self._y, self.scores_, lam=self.lam
             )
@@ -340,16 +335,7 @@ class GraphSSLModel:
         """
         if self.drift_watchdog_ is None or not rows:
             return
-        degrees = self._extractor.last_degrees
-        if degrees is None or len(degrees) != len(rows):
-            # Not the batch the extractor just produced (defensive):
-            # re-derive per row.
-            degrees = np.fromiter(
-                (row.self_weight + row.total for row in rows),
-                dtype=np.float64,
-                count=len(rows),
-            )
-        self.drift_watchdog_.observe(degrees)
+        self.drift_watchdog_.observe(self._extractor.last_degrees)
 
     def _serve_chunk(self, chunk: np.ndarray, method: str):
         """Extract + predict one chunk, instrumented.
@@ -410,30 +396,17 @@ class GraphSSLModel:
     # ------------------------------------------------------------------
 
     def predict(self, x, *, method: str = "nw", return_interval: bool = False, z: float = 1.96):
-        """Serve one validated query batch in a single shot.
+        """Serve one query batch in a single shot: :meth:`predict_batch`
+        in one chunk.
 
         Returns the ``(n_queries,)`` predictions, or with
         ``return_interval=True`` a ``(predictions, lower, upper)`` triple
         where the interval is the Gaussian-field ``mean ± z * sd`` of the
         exactly-inserted query vertex (hard-criterion models only).
         """
-        method = self._validate_method(method)
-        queries = self._validate_queries(x)
-        self._check_interval_request(return_interval, z)
-        with obs.span(
-            "repro.serving.predict",
-            method=method,
-            n_queries=int(queries.shape[0]),
-        ) as span:
-            rows, predictions = self._serve_chunk(queries, method)
-            self._count(
-                method, len(rows), batches=1, intervals=return_interval
-            )
-            self._record_stats(span)
-            if not return_interval:
-                return predictions
-            sd = np.sqrt(self._timed_variances(rows, method))
-            return predictions, predictions - z * sd, predictions + z * sd
+        return self.predict_batch(
+            x, method=method, return_interval=return_interval, z=z
+        )
 
     def predict_batch(
         self,

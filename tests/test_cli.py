@@ -308,6 +308,32 @@ class TestBenchVerbs:
         path = _write_run(tmp_path, "r1", {"solve": [0.1]})
         assert main(["bench-compare", str(path), str(tmp_path / "gone.json")]) == 2
 
+    @staticmethod
+    def _rejected(capsys, argv, flag):
+        # A bad gate setting fails at the parser with exit 2, never with
+        # a traceback or with the regression exit code 1, and NaN never
+        # silently switches the gate off.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-0.5", "nan", "inf"])
+    def test_compare_threshold_must_be_finite_and_positive(
+        self, capsys, tmp_path, value
+    ):
+        path = _write_run(tmp_path, "r1", {"solve": [0.1, 0.11, 0.12]})
+        argv = ["bench-compare", str(path), str(path), "--threshold", value]
+        self._rejected(capsys, argv, "--threshold")
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_compare_min_repeats_must_be_positive(self, capsys, tmp_path, value):
+        path = _write_run(tmp_path, "r1", {"solve": [0.1, 0.11, 0.12]})
+        argv = ["bench-compare", str(path), str(path), "--min-repeats", value]
+        self._rejected(capsys, argv, "--min-repeats")
+
     @pytest.mark.parametrize(
         "old_cpus, code, set_aside", [(1, 0, "1 measurement(s) set aside"), (2, 1, None)]
     )

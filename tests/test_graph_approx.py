@@ -263,6 +263,16 @@ class TestApproxGraph:
         assert (via_knn.weights != direct.weights).nnz == 0
         assert via_knn.params["construction"] == "approx"
 
+    def test_knn_graph_approx_route_names_the_same_graph(self):
+        """Both entry points to the RP-tree route record the knobs it ran
+        with, so at the default knobs they return equal graphs."""
+        x = _clustered(n_per_blob=100, seed=6)
+        via_knn = knn_graph(x, k=8, bandwidth=1.5, construction="approx")
+        direct = approx_knn_graph(x, k=8, bandwidth=1.5)
+        assert via_knn.params == direct.params
+        assert via_knn.params["n_trees"] == DEFAULT_N_TREES
+        assert (via_knn.weights != direct.weights).nnz == 0
+
     def test_intersection_mode(self):
         x = _clustered(n_per_blob=100, seed=8)
         graph = approx_knn_graph(x, k=8, bandwidth=1.5, mode="intersection")

@@ -251,12 +251,12 @@ class TestBuildDispatch:
         x = rng.normal(size=(20, 2))
         assert build_similarity_graph(x, bandwidth=1.0).construction == "full"
         assert (
-            build_similarity_graph(x, construction="knn", bandwidth=1.0, k=3).construction
+            build_similarity_graph(x, graph="knn", bandwidth=1.0, k=3).construction
             == "knn"
         )
         assert (
             build_similarity_graph(
-                x, construction="epsilon", bandwidth=1.0, radius=2.0
+                x, graph="epsilon", bandwidth=1.0, radius=2.0
             ).construction
             == "epsilon"
         )
@@ -264,12 +264,12 @@ class TestBuildDispatch:
     def test_unknown_construction_raises(self, rng):
         x = rng.normal(size=(5, 2))
         with pytest.raises(ConfigurationError, match="unknown graph"):
-            build_similarity_graph(x, construction="delaunay", bandwidth=1.0)
+            build_similarity_graph(x, graph="delaunay", bandwidth=1.0)
 
     def test_bad_params_raise_configuration_error(self, rng):
         x = rng.normal(size=(5, 2))
         with pytest.raises(ConfigurationError, match="invalid parameters"):
-            build_similarity_graph(x, construction="full", bandwidth=1.0, k=3)
+            build_similarity_graph(x, graph="full", bandwidth=1.0, k=3)
 
 
 class TestSimilarityGraphContainer:

@@ -121,6 +121,22 @@ class TestFactorizationCache:
         with pytest.raises(TypeError):
             SolveWorkspace(graph.weights, exact=True)
 
+    def test_left_out_backend_follows_the_graph(self):
+        """The workspace applies the backend rule itself: ``multigrid``
+        for a sparse graph above the factorization floor, ``exact`` for a
+        sparse graph at the floor and for a dense graph of any size;
+        ``backend=`` still pins one."""
+        floor = workspace_module.FACTORIZE_MAX_VERTICES
+        x = np.random.default_rng(4).normal(size=(floor + 1, 3))
+        above = knn_graph(x, k=10, bandwidth=0.5)
+        assert SolveWorkspace(above.weights).backend == "multigrid"
+        assert SolveWorkspace(above).backend == "multigrid"
+        assert SolveWorkspace(above.weights, backend="exact").backend == "exact"
+        at_floor = knn_graph(x[:floor], k=10, bandwidth=0.5)
+        assert SolveWorkspace(at_floor.weights).backend == "exact"
+        dense = full_kernel_graph(x, bandwidth=0.5)
+        assert SolveWorkspace(dense.weights).backend == "exact"
+
     def test_n_components_knob_removed(self, problem):
         _, graph = problem
         with pytest.raises(TypeError):

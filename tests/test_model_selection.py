@@ -139,10 +139,43 @@ class TestSelectBandwidthKnnRoute:
         result = select_bandwidth(
             data.x_labeled, data.y_labeled, data.x_unlabeled,
             grid=grid, seed=0, graph="knn",
-            graph_params={"k": 12, "construction": "approx", "n_trees": 8},
+            graph_params={"k": 12, "construction": "approx"},
         )
         assert result.best_value in grid
         assert np.isfinite(result.best_score)
+
+    def test_one_route_name_across_entry_points(self, monkeypatch):
+        """``"construction"`` in ``graph_params`` names the route on the
+        serving model, the regressor and the bandwidth search alike, and
+        all three build the weights of ``approx_knn_graph``."""
+        from repro.core.estimators import GraphSSLRegressor
+        from repro.graph.approx import approx_knn_graph
+        from repro.model_selection import search as search_module
+        from repro.serving import GraphSSLModel
+
+        data, _ = self._problem(seed=7)
+        bandwidth = 1.0
+        params = {"k": 10, "construction": "approx"}
+        args = (data.x_labeled, data.y_labeled, data.x_unlabeled)
+        model = GraphSSLModel(
+            graph="knn", graph_params=params, bandwidth=bandwidth
+        ).fit(*args)
+        regressor = GraphSSLRegressor(
+            graph="knn", graph_params=params, bandwidth=bandwidth
+        ).fit(*args)
+        searched = []
+        score = search_module.cross_validate_lambda
+
+        def recording(weights, *rest, **kwargs):
+            searched.append(weights)
+            return score(weights, *rest, **kwargs)
+
+        monkeypatch.setattr(search_module, "cross_validate_lambda", recording)
+        select_bandwidth(*args, grid=(bandwidth,), seed=0, graph="knn", graph_params=params)
+        expected = approx_knn_graph(data.x_all, k=10, bandwidth=bandwidth).weights
+        for weights in (model.graph_.weights, regressor.graph_.weights, *searched):
+            assert (weights != expected).nnz == 0
+        assert len(searched) == 1
 
     def test_invalid_graph_arguments_rejected(self):
         data, grid = self._problem()

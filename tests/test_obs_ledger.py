@@ -355,6 +355,28 @@ class TestObsCli:
         assert main(["obs", "trend", *self._ledger_args(tmp_path)]) == 0
         assert "nothing to gate" in capsys.readouterr().out
 
+    def _rejected(self, capsys, tmp_path, flag, value):
+        # Checked at the parser, so even an empty ledger (which has
+        # nothing to gate) refuses a bad setting with exit 2.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", "trend", *self._ledger_args(tmp_path), flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-0.5", "nan", "inf"])
+    def test_trend_threshold_must_be_finite_and_positive(self, capsys, tmp_path, value):
+        self._rejected(capsys, tmp_path, "--threshold", value)
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_trend_min_repeats_must_be_positive(self, capsys, tmp_path, value):
+        self._rejected(capsys, tmp_path, "--min-repeats", value)
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_trend_sustain_must_be_positive(self, capsys, tmp_path, value):
+        self._rejected(capsys, tmp_path, "--sustain", value)
+
     def test_show_progress_run(self, capsys, tmp_path):
         path = _write_progress(tmp_path / "p.jsonl", interrupt=True)
         main(["obs", "ingest", str(path), *self._ledger_args(tmp_path)])

@@ -17,11 +17,13 @@ This suite pins the contract from three directions:
   same operation order;
 * the model-selection and experiment functions (grid CV against a
   per-fold reference loop, bandwidth hoist, parallel replicates)
-  reproduce their answers on every backend, and each CV fold takes its
-  backend from :func:`~repro.linalg.workspace.choose_backend`:
-  ``multigrid`` on sparse graphs above
+  reproduce their answers on every backend, and each CV fold's
+  workspace picks its own backend through
+  :func:`~repro.linalg.workspace.choose_backend`: ``multigrid`` on
+  sparse graphs above
   :data:`~repro.linalg.workspace.FACTORIZE_MAX_VERTICES` vertices,
-  ``exact`` (with the per-fold exact loop's bits) otherwise.
+  ``exact`` (with the per-fold exact loop's bits) otherwise.  Patching
+  that one rule forces a backend on every caller.
 """
 
 import numpy as np
@@ -37,11 +39,29 @@ from repro.experiments.figures.prop22 import run_prop22_experiment
 from repro.experiments.lambda_curve import run_lambda_curve
 from repro.graph.similarity import full_kernel_graph, knn_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
+from repro.linalg import workspace as workspace_module
 from repro.linalg.workspace import FACTORIZE_MAX_VERTICES, SolveWorkspace
 from repro.model_selection import search as search_module
 from repro.model_selection.search import cross_validate_lambda, select_bandwidth
 
 LAMBDA_GRID = (1e-3, 1e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0)
+
+
+def _forced(monkeypatch, backend, run):
+    """Run ``run()`` with the workspace's backend rule patched to answer
+    ``backend``; return its result after checking that every workspace
+    solve it made ran on that backend."""
+    monkeypatch.setattr(workspace_module, "choose_backend", lambda weights: backend)
+    tracer = obs.RecordingTracer()
+    with obs.use_tracer(tracer):
+        result = run()
+    solved_on = {
+        span.attributes["backend"]
+        for span in tracer.iter_spans()
+        if span.name == "repro.workspace.solve"
+    }
+    assert solved_on == {backend}
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +196,6 @@ class TestModelSelectionParity:
         self, dense_problem, backend, monkeypatch
     ):
         data, graph = dense_problem
-        monkeypatch.setattr(search_module, "choose_backend", lambda weights: backend)
         grid = (0.0, 0.01, 0.1, 1.0)
         y = data.y_labeled
         n = y.shape[0]
@@ -191,12 +210,12 @@ class TestModelSelectionParity:
                 held_out = fit.scores[len(keep) : len(keep) + len(fold)]
                 losses[j].append(np.mean((y[fold] - held_out) ** 2))
         direct = [np.mean(fold_losses) for fold_losses in losses]
-        amortized = cross_validate_lambda(
-            graph.weights,
-            data.y_labeled,
-            grid,
-            n_folds=4,
-            seed=5,
+        amortized = _forced(
+            monkeypatch,
+            backend,
+            lambda: cross_validate_lambda(
+                graph.weights, data.y_labeled, grid, n_folds=4, seed=5
+            ),
         )
         np.testing.assert_allclose(amortized, direct, atol=1e-8, rtol=0)
 
@@ -341,17 +360,19 @@ class TestExperimentParity:
 
     @pytest.mark.parametrize("backend", ["exact", "multigrid"])
     def test_prop21_still_converges(self, backend, monkeypatch):
-        monkeypatch.setattr(
-            "repro.experiments.figures.prop21.choose_backend", lambda weights: backend
+        result = _forced(
+            monkeypatch,
+            backend,
+            lambda: run_prop21_experiment(n_labeled=40, n_unlabeled=12, seed=1),
         )
-        result = run_prop21_experiment(n_labeled=40, n_unlabeled=12, seed=1)
         assert result.converges
 
     @pytest.mark.parametrize("backend", ["exact", "multigrid"])
     def test_prop22_still_collapses(self, backend, monkeypatch):
-        monkeypatch.setattr(
-            "repro.experiments.figures.prop22.choose_backend", lambda weights: backend
+        result = _forced(
+            monkeypatch,
+            backend,
+            lambda: run_prop22_experiment(n_labeled=40, n_unlabeled=12, seed=1),
         )
-        result = run_prop22_experiment(n_labeled=40, n_unlabeled=12, seed=1)
         assert result.collapses_to_mean
 
